@@ -42,6 +42,7 @@ from .rings import (
     PolyQuotientRing,
     ProductRing,
     Ring,
+    factorization,
     is_prime_int,
     product_ring,
     smallest_factor,
@@ -126,15 +127,10 @@ def _parse_atom(sc: _Scanner) -> Ring:
     if sc.try_literal("GF("):
         q = sc.read_nat()
         sc.expect_literal(")")
-        p = smallest_factor(q)
-        k = 0
-        m = q
-        while m > 1 and m % p == 0:
-            m //= p
-            k += 1
-        if q < 2 or m != 1:
+        prime_powers = factorization(q)
+        if len(prime_powers) != 1:
             raise NotPrimePower(f"{q} is not a prime power")
-        return GaloisFieldRing(p, k)
+        return GaloisFieldRing(*prime_powers[0])
     if sc.try_literal("Zloc("):
         p = sc.read_nat()
         sc.expect_literal(")")

@@ -25,6 +25,7 @@ from .ideals import (
     annihilator,
     ideal_intersection,
     ideal_sum,
+    principal_ideal,
     saturation_kernel,
     unit_ideal,
 )
@@ -215,8 +216,7 @@ def idempotent_generator(ideal: Ideal) -> Element | None:
     ring = ideal.ring
     if isinstance(ideal, ExplicitIdeal):
         for e in idempotents(ring):
-            span = frozenset(r * e for r in ring.elements())
-            if span == ideal.elements:
+            if principal_ideal(ring, e) == ideal:
                 return e
         return None
     if isinstance(ideal, LocalIdeal):
@@ -278,7 +278,7 @@ def flat_ideal_from_closed_set(ring, points) -> Ideal:
 
     E is realized as V of the intersection of its primes; J is the kernel
     of localization at 1 plus that intersection.  Both postconditions are
-    re-checked before returning.
+    re-checked before returning, and a violation raises AssertionError.
     """
     sp = enumerate_spectrum(ring)
     E = frozenset(points)
@@ -293,6 +293,8 @@ def flat_ideal_from_closed_set(ring, points) -> Ideal:
     if not is_stable_generalization(ring, E):
         raise NotGenStable("the set is not stable under generalization")
     kernel = saturation_kernel(realized)
-    assert vanishing_locus(ring, kernel) == E
-    assert is_cyclic_flat(kernel).verdict
+    if vanishing_locus(ring, kernel) != E:
+        raise AssertionError(f"the flat kernel {kernel.label()} does not vanish exactly on E")
+    if not is_cyclic_flat(kernel).verdict:
+        raise AssertionError(f"the quotient by the flat kernel {kernel.label()} is not flat")
     return kernel

@@ -45,10 +45,12 @@ from .rings import (
     ModularRing,
     ProductRing,
     Ring,
+    factorization,
     idempotents,
 )
 from .spectrum import (
     FLAT,
+    MAX_FAMILY_POINTS,
     PATCH,
     ZARISKI,
     closed_family,
@@ -314,7 +316,7 @@ def check_crt_decomposition(ring: Ring, entry=None) -> TheoremReport:
         return TheoremReport(name, ring.describe(), "skipped",
                              {"reason": "only modular rings decompose here"})
     n = ring.modulus
-    factors = _prime_power_factors(n)
+    factors = sorted(p ** k for p, k in factorization(n))
     if len(factors) < 2:
         return TheoremReport(name, ring.describe(), "skipped",
                              {"reason": "modulus is a prime power; the ring is local"})
@@ -339,12 +341,12 @@ def check_crt_decomposition(ring: Ring, entry=None) -> TheoremReport:
 
     summands = []
     for q, e in zip(factors, idems):
-        span = {r * e for r in ring.elements()}
-        card = len(span)
+        summand = principal_ideal(ring, e)
+        card = len(summand.elements)
         summands.append({"idempotent": str(e), "cardinality": card})
         if card != q:
             problems.append(f"summand of {e} has {card} elements, expected {q}")
-        if not is_cyclic_projective(principal_ideal(ring, e)):
+        if not is_cyclic_projective(summand):
             problems.append(f"summand of {e} is not projective")
         # a nonzero free module over Z/n has at least n elements
         if not card < n:
@@ -356,22 +358,6 @@ def check_crt_decomposition(ring: Ring, entry=None) -> TheoremReport:
         return TheoremReport(name, ring.describe(), "fail", details,
                              {"problems": problems})
     return TheoremReport(name, ring.describe(), "pass", details)
-
-
-def _prime_power_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            q = 1
-            while n % d == 0:
-                q *= d
-                n //= d
-            out.append(q)
-        d += 1
-    if n > 1:
-        out.append(n)
-    return sorted(out)
 
 
 def check_flat_not_projective(ring: Ring, entry=None) -> TheoremReport:
@@ -510,22 +496,12 @@ CHECK_NAMES = tuple(_CHECKS)
 
 
 def applicable_checks(ring: Ring) -> tuple[str, ...]:
-    names = []
-    for name, (_, need) in _CHECKS.items():
-        if need == _ANY:
-            names.append(name)
-            continue
-        if not _spectrum_enumerable(ring):
-            continue
-        if len(enumerate_spectrum(ring)) > 16:
-            continue
-        if need == _IDEALS:
-            if isinstance(ring, ProductRing) and not ring.is_finite:
-                continue
-            if isinstance(ring, EventuallyConstantBitsRing):
-                continue
-        names.append(name)
-    return tuple(names)
+    spectral = (_spectrum_enumerable(ring)
+                and len(enumerate_spectrum(ring)) <= MAX_FAMILY_POINTS)
+    # The bits ring fails `spectral`: its spectrum is not enumerable.
+    ideals = spectral and not (isinstance(ring, ProductRing) and not ring.is_finite)
+    allowed = {_ANY: True, _SPECTRAL: spectral, _IDEALS: ideals}
+    return tuple(name for name, (_, need) in _CHECKS.items() if allowed[need])
 
 
 def run_check(name: str, ring: Ring, entry: CorpusEntry | None = None) -> TheoremReport:
@@ -609,11 +585,16 @@ def corpus_from_document(document) -> tuple[CorpusEntry, ...]:
     entries = []
     allowed = {"spectrum_size", "flat_ideals", "reduced"}
     for index, item in enumerate(raw):
-        if not isinstance(item, dict) or "ring" not in item:
+        if not isinstance(item, dict) or not isinstance(item.get("ring"), str):
             raise CorpusError("each entry is an object with a 'ring' string", index)
         expect = item.get("expect", {})
         if not isinstance(expect, dict) or not set(expect) <= allowed:
             raise CorpusError(
                 f"expected facts may only use {sorted(allowed)}", index)
+        for key, value in expect.items():
+            if key == "reduced" and not isinstance(value, bool):
+                raise CorpusError("'reduced' must be true or false", index)
+            if key != "reduced" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise CorpusError(f"{key!r} must be an integer", index)
         entries.append(CorpusEntry(item["ring"], dict(expect)))
     return tuple(entries)

@@ -1,7 +1,8 @@
 """Ideals of the supported ring presentations.
 
 The representation follows the presentation: ideals of finite rings are
-explicit element sets (closure is checked at construction), ideals of the
+explicit element sets, always built as sums of principal ideals Rg
+(closure is still checked at construction), ideals of the
 localized integers live in the known lattice {(0)} U {(p^k) : k >= 0},
 ideals of the bits ring are either principal or the ideal of all finitely
 supported elements, and ideals of infinite products are componentwise.
@@ -123,10 +124,12 @@ class ExplicitIdeal(Ideal):
 
     @cached_property
     def _label(self):
-        for g in canonical_sorted(self.ring.elements()):
+        # The first g of R in canonical order with Rg = I; any such g lies in I.
+        sorted_elements = self.sorted_elements()
+        for g in sorted_elements:
             if _principal_span(self.ring, g) == self.elements:
                 return f"({g})"
-        gens = ",".join(str(g) for g in self.sorted_elements())
+        gens = ",".join(str(g) for g in sorted_elements)
         return f"({gens})"
 
     def label(self):
@@ -301,7 +304,13 @@ def _check_same_ring(a: Ideal, b: Ideal):
 
 
 def _principal_span(ring: Ring, g: Element) -> frozenset[Element]:
+    """Rg as an element set; it is already an ideal, closed under + and r*."""
     return frozenset(r * g for r in ring.elements())
+
+
+def _sumset(a: frozenset[Element], b: frozenset[Element]) -> frozenset[Element]:
+    """{x + y : x in a, y in b}, which is the ideal a + b when both are ideals."""
+    return frozenset(x + y for x in a for y in b)
 
 
 # ---------------------------------------------------------------------------
@@ -327,22 +336,18 @@ def finite_support_ideal(ring: EventuallyConstantBitsRing) -> BoolFiniteSupportI
 def ideal_from_generators(ring: Ring, generators) -> Ideal:
     """The smallest ideal containing the generators, canonically represented.
 
-    Finite rings close the generating set under addition and multiplication
-    by all ring elements.  For the localized integers the result is (p^v)
-    with v the least valuation of a nonzero generator.  In the bits ring
-    the generators are joined into a single principal generator.
+    Over a finite ring this is the sum Rg_1 + ... + Rg_n of the principal
+    ideals, built as iterated sumsets starting from (0).  For the localized
+    integers the result is (p^v) with v the least valuation of a nonzero
+    generator.  In the bits ring the generators are joined into a single
+    principal generator.
     """
     gens = [ring.element(g) for g in generators]
     if ring.is_finite:
-        current = {ring.zero, *gens}
-        while True:
-            bigger = set(current)
-            bigger.update(a + b for a in current for b in current)
-            bigger.update(r * a for r in ring.elements() for a in current)
-            if bigger == current:
-                break
-            current = bigger
-        return ExplicitIdeal(ring, current)
+        elements = frozenset((ring.zero,))
+        for g in gens:
+            elements = _sumset(elements, _principal_span(ring, g))
+        return ExplicitIdeal(ring, elements)
     if isinstance(ring, LocalizedIntegerRing):
         nonzero = [g for g in gens if g.value != 0]
         if not nonzero:
@@ -370,7 +375,7 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     _check_same_ring(a, b)
     ring = a.ring
     if isinstance(a, ExplicitIdeal):
-        return ExplicitIdeal(ring, {x + y for x in a.elements for y in b.elements})
+        return ExplicitIdeal(ring, _sumset(a.elements, b.elements))
     if isinstance(a, LocalIdeal):
         if a.level is None:
             return b
@@ -501,25 +506,29 @@ def saturation_kernel(ideal: Ideal) -> Ideal:
 
 
 def enumerate_ideals(ring: Ring, local_level_bound: int = 6) -> tuple[Ideal, ...]:
-    """All ideals of the ring, sorted by label.
+    """All ideals of the ring; finite rings sort by size, then label.
 
-    Finite rings are closed under joins with principal ideals starting from
-    (0); every ideal of a finite ring is reached this way.  For the
-    localized integers the lattice is (0) plus the chain (p^k), truncated
-    at ``local_level_bound``; for infinite products the component
-    enumerations are combined.
+    Every ideal of a finite ring is a finite sum of principal ideals Rg.
+    The distinct spans Rg are computed once, the sums are closed over as
+    plain element sets starting from (0), and each ideal found is wrapped
+    (and its closure checked) once at the end.  For the localized integers
+    the lattice is (0) plus the chain (p^k), truncated at
+    ``local_level_bound``; for infinite products the component
+    enumerations are combined and sorted by label.
     """
     if ring.is_finite:
-        found = {zero_ideal(ring)}
+        spans = {_principal_span(ring, g) for g in ring.elements()}
+        found = {frozenset((ring.zero,))}
         frontier = list(found)
         while frontier:
             base = frontier.pop()
-            for g in ring.elements():
-                join = ideal_sum(base, principal_ideal(ring, g))
+            for span in spans:
+                join = _sumset(base, span)
                 if join not in found:
                     found.add(join)
                     frontier.append(join)
-        return tuple(sorted(found, key=lambda i: (len(i.elements), i.label())))
+        ideals = [ExplicitIdeal(ring, elements) for elements in found]
+        return tuple(sorted(ideals, key=lambda i: (len(i.elements), i.label())))
     if isinstance(ring, LocalizedIntegerRing):
         out = [LocalIdeal(ring, None)]
         out.extend(LocalIdeal(ring, k) for k in range(local_level_bound + 1))

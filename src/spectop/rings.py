@@ -48,6 +48,7 @@ __all__ = [
     "ProductRing",
     "Ring",
     "canonical_sorted",
+    "factorization",
     "idempotents",
     "is_prime_int",
     "least_irreducible_polynomial",
@@ -60,24 +61,30 @@ __all__ = [
 # integer and polynomial helpers
 
 
-def is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def smallest_factor(n: int) -> int:
+    """The least divisor d >= 2 of n by trial division; n itself when none exists."""
     d = 2
     while d * d <= n:
         if n % d == 0:
             return d
         d += 1
     return n
+
+
+def is_prime_int(n: int) -> bool:
+    return n >= 2 and smallest_factor(n) == n
+
+
+def factorization(n: int) -> list[tuple[int, int]]:
+    """The pairs (p, k) with p^k exactly dividing n, primes ascending; [] for n < 2."""
+    out = []
+    while n > 1:
+        p, k = smallest_factor(n), 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        out.append((p, k))
+    return out
 
 
 def _ptrim(coeffs) -> tuple[int, ...]:
@@ -265,12 +272,14 @@ class Ring:
     """Base class for all presentations.
 
     Subclasses implement the payload protocol (``_canon``, ``_add``,
-    ``_mul``, ``_neg``, ``_fmt``, ``_sort_key``, ``_key``) and the derived
+    ``_mul``, ``_neg``, ``_fmt``, ``_sort_key``) and the derived
     interface here stays uniform.  Instances are immutable after
-    construction and compare structurally.
+    construction and compare structurally through ``key``, a tuple each
+    presentation fixes once when it is built.
     """
 
     is_finite = False
+    key: tuple
 
     # payload protocol -----------------------------------------------------
     def _canon(self, value):
@@ -289,9 +298,6 @@ class Ring:
         raise NotImplementedError
 
     def _sort_key(self, a):
-        raise NotImplementedError
-
-    def _key(self) -> tuple:
         raise NotImplementedError
 
     # uniform interface ----------------------------------------------------
@@ -319,10 +325,10 @@ class Ring:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and self._key() == other._key()
+        return isinstance(other, Ring) and self.key == other.key
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self.key)
 
     def __repr__(self):
         return self.describe()
@@ -337,6 +343,7 @@ class ModularRing(Ring):
         if not isinstance(modulus, int) or modulus < 1:
             raise ValueError("modulus must be an integer >= 1")
         self.modulus = modulus
+        self.key = ("modular", modulus)
 
     def _canon(self, value):
         if not isinstance(value, int):
@@ -357,9 +364,6 @@ class ModularRing(Ring):
 
     def _sort_key(self, a):
         return a
-
-    def _key(self):
-        return ("modular", self.modulus)
 
     @cached_property
     def _elements(self):
@@ -391,6 +395,7 @@ class PolyQuotientRing(Ring):
         self.p = p
         self.modulus = mod
         self.degree = len(mod) - 1
+        self.key = ("polyquot", p, mod)
 
     def _canon(self, value):
         if isinstance(value, int):
@@ -415,9 +420,6 @@ class PolyQuotientRing(Ring):
 
     def _sort_key(self, a):
         return (len(a), a)
-
-    def _key(self):
-        return ("polyquot", self.p, self.modulus)
 
     @cached_property
     def _elements(self):
@@ -449,6 +451,7 @@ class GaloisFieldRing(PolyQuotientRing):
                 raise NotPrime(p, smallest_factor(p))
             modulus = least_irreducible_polynomial(p, degree)
         super().__init__(p, modulus)
+        self.key = ("galois", p, self.modulus)
         witness = irreducibility_witness(self.modulus, p)
         if witness is not None:
             raise NotIrreducible(polynomial_text(self.modulus), polynomial_text(witness))
@@ -456,9 +459,6 @@ class GaloisFieldRing(PolyQuotientRing):
     @property
     def order(self) -> int:
         return self.p ** self.degree
-
-    def _key(self):
-        return ("galois", self.p, self.modulus)
 
     def describe(self):
         if self.modulus == least_irreducible_polynomial(self.p, self.degree):
@@ -492,6 +492,7 @@ class ProductRing(Ring):
                     "product factors must be finite rings or localized integers")
         self.factors = tuple(flat)
         self.is_finite = all(f.is_finite for f in self.factors)
+        self.key = ("product", tuple(f.key for f in self.factors))
 
     def _canon(self, value):
         if isinstance(value, int):
@@ -524,9 +525,6 @@ class ProductRing(Ring):
     def _sort_key(self, a):
         return tuple(f._sort_key(x) for f, x in zip(self.factors, a))
 
-    def _key(self):
-        return ("product", tuple(f._key() for f in self.factors))
-
     @cached_property
     def _elements(self):
         if not self.is_finite:
@@ -558,6 +556,7 @@ class LocalizedIntegerRing(Ring):
         if not is_prime_int(p):
             raise NotPrime(p, smallest_factor(p))
         self.p = p
+        self.key = ("zloc", p)
 
     def _canon(self, value):
         if isinstance(value, int):
@@ -585,9 +584,6 @@ class LocalizedIntegerRing(Ring):
     def _sort_key(self, a):
         return (a.denominator, a.numerator)
 
-    def _key(self):
-        return ("zloc", self.p)
-
     def valuation(self, element: Element) -> int:
         """The p-adic valuation of a nonzero element."""
         fr = element.value
@@ -611,6 +607,8 @@ class EventuallyConstantBitsRing(Ring):
     here; it exists to carry non-stabilizing multiplicative chains and a
     flat-but-not-projective cyclic quotient.
     """
+
+    key = ("evbits",)
 
     def _canon(self, value):
         if isinstance(value, int):
@@ -648,9 +646,6 @@ class EventuallyConstantBitsRing(Ring):
     def _sort_key(self, a):
         return (a.tail, len(a.flips), tuple(sorted(a.flips)))
 
-    def _key(self):
-        return ("evbits",)
-
     def indicator(self, positions) -> Element:
         """The element that is 1 exactly on the given finite position set."""
         return self.element((frozenset(positions), 0))
@@ -664,18 +659,16 @@ class EventuallyConstantBitsRing(Ring):
 
 
 def product_ring(factors) -> Ring:
-    """Componentwise product; a single factor collapses to that factor."""
-    flat: list[Ring] = []
-    for f in factors:
-        if isinstance(f, ProductRing):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    if not flat:
+    """Componentwise product; a single factor collapses to that factor.
+
+    Nested products are flattened by :class:`ProductRing` itself.
+    """
+    factors = list(factors)
+    if not factors:
         raise EmptyProduct("a product needs at least one factor")
-    if len(flat) == 1:
-        return flat[0]
-    return ProductRing(flat)
+    if len(factors) == 1:
+        return factors[0]
+    return ProductRing(factors)
 
 
 def idempotents(ring: Ring) -> tuple[Element, ...]:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from .errors import SpectrumTooLarge, UnsupportedForPresentation
 from .ideals import (
-    ExplicitIdeal,
     Ideal,
     LocalIdeal,
     ProductIdeal,
@@ -166,20 +165,21 @@ _SPECTRA: dict[Ring, SpectrumPoset] = {}
 def enumerate_spectrum(ring: Ring) -> SpectrumPoset:
     """All prime ideals with the containment order.
 
-    Finite rings enumerate every ideal and filter by the primality
-    predicate.  Product spectra are built factor-wise: a prime of a
-    product is a prime in one slot and the whole ring elsewhere.
+    Finite rings, finite products included, enumerate every ideal and
+    filter by the primality predicate.  Spectra of infinite products are
+    built factor-wise: a prime of a product is a prime in one slot and the
+    whole ring elsewhere.
     """
     cached = _SPECTRA.get(ring)
     if cached is not None:
         return cached
-    if isinstance(ring, ProductRing):
+    if ring.is_finite:
+        primes = [i for i in enumerate_ideals(ring) if is_prime_ideal(i)]
+    elif isinstance(ring, ProductRing):
         primes = []
         for i, factor in enumerate(ring.factors):
             for pt in enumerate_spectrum(factor).points:
                 primes.append(embed_factor_prime(ring, i, pt.ideal))
-    elif ring.is_finite:
-        primes = [i for i in enumerate_ideals(ring) if is_prime_ideal(i)]
     elif isinstance(ring, LocalizedIntegerRing):
         primes = [LocalIdeal(ring, None), LocalIdeal(ring, 1)]
     else:
@@ -191,16 +191,11 @@ def enumerate_spectrum(ring: Ring) -> SpectrumPoset:
 
 
 def embed_factor_prime(ring: ProductRing, index: int, prime: Ideal) -> Ideal:
-    """The prime (whole) x ... x prime x ... x (whole) of a product ring."""
-    if ring.is_finite:
-        pools = []
-        for i, factor in enumerate(ring.factors):
-            if i == index:
-                pools.append([e.value for e in prime.elements])
-            else:
-                pools.append([e.value for e in factor.elements()])
-        tuples = {tuple(c) for c in itertools.product(*pools)}
-        return ExplicitIdeal(ring, tuples)
+    """The prime (whole) x ... x prime x ... x (whole) of an infinite product.
+
+    Finite products have explicit ideals and find their primes by
+    enumeration instead; :class:`ProductIdeal` refuses them.
+    """
     comps = [prime if i == index else unit_ideal(f)
              for i, f in enumerate(ring.factors)]
     return ProductIdeal(ring, comps)

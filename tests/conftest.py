@@ -26,6 +26,17 @@ CORPUS_TEXTS = (
 
 FINITE_CORPUS_TEXTS = tuple(t for t in CORPUS_TEXTS if "Zloc" not in t)
 
+# Finite rings of at most 12 elements, small enough for subset-scanning oracles.
+SMALL_FINITE_TEXTS = (
+    "Z/8",
+    "Z/9",
+    "Z/10",
+    "Z/2 * Z/2 * Z/2",
+    "Z/4 * Z/2",
+    "Z/3[x]/(x^2)",
+    "Z/2[x]/(x^3+x)",
+)
+
 
 @pytest.fixture(params=CORPUS_TEXTS, ids=CORPUS_TEXTS)
 def corpus_ring(request):

@@ -144,6 +144,19 @@ def test_corpus_bad_json_exits_two(tmp_path, capsys):
     assert "error" in err
 
 
+def test_corpus_ill_typed_entry_exits_two(tmp_path, capsys):
+    for entry in ({"ring": 5}, {"ring": "Z/6", "expect": {"reduced": 1}},
+                  {"ring": "Z/6", "expect": {"flat_ideals": False}}):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({"entries": [entry]}))
+        code, out, err = run_cli(capsys, "corpus", str(path))
+        assert code == 2, entry
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: entry 0: "), err
+        assert "Traceback" not in err
+
+
 def test_parse_errors_exit_two(capsys):
     code, _, err = run_cli(capsys, "spec", "--ring", "GF(6)")
     assert code == 2

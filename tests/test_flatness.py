@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +36,7 @@ from spectop import (
     vanishing_locus,
     zero_ideal,
 )
+from spectop import flatness
 from spectop.ideals import LocalIdeal
 
 
@@ -210,6 +216,36 @@ def test_flat_ideal_from_closed_set_examples():
     assert kernel2.label() == "(0) x (1)"
     assert vanishing_locus(mixed, kernel2) == frozenset(
         {mpts["(0) x (1)"], mpts["(2) x (1)"]})
+
+
+def test_flat_ideal_from_closed_set_checks_its_postconditions(monkeypatch):
+    # a broken kernel is caught, also under python -O
+    z6 = parse_ring("Z/6")
+    pts = {p.label(): p for p in enumerate_spectrum(z6).points}
+    monkeypatch.setattr(flatness, "saturation_kernel", lambda ideal: zero_ideal(ideal.ring))
+    with pytest.raises(AssertionError, match="does not vanish exactly"):
+        flat_ideal_from_closed_set(z6, {pts["(2)"]})
+    z12 = parse_ring("Z/12")
+    pts12 = {p.label(): p for p in enumerate_spectrum(z12).points}
+    monkeypatch.setattr(flatness, "saturation_kernel", lambda ideal: ideal)
+    with pytest.raises(AssertionError, match="is not flat"):
+        flat_ideal_from_closed_set(z12, {pts12["(2)"]})
+
+    code = textwrap.dedent("""
+        from spectop import enumerate_spectrum, flatness, parse_ring, zero_ideal
+        z6 = parse_ring("Z/6")
+        point = next(p for p in enumerate_spectrum(z6).points if p.label() == "(2)")
+        flatness.saturation_kernel = lambda ideal: zero_ideal(ideal.ring)
+        try:
+            flatness.flat_ideal_from_closed_set(z6, {point})
+        except AssertionError:
+            raise SystemExit(0)
+        raise SystemExit(3)
+    """)
+    src = str(Path(flatness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert done.returncode == 0
 
 
 def test_flat_ideal_from_closed_set_rejections():

@@ -125,6 +125,20 @@ def test_corpus_from_document_validation():
     assert err.value.index == 0
     with pytest.raises(CorpusError):
         corpus_from_document({"entries": [{"expect": {}}]})
+    ill_typed = [
+        {"ring": 5},
+        {"ring": ["Z/6"]},
+        {"ring": "Z/6", "expect": {"spectrum_size": "2"}},
+        {"ring": "Z/6", "expect": {"flat_ideals": 4.0}},
+        {"ring": "Z/6", "expect": {"spectrum_size": True}},
+        {"ring": "Z/6", "expect": {"reduced": 1}},
+        {"ring": "Z/6", "expect": {"reduced": "yes"}},
+    ]
+    for bad in ill_typed:
+        with pytest.raises(CorpusError) as err:
+            corpus_from_document({"entries": [{"ring": "Z/4"}, bad]})
+        assert err.value.index == 1, bad
+        assert str(err.value).startswith("entry 1: "), bad
 
 
 def test_reports_sorted_and_complete():

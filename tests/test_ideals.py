@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spectop import (
     EventuallyConstantBitsRing,
@@ -26,8 +27,15 @@ from spectop import (
     zero_ideal,
 )
 from spectop.ideals import BoolPrincipalIdeal, ExplicitIdeal, LocalIdeal
+from spectop.rings import canonical_sorted
 
-from conftest import brute_force_generated, brute_force_ideals, brute_force_is_prime
+from conftest import (
+    FINITE_CORPUS_TEXTS,
+    SMALL_FINITE_TEXTS,
+    brute_force_generated,
+    brute_force_ideals,
+    brute_force_is_prime,
+)
 
 
 def _values(ideal):
@@ -54,6 +62,14 @@ def test_generated_ideal_matches_minimal_closed_superset(finite_ring):
         computed = ideal_from_generators(finite_ring, gens)
         oracle = brute_force_generated(finite_ring, gens)
         assert computed.elements == oracle
+
+
+@given(st.sampled_from(SMALL_FINITE_TEXTS), st.data())
+def test_generated_ideal_matches_oracle_on_random_generators(text, data):
+    ring = parse_ring(text)
+    gens = data.draw(st.lists(st.sampled_from(ring.elements()), max_size=4))
+    computed = ideal_from_generators(ring, gens)
+    assert computed.elements == brute_force_generated(ring, gens)
 
 
 def test_explicit_ideal_rejects_unclosed_sets():
@@ -189,7 +205,7 @@ def test_bool_ideal_operations():
 
 
 def test_enumerate_ideals_matches_brute_force():
-    for text in ("Z/4", "Z/6", "Z/12", "GF(4)", "Z/2[x]/(x^2+x)"):
+    for text in FINITE_CORPUS_TEXTS + SMALL_FINITE_TEXTS:
         ring = parse_ring(text)
         computed = {i.elements for i in enumerate_ideals(ring)}
         oracle = set(brute_force_ideals(ring))
@@ -240,3 +256,18 @@ def test_ideal_labels_round_trip_principal():
     assert principal_ideal(z12, z12.element(3)).label() == "(3)"
     assert zero_ideal(z12).label() == "(0)"
     assert unit_ideal(z12).label() == "(1)"
+
+
+def _full_scan_label(ideal):
+    """The first generator of R, in canonical order, whose span is the ideal."""
+    ring = ideal.ring
+    for g in canonical_sorted(ring.elements()):
+        if {r * g for r in ring.elements()} == ideal.elements:
+            return f"({g})"
+    return "(" + ",".join(str(e) for e in canonical_sorted(ideal.elements)) + ")"
+
+
+@pytest.mark.parametrize("text", FINITE_CORPUS_TEXTS + SMALL_FINITE_TEXTS)
+def test_explicit_labels_match_full_scan(text):
+    for ideal in enumerate_ideals(parse_ring(text)):
+        assert ideal.label() == _full_scan_label(ideal)

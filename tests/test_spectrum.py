@@ -24,7 +24,6 @@ from spectop import (
     specialization_closure,
     vanishing_locus,
 )
-from spectop.ideals import enumerate_ideals, is_prime_ideal
 from spectop.spectrum import ideal_vanishing_sets, principal_vanishing_sets
 
 from conftest import brute_force_ideals, brute_force_is_prime
@@ -64,13 +63,18 @@ def test_spectrum_primality_is_exhaustive(finite_ring):
 
 
 def test_product_spectrum_matches_brute_force():
-    # structural construction vs primality scan on the finite product
-    prod = parse_ring("Z/4 * Z/3")
-    sp = enumerate_spectrum(prod)
-    structural = {p.ideal for p in sp.points}
-    scanned = {i for i in enumerate_ideals(prod) if is_prime_ideal(i)}
-    assert structural == scanned
-    assert len(structural) == 2
+    # a prime of a finite product is a factor prime in one slot, whole elsewhere
+    for text in ("Z/4 * Z/3", "Z/2 * Z/2 * Z/2", "Z/4 * Z/2", "Z/2[x]/(x^2) * GF(4)"):
+        prod = parse_ring(text)
+        by_hand = set()
+        for i, factor in enumerate(prod.factors):
+            for prime in brute_force_ideals(factor):
+                if brute_force_is_prime(factor, prime):
+                    by_hand.add(frozenset(e for e in prod.elements()
+                                          if prod.component(e, i) in prime))
+        sp = enumerate_spectrum(prod)
+        assert {p.ideal.elements for p in sp.points} == by_hand, text
+        assert len(sp) == len(prod.factors), text
 
 
 def test_mixed_product_spectrum_shape():
