@@ -29,7 +29,7 @@ from .ideals import (
     saturation_kernel,
     unit_ideal,
 )
-from .rings import Element, canonical_sorted, idempotents
+from .rings import Element, idempotents
 from .spectrum import (
     PrimePoint,
     embed_factor_prime,
@@ -111,18 +111,17 @@ def _witness_samples(ideal: Ideal) -> tuple[Element, ...]:
 def flat_witness(ideal: Ideal, f: Element) -> tuple[Element, Element] | None:
     """A pair (a, b) with a*f = 0, b in I, a + b = 1, or None if none exists.
 
-    The search order over the annihilator is canonical, so the witness for
-    a given (I, f) is deterministic.
+    Over a finite ring a is the first annihilator of f, in the canonical
+    element order, whose complement 1 - a lies in I, so the witness for a
+    given (I, f) is deterministic.
     """
     ring = ideal.ring
     if not ideal.contains(f):
         raise ValueError(f"{f} does not belong to {ideal.label()}")
     if isinstance(ideal, ExplicitIdeal):
-        ann = annihilator(f)
-        for a in canonical_sorted(ann.elements):
-            b = ring.one - a
-            if ideal.contains(b):
-                return (a, b)
+        for a in ring.elements():
+            if a * f == ring.zero and ideal.contains(ring.one - a):
+                return (a, ring.one - a)
         return None
     if isinstance(ideal, LocalIdeal):
         if f == ring.zero:
@@ -262,9 +261,10 @@ def support_of_ideal(ideal: Ideal) -> frozenset[PrimePoint]:
         return frozenset(out)
     sp = enumerate_spectrum(ring)
     if isinstance(ideal, ExplicitIdeal):
-        anns = [annihilator(f) for f in ideal.elements]
+        anns = [frozenset(x for x in ring.elements() if x * f == ring.zero)
+                for f in ideal.elements]
         return frozenset(
-            p for p in sp.points if any(a.issubset(p.ideal) for a in anns))
+            p for p in sp.points if any(a <= p.ideal.elements for a in anns))
     if isinstance(ideal, LocalIdeal):
         if ideal.level is None:
             return frozenset()

@@ -50,9 +50,14 @@ __all__ = [
 
 
 class Ideal:
-    """Base class; subclasses fix the representation."""
+    """Base class; subclasses fix the representation.
+
+    Each constructor sets ``key``, the tuple that equality compares; its
+    hash is computed once and cached.
+    """
 
     ring: Ring
+    key: tuple
 
     def contains(self, element: Element) -> bool:
         raise NotImplementedError
@@ -69,14 +74,15 @@ class Ideal:
     def label(self) -> str:
         raise NotImplementedError
 
-    def _k(self) -> tuple:
-        raise NotImplementedError
-
     def __eq__(self, other):
-        return isinstance(other, Ideal) and self._k() == other._k()
+        return isinstance(other, Ideal) and self.key == other.key
 
     def __hash__(self):
-        return hash(self._k())
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        return hash(self.key)
 
     def __repr__(self):
         return self.label()
@@ -105,6 +111,7 @@ class ExplicitIdeal(Ideal):
                     raise ValueError(f"not closed under multiplication: {r} * {a}")
         self.ring = ring
         self.elements = elems
+        self.key = ("explicit", ring, elems)
 
     def contains(self, element):
         return self.ring.element(element) in self.elements
@@ -135,9 +142,6 @@ class ExplicitIdeal(Ideal):
     def label(self):
         return self._label
 
-    def _k(self):
-        return ("explicit", self.ring, self.elements)
-
 
 class LocalIdeal(Ideal):
     """An ideal of the localized integers: level None is (0), level k is (p^k)."""
@@ -149,6 +153,7 @@ class LocalIdeal(Ideal):
             raise ValueError("level must be None or >= 0")
         self.ring = ring
         self.level = level
+        self.key = ("local", ring, level)
 
     def contains(self, element):
         el = self.ring.element(element)
@@ -181,9 +186,6 @@ class LocalIdeal(Ideal):
             return f"({self.ring.p})"
         return f"({self.ring.p}^{self.level})"
 
-    def _k(self):
-        return ("local", self.ring, self.level)
-
 
 class BoolPrincipalIdeal(Ideal):
     """A principal ideal of the bits ring.
@@ -198,6 +200,7 @@ class BoolPrincipalIdeal(Ideal):
             raise UnsupportedForPresentation("BoolPrincipalIdeal needs the bits ring")
         self.ring = ring
         self.generator = ring.element(generator)
+        self.key = ("boolprincipal", ring, self.generator)
 
     def contains(self, element):
         el = self.ring.element(element)
@@ -218,9 +221,6 @@ class BoolPrincipalIdeal(Ideal):
     def label(self):
         return f"({self.generator})"
 
-    def _k(self):
-        return ("boolprincipal", self.ring, self.generator)
-
 
 class BoolFiniteSupportIdeal(Ideal):
     """The ideal of all finitely supported elements of the bits ring.
@@ -233,6 +233,7 @@ class BoolFiniteSupportIdeal(Ideal):
         if not isinstance(ring, EventuallyConstantBitsRing):
             raise UnsupportedForPresentation("this ideal lives in the bits ring")
         self.ring = ring
+        self.key = ("boolfin", ring)
 
     def contains(self, element):
         return self.ring.element(element).value.has_finite_support
@@ -251,9 +252,6 @@ class BoolFiniteSupportIdeal(Ideal):
 
     def label(self):
         return "(fin)"
-
-    def _k(self):
-        return ("boolfin", self.ring)
 
 
 class ProductIdeal(Ideal):
@@ -275,6 +273,7 @@ class ProductIdeal(Ideal):
                 raise ValueError("component ideal belongs to the wrong factor")
         self.ring = ring
         self.components = components
+        self.key = ("prodideal", ring, components)
 
     def contains(self, element):
         el = self.ring.element(element)
@@ -293,9 +292,6 @@ class ProductIdeal(Ideal):
 
     def label(self):
         return " x ".join(c.label() for c in self.components)
-
-    def _k(self):
-        return ("prodideal", self.ring, self.components)
 
 
 def _check_same_ring(a: Ideal, b: Ideal):

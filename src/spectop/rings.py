@@ -245,8 +245,10 @@ class Element:
         if exponent < 0:
             raise ValueError("negative powers are not defined")
         acc = self.ring.one
-        for _ in range(exponent):
-            acc = acc * self
+        for bit in bin(exponent)[2:]:
+            acc = acc * acc
+            if bit == "1":
+                acc = acc * self
         return acc
 
     @property

@@ -6,12 +6,13 @@ their sub-bases of open sets:
 
 * Zariski: the complements D(f) of the principal vanishing sets,
 * flat:    the principal vanishing sets V(f) themselves,
-* patch:   all intersections D(f) & V(g).
+* patch:   the D(f) and the V(g) together.  Both kinds contain the whole
+           space, so they generate the same topology as all D(f) & V(g).
 
-Families of closed sets are materialized in full, which keeps every
-"for all closed E" statement finitely checkable.  Generation is refused
-above ``MAX_FAMILY_POINTS`` spectrum points since the families grow like
-the power set.
+Families of closed sets are materialized in full, as the unions of point
+closures, which keeps every "for all closed E" statement finitely
+checkable.  Generation is refused above ``MAX_FAMILY_POINTS`` spectrum
+points since the families grow like the power set.
 """
 
 from __future__ import annotations
@@ -262,13 +263,15 @@ class ClosedFamily:
         return frozenset(subset) in self.sets
 
     def validate(self) -> None:
+        """Check for the empty set, the space and closure under union and
+        intersection: by Birkhoff, the family must equal the unions of its
+        point closures cl(x), the intersections of the members holding x."""
         full = self.spectrum.as_set()
         if frozenset() not in self.sets or full not in self.sets:
             raise AssertionError("a closed family contains the empty set and the space")
-        for a in self.sets:
-            for b in self.sets:
-                if a | b not in self.sets or a & b not in self.sets:
-                    raise AssertionError("closed family not closed under union/intersection")
+        closures = {full.intersection(*(s for s in self.sets if x in s)) for x in full}
+        if _unions(closures) != self.sets:
+            raise AssertionError("closed family not closed under union/intersection")
 
 
 def _vanishing_representatives(ring: Ring) -> tuple[Element, ...]:
@@ -302,33 +305,28 @@ def ideal_vanishing_sets(ring: Ring) -> frozenset[frozenset[PrimePoint]]:
     return frozenset(vanishing_locus(ring, i) for i in enumerate_ideals(ring))
 
 
-def _pairwise_closure(initial, combine):
-    family: set[frozenset] = set()
-    queue = list(initial)
-    while queue:
-        x = queue.pop()
-        if x in family:
-            continue
-        for y in family:
-            z = combine(x, y)
-            if z != x and z not in family:
-                queue.append(z)
-        family.add(x)
+def _unions(sets) -> set[frozenset]:
+    """Every union of some of the given sets, the empty union included."""
+    family = {frozenset()}
+    for c in sets:
+        family |= {s | c for s in family}
     return family
-
-
-def _opens_from_subbasis(subbasis, full):
-    basis = _pairwise_closure({full, *subbasis}, frozenset.intersection)
-    return _pairwise_closure({frozenset(), *basis}, frozenset.union)
 
 
 def closed_family(ring: Ring, topology: str,
                   use_ideal_basis: bool = False) -> ClosedFamily:
     """Materialize the closed sets of the named topology.
 
-    ``use_ideal_basis`` switches the flat topology to the alternative
-    basis of V(I) over finitely generated ideals; both generate the same
-    family and the harness asserts that agreement on every corpus ring.
+    A finite space is fixed by the least open neighbourhood U_x of each
+    point, the intersection of the sub-basic opens containing x.  The
+    closure of {x} is {y : x in U_y}, and the closed sets are exactly the
+    unions of point closures.  U_x is read off the sub-basis, never off
+    ideal inclusion, so comparing the families with the specialization
+    order (as ``topology-characterization`` does) stays a real check.
+
+    ``use_ideal_basis`` switches to the alternative basis of V(I) over
+    finitely generated ideals; both generate the same family and the
+    harness asserts that agreement on every corpus ring.
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
@@ -339,13 +337,11 @@ def closed_family(ring: Ring, topology: str,
     full = sp.as_set()
     vsets = ideal_vanishing_sets(ring) if use_ideal_basis else principal_vanishing_sets(ring)
     dsets = frozenset(full - v for v in vsets)
-    if topology == ZARISKI:
-        subbasis = dsets
-    elif topology == FLAT:
-        subbasis = vsets
-    else:
-        subbasis = frozenset(d & v for d in dsets for v in vsets)
-    opens = _opens_from_subbasis(subbasis, full)
-    family = ClosedFamily(topology, frozenset(full - o for o in opens), sp)
+    subbasis = {ZARISKI: dsets, FLAT: vsets, PATCH: dsets | vsets}[topology]
+    least_open = {x: full.intersection(*(s for s in subbasis if x in s))
+                  for x in sp.points}
+    closures = {frozenset(y for y in sp.points if x in least_open[y])
+                for x in sp.points}
+    family = ClosedFamily(topology, frozenset(_unions(closures)), sp)
     family.validate()
     return family

@@ -94,3 +94,26 @@ def brute_force_is_prime(ring, subset) -> bool:
             if a * b in subset and a not in subset and b not in subset:
                 return False
     return True
+
+
+def oracle_closed_sets(points, subbasis):
+    """The closed sets of the topology a sub-basis generates, by definition.
+
+    The basis is {X} together with the sub-basic opens, closed under
+    pairwise intersection.  A subset is open when it is the union of the
+    basis members inside it, and closed when its complement is open.
+    """
+    full = frozenset(points)
+    basis = {full, *subbasis}
+    while True:
+        new = {a & b for a in basis for b in basis} - basis
+        if not new:
+            break
+        basis |= new
+    closed = set()
+    for size in range(len(full) + 1):
+        for combo in itertools.combinations(full, size):
+            subset = frozenset(combo)
+            if frozenset().union(*(b for b in basis if b <= subset)) == subset:
+                closed.add(full - subset)
+    return closed

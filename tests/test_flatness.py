@@ -37,7 +37,20 @@ from spectop import (
     zero_ideal,
 )
 from spectop import flatness
-from spectop.ideals import LocalIdeal
+from spectop.ideals import LocalIdeal, annihilator
+from spectop.rings import canonical_sorted
+
+from conftest import CORPUS_TEXTS, FINITE_CORPUS_TEXTS, SMALL_FINITE_TEXTS
+
+
+@pytest.fixture(params=FINITE_CORPUS_TEXTS + SMALL_FINITE_TEXTS)
+def witness_ring(request):
+    return parse_ring(request.param)
+
+
+@pytest.fixture(params=CORPUS_TEXTS + SMALL_FINITE_TEXTS)
+def support_ring(request):
+    return parse_ring(request.param)
 
 
 def test_flat_frozen_examples():
@@ -57,14 +70,20 @@ def test_flat_frozen_examples():
     assert is_cyclic_flat(zero_ideal(z12)).verdict
 
 
-def test_flat_exhaustive_pair_search(finite_ring):
-    """The certificate verdict agrees with a direct exhaustive search."""
-    one = finite_ring.one
-    zero = finite_ring.zero
-    for ideal in enumerate_ideals(finite_ring):
+def test_flat_exhaustive_pair_search(witness_ring):
+    """The certificate verdict agrees with a direct exhaustive search, and
+    each witness takes the first a of Ann(f) in canonical order."""
+    one = witness_ring.one
+    zero = witness_ring.zero
+    for ideal in enumerate_ideals(witness_ring):
         expected = all(
-            any(a * f == zero and ideal.contains(one - a) for a in finite_ring.elements())
+            any(a * f == zero and ideal.contains(one - a) for a in witness_ring.elements())
             for f in ideal.elements)
+        for f in ideal.elements:
+            firsts = [a for a in canonical_sorted(annihilator(f).elements)
+                      if ideal.contains(one - a)][:1]
+            assert flat_witness(ideal, f) == (
+                (firsts[0], one - firsts[0]) if firsts else None)
         cert = is_cyclic_flat(ideal)
         assert cert.verdict == expected
         assert cert.verify()
@@ -170,15 +189,19 @@ def test_support_frozen_examples():
     assert sorted(p.label() for p in supp4) == ["(2)"]
 
 
-def test_support_contains_complement_of_locus(corpus_ring):
+def test_support_contains_complement_of_locus(support_ring):
     try:
-        ideals = enumerate_ideals(corpus_ring)
+        ideals = enumerate_ideals(support_ring)
     except Exception:
         return
-    sp = enumerate_spectrum(corpus_ring)
+    sp = enumerate_spectrum(support_ring)
     for ideal in ideals:
         supp = support_of_ideal(ideal)
-        outside = sp.as_set() - vanishing_locus(corpus_ring, ideal)
+        if support_ring.is_finite:
+            anns = [annihilator(f) for f in ideal.elements]
+            assert supp == frozenset(
+                p for p in sp.points if any(a.issubset(p.ideal) for a in anns))
+        outside = sp.as_set() - vanishing_locus(support_ring, ideal)
         assert outside <= supp
         if is_cyclic_flat(ideal).verdict:
             assert supp == outside

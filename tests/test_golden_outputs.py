@@ -1,10 +1,10 @@
 """Byte-identity of CLI output against the benchmark's recorded golden file.
 
-Every ``session`` and ``verify-ladder`` op of ``perfbench`` is run in this
-process through ``cli.main``; its exit code and stdout must equal what
-``perfbench/golden/outputs.json.gz`` recorded, with ``elapsed_seconds``
-masked in ``corpus`` output.  The ``families`` ops are left out because
-they take tens of seconds.  The golden file is only read.
+Every ``session``, ``verify-ladder`` and ``families`` op of ``perfbench``
+is run in this process through ``cli.main``; its exit code and stdout must
+equal what ``perfbench/golden/outputs.json.gz`` recorded, with
+``elapsed_seconds`` masked in ``corpus`` output.  The golden file is only
+read.
 """
 
 from __future__ import annotations
@@ -56,3 +56,7 @@ def test_session_ops_match_golden(recorded):
 
 def test_verify_ladder_ops_match_golden(recorded):
     assert _mismatches(recorded, workloads.ladder_ops()) == []
+
+
+def test_families_ops_match_golden(recorded):
+    assert _mismatches(recorded, workloads.family_ops()) == []

@@ -260,3 +260,27 @@ def test_idempotents_infinite_presentations():
     assert len(idempotents(mixed)) == 4
     with pytest.raises(UnsupportedForPresentation):
         idempotents(EventuallyConstantBitsRing())
+
+
+def _pow_samples():
+    bits = EventuallyConstantBitsRing()
+    zloc = LocalizedIntegerRing(2)
+    return (list(ModularRing(12).elements()) + list(GaloisFieldRing(2, 3).elements())
+            + [zloc.element(v) for v in (0, 1, 2, 6, Fraction(3, 5), Fraction(-4, 7))]
+            + [bits.zero, bits.one, bits.indicator({1, 3}), bits.one - bits.indicator({2})])
+
+
+@pytest.mark.parametrize("x", _pow_samples(), ids=lambda x: f"{x.ring.describe()}:{x}")
+def test_power_is_repeated_multiplication(x):
+    acc = x.ring.one
+    for k in range(21):
+        assert x ** k == acc, k
+        acc = acc * x
+
+
+def test_power_large_exponent_and_negative():
+    r = ModularRing(12)
+    for v in range(12):
+        assert (r.element(v) ** 10**6).value == pow(v, 10**6, 12)
+    with pytest.raises(ValueError):
+        r.element(5) ** -1

@@ -24,9 +24,15 @@ from spectop import (
     specialization_closure,
     vanishing_locus,
 )
-from spectop.spectrum import ideal_vanishing_sets, principal_vanishing_sets
+from spectop.spectrum import ClosedFamily, ideal_vanishing_sets, principal_vanishing_sets
 
-from conftest import brute_force_ideals, brute_force_is_prime
+from conftest import (
+    CORPUS_TEXTS,
+    SMALL_FINITE_TEXTS,
+    brute_force_ideals,
+    brute_force_is_prime,
+    oracle_closed_sets,
+)
 
 
 def _locus_labels(points):
@@ -224,3 +230,56 @@ def test_closure_operator_theorems(corpus_ring):
         assert generalization_closure(corpus_ring, E) in ffam.sets
     for E in pfam.sets:
         assert specialization_closure(corpus_ring, E) in zfam.sets
+
+
+ORACLE_TEXTS = CORPUS_TEXTS + SMALL_FINITE_TEXTS + (
+    "Zloc(2) * Zloc(2) * Zloc(2)",
+    "Zloc(2) * Z/6",
+)
+
+
+@pytest.mark.parametrize("text", ORACLE_TEXTS)
+def test_closed_family_matches_topology_oracle(text):
+    """Each family equals the one its sub-basis generates by definition;
+    for patch the oracle takes every D(f) & V(g), not the D(f) and V(g)."""
+    ring = parse_ring(text)
+    points = enumerate_spectrum(ring).points
+    full = frozenset(points)
+    for use_ideal_basis in (False, True):
+        vsets = (ideal_vanishing_sets(ring) if use_ideal_basis
+                 else principal_vanishing_sets(ring))
+        dsets = {full - v for v in vsets}
+        subbases = {ZARISKI: dsets, FLAT: vsets,
+                    PATCH: {d & v for d in dsets for v in vsets}}
+        for topology, subbasis in subbases.items():
+            fam = closed_family(ring, topology, use_ideal_basis=use_ideal_basis)
+            assert fam.sets == oracle_closed_sets(points, subbasis), (
+                topology, use_ideal_basis)
+
+
+def _z30_family(*point_sets):
+    sp = enumerate_spectrum(parse_ring("Z/30"))
+    pts = {p.label(): p for p in sp.points}
+    sets = frozenset(frozenset(pts[label] for label in s) for s in point_sets)
+    return ClosedFamily(ZARISKI, sets, sp)
+
+
+@pytest.mark.parametrize("point_sets, message", [
+    # {(2)} | {(3)} is missing
+    (((), ("(2)",), ("(3)",), ("(2)", "(3)", "(5)")), "union/intersection"),
+    # {(2), (3)} & {(3), (5)} = {(3)} is missing
+    (((), ("(2)", "(3)"), ("(3)", "(5)"), ("(2)", "(3)", "(5)")), "union/intersection"),
+    # the empty set is missing
+    ((("(2)",), ("(2)", "(3)", "(5)")), "empty set"),
+    # the whole space is missing
+    (((), ("(2)",), ("(2)", "(3)")), "empty set"),
+], ids=["union-gap", "intersection-gap", "no-empty-set", "no-whole-space"])
+def test_validate_rejects_non_lattices(point_sets, message):
+    with pytest.raises(AssertionError, match=message):
+        _z30_family(*point_sets).validate()
+
+
+def test_patch_family_at_fourteen_points():
+    ring = product_ring([LocalizedIntegerRing(2)] * 7)
+    assert len(enumerate_spectrum(ring)) == 14
+    assert len(closed_family(ring, PATCH).sets) == 2 ** 14
