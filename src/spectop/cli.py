@@ -3,7 +3,8 @@ emit JSON and DOT.
 
 Exit codes: 0 for success (including negative mathematical answers such
 as "not flat"), 1 for a verification failure found by ``verify`` or
-``corpus``, 2 for usage, parse or presentation errors.  All JSON is
+``corpus``, 2 for usage, parse or presentation errors, 3 for any other
+exception, reported as one ``error: internal:`` line.  All JSON is
 printed with sorted keys, so output is byte-stable for a fixed input.
 """
 
@@ -311,6 +312,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

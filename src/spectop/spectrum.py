@@ -12,7 +12,9 @@ their sub-bases of open sets:
 Families of closed sets are materialized in full, as the unions of point
 closures, which keeps every "for all closed E" statement finitely
 checkable.  Generation is refused above ``MAX_FAMILY_POINTS`` spectrum
-points since the families grow like the power set.
+points since the families grow like the power set.  Infinite products
+take their vanishing sets V(f) and V(I) factor by factor, as their
+spectra are the disjoint unions of the factor spectra.
 """
 
 from __future__ import annotations
@@ -279,21 +281,35 @@ def _vanishing_representatives(ring: Ring) -> tuple[Element, ...]:
 
     For a finite ring every element is used.  Over the localized integers
     V(f) only depends on whether f is zero, a unit, or a prime multiple.
-    Products combine factor representatives componentwise.
     """
     if ring.is_finite:
         return ring.elements()
     if isinstance(ring, LocalizedIntegerRing):
         return (ring.zero, ring.element(ring.p), ring.one)
-    if isinstance(ring, ProductRing):
-        pools = [_vanishing_representatives(f) for f in ring.factors]
-        return tuple(Element(ring, tuple(e.value for e in combo))
-                     for combo in itertools.product(*pools))
     raise UnsupportedForPresentation(ring.describe())
 
 
+def _factorwise_vanishing_sets(ring: ProductRing, factor_sets):
+    """The unions of one realizable set per factor, its points embedded:
+    (x1, ..., xk) lies in the embedded prime (..., Pi, ...) iff xi lies in
+    Pi, for elements and for ideals alike."""
+    sp = enumerate_spectrum(ring)
+    per_factor = []
+    for i, factor in enumerate(ring.factors):
+        embed = {p: sp.point_of(embed_factor_prime(ring, i, p.ideal))
+                 for p in enumerate_spectrum(factor).points}
+        per_factor.append([frozenset(embed[p] for p in s)
+                           for s in factor_sets(factor)])
+    return frozenset(frozenset().union(*c) for c in itertools.product(*per_factor))
+
+
 def principal_vanishing_sets(ring: Ring) -> frozenset[frozenset[PrimePoint]]:
-    """All realizable sets V(f) = {p : f in p} for single elements f."""
+    """All realizable sets V(f) = {p : f in p} for single elements f.
+
+    Infinite products take their sets factor by factor.
+    """
+    if not ring.is_finite and isinstance(ring, ProductRing):
+        return _factorwise_vanishing_sets(ring, principal_vanishing_sets)
     sp = enumerate_spectrum(ring)
     return frozenset(
         frozenset(p for p in sp.points if p.ideal.contains(f))
@@ -301,7 +317,12 @@ def principal_vanishing_sets(ring: Ring) -> frozenset[frozenset[PrimePoint]]:
 
 
 def ideal_vanishing_sets(ring: Ring) -> frozenset[frozenset[PrimePoint]]:
-    """All realizable sets V(I) over the (finitely generated) ideals."""
+    """All realizable sets V(I) over the (finitely generated) ideals.
+
+    Infinite products take their sets factor by factor.
+    """
+    if not ring.is_finite and isinstance(ring, ProductRing):
+        return _factorwise_vanishing_sets(ring, ideal_vanishing_sets)
     return frozenset(vanishing_locus(ring, i) for i in enumerate_ideals(ring))
 
 

@@ -173,6 +173,19 @@ def test_usage_error_exits_two(capsys):
     assert err.value.code == 2
 
 
+def test_unexpected_exception_exits_three(monkeypatch, capsys):
+    import spectop.cli as cli
+
+    def broken(args):
+        raise RuntimeError("something broke")
+
+    monkeypatch.setattr(cli, "_cmd_spec", broken)
+    code, out, err = run_cli(capsys, "spec", "--ring", "Z/12")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: RuntimeError: something broke\n"
+
+
 def test_value_errors_exit_two(capsys):
     code, _, err = run_cli(capsys, "spec", "--ring", "Z/0")
     assert code == 2 and "modulus" in err

@@ -100,6 +100,23 @@ def test_expected_facts_mismatch_is_reported_and_recheckable():
     assert again == report
 
 
+def test_topology_characterization_fails_when_bases_disagree(monkeypatch):
+    import spectop.spectrum as spectrum
+    target = parse_ring("Zloc(2) * Zloc(2)")
+    real = spectrum.ideal_vanishing_sets
+
+    def only_trivial_sets(ring):
+        if ring != target:
+            return real(ring)
+        return frozenset({frozenset(), spectrum.enumerate_spectrum(ring).as_set()})
+
+    monkeypatch.setattr(spectrum, "ideal_vanishing_sets", only_trivial_sets)
+    report = run_check("topology-characterization", target)
+    assert report.verdict == "fail"
+    assert ("flat families from V(f) and V(I) bases disagree"
+            in report.counterexample["problems"])
+
+
 def test_corpus_failure_count_counts_mismatches():
     entries = (CorpusEntry("Z/12", {"spectrum_size": 3}),)
     result = run_corpus(entries)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from spectop import (
@@ -12,6 +15,7 @@ from spectop import (
     SpectrumTooLarge,
     UnsupportedForPresentation,
     closed_family,
+    enumerate_ideals,
     enumerate_spectrum,
     flat_point_closure,
     generalization_closure,
@@ -205,6 +209,34 @@ def test_zariski_closed_sets_are_vanishing_loci(corpus_ring):
     assert fam.sets == ideal_vanishing_sets(corpus_ring)
 
 
+def _sample_elements(factor):
+    """Every element of a finite factor; a spread of fractions for Zloc(p)."""
+    if factor.is_finite:
+        return factor.elements()
+    values = (0, 1, factor.p, 4, 6, Fraction(1, 2), Fraction(1, 3), Fraction(4, 3))
+    return tuple(factor.element(v) for v in values
+                 if Fraction(v).denominator % factor.p)
+
+
+@pytest.mark.parametrize("text", [
+    "Zloc(2) * Zloc(2) * Zloc(2)",
+    "Zloc(2) * Z/6",
+    "Zloc(3) * Zloc(2) * Z/4",
+    "Zloc(2) * GF(4)",
+])
+def test_product_vanishing_sets_match_definition(text):
+    """The factor-wise V(I) and V(f) of infinite products equal the sets
+    {p : I in p} over every enumerated ideal and {p : f in p} over tuples."""
+    ring = parse_ring(text)
+    points = enumerate_spectrum(ring).points
+    assert ideal_vanishing_sets(ring) == {
+        vanishing_locus(ring, i) for i in enumerate_ideals(ring)}
+    tuples = [ring.element(combo) for combo in
+              itertools.product(*(_sample_elements(f) for f in ring.factors))]
+    assert principal_vanishing_sets(ring) == {
+        frozenset(p for p in points if p.ideal.contains(f)) for f in tuples}
+
+
 def test_principal_vanishing_sets_cover_mixed_product():
     mixed = parse_ring("Zloc(2) * Z/3")
     got = {frozenset(p.label() for p in s)
@@ -279,7 +311,9 @@ def test_validate_rejects_non_lattices(point_sets, message):
         _z30_family(*point_sets).validate()
 
 
-def test_patch_family_at_fourteen_points():
-    ring = product_ring([LocalizedIntegerRing(2)] * 7)
-    assert len(enumerate_spectrum(ring)) == 14
-    assert len(closed_family(ring, PATCH).sets) == 2 ** 14
+@pytest.mark.parametrize("factors", [7, 8])
+def test_patch_family_at_fourteen_and_sixteen_points(factors):
+    # 8 factors give 16 points, the MAX_FAMILY_POINTS bound itself
+    ring = product_ring([LocalizedIntegerRing(2)] * factors)
+    assert len(enumerate_spectrum(ring)) == 2 * factors
+    assert len(closed_family(ring, PATCH).sets) == 2 ** (2 * factors)
