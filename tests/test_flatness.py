@@ -37,6 +37,7 @@ from spectop import (
     zero_ideal,
 )
 from spectop import flatness
+from spectop.cli import certificate_doc
 from spectop.ideals import LocalIdeal, annihilator
 from spectop.rings import canonical_sorted
 
@@ -133,6 +134,79 @@ def test_flat_mixed_product():
     cert2 = is_cyclic_flat(bad)
     assert not cert2.verdict and cert2.verify()
     assert bad.contains(cert2.failing)
+
+
+def _local_ideal(text, level):
+    return LocalIdeal(parse_ring(text), level)
+
+
+def _generated(text, *values):
+    ring = parse_ring(text)
+    return ideal_from_generators(ring, [ring.element(v) for v in values])
+
+
+_ZERO_UNIT_NOTE = "the zero and unit ideals always give flat quotients"
+_BOOL_NOTE = "Boolean schema: 1-f annihilates f and f+(1-f)=1 for every f in I"
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: _local_ideal("Zloc(2)", None),
+     {"ring": "Zloc(2)", "ideal": "(0)", "flat": True,
+      "witnesses": [{"f": "0", "a": "1", "b": "0"}],
+      "failing": None, "note": _ZERO_UNIT_NOTE}),
+    (lambda: _local_ideal("Zloc(2)", 0),
+     {"ring": "Zloc(2)", "ideal": "(1)", "flat": True,
+      "witnesses": [{"f": "0", "a": "1", "b": "0"}, {"f": "1", "a": "0", "b": "1"}],
+      "failing": None, "note": _ZERO_UNIT_NOTE}),
+    (lambda: finite_support_ideal(EventuallyConstantBitsRing()),
+     {"ring": "EvBits", "ideal": "(fin)", "flat": True,
+      "witnesses": [{"f": "{1}:0", "a": "{1}:1", "b": "{1}:0"},
+                    {"f": "{1,2}:0", "a": "{1,2}:1", "b": "{1,2}:0"},
+                    {"f": "{1,2,3}:0", "a": "{1,2,3}:1", "b": "{1,2,3}:0"}],
+      "failing": None, "note": _BOOL_NOTE}),
+    (lambda: _generated("Zloc(2) * Z/6", (0, 3)),
+     {"ring": "Zloc(2) * Z/6", "ideal": "(0) x (3)", "flat": True,
+      "witnesses": [{"f": "(0, 0)", "a": "(1, 1)", "b": "(0, 0)"},
+                    {"f": "(0, 0)", "a": "(1, 1)", "b": "(0, 0)"},
+                    {"f": "(0, 3)", "a": "(1, 4)", "b": "(0, 3)"}],
+      "failing": None, "note": "componentwise flatness of a product"}),
+    (lambda: _generated("Zloc(2) * Z/4", (1, 2)),
+     {"ring": "Zloc(2) * Z/4", "ideal": "(1) x (2)", "flat": False,
+      "witnesses": [], "failing": "(0, 2)", "note": "component 1 is not flat"}),
+], ids=["local-zero", "local-unit", "bits-fin", "product-flat", "product-not-flat"])
+def test_certificate_documents_are_pinned(build, expected):
+    assert certificate_doc(is_cyclic_flat(build())) == expected
+
+
+def test_product_generators_and_supports_are_pinned():
+    ring = parse_ring("Zloc(2) * Z/6")
+    computed = {}
+    for ideal in enumerate_ideals(ring, local_level_bound=2):
+        e = idempotent_generator(ideal)
+        computed[ideal.label()] = (None if e is None else str(e),
+                                   sorted(p.label() for p in support_of_ideal(ideal)))
+    everywhere = ["(0) x (1)", "(1) x (2)", "(1) x (3)", "(2) x (1)"]
+    off_2 = ["(0) x (1)", "(1) x (3)", "(2) x (1)"]
+    off_3 = ["(0) x (1)", "(1) x (2)", "(2) x (1)"]
+    local = ["(0) x (1)", "(2) x (1)"]
+    assert computed == {
+        "(0) x (0)": ("(0, 0)", []),
+        "(0) x (1)": ("(0, 1)", ["(1) x (2)", "(1) x (3)"]),
+        "(0) x (2)": ("(0, 4)", ["(1) x (3)"]),
+        "(0) x (3)": ("(0, 3)", ["(1) x (2)"]),
+        "(1) x (0)": ("(1, 0)", local),
+        "(1) x (1)": ("(1, 1)", everywhere),
+        "(1) x (2)": ("(1, 4)", off_2),
+        "(1) x (3)": ("(1, 3)", off_3),
+        "(2) x (0)": (None, local),
+        "(2) x (1)": (None, everywhere),
+        "(2) x (2)": (None, off_2),
+        "(2) x (3)": (None, off_3),
+        "(2^2) x (0)": (None, local),
+        "(2^2) x (1)": (None, everywhere),
+        "(2^2) x (2)": (None, off_2),
+        "(2^2) x (3)": (None, off_3),
+    }
 
 
 def test_flat_witness_requires_membership():
