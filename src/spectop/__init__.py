@@ -13,6 +13,7 @@ from .errors import (
     NotPrimePower,
     NotZariskiClosed,
     ParseError,
+    RingTooLarge,
     SpectopError,
     SpectrumTooLarge,
     UnsupportedForPresentation,

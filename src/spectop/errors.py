@@ -15,6 +15,10 @@ class EmptyProduct(SpectopError):
     """A direct product needs at least one factor."""
 
 
+class RingTooLarge(SpectopError):
+    """A finite ring has more elements than its presentations admit."""
+
+
 class SpectrumTooLarge(SpectopError):
     """Topology families are materialized only for small spectra."""
 

@@ -8,6 +8,11 @@ re-verified independently of the search that produced them.
 Projectivity of a cyclic quotient is decided as "I is generated by a
 single idempotent", which coincides with categorical projectivity for
 cyclic modules over a commutative ring and is decidable here.
+
+Nothing here depends on how an ideal is represented.  Each ideal class in
+``ideals`` supplies its certificate samples, a flat witness for each
+sample, the certificate note and its idempotent generator, and
+:func:`is_cyclic_flat` is one loop over the samples and their witnesses.
 """
 
 from __future__ import annotations
@@ -16,23 +21,16 @@ from dataclasses import dataclass
 
 from .errors import NotFlat, NotGenStable, NotZariskiClosed
 from .ideals import (
-    BoolFiniteSupportIdeal,
-    BoolPrincipalIdeal,
-    ExplicitIdeal,
     Ideal,
-    LocalIdeal,
-    ProductIdeal,
     annihilator,
     ideal_intersection,
     ideal_sum,
-    principal_ideal,
     saturation_kernel,
     unit_ideal,
 )
-from .rings import Element, idempotents
+from .rings import Element
 from .spectrum import (
     PrimePoint,
-    embed_factor_prime,
     enumerate_spectrum,
     is_stable_generalization,
     vanishing_locus,
@@ -73,39 +71,12 @@ class FlatnessCertificate:
             for f, a, b in self.witnesses:
                 if a * f != ring.zero or not self.ideal.contains(b) or a + b != ring.one:
                     return False
-            if isinstance(self.ideal, ExplicitIdeal):
-                covered = {f for f, _, _ in self.witnesses}
-                if covered != set(self.ideal.elements):
-                    return False
+            if ring.is_finite and {f for f, _, _ in self.witnesses} != self.ideal.elements:
+                return False
             return True
         if self.failing is None or not self.ideal.contains(self.failing):
             return False
         return not ideal_sum(annihilator(self.failing), self.ideal).is_whole()
-
-
-def _witness_samples(ideal: Ideal) -> tuple[Element, ...]:
-    ring = ideal.ring
-    if isinstance(ideal, ExplicitIdeal):
-        return tuple(ideal.sorted_elements())
-    if isinstance(ideal, LocalIdeal):
-        if ideal.level is None:
-            return (ring.zero,)
-        if ideal.level == 0:
-            return (ring.zero, ring.one)
-        return (ring.element(ring.p ** ideal.level),)
-    if isinstance(ideal, BoolPrincipalIdeal):
-        return (ideal.generator,)
-    if isinstance(ideal, BoolFiniteSupportIdeal):
-        return tuple(ring.indicator(range(1, n + 1)) for n in (1, 2, 3))
-    if isinstance(ideal, ProductIdeal):
-        out = []
-        for i, comp in enumerate(ideal.components):
-            for f in _witness_samples(comp):
-                value = [c.ring.zero.value for c in ideal.components]
-                value[i] = f.value
-                out.append(Element(ring, tuple(value)))
-        return tuple(out)
-    raise AssertionError(f"unhandled ideal kind {type(ideal).__name__}")
 
 
 def flat_witness(ideal: Ideal, f: Element) -> tuple[Element, Element] | None:
@@ -115,80 +86,26 @@ def flat_witness(ideal: Ideal, f: Element) -> tuple[Element, Element] | None:
     element order, whose complement 1 - a lies in I, so the witness for a
     given (I, f) is deterministic.
     """
-    ring = ideal.ring
     if not ideal.contains(f):
         raise ValueError(f"{f} does not belong to {ideal.label()}")
-    if isinstance(ideal, ExplicitIdeal):
-        for a in ring.elements():
-            if a * f == ring.zero and ideal.contains(ring.one - a):
-                return (a, ring.one - a)
-        return None
-    if isinstance(ideal, LocalIdeal):
-        if f == ring.zero:
-            return (ring.one, ring.zero)
-        if ideal.level == 0:
-            return (ring.zero, ring.one)
-        return None
-    if isinstance(ideal, (BoolPrincipalIdeal, BoolFiniteSupportIdeal)):
-        return (ring.one - f, f)
-    if isinstance(ideal, ProductIdeal):
-        parts = []
-        for i, comp in enumerate(ideal.components):
-            w = flat_witness(comp, ideal.ring.component(f, i))
-            if w is None:
-                return None
-            parts.append(w)
-        a = Element(ring, tuple(w[0].value for w in parts))
-        b = Element(ring, tuple(w[1].value for w in parts))
-        return (a, b)
-    raise AssertionError(f"unhandled ideal kind {type(ideal).__name__}")
+    return ideal.flat_witness(f)
 
 
 def is_cyclic_flat(ideal: Ideal) -> FlatnessCertificate:
     """Decide flatness of R/I and produce a certificate.
 
-    Over a finite ring every element of I is tested, so the verdict is a
-    complete search.  Symbolic ideals get a schema verdict: in the bits
-    ring 1-f annihilates f for every f, and over the localized integers
-    the annihilator of a nonzero element is zero.
+    One generic search: the first witness sample of the ideal without a
+    flat witness fails, otherwise the witnesses are collected.  Over a
+    finite ring the samples are all of I, so the verdict is a complete
+    search; symbolic ideals sample a schema of their elements.
     """
-    ring = ideal.ring
-    if isinstance(ideal, ExplicitIdeal):
-        witnesses = []
-        for f in _witness_samples(ideal):
-            w = flat_witness(ideal, f)
-            if w is None:
-                return FlatnessCertificate(ideal, False, failing=f)
-            witnesses.append((f, *w))
-        return FlatnessCertificate(ideal, True, tuple(witnesses))
-    if isinstance(ideal, LocalIdeal):
-        if ideal.level is None or ideal.level == 0:
-            witnesses = tuple((f, *flat_witness(ideal, f)) for f in _witness_samples(ideal))
-            return FlatnessCertificate(
-                ideal, True, witnesses,
-                note="the zero and unit ideals always give flat quotients")
-        failing = ring.element(ring.p ** ideal.level)
-        return FlatnessCertificate(
-            ideal, False, failing=failing,
-            note="a nonzero element of a domain has zero annihilator")
-    if isinstance(ideal, (BoolPrincipalIdeal, BoolFiniteSupportIdeal)):
-        witnesses = tuple((f, *flat_witness(ideal, f)) for f in _witness_samples(ideal))
-        return FlatnessCertificate(
-            ideal, True, witnesses,
-            note="Boolean schema: 1-f annihilates f and f+(1-f)=1 for every f in I")
-    if isinstance(ideal, ProductIdeal):
-        for i, comp in enumerate(ideal.components):
-            sub = is_cyclic_flat(comp)
-            if not sub.verdict:
-                value = [c.ring.zero.value for c in ideal.components]
-                value[i] = sub.failing.value
-                return FlatnessCertificate(
-                    ideal, False, failing=Element(ring, tuple(value)),
-                    note=f"component {i} is not flat")
-        witnesses = tuple((f, *flat_witness(ideal, f)) for f in _witness_samples(ideal))
-        return FlatnessCertificate(
-            ideal, True, witnesses, note="componentwise flatness of a product")
-    raise AssertionError(f"unhandled ideal kind {type(ideal).__name__}")
+    witnesses = []
+    for f in ideal.witness_samples():
+        w = ideal.flat_witness(f)
+        if w is None:
+            return FlatnessCertificate(ideal, False, failing=f, note=ideal.flat_note(f))
+        witnesses.append((f, *w))
+    return FlatnessCertificate(ideal, True, tuple(witnesses), note=ideal.flat_note(None))
 
 
 def common_multiplier(ideal: Ideal, elements) -> Element:
@@ -212,33 +129,7 @@ def common_multiplier(ideal: Ideal, elements) -> Element:
 
 def idempotent_generator(ideal: Ideal) -> Element | None:
     """An idempotent e with I = Re, or None when no single one generates I."""
-    ring = ideal.ring
-    if isinstance(ideal, ExplicitIdeal):
-        for e in idempotents(ring):
-            if principal_ideal(ring, e) == ideal:
-                return e
-        return None
-    if isinstance(ideal, LocalIdeal):
-        if ideal.level is None:
-            return ring.zero
-        if ideal.level == 0:
-            return ring.one
-        return None
-    if isinstance(ideal, BoolPrincipalIdeal):
-        return ideal.generator
-    if isinstance(ideal, BoolFiniteSupportIdeal):
-        # Any candidate g lies in the ideal, hence has bounded support,
-        # and then Rg omits indicators of larger sets.
-        return None
-    if isinstance(ideal, ProductIdeal):
-        parts = []
-        for comp in ideal.components:
-            e = idempotent_generator(comp)
-            if e is None:
-                return None
-            parts.append(e)
-        return Element(ring, tuple(e.value for e in parts))
-    raise AssertionError(f"unhandled ideal kind {type(ideal).__name__}")
+    return ideal.idempotent_generator()
 
 
 def is_cyclic_projective(ideal: Ideal) -> bool:
@@ -249,27 +140,21 @@ def support_of_ideal(ideal: Ideal) -> frozenset[PrimePoint]:
     """Supp(I) = {p : the localization of I at p is nonzero}.
 
     Computed as the primes containing Ann(f) for some f in I; it always
-    contains the complement of V(I) and equals it when R/I is flat.
+    contains the complement of V(I) and equals it when R/I is flat.  Over
+    a finite ring every f in I is scanned.  Otherwise the witness samples
+    give the same union: over the localized integers Ann(f) is R or (0) as
+    f is zero or not, and a prime of an infinite product is proper in one
+    slot only, where it meets the annihilator of that component of f.
     """
     ring = ideal.ring
-    if isinstance(ideal, ProductIdeal) and not ring.is_finite:
-        out: set[PrimePoint] = set()
-        sp = enumerate_spectrum(ring)
-        for i, comp in enumerate(ideal.components):
-            for q in support_of_ideal(comp):
-                out.add(sp.point_of(embed_factor_prime(ring, i, q.ideal)))
-        return frozenset(out)
     sp = enumerate_spectrum(ring)
-    if isinstance(ideal, ExplicitIdeal):
+    if ring.is_finite:
         anns = [frozenset(x for x in ring.elements() if x * f == ring.zero)
                 for f in ideal.elements]
         return frozenset(
             p for p in sp.points if any(a <= p.ideal.elements for a in anns))
-    if isinstance(ideal, LocalIdeal):
-        if ideal.level is None:
-            return frozenset()
-        return sp.as_set()
-    raise AssertionError(f"unhandled ideal kind {type(ideal).__name__}")
+    anns = [annihilator(f) for f in ideal.witness_samples()]
+    return frozenset(p for p in sp.points if any(a.issubset(p.ideal) for a in anns))
 
 
 def flat_ideal_from_closed_set(ring, points) -> Ideal:

@@ -7,6 +7,14 @@ localized integers live in the known lattice {(0)} U {(p^k) : k >= 0},
 ideals of the bits ring are either principal or the ideal of all finitely
 supported elements, and ideals of infinite products are componentwise.
 
+Each representation is one class that owns all of its operations:
+membership, inclusion, sum, intersection, radical, saturation kernel,
+primality, and the flatness primitives (witness samples, flat witnesses,
+idempotent generator) that ``flatness`` runs generically.  The
+arithmetic functions of this module call these methods; only
+``ideal_from_generators``, ``annihilator`` and ``enumerate_ideals``,
+which build ideals, dispatch on the type of the ring.
+
 Every ideal is immutable and compares structurally.  ``label()`` gives a
 short canonical name such as ``(2)``, ``(2^3)``, ``(fin)`` or
 ``(0) x (1)`` that the command line layer can parse back.
@@ -25,6 +33,7 @@ from .rings import (
     ProductRing,
     Ring,
     canonical_sorted,
+    idempotents,
 )
 
 __all__ = [
@@ -50,10 +59,17 @@ __all__ = [
 
 
 class Ideal:
-    """Base class; subclasses fix the representation.
+    """Base class; each subclass owns one representation and its operations.
 
     Each constructor sets ``key``, the tuple that equality compares; its
-    hash is computed once and cached.
+    hash is computed once and cached.  Besides the methods below, every
+    subclass defines ``plus(other)``, ``meet(other)`` and ``radical()``,
+    and for flatness ``witness_samples()``, the elements f of I whose
+    witnesses make up a certificate, ``flat_witness(f)``, a pair (a, b)
+    with a*f = 0, b in I and a + b = 1 or None, and
+    ``idempotent_generator()``.  An operation a presentation does not
+    support falls through to the default here, which raises
+    :class:`UnsupportedForPresentation`.
     """
 
     ring: Ring
@@ -73,6 +89,19 @@ class Ideal:
 
     def label(self) -> str:
         raise NotImplementedError
+
+    def saturation_kernel(self) -> "Ideal":
+        raise UnsupportedForPresentation(
+            f"saturation kernels are not computed over {self.ring.describe()}")
+
+    def is_prime(self) -> bool:
+        """Primality of an ideal already known to be proper."""
+        raise UnsupportedForPresentation(
+            f"primality is not decided over {self.ring.describe()}")
+
+    def flat_note(self, failing: Element | None) -> str | None:
+        """The certificate note; ``failing`` is None when R/I is flat."""
+        return None
 
     def __eq__(self, other):
         return isinstance(other, Ideal) and self.key == other.key
@@ -142,6 +171,47 @@ class ExplicitIdeal(Ideal):
     def label(self):
         return self._label
 
+    def plus(self, other):
+        return ExplicitIdeal(self.ring, _sumset(self.elements, other.elements))
+
+    def meet(self, other):
+        return ExplicitIdeal(self.ring, self.elements & other.elements)
+
+    def radical(self):
+        # The powers x, ..., x^n with n = |R| already repeat, and once a
+        # power lies in I so do all higher ones: x is in the radical iff
+        # x^n is in I.
+        n = len(self.ring.elements())
+        return ExplicitIdeal(self.ring, {x for x in self.ring.elements()
+                                         if x ** n in self.elements})
+
+    def saturation_kernel(self):
+        ring = self.ring
+        s = [ring.one + i for i in self.elements]
+        return ExplicitIdeal(ring, {r for r in ring.elements()
+                                    if any(x * r == ring.zero for x in s)})
+
+    def is_prime(self):
+        # The complement is closed under multiplication.
+        outside = [x for x in self.ring.elements() if x not in self.elements]
+        return all(a * b not in self.elements for a in outside for b in outside)
+
+    def witness_samples(self):
+        return tuple(self.sorted_elements())
+
+    def flat_witness(self, f):
+        ring = self.ring
+        for a in ring.elements():
+            if a * f == ring.zero and ring.one - a in self.elements:
+                return (a, ring.one - a)
+        return None
+
+    def idempotent_generator(self):
+        for e in idempotents(self.ring):
+            if _principal_span(self.ring, e) == self.elements:
+                return e
+        return None
+
 
 class LocalIdeal(Ideal):
     """An ideal of the localized integers: level None is (0), level k is (p^k)."""
@@ -186,8 +256,74 @@ class LocalIdeal(Ideal):
             return f"({self.ring.p})"
         return f"({self.ring.p}^{self.level})"
 
+    def plus(self, other):
+        if self.level is None:
+            return other
+        if other.level is None:
+            return self
+        return LocalIdeal(self.ring, min(self.level, other.level))
 
-class BoolPrincipalIdeal(Ideal):
+    def meet(self, other):
+        if self.level is None or other.level is None:
+            return LocalIdeal(self.ring, None)
+        return LocalIdeal(self.ring, max(self.level, other.level))
+
+    def radical(self):
+        if self.level is None or self.level == 0:
+            return self
+        return LocalIdeal(self.ring, 1)
+
+    def saturation_kernel(self):
+        # 1 + (p^k) consists of units when k >= 1, while 1 + R contains 0.
+        return LocalIdeal(self.ring, 0 if self.level == 0 else None)
+
+    def is_prime(self):
+        return self.level is None or self.level == 1
+
+    def witness_samples(self):
+        ring = self.ring
+        if self.level is None:
+            return (ring.zero,)
+        if self.level == 0:
+            return (ring.zero, ring.one)
+        return (ring.element(ring.p ** self.level),)
+
+    def flat_witness(self, f):
+        # A domain: a nonzero f has zero annihilator, so a = 0 and b = 1.
+        if f == self.ring.zero:
+            return (self.ring.one, self.ring.zero)
+        if self.level == 0:
+            return (self.ring.zero, self.ring.one)
+        return None
+
+    def flat_note(self, failing):
+        if failing is None:
+            return "the zero and unit ideals always give flat quotients"
+        return "a nonzero element of a domain has zero annihilator"
+
+    def idempotent_generator(self):
+        if self.level is None:
+            return self.ring.zero
+        if self.level == 0:
+            return self.ring.one
+        return None
+
+
+class _BooleanIdeal(Ideal):
+    """What the ideals of the bits ring share: x^2 = x for every x, so each
+    ideal is its own radical and 1-f annihilates f."""
+
+    def radical(self):
+        return self
+
+    def flat_witness(self, f):
+        return (self.ring.one - f, f)
+
+    def flat_note(self, failing):
+        return "Boolean schema: 1-f annihilates f and f+(1-f)=1 for every f in I"
+
+
+class BoolPrincipalIdeal(_BooleanIdeal):
     """A principal ideal of the bits ring.
 
     Finitely generated ideals of a Boolean ring are principal: the join
@@ -208,9 +344,7 @@ class BoolPrincipalIdeal(Ideal):
 
     def issubset(self, other):
         _check_same_ring(self, other)
-        if isinstance(other, BoolPrincipalIdeal):
-            return other.contains(self.generator)
-        return self.generator.value.has_finite_support
+        return other.contains(self.generator)
 
     def is_zero(self):
         return self.generator == self.ring.zero
@@ -221,8 +355,25 @@ class BoolPrincipalIdeal(Ideal):
     def label(self):
         return f"({self.generator})"
 
+    def plus(self, other):
+        if isinstance(other, BoolPrincipalIdeal):
+            g, h = self.generator, other.generator
+            return BoolPrincipalIdeal(self.ring, g + h - g * h)
+        return other.plus(self)
 
-class BoolFiniteSupportIdeal(Ideal):
+    def meet(self, other):
+        if isinstance(other, BoolPrincipalIdeal):
+            return BoolPrincipalIdeal(self.ring, self.generator * other.generator)
+        return other.meet(self)
+
+    def witness_samples(self):
+        return (self.generator,)
+
+    def idempotent_generator(self):
+        return self.generator
+
+
+class BoolFiniteSupportIdeal(_BooleanIdeal):
     """The ideal of all finitely supported elements of the bits ring.
 
     It is the strictly increasing union of the principal ideals generated
@@ -240,9 +391,7 @@ class BoolFiniteSupportIdeal(Ideal):
 
     def issubset(self, other):
         _check_same_ring(self, other)
-        if isinstance(other, BoolFiniteSupportIdeal):
-            return True
-        return other.generator == self.ring.one
+        return other == self or other.is_whole()
 
     def is_zero(self):
         return False
@@ -253,12 +402,34 @@ class BoolFiniteSupportIdeal(Ideal):
     def label(self):
         return "(fin)"
 
+    def plus(self, other):
+        # (fin) + (g): if g has a 1-tail its zero set is finite, so together
+        # with the finitely supported elements it generates everything.
+        if other.issubset(self):
+            return self
+        return BoolPrincipalIdeal(self.ring, self.ring.one)
+
+    def meet(self, other):
+        if other.issubset(self):
+            return other
+        raise UnsupportedForPresentation(
+            "the meet of (fin) with a cofinite principal ideal is not finitely generated")
+
+    def witness_samples(self):
+        return tuple(self.ring.indicator(range(1, n + 1)) for n in (1, 2, 3))
+
+    def idempotent_generator(self):
+        # Any candidate g lies in the ideal, hence has bounded support,
+        # and then Rg omits indicators of larger sets.
+        return None
+
 
 class ProductIdeal(Ideal):
     """A componentwise ideal of an infinite product ring.
 
     Finite products use :class:`ExplicitIdeal` instead, so this class only
-    appears when some factor is a localization.
+    appears when some factor is a localization.  Every operation works
+    component by component.
     """
 
     def __init__(self, ring: ProductRing, components):
@@ -292,6 +463,53 @@ class ProductIdeal(Ideal):
 
     def label(self):
         return " x ".join(c.label() for c in self.components)
+
+    def plus(self, other):
+        return ProductIdeal(self.ring, (
+            a.plus(b) for a, b in zip(self.components, other.components)))
+
+    def meet(self, other):
+        return ProductIdeal(self.ring, (
+            a.meet(b) for a, b in zip(self.components, other.components)))
+
+    def radical(self):
+        return ProductIdeal(self.ring, (c.radical() for c in self.components))
+
+    def saturation_kernel(self):
+        return ProductIdeal(self.ring, (c.saturation_kernel() for c in self.components))
+
+    def is_prime(self):
+        proper = [c for c in self.components if not c.is_whole()]
+        return len(proper) == 1 and proper[0].is_prime()
+
+    def witness_samples(self):
+        # Each component's samples, placed in its slot with zeros elsewhere.
+        zero = self.ring.zero.value
+        return tuple(Element(self.ring, zero[:i] + (f.value,) + zero[i + 1:])
+                     for i, c in enumerate(self.components)
+                     for f in c.witness_samples())
+
+    def flat_witness(self, f):
+        parts = [c.flat_witness(self.ring.component(f, i))
+                 for i, c in enumerate(self.components)]
+        if None in parts:
+            return None
+        return tuple(Element(self.ring, tuple(w[k].value for w in parts)) for k in (0, 1))
+
+    def flat_note(self, failing):
+        if failing is None:
+            return "componentwise flatness of a product"
+        # A failing sample is a component's failing element, never zero,
+        # placed in that component's slot.
+        zero = self.ring.zero.value
+        slot = next(i for i, v in enumerate(failing.value) if v != zero[i])
+        return f"component {slot} is not flat"
+
+    def idempotent_generator(self):
+        parts = [c.idempotent_generator() for c in self.components]
+        if None in parts:
+            return None
+        return Element(self.ring, tuple(e.value for e in parts))
 
 
 def _check_same_ring(a: Ideal, b: Ideal):
@@ -369,61 +587,12 @@ def ideal_from_generators(ring: Ring, generators) -> Ideal:
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     _check_same_ring(a, b)
-    ring = a.ring
-    if isinstance(a, ExplicitIdeal):
-        return ExplicitIdeal(ring, _sumset(a.elements, b.elements))
-    if isinstance(a, LocalIdeal):
-        if a.level is None:
-            return b
-        if b.level is None:
-            return a
-        return LocalIdeal(ring, min(a.level, b.level))
-    if isinstance(a, ProductIdeal):
-        return ProductIdeal(ring, tuple(
-            ideal_sum(x, y) for x, y in zip(a.components, b.components)))
-    if isinstance(a, (BoolPrincipalIdeal, BoolFiniteSupportIdeal)):
-        return _bool_sum(a, b)
-    raise UnsupportedForPresentation(ring.describe())
-
-
-def _bool_sum(a: Ideal, b: Ideal) -> Ideal:
-    ring = a.ring
-    if isinstance(a, BoolPrincipalIdeal) and isinstance(b, BoolPrincipalIdeal):
-        g, h = a.generator, b.generator
-        return BoolPrincipalIdeal(ring, g + h - g * h)
-    principal = a if isinstance(a, BoolPrincipalIdeal) else b
-    if isinstance(principal, BoolFiniteSupportIdeal):
-        return BoolFiniteSupportIdeal(ring)
-    # (fin) + (g): if g has a 1-tail its zero set is finite, so together
-    # with the finitely supported elements it generates everything.
-    if principal.generator.value.has_finite_support:
-        return BoolFiniteSupportIdeal(ring)
-    return BoolPrincipalIdeal(ring, ring.one)
+    return a.plus(b)
 
 
 def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
     _check_same_ring(a, b)
-    ring = a.ring
-    if isinstance(a, ExplicitIdeal):
-        return ExplicitIdeal(ring, a.elements & b.elements)
-    if isinstance(a, LocalIdeal):
-        if a.level is None or b.level is None:
-            return LocalIdeal(ring, None)
-        return LocalIdeal(ring, max(a.level, b.level))
-    if isinstance(a, ProductIdeal):
-        return ProductIdeal(ring, tuple(
-            ideal_intersection(x, y) for x, y in zip(a.components, b.components)))
-    if isinstance(a, (BoolPrincipalIdeal, BoolFiniteSupportIdeal)):
-        if isinstance(a, BoolPrincipalIdeal) and isinstance(b, BoolPrincipalIdeal):
-            return BoolPrincipalIdeal(ring, a.generator * b.generator)
-        if isinstance(a, BoolFiniteSupportIdeal) and isinstance(b, BoolFiniteSupportIdeal):
-            return BoolFiniteSupportIdeal(ring)
-        principal = a if isinstance(a, BoolPrincipalIdeal) else b
-        if principal.generator.value.has_finite_support:
-            return principal
-        raise UnsupportedForPresentation(
-            "the meet of (fin) with a cofinite principal ideal is not finitely generated")
-    raise UnsupportedForPresentation(ring.describe())
+    return a.meet(b)
 
 
 def annihilator(f: Element) -> Ideal:
@@ -443,58 +612,14 @@ def annihilator(f: Element) -> Ideal:
 
 
 def radical(ideal: Ideal) -> Ideal:
-    """All x with some power x^k in the ideal.
-
-    For a finite ring powers of x start cycling within |R| steps, so
-    exponents up to |R| decide membership.  Boolean rings satisfy x^2 = x,
-    hence every ideal of the bits ring is its own radical.
-    """
-    ring = ideal.ring
-    if isinstance(ideal, ExplicitIdeal):
-        members = set()
-        bound = len(ring.elements())
-        for x in ring.elements():
-            power = x
-            for _ in range(bound):
-                if ideal.contains(power):
-                    members.add(x)
-                    break
-                power = power * x
-        return ExplicitIdeal(ring, members)
-    if isinstance(ideal, LocalIdeal):
-        if ideal.level is None or ideal.level == 0:
-            return ideal
-        return LocalIdeal(ring, 1)
-    if isinstance(ideal, (BoolPrincipalIdeal, BoolFiniteSupportIdeal)):
-        return ideal
-    if isinstance(ideal, ProductIdeal):
-        return ProductIdeal(ring, tuple(radical(c) for c in ideal.components))
-    raise UnsupportedForPresentation(ring.describe())
+    """All x with some power x^k in the ideal."""
+    return ideal.radical()
 
 
 def saturation_kernel(ideal: Ideal) -> Ideal:
-    """The kernel of R -> S^{-1}R with S = 1 + I.
-
-    Explicitly: all r annihilated by some s in 1+I.  For the localized
-    integers 1+(p^k) consists of units when k >= 1, so the kernel is zero
-    there, while 1+R contains 0 and the kernel is everything.
-    """
-    ring = ideal.ring
-    if isinstance(ideal, ExplicitIdeal):
-        s = [ring.one + i for i in ideal.elements]
-        kernel = {r for r in ring.elements()
-                  if any(x * r == ring.zero for x in s)}
-        return ExplicitIdeal(ring, kernel)
-    if isinstance(ideal, LocalIdeal):
-        if ideal.level is None:
-            return LocalIdeal(ring, None)
-        if ideal.level == 0:
-            return LocalIdeal(ring, 0)
-        return LocalIdeal(ring, None)
-    if isinstance(ideal, ProductIdeal):
-        return ProductIdeal(ring, tuple(saturation_kernel(c) for c in ideal.components))
-    raise UnsupportedForPresentation(
-        f"saturation kernels are not computed over {ring.describe()}")
+    """The kernel of R -> S^{-1}R with S = 1 + I: all r annihilated by
+    some s in 1+I."""
+    return ideal.saturation_kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -538,21 +663,5 @@ def enumerate_ideals(ring: Ring, local_level_bound: int = 6) -> tuple[Ideal, ...
 
 
 def is_prime_ideal(ideal: Ideal) -> bool:
-    """Primality: proper, and ab in I forces a in I or b in I.
-
-    For explicit ideals the equivalent check is that the complement is
-    closed under multiplication.
-    """
-    if ideal.is_whole():
-        return False
-    ring = ideal.ring
-    if isinstance(ideal, ExplicitIdeal):
-        outside = [x for x in ring.elements() if x not in ideal.elements]
-        return all(a * b not in ideal.elements for a in outside for b in outside)
-    if isinstance(ideal, LocalIdeal):
-        return ideal.level is None or ideal.level == 1
-    if isinstance(ideal, ProductIdeal):
-        proper = [c for c in ideal.components if not c.is_whole()]
-        return len(proper) == 1 and is_prime_ideal(proper[0])
-    raise UnsupportedForPresentation(
-        f"primality is not decided over {ring.describe()}")
+    """Primality: proper, and ab in I forces a in I or b in I."""
+    return not ideal.is_whole() and ideal.is_prime()

@@ -26,6 +26,7 @@ ascending degree order with no trailing zeros.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,6 +35,7 @@ from .errors import (
     EmptyProduct,
     NotIrreducible,
     NotPrime,
+    RingTooLarge,
     UnsupportedForPresentation,
 )
 
@@ -43,6 +45,7 @@ __all__ = [
     "EventuallyConstantBitsRing",
     "GaloisFieldRing",
     "LocalizedIntegerRing",
+    "MAX_RING_ELEMENTS",
     "ModularRing",
     "PolyQuotientRing",
     "ProductRing",
@@ -55,6 +58,18 @@ __all__ = [
     "polynomial_text",
     "product_ring",
 ]
+
+
+# Finite rings are refused above this many elements: every finite
+# computation here scans the elements, often in pairs, so the next sizes
+# up already take tens of seconds.
+MAX_RING_ELEMENTS = 256
+
+
+def _check_ring_size(size: int) -> None:
+    if size > MAX_RING_ELEMENTS:
+        raise RingTooLarge(f"a finite ring with {size} elements exceeds "
+                           f"the budget of {MAX_RING_ELEMENTS} elements")
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +359,7 @@ class ModularRing(Ring):
     def __init__(self, modulus: int):
         if not isinstance(modulus, int) or modulus < 1:
             raise ValueError("modulus must be an integer >= 1")
+        _check_ring_size(modulus)
         self.modulus = modulus
         self.key = ("modular", modulus)
 
@@ -394,6 +410,7 @@ class PolyQuotientRing(Ring):
             raise ValueError("the modulus polynomial must have degree >= 1")
         if mod[-1] != 1:
             raise ValueError("the modulus polynomial must be monic")
+        _check_ring_size(p ** (len(mod) - 1))
         self.p = p
         self.modulus = mod
         self.degree = len(mod) - 1
@@ -451,6 +468,7 @@ class GaloisFieldRing(PolyQuotientRing):
                 raise ValueError("a degree >= 1 is required when no modulus is given")
             if not is_prime_int(p):
                 raise NotPrime(p, smallest_factor(p))
+            _check_ring_size(p ** degree)
             modulus = least_irreducible_polynomial(p, degree)
         super().__init__(p, modulus)
         self.key = ("galois", p, self.modulus)
@@ -486,12 +504,10 @@ class ProductRing(Ring):
         if len(flat) < 2:
             raise ValueError("ProductRing needs at least two factors; use product_ring")
         for f in flat:
-            if isinstance(f, EventuallyConstantBitsRing):
-                raise UnsupportedForPresentation(
-                    "product factors must be finite rings or localized integers")
             if not (f.is_finite or isinstance(f, LocalizedIntegerRing)):
                 raise UnsupportedForPresentation(
                     "product factors must be finite rings or localized integers")
+        _check_ring_size(math.prod(len(f.elements()) for f in flat if f.is_finite))
         self.factors = tuple(flat)
         self.is_finite = all(f.is_finite for f in self.factors)
         self.key = ("product", tuple(f.key for f in self.factors))

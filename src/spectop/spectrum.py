@@ -294,12 +294,11 @@ def _factorwise_vanishing_sets(ring: ProductRing, factor_sets):
     (x1, ..., xk) lies in the embedded prime (..., Pi, ...) iff xi lies in
     Pi, for elements and for ideals alike."""
     sp = enumerate_spectrum(ring)
-    per_factor = []
-    for i, factor in enumerate(ring.factors):
-        embed = {p: sp.point_of(embed_factor_prime(ring, i, p.ideal))
-                 for p in enumerate_spectrum(factor).points}
-        per_factor.append([frozenset(embed[p] for p in s)
-                           for s in factor_sets(factor)])
+    # Each point of the product is proper in exactly one slot.
+    embed = {(i, c): p for p in sp.points
+             for i, c in enumerate(p.ideal.components) if not c.is_whole()}
+    per_factor = [[frozenset(embed[i, q.ideal] for q in s) for s in factor_sets(factor)]
+                  for i, factor in enumerate(ring.factors)]
     return frozenset(frozenset().union(*c) for c in itertools.product(*per_factor))
 
 

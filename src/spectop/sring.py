@@ -21,6 +21,7 @@ where the indicators of {1..n} grow strictly forever.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 
 from .errors import HypothesisViolated, InvalidChain
 from .ideals import Ideal, ideal_intersection, principal_ideal, unit_ideal
@@ -368,38 +369,18 @@ def stabilization_graph_check(ring: Ring):
     at idempotents, and a non-trivial cycle would yield a periodic
     non-constant chain satisfying the ascending discipline forever.  For
     a finite ring no such cycle exists; this scans for one and returns
-    (True, None) or (False, cycle).
+    (True, None) or (False, cycle), the cycle a closed path f, f', ..., f
+    along the relation.
     """
     elements = ring.elements()
     succs = {
         f: [g for g in elements if g != f and f == f * g]
         for f in elements
     }
-    color = {f: 0 for f in elements}  # 0 white, 1 gray, 2 black
-    parent: dict[Element, Element] = {}
-    for root in elements:
-        if color[root]:
-            continue
-        stack = [(root, iter(succs[root]))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    parent[nxt] = node
-                    stack.append((nxt, iter(succs[nxt])))
-                    advanced = True
-                    break
-                if color[nxt] == 1:
-                    path = [node]
-                    while path[-1] != nxt:
-                        path.append(parent[path[-1]])
-                    path.reverse()          # nxt -> ... -> node
-                    path.append(nxt)        # close the cycle
-                    return (False, tuple(path))
-            if not advanced:
-                color[node] = 2
-                stack.pop()
+    try:
+        # Read as predecessor lists, so a cycle comes back against the
+        # direction of the relation.
+        TopologicalSorter(succs).prepare()
+    except CycleError as exc:
+        return (False, tuple(reversed(exc.args[1])))
     return (True, None)

@@ -167,6 +167,16 @@ def test_parse_errors_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, size", [
+    (("spec", "--ring", "Z/99999999977"), 99999999977),
+    (("flat", "--ring", "GF(4096)", "--ideal", "1"), 4096),
+])
+def test_oversized_ring_exits_two(capsys, argv, size):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: a finite ring with {size} elements exceeds the budget of 256 elements\n"
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["topology", "--ring", "Z/6", "--which", "hausdorff"])

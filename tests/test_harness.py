@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from spectop import CorpusEntry, parse_ring, run_check, run_corpus
+from spectop import (
+    CorpusEntry,
+    parse_ring,
+    principal_ideal,
+    run_check,
+    run_corpus,
+    unit_ideal,
+    zero_ideal,
+)
+from spectop import harness
 from spectop.errors import CorpusError
 from spectop.harness import (
     CHECK_NAMES,
@@ -117,6 +128,53 @@ def test_topology_characterization_fails_when_bases_disagree(monkeypatch):
             in report.counterexample["problems"])
 
 
+def test_flat_ideal_bijection_fails_on_a_flipped_verdict(monkeypatch):
+    z6 = parse_ring("Z/6")
+    target = principal_ideal(z6, 2)
+    real = harness.is_cyclic_flat
+
+    def flipped(ideal):
+        cert = real(ideal)
+        return dataclasses.replace(cert, verdict=not cert.verdict) if ideal == target else cert
+
+    monkeypatch.setattr(harness, "is_cyclic_flat", flipped)
+    report = run_check("flat-ideal-bijection", z6)
+    assert report.verdict == "fail"
+    assert report.counterexample == {"problems": [{"kind": "not-surjective", "set": ["(2)"]}]}
+
+
+def test_support_consistency_fails_when_supports_lose_a_point(monkeypatch):
+    real = harness.support_of_ideal
+
+    def short(ideal):
+        supp = real(ideal)
+        return supp - {min(supp, key=lambda p: p.label())} if supp else supp
+
+    monkeypatch.setattr(harness, "support_of_ideal", short)
+    report = run_check("support-consistency", parse_ring("Z/6"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {"ideal": "(3)", "kind": "containment"}
+
+
+def test_radical_rigidity_fails_when_radicals_are_whole(monkeypatch):
+    # The zero ideal keeps its radical, or the ring would look non-reduced
+    # and the check would be skipped.
+    real = harness.radical
+    monkeypatch.setattr(harness, "radical",
+                        lambda ideal: real(ideal) if ideal.is_zero() else unit_ideal(ideal.ring))
+    report = run_check("radical-rigidity", parse_ring("Z/6"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {"kind": "flat-radical", "ideal": "(3)", "radical": "(1)"}
+
+
+def test_closure_operators_fail_on_a_wrong_flat_kernel(monkeypatch):
+    monkeypatch.setattr(harness, "flat_ideal_from_closed_set",
+                        lambda ring, points: zero_ideal(ring))
+    report = run_check("closure-operators", parse_ring("Z/6"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {"operator": "flat-kernel", "set": [], "kernel": "(0)"}
+
+
 def test_corpus_failure_count_counts_mismatches():
     entries = (CorpusEntry("Z/12", {"spectrum_size": 3}),)
     result = run_corpus(entries)
@@ -129,6 +187,14 @@ def test_corpus_rejects_bad_ring_text():
     with pytest.raises(CorpusError) as err:
         run_corpus((CorpusEntry("Z/6"), CorpusEntry("Q[x]")))
     assert err.value.index == 1
+
+
+def test_corpus_rejects_oversized_ring():
+    with pytest.raises(CorpusError) as err:
+        run_corpus((CorpusEntry("Z/6"), CorpusEntry("Z/4 * Z/257")))
+    assert err.value.index == 1
+    assert str(err.value) == (
+        "entry 1: a finite ring with 257 elements exceeds the budget of 256 elements")
 
 
 def test_corpus_from_document_validation():

@@ -18,11 +18,13 @@ from spectop import (
     NotPrime,
     PolyQuotientRing,
     ProductRing,
+    RingTooLarge,
+    SpectopError,
     UnsupportedForPresentation,
     idempotents,
     product_ring,
 )
-from spectop.rings import least_irreducible_polynomial, polynomial_text
+from spectop.rings import MAX_RING_ELEMENTS, least_irreducible_polynomial, polynomial_text
 
 
 def test_modular_canonicalization():
@@ -129,6 +131,27 @@ def test_product_ring_flattens_and_collapses():
     assert product_ring([ModularRing(6)]) == ModularRing(6)
     with pytest.raises(EmptyProduct):
         product_ring([])
+
+
+def test_ring_size_budget():
+    assert MAX_RING_ELEMENTS == 256
+    x8 = (0,) * 8 + (1,)
+    admitted = [ModularRing(256), PolyQuotientRing(2, x8), GaloisFieldRing(2, 8),
+                ProductRing([ModularRing(16), ModularRing(16)]),
+                ProductRing([LocalizedIntegerRing(2), ModularRing(256)])]
+    assert [r.describe() for r in admitted] == [
+        "Z/256", "Z/2[x]/(x^8)", "GF(256)", "Z/16 * Z/16", "Zloc(2) * Z/256"]
+    refused = [lambda: ModularRing(257),
+               lambda: PolyQuotientRing(3, (1, 0, 0, 0, 0, 0, 1)),
+               lambda: GaloisFieldRing(2, 40),      # refused before the irreducible search
+               lambda: GaloisFieldRing(2, modulus=(1, 1, 0, 0, 0, 0, 0, 0, 0, 1)),
+               lambda: ProductRing([ModularRing(16), ModularRing(17)]),
+               lambda: ProductRing([ModularRing(2), LocalizedIntegerRing(3),
+                                    ModularRing(2), GaloisFieldRing(2, 7)])]
+    for build in refused:
+        with pytest.raises(RingTooLarge, match="exceeds the budget of 256 elements"):
+            build()
+    assert issubclass(RingTooLarge, SpectopError)
 
 
 def test_product_ring_rejects_bits_factor():

@@ -19,6 +19,7 @@ from spectop import (
     parse_ring,
     prefix_indicator,
     sring_certificate,
+    run_check,
     stabilization_graph_check,
 )
 
@@ -135,6 +136,52 @@ def test_growing_indicator_chain_never_stabilizes():
 def test_stabilization_graph_no_nontrivial_cycles(finite_ring):
     ok, cycle = stabilization_graph_check(finite_ring)
     assert ok and cycle is None
+
+
+class _TableRing:
+    """A finite stand-in for a ring whose elements multiply by a rule on
+    their names; only what the stabilization graph check reads."""
+
+    is_finite = True
+
+    def __init__(self, names, product):
+        self.items = {name: _TableElement(name, self) for name in names}
+        self.product = product
+
+    def elements(self):
+        return tuple(self.items.values())
+
+    def describe(self):
+        return "table ring"
+
+
+class _TableElement:
+    def __init__(self, name, ring):
+        self.name, self.ring = name, ring
+
+    def __mul__(self, other):
+        return self.ring.items[self.ring.product(self.name, other.name)]
+
+    def __str__(self):
+        return self.name
+
+
+_NEXT = {"a": "b", "b": "c", "c": "a"}
+
+
+@pytest.mark.parametrize("product", [
+    lambda x, y: x,                                  # left-zero semigroup
+    lambda x, y: x if y == _NEXT[x] else y,          # only a -> b -> c -> a
+], ids=["left-zero", "one-directed-cycle"])
+def test_stabilization_graph_reports_a_closed_path(product):
+    fake = _TableRing("abc", product)
+    ok, cycle = stabilization_graph_check(fake)
+    assert not ok
+    assert len(cycle) >= 3 and cycle[0] == cycle[-1]
+    assert all(f == f * g and f != g for f, g in zip(cycle, cycle[1:]))
+    report = run_check("stabilization-graph", fake)
+    assert report.verdict == "fail"
+    assert report.counterexample == {"cycle": [str(e) for e in cycle]}
 
 
 def test_sring_certificates_pass(corpus_ring):
