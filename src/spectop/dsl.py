@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import NotPrime, NotPrimePower, ParseError
+from .errors import NotPrimePower, ParseError
 from .ideals import (
     BoolFiniteSupportIdeal,
     Ideal,
@@ -42,10 +42,10 @@ from .rings import (
     PolyQuotientRing,
     ProductRing,
     Ring,
+    check_ring_size,
     factorization,
-    is_prime_int,
     product_ring,
-    smallest_factor,
+    require_prime,
 )
 
 __all__ = [
@@ -115,8 +115,7 @@ def _parse_atom(sc: _Scanner) -> Ring:
     if sc.try_literal("Z/"):
         n = sc.read_nat()
         if sc.try_literal("[x]/("):
-            if not is_prime_int(n):
-                raise NotPrime(n, smallest_factor(n))
+            require_prime(n)
             body, offset = sc.read_until(")")
             coeffs = _parse_poly(body, n, offset)
             if not coeffs or coeffs[-1] != 1 or len(coeffs) < 2:
@@ -127,6 +126,7 @@ def _parse_atom(sc: _Scanner) -> Ring:
     if sc.try_literal("GF("):
         q = sc.read_nat()
         sc.expect_literal(")")
+        check_ring_size(q)
         prime_powers = factorization(q)
         if len(prime_powers) != 1:
             raise NotPrimePower(f"{q} is not a prime power")

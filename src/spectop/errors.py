@@ -16,7 +16,8 @@ class EmptyProduct(SpectopError):
 
 
 class RingTooLarge(SpectopError):
-    """A finite ring has more elements than its presentations admit."""
+    """A finite ring has more elements than its presentations admit, or an
+    integer is too large for its primality to be decided."""
 
 
 class SpectrumTooLarge(SpectopError):
@@ -55,10 +56,13 @@ class HypothesisViolated(SpectopError):
 
 
 class NotPrime(SpectopError):
-    """An integer that had to be prime is composite; ``factor`` divides it."""
+    """An integer that had to be prime is composite; ``factor`` divides it,
+    or is None when no factor up to the search ``bound`` exists."""
 
-    def __init__(self, n: int, factor: int):
-        super().__init__(f"{n} is not prime (divisible by {factor})")
+    def __init__(self, n: int, factor: int | None, bound: int | None = None):
+        reason = (f"divisible by {factor}" if factor is not None
+                  else f"it has no factor up to {bound}")
+        super().__init__(f"{n} is not prime ({reason})")
         self.n = n
         self.factor = factor
 

@@ -9,10 +9,12 @@ Projectivity of a cyclic quotient is decided as "I is generated by a
 single idempotent", which coincides with categorical projectivity for
 cyclic modules over a commutative ring and is decidable here.
 
-Nothing here depends on how an ideal is represented.  Each ideal class in
-``ideals`` supplies its certificate samples, a flat witness for each
-sample, the certificate note and its idempotent generator, and
-:func:`is_cyclic_flat` is one loop over the samples and their witnesses.
+Nothing here depends on how an ideal is represented, except that
+:func:`support_of_ideal` reads the annihilator masks of a finite ring's
+index kernel.  Each ideal class in ``ideals`` supplies its certificate
+samples, a flat witness for each sample, the certificate note and its
+idempotent generator, and :func:`is_cyclic_flat` is one loop over the
+samples and their witnesses.
 """
 
 from __future__ import annotations
@@ -141,7 +143,8 @@ def support_of_ideal(ideal: Ideal) -> frozenset[PrimePoint]:
 
     Computed as the primes containing Ann(f) for some f in I; it always
     contains the complement of V(I) and equals it when R/I is flat.  Over
-    a finite ring every f in I is scanned.  Otherwise the witness samples
+    a finite ring every f in I is scanned, its annihilator read as a mask
+    off the ring's index kernel.  Otherwise the witness samples
     give the same union: over the localized integers Ann(f) is R or (0) as
     f is zero or not, and a prime of an infinite product is proper in one
     slot only, where it meets the annihilator of that component of f.
@@ -149,10 +152,10 @@ def support_of_ideal(ideal: Ideal) -> frozenset[PrimePoint]:
     ring = ideal.ring
     sp = enumerate_spectrum(ring)
     if ring.is_finite:
-        anns = [frozenset(x for x in ring.elements() if x * f == ring.zero)
-                for f in ideal.elements]
+        k = ring.index_kernel
+        anns = {k.anns[f] for f in k.members(ideal.mask)}
         return frozenset(
-            p for p in sp.points if any(a <= p.ideal.elements for a in anns))
+            p for p in sp.points if any(not a & ~p.ideal.mask for a in anns))
     anns = [annihilator(f) for f in ideal.witness_samples()]
     return frozenset(p for p in sp.points if any(a.issubset(p.ideal) for a in anns))
 

@@ -1,8 +1,9 @@
 """Ideals of the supported ring presentations.
 
-The representation follows the presentation: ideals of finite rings are
-explicit element sets, always built as sums of principal ideals Rg
-(closure is still checked at construction), ideals of the
+The representation follows the presentation: an ideal of a finite ring
+is a bitmask over the indices of the ring's elements, built as a sum of
+principal ideals Rg from the ring's index tables, with its closure
+checked on the indices at construction; ideals of the
 localized integers live in the known lattice {(0)} U {(p^k) : k >= 0},
 ideals of the bits ring are either principal or the ideal of all finitely
 supported elements, and ideals of infinite products are componentwise.
@@ -29,10 +30,10 @@ from .errors import UnsupportedForPresentation
 from .rings import (
     Element,
     EventuallyConstantBitsRing,
+    IndexKernel,
     LocalizedIntegerRing,
     ProductRing,
     Ring,
-    canonical_sorted,
     idempotents,
 )
 
@@ -118,97 +119,125 @@ class Ideal:
 
 
 class ExplicitIdeal(Ideal):
-    """An ideal of a finite ring, stored as the full element set.
+    """An ideal of a finite ring, stored as a bitmask over its element indices.
 
-    Construction verifies closure under addition and under multiplication
-    by every ring element, so an ExplicitIdeal is an ideal by fiat.
+    Bit i of ``mask`` stands for ``ring.elements()[i]`` (see
+    :class:`~spectop.rings.IndexKernel`); every operation is a table
+    lookup or a mask operation, and ``elements`` is derived on first use.
+    Construction takes either elements or a mask and checks, on indices,
+    that the set contains 0 and equals the sum of the principal ideals of
+    its members, which holds exactly when it is an ideal; so an
+    ExplicitIdeal is an ideal by fiat.
     """
 
-    def __init__(self, ring: Ring, elements):
+    def __init__(self, ring: Ring, elements=(), *, mask: int | None = None):
         if not ring.is_finite:
             raise UnsupportedForPresentation(
                 "explicit ideals exist only over finite rings")
-        elems = frozenset(ring.element(e) for e in elements)
-        if ring.zero not in elems:
+        k = ring.index_kernel
+        if mask is None:
+            mask = k.mask({k.index[ring.element(e)] for e in elements})
+        elif mask < 0 or mask >> len(k.elements):
+            raise ValueError("a mask has one bit per element of the ring")
+        if not mask >> k.zero & 1:
             raise ValueError("an ideal contains 0")
-        for a in elems:
-            for b in elems:
-                if a + b not in elems:
-                    raise ValueError(f"not closed under addition: {a} + {b}")
-            for r in ring.elements():
-                if r * a not in elems:
-                    raise ValueError(f"not closed under multiplication: {r} * {a}")
+        members = k.members(mask)
+        if _span_sum(k, members) != mask:
+            raise ValueError(_closure_failure(k, members, mask))
         self.ring = ring
-        self.elements = elems
-        self.key = ("explicit", ring, elems)
+        self.mask = mask
+        self.key = ("explicit", ring, mask)
+
+    @cached_property
+    def elements(self) -> frozenset[Element]:
+        return frozenset(self.sorted_elements())
 
     def contains(self, element):
-        return self.ring.element(element) in self.elements
+        k = self.ring.index_kernel
+        return bool(self.mask >> k.index[self.ring.element(element)] & 1)
 
     def issubset(self, other):
         _check_same_ring(self, other)
-        return self.elements <= other.elements
+        return not self.mask & ~other.mask
 
     def is_zero(self):
-        return len(self.elements) == 1
+        return self.mask == 1 << self.ring.index_kernel.zero
 
     def is_whole(self):
-        return self.ring.one in self.elements
+        return bool(self.mask >> self.ring.index_kernel.one & 1)
 
     def sorted_elements(self) -> list[Element]:
-        return canonical_sorted(self.elements)
+        k = self.ring.index_kernel
+        return [k.elements[i] for i in k.members(self.mask)]
 
     @cached_property
     def _label(self):
         # The first g of R in canonical order with Rg = I; any such g lies in I.
-        sorted_elements = self.sorted_elements()
-        for g in sorted_elements:
-            if _principal_span(self.ring, g) == self.elements:
-                return f"({g})"
-        gens = ",".join(str(g) for g in sorted_elements)
+        k = self.ring.index_kernel
+        members = k.members(self.mask)
+        for g in members:
+            if k.spans[g] == self.mask:
+                return f"({k.elements[g]})"
+        gens = ",".join(str(k.elements[g]) for g in members)
         return f"({gens})"
 
     def label(self):
         return self._label
 
     def plus(self, other):
-        return ExplicitIdeal(self.ring, _sumset(self.elements, other.elements))
+        k = self.ring.index_kernel
+        return ExplicitIdeal(self.ring, mask=_sumset(k, self.mask, other.mask))
 
     def meet(self, other):
-        return ExplicitIdeal(self.ring, self.elements & other.elements)
+        return ExplicitIdeal(self.ring, mask=self.mask & other.mask)
 
     def radical(self):
-        # The powers x, ..., x^n with n = |R| already repeat, and once a
-        # power lies in I so do all higher ones: x is in the radical iff
-        # x^n is in I.
-        n = len(self.ring.elements())
-        return ExplicitIdeal(self.ring, {x for x in self.ring.elements()
-                                         if x ** n in self.elements})
+        # x is in the radical iff x^m is in I for some m <= |R|: the powers
+        # before the first one in I are distinct and lie outside I.  So it
+        # is enough to square until the exponent reaches |R|.
+        k = self.ring.index_kernel
+        powers = list(range(len(k.elements)))
+        for _ in range((len(k.elements) - 1).bit_length()):
+            powers = [k.mul[x][x] for x in powers]
+        return ExplicitIdeal(self.ring, mask=k.mask(
+            x for x, power in enumerate(powers) if self.mask >> power & 1))
 
     def saturation_kernel(self):
-        ring = self.ring
-        s = [ring.one + i for i in self.elements]
-        return ExplicitIdeal(ring, {r for r in ring.elements()
-                                    if any(x * r == ring.zero for x in s)})
+        # The union of Ann(s) over s in 1 + I.
+        k = self.ring.index_kernel
+        mask = 0
+        for i in k.members(self.mask):
+            mask |= k.anns[k.add[k.one][i]]
+        return ExplicitIdeal(self.ring, mask=mask)
 
     def is_prime(self):
         # The complement is closed under multiplication.
-        outside = [x for x in self.ring.elements() if x not in self.elements]
-        return all(a * b not in self.elements for a in outside for b in outside)
+        k = self.ring.index_kernel
+        outside = k.members(~self.mask & ((1 << len(k.elements)) - 1))
+        return not any(self.mask >> k.mul[a][b] & 1 for a in outside for b in outside)
 
     def witness_samples(self):
         return tuple(self.sorted_elements())
 
+    @cached_property
+    def _complements(self) -> int:
+        """The mask of {1 - i : i in I}, the a with 1 - a in I."""
+        k = self.ring.index_kernel
+        return k.mask(k.one_minus[i] for i in k.members(self.mask))
+
     def flat_witness(self, f):
-        ring = self.ring
-        for a in ring.elements():
-            if a * f == ring.zero and ring.one - a in self.elements:
-                return (a, ring.one - a)
-        return None
+        # The first a of R in canonical order with a*f = 0 and 1 - a in I.
+        k = self.ring.index_kernel
+        candidates = k.anns[k.index[f]] & self._complements
+        if not candidates:
+            return None
+        a = (candidates & -candidates).bit_length() - 1
+        return (k.elements[a], k.elements[k.one_minus[a]])
 
     def idempotent_generator(self):
+        k = self.ring.index_kernel
         for e in idempotents(self.ring):
-            if _principal_span(self.ring, e) == self.elements:
+            if k.spans[k.index[e]] == self.mask:
                 return e
         return None
 
@@ -412,6 +441,8 @@ class BoolFiniteSupportIdeal(_BooleanIdeal):
     def meet(self, other):
         if other.issubset(self):
             return other
+        if other.is_whole():
+            return self
         raise UnsupportedForPresentation(
             "the meet of (fin) with a cofinite principal ideal is not finitely generated")
 
@@ -517,14 +548,44 @@ def _check_same_ring(a: Ideal, b: Ideal):
         raise ValueError("ideals of different rings cannot be compared")
 
 
-def _principal_span(ring: Ring, g: Element) -> frozenset[Element]:
-    """Rg as an element set; it is already an ideal, closed under + and r*."""
-    return frozenset(r * g for r in ring.elements())
+def _sumset(k: IndexKernel, a: int, b: int) -> int:
+    """The mask of {x + y : x in a, y in b} for masks a and b of additive
+    subgroups: each y of b not yet covered adjoins its cyclic subgroup,
+    the union of the translates of the sum so far by y, 2y, ..."""
+    out = a
+    for y in k.members(b):
+        if out >> y & 1:
+            continue
+        by_y = k.add[y]
+        grown, coset = out, k.members(out)
+        while True:
+            coset = [by_y[x] for x in coset]
+            if out >> coset[0] & 1:  # cosets of a subgroup meet only when equal
+                break
+            grown |= k.mask(coset)
+        out = grown
+    return out
 
 
-def _sumset(a: frozenset[Element], b: frozenset[Element]) -> frozenset[Element]:
-    """{x + y : x in a, y in b}, which is the ideal a + b when both are ideals."""
-    return frozenset(x + y for x in a for y in b)
+def _span_sum(k: IndexKernel, members) -> int:
+    """The mask of the sum of the principal ideals Rg over the members."""
+    out = 1 << k.zero
+    for g in members:
+        if k.spans[g] & ~out:
+            out = _sumset(k, out, k.spans[g])
+    return out
+
+
+def _closure_failure(k: IndexKernel, members, mask: int) -> str:
+    """Name the first sum or product that leaves a set which is no ideal."""
+    for a in members:
+        for b in members:
+            if not mask >> k.add[a][b] & 1:
+                return f"not closed under addition: {k.elements[a]} + {k.elements[b]}"
+        for r in range(len(k.elements)):
+            if not mask >> k.mul[r][a] & 1:
+                return f"not closed under multiplication: {k.elements[r]} * {k.elements[a]}"
+    raise AssertionError("the set is closed")
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +619,8 @@ def ideal_from_generators(ring: Ring, generators) -> Ideal:
     """
     gens = [ring.element(g) for g in generators]
     if ring.is_finite:
-        elements = frozenset((ring.zero,))
-        for g in gens:
-            elements = _sumset(elements, _principal_span(ring, g))
-        return ExplicitIdeal(ring, elements)
+        k = ring.index_kernel
+        return ExplicitIdeal(ring, mask=_span_sum(k, [k.index[g] for g in gens]))
     if isinstance(ring, LocalizedIntegerRing):
         nonzero = [g for g in gens if g.value != 0]
         if not nonzero:
@@ -599,7 +658,8 @@ def annihilator(f: Element) -> Ideal:
     """The ideal of all x with x*f == 0."""
     ring = f.ring
     if ring.is_finite:
-        return ExplicitIdeal(ring, {x for x in ring.elements() if x * f == ring.zero})
+        k = ring.index_kernel
+        return ExplicitIdeal(ring, mask=k.anns[k.index[f]])
     if isinstance(ring, LocalizedIntegerRing):
         return LocalIdeal(ring, 0 if f.value == 0 else None)
     if isinstance(ring, EventuallyConstantBitsRing):
@@ -630,26 +690,30 @@ def enumerate_ideals(ring: Ring, local_level_bound: int = 6) -> tuple[Ideal, ...
     """All ideals of the ring; finite rings sort by size, then label.
 
     Every ideal of a finite ring is a finite sum of principal ideals Rg.
-    The distinct spans Rg are computed once, the sums are closed over as
-    plain element sets starting from (0), and each ideal found is wrapped
-    (and its closure checked) once at the end.  For the localized integers
+    The sums of the distinct spans Rg are closed over as masks starting
+    from (0), each ideal found is wrapped (and its closure checked) once,
+    and the ring's index kernel keeps the result, so each ring instance
+    enumerates its ideals once.  For the localized integers
     the lattice is (0) plus the chain (p^k), truncated at
     ``local_level_bound``; for infinite products the component
     enumerations are combined and sorted by label.
     """
     if ring.is_finite:
-        spans = {_principal_span(ring, g) for g in ring.elements()}
-        found = {frozenset((ring.zero,))}
-        frontier = list(found)
-        while frontier:
-            base = frontier.pop()
-            for span in spans:
-                join = _sumset(base, span)
-                if join not in found:
-                    found.add(join)
-                    frontier.append(join)
-        ideals = [ExplicitIdeal(ring, elements) for elements in found]
-        return tuple(sorted(ideals, key=lambda i: (len(i.elements), i.label())))
+        k = ring.index_kernel
+        if k.ideals is None:
+            spans = set(k.spans)
+            found = {1 << k.zero}
+            frontier = list(found)
+            while frontier:
+                base = frontier.pop()
+                for span in spans:
+                    join = _sumset(k, base, span) if span & ~base else base
+                    if join not in found:
+                        found.add(join)
+                        frontier.append(join)
+            ideals = [ExplicitIdeal(ring, mask=mask) for mask in found]
+            k.ideals = tuple(sorted(ideals, key=lambda i: (i.mask.bit_count(), i.label())))
+        return k.ideals
     if isinstance(ring, LocalizedIntegerRing):
         out = [LocalIdeal(ring, None)]
         out.extend(LocalIdeal(ring, k) for k in range(local_level_bound + 1))

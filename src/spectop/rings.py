@@ -21,6 +21,12 @@ Every element payload is canonical, hence equality of :class:`Element`
 values is structural.  Rings themselves compare structurally and are
 immutable; all arithmetic is pure.  Polynomials are coefficient tuples in
 ascending degree order with no trailing zeros.
+
+A finite ring also owns an :class:`IndexKernel`, built lazily on first
+use and never at construction: its elements numbered in canonical order,
+with int add and mul tables that the ideal computations read instead of
+element arithmetic.  Integers that must be prime are tested by a
+deterministic Miller-Rabin, and refused above ``PRIMALITY_BOUND``.
 """
 
 from __future__ import annotations
@@ -44,19 +50,23 @@ __all__ = [
     "Element",
     "EventuallyConstantBitsRing",
     "GaloisFieldRing",
+    "IndexKernel",
     "LocalizedIntegerRing",
     "MAX_RING_ELEMENTS",
     "ModularRing",
+    "PRIMALITY_BOUND",
     "PolyQuotientRing",
     "ProductRing",
     "Ring",
     "canonical_sorted",
+    "check_ring_size",
     "factorization",
     "idempotents",
     "is_prime_int",
     "least_irreducible_polynomial",
     "polynomial_text",
     "product_ring",
+    "require_prime",
 ]
 
 
@@ -65,8 +75,18 @@ __all__ = [
 # up already take tens of seconds.
 MAX_RING_ELEMENTS = 256
 
+# Miller-Rabin with the first 13 primes as bases decides primality of
+# every n below this bound (Sorenson and Webster, 2015); larger integers
+# are refused, so no verdict is probabilistic.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
 
-def _check_ring_size(size: int) -> None:
+# NotPrime names the least factor of a composite found by trial division
+# up to this bound, which keeps its search short for any input.
+FACTOR_SEARCH_BOUND = 10 ** 6
+
+
+def check_ring_size(size: int) -> None:
     if size > MAX_RING_ELEMENTS:
         raise RingTooLarge(f"a finite ring with {size} elements exceeds "
                            f"the budget of {MAX_RING_ELEMENTS} elements")
@@ -76,18 +96,45 @@ def _check_ring_size(size: int) -> None:
 # integer and polynomial helpers
 
 
-def smallest_factor(n: int) -> int:
-    """The least divisor d >= 2 of n by trial division; n itself when none exists."""
-    d = 2
-    while d * d <= n:
+def smallest_factor(n: int, bound: int | None = None) -> int | None:
+    """The least divisor d >= 2 of n by trial division; n itself when none
+    is at most sqrt(n).  With a ``bound`` below sqrt(n) only d <= bound are
+    tried, and None means that none of them divides n."""
+    limit = math.isqrt(max(n, 0))
+    searched = limit if bound is None else min(limit, bound)
+    for d in range(2, searched + 1):
         if n % d == 0:
             return d
-        d += 1
-    return n
+    return n if searched == limit else None
 
 
 def is_prime_int(n: int) -> bool:
-    return n >= 2 and smallest_factor(n) == n
+    """Deterministic Miller-Rabin; refuses n >= PRIMALITY_BOUND with RingTooLarge."""
+    if n >= PRIMALITY_BOUND:
+        raise RingTooLarge(f"primality is decided only below {PRIMALITY_BOUND}; "
+                           f"{n} is too large")
+    if n < 2 or any(n % a == 0 for a in _MILLER_RABIN_BASES):
+        return n in _MILLER_RABIN_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def require_prime(p: int) -> None:
+    """Raise NotPrime, with a factor found below FACTOR_SEARCH_BOUND if any,
+    unless p is prime."""
+    if not is_prime_int(p):
+        raise NotPrime(p, smallest_factor(p, FACTOR_SEARCH_BOUND), FACTOR_SEARCH_BOUND)
 
 
 def factorization(n: int) -> list[tuple[int, int]]:
@@ -282,6 +329,55 @@ def canonical_sorted(elements) -> list[Element]:
 
 
 # ---------------------------------------------------------------------------
+# index kernels of finite rings
+
+
+class IndexKernel:
+    """The elements of one finite ring as indices 0..n-1, with int tables.
+
+    Index i stands for ``ring.elements()[i]``.  Every finite presentation
+    lists its elements in canonical (sort key) order, so two equal rings
+    built apart number their elements alike.  ``add[i][j]`` and
+    ``mul[i][j]`` index the sum and the product; each presentation builds
+    them from index operations, never pair by pair through payload
+    arithmetic.  A set of elements is a bitmask whose bit i stands for
+    index i: ``spans[g]`` is the mask of Rg and ``anns[g]`` that of
+    Ann(g).  ``ideals`` keeps the ring's ideal enumeration once it is made.
+    """
+
+    def __init__(self, ring: "Ring"):
+        self.elements = ring.elements()
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.zero, self.one = self.index[ring.zero], self.index[ring.one]
+        self.add, self.mul = ring._tables()
+        self.ideals = None
+
+    @staticmethod
+    def mask(indices) -> int:
+        """The bitmask of distinct indices."""
+        return sum(1 << i for i in indices)
+
+    @staticmethod
+    def members(mask: int) -> list[int]:
+        """The indices of the set bits, ascending."""
+        return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+    @cached_property
+    def one_minus(self) -> list[int]:
+        """``one_minus[a]`` indexes 1 - a, the b with a + b = 1."""
+        return [row.index(self.one) for row in self.add]
+
+    @cached_property
+    def spans(self) -> list[int]:
+        return [self.mask(set(row)) for row in self.mul]
+
+    @cached_property
+    def anns(self) -> list[int]:
+        return [self.mask(r for r, x in enumerate(row) if x == self.zero)
+                for row in self.mul]
+
+
+# ---------------------------------------------------------------------------
 # ring presentations
 
 
@@ -317,6 +413,10 @@ class Ring:
     def _sort_key(self, a):
         raise NotImplementedError
 
+    def _tables(self):
+        """The add and mul tables over the indices of ``elements()``."""
+        raise NotImplementedError
+
     # uniform interface ----------------------------------------------------
     def element(self, value) -> Element:
         """Coerce ``value`` to a canonical element of this ring."""
@@ -337,6 +437,11 @@ class Ring:
     def elements(self) -> tuple[Element, ...]:
         raise UnsupportedForPresentation(
             f"{self.describe()} is infinite; its elements cannot be listed")
+
+    @cached_property
+    def index_kernel(self) -> IndexKernel:
+        """The index kernel of a finite ring, built on first use."""
+        return IndexKernel(self)
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -359,7 +464,7 @@ class ModularRing(Ring):
     def __init__(self, modulus: int):
         if not isinstance(modulus, int) or modulus < 1:
             raise ValueError("modulus must be an integer >= 1")
-        _check_ring_size(modulus)
+        check_ring_size(modulus)
         self.modulus = modulus
         self.key = ("modular", modulus)
 
@@ -387,6 +492,10 @@ class ModularRing(Ring):
     def _elements(self):
         return tuple(Element(self, r) for r in range(self.modulus))
 
+    def _tables(self):
+        n, r = self.modulus, range(self.modulus)
+        return [[(a + b) % n for b in r] for a in r], [[a * b % n for b in r] for a in r]
+
     def elements(self):
         return self._elements
 
@@ -403,14 +512,13 @@ class PolyQuotientRing(Ring):
     is_finite = True
 
     def __init__(self, p: int, modulus):
-        if not is_prime_int(p):
-            raise NotPrime(p, smallest_factor(p))
+        require_prime(p)
         mod = _ptrim(c % p for c in modulus)
         if len(mod) < 2:
             raise ValueError("the modulus polynomial must have degree >= 1")
         if mod[-1] != 1:
             raise ValueError("the modulus polynomial must be monic")
-        _check_ring_size(p ** (len(mod) - 1))
+        check_ring_size(p ** (len(mod) - 1))
         self.p = p
         self.modulus = mod
         self.degree = len(mod) - 1
@@ -447,6 +555,34 @@ class PolyQuotientRing(Ring):
             out.append(Element(self, _ptrim(cs)))
         return tuple(canonical_sorted(out))
 
+    def _tables(self):
+        # Every element is c + x*h with c constant and h of lower degree,
+        # so h comes first in the canonical order (the constant c sits at
+        # index c), and each row is filled from rows already built.
+        p, elements = self.p, self.elements()
+        n = len(elements)
+        index = {e.value: i for i, e in enumerate(elements)}
+        low = [e.value[0] if e.value else 0 for e in elements]
+        high = [index[e.value[1:]] for e in elements]
+        times_x = [index[self._canon((0,) + e.value)] for e in elements]
+        # c + x*h for every h below degree d-1, the only high parts of sums.
+        join = [[index[_ptrim((c,) + e.value)] for c in range(p)]
+                for e in elements[:n // p]]
+        add = [list(range(n))]
+        for i in range(1, n):
+            below, c = add[high[i]], low[i]
+            add.append([join[below[high[j]]][(c + low[j]) % p] for j in range(n)])
+        mul = []
+        for g in range(n):
+            multiples = [0]  # c*g for the constants c
+            for _ in range(p - 1):
+                multiples.append(add[multiples[-1]][g])
+            row = [0] * n
+            for j in range(1, n):  # g*(c + x*h) = c*g + x*(g*h)
+                row[j] = add[multiples[low[j]]][times_x[row[high[j]]]]
+            mul.append(row)
+        return add, mul
+
     def elements(self):
         return self._elements
 
@@ -466,9 +602,8 @@ class GaloisFieldRing(PolyQuotientRing):
         if modulus is None:
             if degree is None or degree < 1:
                 raise ValueError("a degree >= 1 is required when no modulus is given")
-            if not is_prime_int(p):
-                raise NotPrime(p, smallest_factor(p))
-            _check_ring_size(p ** degree)
+            require_prime(p)
+            check_ring_size(p ** degree)
             modulus = least_irreducible_polynomial(p, degree)
         super().__init__(p, modulus)
         self.key = ("galois", p, self.modulus)
@@ -507,7 +642,7 @@ class ProductRing(Ring):
             if not (f.is_finite or isinstance(f, LocalizedIntegerRing)):
                 raise UnsupportedForPresentation(
                     "product factors must be finite rings or localized integers")
-        _check_ring_size(math.prod(len(f.elements()) for f in flat if f.is_finite))
+        check_ring_size(math.prod(len(f.elements()) for f in flat if f.is_finite))
         self.factors = tuple(flat)
         self.is_finite = all(f.is_finite for f in self.factors)
         self.key = ("product", tuple(f.key for f in self.factors))
@@ -555,6 +690,17 @@ class ProductRing(Ring):
             return super().elements()
         return self._elements
 
+    def _tables(self):
+        # Elements are listed as itertools.product of the factors', so an
+        # index is mixed-radix in the factor indices, the first factor most
+        # significant, and each table is a product of the factor tables.
+        first = self.factors[0].index_kernel
+        add, mul = first.add, first.mul
+        for f in self.factors[1:]:
+            k = f.index_kernel
+            add, mul = _product_table(add, k.add), _product_table(mul, k.mul)
+        return add, mul
+
     def component(self, element: Element, index: int) -> Element:
         """Project a product element onto one factor."""
         return self.factors[index].element(element.value[index])
@@ -571,8 +717,7 @@ class LocalizedIntegerRing(Ring):
     """
 
     def __init__(self, p: int):
-        if not is_prime_int(p):
-            raise NotPrime(p, smallest_factor(p))
+        require_prime(p)
         self.p = p
         self.key = ("zloc", p)
 
@@ -672,6 +817,12 @@ class EventuallyConstantBitsRing(Ring):
         return "EvBits"
 
 
+def _product_table(t, u):
+    """The table of R x S from the tables t of R and u of S."""
+    size = len(u)
+    return [[x * size + y for x in row_t for y in row_u] for row_t in t for row_u in u]
+
+
 # ---------------------------------------------------------------------------
 # ring-level operations
 
@@ -692,13 +843,14 @@ def product_ring(factors) -> Ring:
 def idempotents(ring: Ring) -> tuple[Element, ...]:
     """All e with e*e == e, canonically sorted.
 
-    Finite rings are scanned exhaustively.  The localization of the
-    integers is a domain, so its only idempotents are 0 and 1; a product
-    combines factor idempotents componentwise.  For the bits ring every
+    Finite rings scan the diagonal of their mul table.  The localization
+    of the integers is a domain, so its only idempotents are 0 and 1; a
+    product combines factor idempotents componentwise.  For the bits ring every
     element is idempotent, so no finite list exists.
     """
     if ring.is_finite:
-        return tuple(e for e in canonical_sorted(ring.elements()) if e * e == e)
+        k = ring.index_kernel
+        return tuple(e for i, e in enumerate(k.elements) if k.mul[i][i] == i)
     if isinstance(ring, LocalizedIntegerRing):
         return (ring.zero, ring.one)
     if isinstance(ring, ProductRing):

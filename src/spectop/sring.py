@@ -370,17 +370,17 @@ def stabilization_graph_check(ring: Ring):
     non-constant chain satisfying the ascending discipline forever.  For
     a finite ring no such cycle exists; this scans for one and returns
     (True, None) or (False, cycle), the cycle a closed path f, f', ..., f
-    along the relation.
+    along the relation.  The relation is read off the ring's mul table.
     """
-    elements = ring.elements()
+    k = ring.index_kernel
     succs = {
-        f: [g for g in elements if g != f and f == f * g]
-        for f in elements
+        f: [g for g, fg in enumerate(row) if g != f and fg == f]
+        for f, row in enumerate(k.mul)
     }
     try:
         # Read as predecessor lists, so a cycle comes back against the
         # direction of the relation.
         TopologicalSorter(succs).prepare()
     except CycleError as exc:
-        return (False, tuple(reversed(exc.args[1])))
+        return (False, tuple(k.elements[f] for f in reversed(exc.args[1])))
     return (True, None)

@@ -84,6 +84,18 @@ def brute_force_generated(ring, gens):
     return best
 
 
+def closure_generated(ring, gens):
+    """The smallest set holding 0 and the generators that is closed under +
+    and under r*, by adding sums and multiples until nothing changes."""
+    found = {ring.zero, *gens}
+    while True:
+        grown = (found | {a + b for a in found for b in found}
+                 | {r * a for r in ring.elements() for a in found})
+        if grown == found:
+            return frozenset(found)
+        found = grown
+
+
 def brute_force_is_prime(ring, subset) -> bool:
     """Primality from the definition: proper and ab in I => a or b in I."""
     subset = set(subset)

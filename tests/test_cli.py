@@ -177,6 +177,16 @@ def test_oversized_ring_exits_two(capsys, argv, size):
     assert err == f"error: a finite ring with {size} elements exceeds the budget of 256 elements\n"
 
 
+def test_large_prime_parameters_are_decided_before_any_budget(capsys):
+    code, out, err = run_cli(capsys, "spec", "--ring", "Zloc(1000000000000037)")
+    assert code == 0 and err == ""
+    assert [p["ideal"] for p in json.loads(out)["points"]] == ["(0)", "(1000000000000037)"]
+    code, out, err = run_cli(capsys, "spec", "--ring", "GF(10000000000037)")
+    assert code == 2 and out == ""
+    assert err == ("error: a finite ring with 10000000000037 elements exceeds "
+                   "the budget of 256 elements\n")
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["topology", "--ring", "Z/6", "--which", "hausdorff"])

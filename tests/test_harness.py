@@ -175,6 +175,56 @@ def test_closure_operators_fail_on_a_wrong_flat_kernel(monkeypatch):
     assert report.counterexample == {"operator": "flat-kernel", "set": [], "kernel": "(0)"}
 
 
+def test_sring_equivalences_fail_when_idempotents_go_missing(monkeypatch):
+    import spectop.sring as sring
+    monkeypatch.setattr(sring, "idempotents", lambda ring: (ring.zero, ring.one))
+    report = run_check("sring-equivalences", parse_ring("Z/6"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {
+        "failures": ["double-closed family has 4 members but idempotents realize "
+                     "2 vanishing sets"],
+        "patch_clopen_ok": True}
+
+
+def test_crt_decomposition_fails_when_summands_are_not_projective(monkeypatch):
+    monkeypatch.setattr(harness, "is_cyclic_projective", lambda ideal: False)
+    report = run_check("crt-decomposition", parse_ring("Z/6"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {"problems": ["summand of 3 is not projective",
+                                                  "summand of 4 is not projective"]}
+
+
+def test_chain_conditions_fail_when_a_maximal_ideal_is_uncovered(monkeypatch):
+    from spectop.spectrum import SpectrumPoset
+    real = SpectrumPoset.minimal_points
+    monkeypatch.setattr(SpectrumPoset, "minimal_points",
+                        lambda sp: frozenset([min(real(sp), key=lambda p: p.label())]))
+    report = run_check("chain-conditions", parse_ring("Z/6"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {"X": "min", "uncovered": "(3)"}
+
+
+def test_flat_not_projective_fails_when_the_ideal_claims_projectivity(monkeypatch):
+    monkeypatch.setattr(harness, "is_cyclic_projective", lambda ideal: True)
+    report = run_check("flat-not-projective", parse_ring("EvBits"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {
+        "problems": ["the finitely supported ideal claims to be projective"]}
+
+
+@pytest.mark.parametrize("text, skipped", [
+    ("Z/210", ["stabilization-graph", "flat-not-projective", "expected-facts"]),
+    ("Z/2 * Z/2 * Z/2 * Z/2 * Z/2 * Z/2",
+     ["crt-decomposition", "flat-not-projective", "expected-facts"]),
+])
+def test_large_finite_rings_pass_every_applicable_check(text, skipped):
+    ring = parse_ring(text)
+    reports = run_ring_checks(ring)
+    assert [r.check for r in reports] == list(applicable_checks(ring)) == list(CHECK_NAMES)
+    assert {r.check: r.verdict for r in reports} == {
+        name: "skipped" if name in skipped else "pass" for name in CHECK_NAMES}
+
+
 def test_corpus_failure_count_counts_mismatches():
     entries = (CorpusEntry("Z/12", {"spectrum_size": 3}),)
     result = run_corpus(entries)

@@ -204,6 +204,21 @@ def test_bool_ideal_operations():
     assert fin.issubset(BoolPrincipalIdeal(bits, bits.one))
 
 
+def test_finite_support_ideal_meets_the_unit_ideal():
+    bits = EventuallyConstantBitsRing()
+    fin = finite_support_ideal(bits)
+    assert ideal_intersection(fin, unit_ideal(bits)) == fin
+    assert ideal_intersection(unit_ideal(bits), fin) == fin
+    # A cofinite proper principal ideal meets (fin) in an ideal that is
+    # not finitely generated, which has no representation here.
+    cofinite = BoolPrincipalIdeal(bits, bits.element(({4}, 1)))
+    for a, b in ((fin, cofinite), (cofinite, fin)):
+        with pytest.raises(UnsupportedForPresentation,
+                           match="the meet of \\(fin\\) with a cofinite principal ideal "
+                                 "is not finitely generated"):
+            ideal_intersection(a, b)
+
+
 def test_enumerate_ideals_matches_brute_force():
     for text in FINITE_CORPUS_TEXTS + SMALL_FINITE_TEXTS:
         ring = parse_ring(text)

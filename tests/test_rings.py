@@ -24,7 +24,14 @@ from spectop import (
     idempotents,
     product_ring,
 )
-from spectop.rings import MAX_RING_ELEMENTS, least_irreducible_polynomial, polynomial_text
+from spectop.rings import (
+    FACTOR_SEARCH_BOUND,
+    MAX_RING_ELEMENTS,
+    PRIMALITY_BOUND,
+    is_prime_int,
+    least_irreducible_polynomial,
+    polynomial_text,
+)
 
 
 def test_modular_canonicalization():
@@ -307,3 +314,29 @@ def test_power_large_exponent_and_negative():
         assert (r.element(v) ** 10**6).value == pow(v, 10**6, 12)
     with pytest.raises(ValueError):
         r.element(5) ** -1
+
+
+def test_primality_is_deterministic_below_the_bound():
+    for n in range(3000):
+        assert is_prime_int(n) == (n >= 2 and all(n % d for d in range(2, n))), n
+    assert is_prime_int(1000000000000037) and is_prime_int(100000000000000003)
+    # Strong pseudoprimes to the bases up to 23 and up to 37: the base 41
+    # is what makes the test exact below PRIMALITY_BOUND.
+    assert not is_prime_int(3825123056546413051)
+    assert not is_prime_int(318665857834031151167461)
+    with pytest.raises(RingTooLarge, match=f"only below {PRIMALITY_BOUND}; "):
+        is_prime_int(PRIMALITY_BOUND)
+    with pytest.raises(RingTooLarge):
+        LocalizedIntegerRing(PRIMALITY_BOUND + 2)
+
+
+def test_not_prime_searches_its_factor_under_a_bound():
+    with pytest.raises(NotPrime) as err:
+        LocalizedIntegerRing(91)
+    assert err.value.factor == 7 and str(err.value) == "91 is not prime (divisible by 7)"
+    semiprime = 1000003 * 1000033  # both factors above the search bound
+    with pytest.raises(NotPrime) as err:
+        LocalizedIntegerRing(semiprime)
+    assert err.value.factor is None
+    assert str(err.value) == (
+        f"{semiprime} is not prime (it has no factor up to {FACTOR_SEARCH_BOUND})")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -140,13 +142,18 @@ def test_stabilization_graph_no_nontrivial_cycles(finite_ring):
 
 class _TableRing:
     """A finite stand-in for a ring whose elements multiply by a rule on
-    their names; only what the stabilization graph check reads."""
+    their names; only what the stabilization graph check reads, its mul
+    table included."""
 
     is_finite = True
 
     def __init__(self, names, product):
         self.items = {name: _TableElement(name, self) for name in names}
         self.product = product
+        order = list(names)
+        self.index_kernel = SimpleNamespace(
+            elements=self.elements(),
+            mul=[[order.index(product(x, y)) for y in order] for x in order])
 
     def elements(self):
         return tuple(self.items.values())
