@@ -31,6 +31,8 @@ from .rings import Ring
 from .spectrum import (
     SpectrumPoset,
     TOPOLOGIES,
+    _family_labels,
+    _point_labels,
     closed_family,
     enumerate_spectrum,
 )
@@ -77,10 +79,8 @@ def spectrum_from_doc(doc: dict) -> SpectrumPoset:
 
 def family_doc(ring: Ring, topology: str) -> dict:
     fam = closed_family(ring, topology)
-    rendered = sorted(
-        (sorted(p.label() for p in s) for s in fam.sets),
-        key=lambda ls: (len(ls), ls))
-    return {"ring": ring.describe(), "topology": topology, "closed_sets": rendered}
+    return {"ring": ring.describe(), "topology": topology,
+            "closed_sets": _family_labels(fam.sets)}
 
 
 def certificate_doc(cert: FlatnessCertificate) -> dict:
@@ -180,7 +180,7 @@ def _cmd_sring(args) -> int:
         "closed_genstable_open": cert.closed_genstable_open,
         "flatclosed_specstable_open": cert.flatclosed_specstable_open,
         "double_closed": [
-            {"set": sorted(p.label() for p in s), "idempotent": str(e)}
+            {"set": _point_labels(s), "idempotent": str(e)}
             for s, e in cert.double_closed_matches
         ],
         "failures": list(cert.failures),
@@ -212,11 +212,13 @@ def _cmd_chaincond(args) -> int:
     _emit({
         "ring": ring.describe(),
         "covering_ok": True,
-        "X": sorted(p.label() for p in trace.x_points),
+        "X": _point_labels(trace.x_points),
         "meet_ideal": trace.meet_ideal.label(),
-        "family": [sorted(p.label() for p in s) for s in trace.family],
-        "acc": trace.acc_holds,
-        "dcc": trace.dcc_holds,
+        "family": _family_labels(trace.family),
+        # The family {X & V(f)} is finite, so every chain in it is
+        # eventually constant: both chain conditions hold.
+        "acc": True,
+        "dcc": True,
         "sring_certificate_passed": trace.conclusion.passed,
     })
     return 0
@@ -306,10 +308,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpectopError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SpectopError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

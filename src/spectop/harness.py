@@ -8,10 +8,15 @@ rings, the S-ring equivalences, the modular CRT decomposition, the
 covering chain conditions, and the bits-ring witness of a flat cyclic
 quotient that is not projective.
 
-Checks are pure: they return plain-data :class:`TheoremReport` values and
-perform no I/O; serialization lives in the command line layer.  A failing
-report always carries a counterexample payload that reproduces the
-failure when re-run.
+Checks are pure and perform no I/O; serialization lives in the command
+line layer.  A check returns a pair ``(details, counterexample)``, the
+counterexample ``None`` on a pass, or raises ``_Skip`` with the reason it
+does not apply.  :func:`run_check` alone turns that outcome into a
+plain-data :class:`TheoremReport`: the check's name is its registry key, a
+counterexample makes the verdict "fail", and ``_Skip``,
+:class:`UnsupportedForPresentation` and :class:`SpectrumTooLarge` all make
+it "skipped" with the reason in the details.  A counterexample payload
+reproduces the failure when the check is re-run.
 """
 
 from __future__ import annotations
@@ -53,6 +58,9 @@ from .spectrum import (
     MAX_FAMILY_POINTS,
     PATCH,
     ZARISKI,
+    _family_key,
+    _family_labels,
+    _point_labels,
     closed_family,
     enumerate_spectrum,
     generalization_closure,
@@ -106,38 +114,21 @@ class TheoremReport:
         return self.verdict == "fail"
 
 
-def _labels(points) -> list[str]:
-    return sorted(p.label() for p in points)
-
-
-def _family_labels(sets) -> list[list[str]]:
-    return sorted((_labels(s) for s in sets), key=lambda ls: (len(ls), ls))
-
-
-def _spectrum_enumerable(ring: Ring) -> bool:
-    try:
-        enumerate_spectrum(ring)
-        return True
-    except (UnsupportedForPresentation, SpectrumTooLarge):
-        return False
-
-
-def _is_reduced(ring: Ring) -> bool:
-    return radical(zero_ideal(ring)).is_zero()
+class _Skip(Exception):
+    """Raised by a check that does not apply to the ring; the message is the reason."""
 
 
 # ---------------------------------------------------------------------------
 # individual checks
 
 
-def check_topology_characterization(ring: Ring, entry=None) -> TheoremReport:
+def check_topology_characterization(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     """Flat closed = patch closed + generalization stable, and dually.
 
     Also asserts that the patch family is the full power set of the
     spectrum and that the V(f) sub-basis and the V(I) basis generate the
     same flat and Zariski families.
     """
-    name = "topology-characterization"
     zfam = closed_family(ring, ZARISKI)
     ffam = closed_family(ring, FLAT)
     pfam = closed_family(ring, PATCH)
@@ -165,54 +156,42 @@ def check_topology_characterization(ring: Ring, entry=None) -> TheoremReport:
         "flat_closed": len(ffam.sets),
         "patch_closed": len(pfam.sets),
     }
-    if problems:
-        return TheoremReport(name, ring.describe(), "fail", details,
-                             {"problems": problems})
-    return TheoremReport(name, ring.describe(), "pass", details)
+    return details, ({"problems": problems} if problems else None)
 
 
-def check_closure_operators(ring: Ring, entry=None) -> TheoremReport:
+def check_closure_operators(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     """Generalization closures of Zariski closed sets are flat closed,
     specialization closures of patch closed sets are Zariski closed, and
     every closed generalization-stable set is V(J) for a flat kernel J."""
-    name = "closure-operators"
     zfam = closed_family(ring, ZARISKI)
     ffam = closed_family(ring, FLAT)
     pfam = closed_family(ring, PATCH)
 
     for E in zfam.sets:
         if generalization_closure(ring, E) not in ffam.sets:
-            return TheoremReport(
-                name, ring.describe(), "fail", {},
-                {"operator": "generalization", "set": _labels(E)})
+            return {}, {"operator": "generalization", "set": _point_labels(E)}
     for E in pfam.sets:
         if specialization_closure(ring, E) not in zfam.sets:
-            return TheoremReport(
-                name, ring.describe(), "fail", {},
-                {"operator": "specialization", "set": _labels(E)})
+            return {}, {"operator": "specialization", "set": _point_labels(E)}
 
     kernels = []
-    for E in sorted(zfam.sets, key=lambda s: (len(s), _labels(s))):
+    for E in sorted(zfam.sets, key=_family_key):
         if not is_stable_generalization(ring, E):
             continue
         kernel = flat_ideal_from_closed_set(ring, E)
         if vanishing_locus(ring, kernel) != E or not is_cyclic_flat(kernel).verdict:
-            return TheoremReport(
-                name, ring.describe(), "fail", {},
-                {"operator": "flat-kernel", "set": _labels(E),
-                 "kernel": kernel.label()})
-        kernels.append({"set": _labels(E), "kernel": kernel.label()})
+            return {}, {"operator": "flat-kernel", "set": _point_labels(E),
+                        "kernel": kernel.label()}
+        kernels.append({"set": _point_labels(E), "kernel": kernel.label()})
 
-    return TheoremReport(name, ring.describe(), "pass",
-                         {"flat_kernels": kernels,
-                          "zariski_closed": len(zfam.sets),
-                          "patch_closed": len(pfam.sets)})
+    return {"flat_kernels": kernels,
+            "zariski_closed": len(zfam.sets),
+            "patch_closed": len(pfam.sets)}, None
 
 
-def check_flat_ideal_bijection(ring: Ring, entry=None) -> TheoremReport:
+def check_flat_ideal_bijection(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     """I -> V(I) is a bijection from flat-quotient ideals onto the Zariski
     closed generalization-stable sets, verified against full enumeration."""
-    name = "flat-ideal-bijection"
     ideals = enumerate_ideals(ring)
     flats = [i for i in ideals if is_cyclic_flat(i).verdict]
     image = {}
@@ -226,13 +205,13 @@ def check_flat_ideal_bijection(ring: Ring, entry=None) -> TheoremReport:
         if len(sources) > 1:
             problems.append({"kind": "not-injective",
                              "ideals": [i.label() for i in sources],
-                             "set": _labels(locus)})
+                             "set": _point_labels(locus)})
         if locus not in codomain:
             problems.append({"kind": "not-well-defined",
-                             "ideal": sources[0].label(), "set": _labels(locus)})
+                             "ideal": sources[0].label(), "set": _point_labels(locus)})
     for s in codomain:
         if s not in image:
-            problems.append({"kind": "not-surjective", "set": _labels(s)})
+            problems.append({"kind": "not-surjective", "set": _point_labels(s)})
 
     details = {
         "ideals": len(ideals),
@@ -241,52 +220,38 @@ def check_flat_ideal_bijection(ring: Ring, entry=None) -> TheoremReport:
         "closed_genstable_sets": len(codomain),
         "image": _family_labels(image.keys()),
     }
-    if problems:
-        return TheoremReport(name, ring.describe(), "fail", details,
-                             {"problems": problems})
-    return TheoremReport(name, ring.describe(), "pass", details)
+    return details, ({"problems": problems} if problems else None)
 
 
-def check_radical_rigidity(ring: Ring, entry=None) -> TheoremReport:
+def check_radical_rigidity(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     """On a reduced ring: flat radicals force equality (I = sqrt I when the
     quotient by sqrt I is flat), flat-quotient ideals are radical, and a
     flat-quotient ideal is determined by its vanishing locus."""
-    name = "radical-rigidity"
     if not ring.is_finite:
-        return TheoremReport(name, ring.describe(), "skipped",
-                             {"reason": "only finite rings are checked here"})
+        raise _Skip("only finite rings are checked here")
     nil = radical(zero_ideal(ring))
     if not nil.is_zero():
-        return TheoremReport(
-            name, ring.describe(), "skipped",
-            {"reason": f"not reduced: nilradical is {nil.label()}"})
+        raise _Skip(f"not reduced: nilradical is {nil.label()}")
     ideals = enumerate_ideals(ring)
     for i in ideals:
         root = radical(i)
         if is_cyclic_flat(root).verdict and i != root:
-            return TheoremReport(
-                name, ring.describe(), "fail", {},
-                {"kind": "flat-radical", "ideal": i.label(), "radical": root.label()})
+            return {}, {"kind": "flat-radical", "ideal": i.label(), "radical": root.label()}
         if is_cyclic_flat(i).verdict and i != root:
-            return TheoremReport(
-                name, ring.describe(), "fail", {},
-                {"kind": "flat-not-radical", "ideal": i.label()})
+            return {}, {"kind": "flat-not-radical", "ideal": i.label()}
     for i in ideals:
         if not is_cyclic_flat(i).verdict:
             continue
         vi = vanishing_locus(ring, i)
         for j in ideals:
             if vanishing_locus(ring, j) == vi and i != j:
-                return TheoremReport(
-                    name, ring.describe(), "fail", {},
-                    {"kind": "locus-collision", "ideals": [i.label(), j.label()]})
-    return TheoremReport(name, ring.describe(), "pass", {"ideals": len(ideals)})
+                return {}, {"kind": "locus-collision", "ideals": [i.label(), j.label()]}
+    return {"ideals": len(ideals)}, None
 
 
-def check_sring_equivalences(ring: Ring, entry=None) -> TheoremReport:
+def check_sring_equivalences(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     """The open/closed S-ring characterizations, including the double-closed
     to idempotent correspondence and the patch clopen condition."""
-    name = "sring-equivalences"
     cert = sring_certificate(ring)
     pfam = closed_family(ring, PATCH)
     patch_ok = True
@@ -296,30 +261,25 @@ def check_sring_equivalences(ring: Ring, entry=None) -> TheoremReport:
                 patch_ok = False
     details = {
         "double_closed": [
-            {"set": _labels(s), "idempotent": str(e)}
+            {"set": _point_labels(s), "idempotent": str(e)}
             for s, e in cert.double_closed_matches
         ],
         "idempotents": [str(e) for e in idempotents(ring)],
     }
     if not (cert.passed and patch_ok):
-        return TheoremReport(name, ring.describe(), "fail", details,
-                             {"failures": list(cert.failures),
-                              "patch_clopen_ok": patch_ok})
-    return TheoremReport(name, ring.describe(), "pass", details)
+        return details, {"failures": list(cert.failures), "patch_clopen_ok": patch_ok}
+    return details, None
 
 
-def check_crt_decomposition(ring: Ring, entry=None) -> TheoremReport:
+def check_crt_decomposition(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     """Z/n with several prime power factors splits through orthogonal
     idempotents into projective summands that are all too small to be free."""
-    name = "crt-decomposition"
     if not isinstance(ring, ModularRing):
-        return TheoremReport(name, ring.describe(), "skipped",
-                             {"reason": "only modular rings decompose here"})
+        raise _Skip("only modular rings decompose here")
     n = ring.modulus
     factors = sorted(p ** k for p, k in factorization(n))
     if len(factors) < 2:
-        return TheoremReport(name, ring.describe(), "skipped",
-                             {"reason": "modulus is a prime power; the ring is local"})
+        raise _Skip("modulus is a prime power; the ring is local")
 
     idems = []
     for q in factors:
@@ -354,19 +314,14 @@ def check_crt_decomposition(ring: Ring, entry=None) -> TheoremReport:
 
     details = {"factors": factors, "summands": summands,
                "min_free_cardinality": n}
-    if problems:
-        return TheoremReport(name, ring.describe(), "fail", details,
-                             {"problems": problems})
-    return TheoremReport(name, ring.describe(), "pass", details)
+    return details, ({"problems": problems} if problems else None)
 
 
-def check_flat_not_projective(ring: Ring, entry=None) -> TheoremReport:
+def check_flat_not_projective(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     """The bits-ring witness: the indicator chain never stabilizes and the
     finitely supported ideal is cyclic-flat but not cyclic-projective."""
-    name = "flat-not-projective"
     if not isinstance(ring, EventuallyConstantBitsRing):
-        return TheoremReport(name, ring.describe(), "skipped",
-                             {"reason": "the witness lives in the bits ring"})
+        raise _Skip("the witness lives in the bits ring")
     budget = 100
     chain = growing_indicator_chain(ring, budget)
     report = check_chain_stabilization(chain)
@@ -386,72 +341,58 @@ def check_flat_not_projective(ring: Ring, entry=None) -> TheoremReport:
                "projective": is_cyclic_projective(ideal),
                "reason_not_projective":
                    "no single generator: the ideal is a strictly increasing union"}
-    if problems:
-        return TheoremReport(name, ring.describe(), "fail", details,
-                             {"problems": problems})
-    return TheoremReport(name, ring.describe(), "pass", details)
+    return details, ({"problems": problems} if problems else None)
 
 
-def check_chain_conditions(ring: Ring, entry=None) -> TheoremReport:
+def check_chain_conditions(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     """The covering chain condition with X the minimal primes and X the
     maximal ideals; both families are finite, so both conditions hold."""
-    name = "chain-conditions"
     sp = enumerate_spectrum(ring)
     details = {}
     for tag, X in (("min", sp.minimal_points()), ("max", sp.maximal_points())):
         try:
             trace = chain_condition_check(ring, X)
         except HypothesisViolated as exc:
-            return TheoremReport(name, ring.describe(), "fail", details,
-                                 {"X": tag, "uncovered": exc.witness.label()})
-        if not (trace.acc_holds and trace.dcc_holds and trace.conclusion.passed):
-            return TheoremReport(name, ring.describe(), "fail", details,
-                                 {"X": tag, "family": _family_labels(trace.family)})
+            return details, {"X": tag, "uncovered": exc.witness.label()}
+        if not trace.conclusion.passed:
+            return details, {"X": tag, "family": _family_labels(trace.family)}
         details[tag] = {"meet_ideal": trace.meet_ideal.label(),
                         "family_size": len(trace.family)}
-    return TheoremReport(name, ring.describe(), "pass", details)
+    return details, None
 
 
-def check_stabilization_graph(ring: Ring, entry=None) -> TheoremReport:
+def check_stabilization_graph(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     """On a finite ring, the relation f -> f' iff f = f*f' has no cycles
     besides self-loops at idempotents."""
-    name = "stabilization-graph"
     if not ring.is_finite or len(ring.elements()) > 64:
-        return TheoremReport(name, ring.describe(), "skipped",
-                             {"reason": "cycle search is run for finite rings up to 64 elements"})
+        raise _Skip("cycle search is run for finite rings up to 64 elements")
     ok, cycle = stabilization_graph_check(ring)
     if not ok:
-        return TheoremReport(name, ring.describe(), "fail", {},
-                             {"cycle": [str(e) for e in cycle]})
-    return TheoremReport(name, ring.describe(), "pass",
-                         {"elements": len(ring.elements())})
+        return {}, {"cycle": [str(e) for e in cycle]}
+    return {"elements": len(ring.elements())}, None
 
 
-def check_support_consistency(ring: Ring, entry=None) -> TheoremReport:
+def check_support_consistency(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     """Supp(I) always contains the complement of V(I), with equality for
     flat quotients."""
-    name = "support-consistency"
     sp = enumerate_spectrum(ring)
     for ideal in enumerate_ideals(ring):
         supp = support_of_ideal(ideal)
         outside = sp.as_set() - vanishing_locus(ring, ideal)
         if not outside <= supp:
-            return TheoremReport(name, ring.describe(), "fail", {},
-                                 {"ideal": ideal.label(), "kind": "containment"})
+            return {}, {"ideal": ideal.label(), "kind": "containment"}
         if is_cyclic_flat(ideal).verdict and supp != outside:
-            return TheoremReport(name, ring.describe(), "fail", {},
-                                 {"ideal": ideal.label(), "kind": "flat-equality"})
-    return TheoremReport(name, ring.describe(), "pass", {})
+            return {}, {"ideal": ideal.label(), "kind": "flat-equality"}
+    return {}, None
 
 
-def check_expected_facts(ring: Ring, entry: CorpusEntry | None = None) -> TheoremReport:
+def check_expected_facts(ring: Ring,
+                         entry: CorpusEntry | None = None) -> tuple[dict, dict | None]:
     """Compare computed spectrum size, flat ideal count and reducedness with
     the expectations recorded in the corpus entry."""
-    name = "expected-facts"
     expect = dict(entry.expect) if entry is not None else {}
     if not expect:
-        return TheoremReport(name, ring.describe(), "skipped",
-                             {"reason": "no expected facts recorded"})
+        raise _Skip("no expected facts recorded")
     computed = {}
     if "spectrum_size" in expect:
         computed["spectrum_size"] = len(enumerate_spectrum(ring))
@@ -459,15 +400,12 @@ def check_expected_facts(ring: Ring, entry: CorpusEntry | None = None) -> Theore
         computed["flat_ideals"] = sum(
             1 for i in enumerate_ideals(ring) if is_cyclic_flat(i).verdict)
     if "reduced" in expect:
-        computed["reduced"] = _is_reduced(ring)
+        computed["reduced"] = radical(zero_ideal(ring)).is_zero()
     mismatches = [
         {"field": key, "expected": expect[key], "computed": computed[key]}
         for key in computed if computed[key] != expect[key]
     ]
-    if mismatches:
-        return TheoremReport(name, ring.describe(), "fail",
-                             {"computed": computed}, {"mismatches": mismatches})
-    return TheoremReport(name, ring.describe(), "pass", {"computed": computed})
+    return {"computed": computed}, ({"mismatches": mismatches} if mismatches else None)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +434,10 @@ CHECK_NAMES = tuple(_CHECKS)
 
 
 def applicable_checks(ring: Ring) -> tuple[str, ...]:
-    spectral = (_spectrum_enumerable(ring)
-                and len(enumerate_spectrum(ring)) <= MAX_FAMILY_POINTS)
+    try:
+        spectral = len(enumerate_spectrum(ring)) <= MAX_FAMILY_POINTS
+    except (UnsupportedForPresentation, SpectrumTooLarge):
+        spectral = False
     # The bits ring fails `spectral`: its spectrum is not enumerable.
     ideals = spectral and not (isinstance(ring, ProductRing) and not ring.is_finite)
     allowed = {_ANY: True, _SPECTRAL: spectral, _IDEALS: ideals}
@@ -509,9 +449,11 @@ def run_check(name: str, ring: Ring, entry: CorpusEntry | None = None) -> Theore
         raise KeyError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
     fn, _ = _CHECKS[name]
     try:
-        return fn(ring, entry)
-    except (UnsupportedForPresentation, SpectrumTooLarge) as exc:
+        details, counterexample = fn(ring, entry)
+    except (_Skip, UnsupportedForPresentation, SpectrumTooLarge) as exc:
         return TheoremReport(name, ring.describe(), "skipped", {"reason": str(exc)})
+    verdict = "pass" if counterexample is None else "fail"
+    return TheoremReport(name, ring.describe(), verdict, details, counterexample)
 
 
 def run_ring_checks(ring: Ring, entry: CorpusEntry | None = None) -> list[TheoremReport]:

@@ -84,6 +84,22 @@ class PrimePoint:
         return self.ideal.label()
 
 
+def _point_labels(points) -> list[str]:
+    """A point set as its sorted labels, the form every document uses."""
+    return sorted(p.label() for p in points)
+
+
+def _family_key(points) -> tuple[int, list[str]]:
+    """The canonical order of point sets: smaller first, then by labels."""
+    labels = _point_labels(points)
+    return len(labels), labels
+
+
+def _family_labels(sets) -> list[list[str]]:
+    """A family of point sets as label lists, in the canonical order."""
+    return [labels for _, labels in sorted(map(_family_key, sets))]
+
+
 class SpectrumPoset:
     """All prime ideals of one ring, ordered by inclusion."""
 

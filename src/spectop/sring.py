@@ -31,6 +31,8 @@ from .spectrum import (
     FLAT,
     PrimePoint,
     ZARISKI,
+    _family_key,
+    _point_labels,
     closed_family,
     enumerate_spectrum,
     is_stable_generalization,
@@ -235,25 +237,18 @@ def sring_certificate(ring: Ring) -> SRingCertificate:
     ffam = closed_family(ring, FLAT)
     failures = []
 
-    genstable_open = True
-    for E in zfam.sets:
-        if is_stable_generalization(ring, E):
-            complement = zfam.spectrum.as_set() - E
-            if complement not in zfam.sets:
-                genstable_open = False
+    def stable_sets_open(fam: ClosedFamily, is_stable, stability: str) -> bool:
+        ok = True
+        for E in fam.sets:
+            if is_stable(ring, E) and fam.spectrum.as_set() - E not in fam.sets:
+                ok = False
                 failures.append(
-                    f"zariski closed generalization-stable set {sorted(p.label() for p in E)} "
-                    "is not zariski open")
+                    f"{fam.topology} closed {stability}-stable set {_point_labels(E)} "
+                    f"is not {fam.topology} open")
+        return ok
 
-    specstable_open = True
-    for E in ffam.sets:
-        if is_stable_specialization(ring, E):
-            complement = ffam.spectrum.as_set() - E
-            if complement not in ffam.sets:
-                specstable_open = False
-                failures.append(
-                    f"flat closed specialization-stable set {sorted(p.label() for p in E)} "
-                    "is not flat open")
+    genstable_open = stable_sets_open(zfam, is_stable_generalization, "generalization")
+    specstable_open = stable_sets_open(ffam, is_stable_specialization, "specialization")
 
     double = zfam.sets & ffam.sets
     matches = []
@@ -268,7 +263,7 @@ def sring_certificate(ring: Ring) -> SRingCertificate:
         failures.append(
             f"double-closed family has {len(double)} members but idempotents "
             f"realize {len(seen)} vanishing sets")
-    for E in sorted(double, key=lambda s: (len(s), sorted(p.label() for p in s))):
+    for E in sorted(double, key=_family_key):
         if E in seen:
             matches.append((E, seen[E]))
 
@@ -295,8 +290,6 @@ class ChainConditionTrace:
     x_points: frozenset[PrimePoint]
     meet_ideal: Ideal
     family: tuple[frozenset[PrimePoint], ...]
-    acc_holds: bool
-    dcc_holds: bool
     sections: tuple[tuple[frozenset[PrimePoint], frozenset[PrimePoint]], ...] | None
     conclusion: SRingCertificate
 
@@ -308,25 +301,27 @@ def chain_condition_check(ring: Ring, points,
     Raises :class:`HypothesisViolated` with the uncovered maximal point
     when some maximal ideal has no member of X below it.  The family
     {X & V(f)} is materialized from the finitely many realizable V(f), so
-    both the ascending and the descending chain condition hold and are
-    reported together with the S-ring certificate of the ring itself.
+    both the ascending and the descending chain condition hold; the trace
+    carries that family and the S-ring certificate of the ring itself.
     """
     sp = enumerate_spectrum(ring)
     X = frozenset(points)
     if not X <= sp.as_set():
         raise ValueError("the given points do not belong to this spectrum")
+    # Label order, not hash order, so the work done is the same in every run.
+    by_label = sorted(X, key=lambda p: p.label())
     for m in sorted(sp.maximal_points(), key=lambda p: p.label()):
-        if not any(p.ideal.issubset(m.ideal) for p in X):
+        if not any(p.ideal.issubset(m.ideal) for p in by_label):
             raise HypothesisViolated(
                 f"maximal ideal {m.label()} has no member of X below it",
                 witness=m)
 
     meet = unit_ideal(ring)
-    for p in X:
+    for p in by_label:
         meet = ideal_intersection(meet, p.ideal)
 
     family = {X & v for v in principal_vanishing_sets(ring)}
-    ordered = tuple(sorted(family, key=lambda s: (len(s), sorted(p.label() for p in s))))
+    ordered = tuple(sorted(family, key=_family_key))
 
     sections = None
     if chain is not None:
@@ -351,8 +346,6 @@ def chain_condition_check(ring: Ring, points,
         x_points=X,
         meet_ideal=meet,
         family=ordered,
-        acc_holds=True,
-        dcc_holds=True,
         sections=sections,
         conclusion=sring_certificate(ring),
     )

@@ -144,6 +144,15 @@ def test_corpus_bad_json_exits_two(tmp_path, capsys):
     assert "error" in err
 
 
+def test_corpus_missing_file_exits_two(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "corpus", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+
+
 def test_corpus_ill_typed_entry_exits_two(tmp_path, capsys):
     for entry in ({"ring": 5}, {"ring": "Z/6", "expect": {"reduced": 1}},
                   {"ring": "Z/6", "expect": {"flat_ideals": False}}):
