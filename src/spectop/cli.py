@@ -31,8 +31,6 @@ from .rings import Ring
 from .spectrum import (
     SpectrumPoset,
     TOPOLOGIES,
-    _family_labels,
-    _point_labels,
     closed_family,
     enumerate_spectrum,
 )
@@ -58,13 +56,13 @@ def spectrum_doc(sp: SpectrumPoset) -> dict:
     return {
         "ring": sp.ring.describe(),
         "points": [
-            {"ideal": p.label(), "minimal": p.is_minimal, "maximal": p.is_maximal}
-            for p in sp.points
+            {"ideal": label, "minimal": p.is_minimal, "maximal": p.is_maximal}
+            for p, label in zip(sp.points, sp.labels)
         ],
         "order": [
-            [p.label(), q.label()]
-            for p in sp.points for q in sp.points
-            if p != q and sp.leq(p, q)
+            [p, q]
+            for i, p in enumerate(sp.labels) for j, q in enumerate(sp.labels)
+            if i != j and sp.down[j] >> i & 1
         ],
     }
 
@@ -80,7 +78,7 @@ def spectrum_from_doc(doc: dict) -> SpectrumPoset:
 def family_doc(ring: Ring, topology: str) -> dict:
     fam = closed_family(ring, topology)
     return {"ring": ring.describe(), "topology": topology,
-            "closed_sets": _family_labels(fam.sets)}
+            "closed_sets": fam.spectrum._family_labels(fam.masks)}
 
 
 def certificate_doc(cert: FlatnessCertificate) -> dict:
@@ -133,8 +131,8 @@ def dot_text(ring: Ring) -> str:
     """
     sp = enumerate_spectrum(ring)
     lines = ["digraph spectrum {", "  rankdir=BT;", "  node [shape=box];"]
-    for p in sorted(sp.points, key=lambda p: p.label()):
-        lines.append(f'  "{p.label()}";')
+    for label in sp.labels:
+        lines.append(f'  "{label}";')
     for p, q in sp.cover_edges():
         lines.append(f'  "{p.label()}" -> "{q.label()}";')
     lines.append("}")
@@ -174,13 +172,14 @@ def _cmd_flat(args) -> int:
 def _cmd_sring(args) -> int:
     ring = parse_ring(args.ring)
     cert = sring_certificate(ring)
+    sp = enumerate_spectrum(ring)
     _emit({
         "ring": ring.describe(),
         "passed": cert.passed,
         "closed_genstable_open": cert.closed_genstable_open,
         "flatclosed_specstable_open": cert.flatclosed_specstable_open,
         "double_closed": [
-            {"set": _point_labels(s), "idempotent": str(e)}
+            {"set": sp._labels_of(sp._mask_of(s)), "idempotent": str(e)}
             for s, e in cert.double_closed_matches
         ],
         "failures": list(cert.failures),
@@ -212,9 +211,9 @@ def _cmd_chaincond(args) -> int:
     _emit({
         "ring": ring.describe(),
         "covering_ok": True,
-        "X": _point_labels(trace.x_points),
+        "X": sp._labels_of(sp._mask_of(trace.x_points)),
         "meet_ideal": trace.meet_ideal.label(),
-        "family": _family_labels(trace.family),
+        "family": sp._family_labels(map(sp._mask_of, trace.family)),
         # The family {X & V(f)} is finite, so every chain in it is
         # eventually constant: both chain conditions hold.
         "acc": True,

@@ -58,15 +58,8 @@ from .spectrum import (
     MAX_FAMILY_POINTS,
     PATCH,
     ZARISKI,
-    _family_key,
-    _family_labels,
-    _point_labels,
     closed_family,
     enumerate_spectrum,
-    generalization_closure,
-    is_stable_generalization,
-    is_stable_specialization,
-    specialization_closure,
     vanishing_locus,
 )
 from .sring import (
@@ -132,29 +125,29 @@ def check_topology_characterization(ring: Ring, entry=None) -> tuple[dict, dict 
     zfam = closed_family(ring, ZARISKI)
     ffam = closed_family(ring, FLAT)
     pfam = closed_family(ring, PATCH)
-    full = pfam.spectrum.as_set()
+    sp = pfam.spectrum
 
-    expect_flat = frozenset(s for s in pfam.sets if is_stable_generalization(ring, s))
-    expect_zar = frozenset(s for s in pfam.sets if is_stable_specialization(ring, s))
+    expect_flat = frozenset(s for s in pfam.masks if sp.down_closure(s) == s)
+    expect_zar = frozenset(s for s in pfam.masks if sp.up_closure(s) == s)
     problems = []
-    if ffam.sets != expect_flat:
+    if ffam.masks != expect_flat:
         problems.append("flat family differs from patch-closed gen-stable sets")
-    if zfam.sets != expect_zar:
+    if zfam.masks != expect_zar:
         problems.append("zariski family differs from patch-closed spec-stable sets")
-    if not (zfam.sets <= pfam.sets and ffam.sets <= pfam.sets):
+    if not (zfam.masks <= pfam.masks and ffam.masks <= pfam.masks):
         problems.append("patch family does not refine the other two")
-    if len(pfam.sets) != 2 ** len(full):
+    if len(pfam.masks) != 2 ** len(sp):
         problems.append("patch family is not the full power set")
-    if closed_family(ring, FLAT, use_ideal_basis=True).sets != ffam.sets:
+    if closed_family(ring, FLAT, use_ideal_basis=True).masks != ffam.masks:
         problems.append("flat families from V(f) and V(I) bases disagree")
-    if closed_family(ring, ZARISKI, use_ideal_basis=True).sets != zfam.sets:
+    if closed_family(ring, ZARISKI, use_ideal_basis=True).masks != zfam.masks:
         problems.append("zariski families from V(f) and V(I) bases disagree")
 
     details = {
-        "points": len(full),
-        "zariski_closed": len(zfam.sets),
-        "flat_closed": len(ffam.sets),
-        "patch_closed": len(pfam.sets),
+        "points": len(sp),
+        "zariski_closed": len(zfam.masks),
+        "flat_closed": len(ffam.masks),
+        "patch_closed": len(pfam.masks),
     }
     return details, ({"problems": problems} if problems else None)
 
@@ -166,27 +159,29 @@ def check_closure_operators(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     zfam = closed_family(ring, ZARISKI)
     ffam = closed_family(ring, FLAT)
     pfam = closed_family(ring, PATCH)
+    sp = pfam.spectrum
 
-    for E in zfam.sets:
-        if generalization_closure(ring, E) not in ffam.sets:
-            return {}, {"operator": "generalization", "set": _point_labels(E)}
-    for E in pfam.sets:
-        if specialization_closure(ring, E) not in zfam.sets:
-            return {}, {"operator": "specialization", "set": _point_labels(E)}
+    for E in zfam.masks:
+        if sp.down_closure(E) not in ffam.masks:
+            return {}, {"operator": "generalization", "set": sp._labels_of(E)}
+    for E in pfam.masks:
+        if sp.up_closure(E) not in zfam.masks:
+            return {}, {"operator": "specialization", "set": sp._labels_of(E)}
 
     kernels = []
-    for E in sorted(zfam.sets, key=_family_key):
-        if not is_stable_generalization(ring, E):
+    for E in sorted(zfam.masks, key=sp._mask_key):
+        if sp.down_closure(E) != E:
             continue
-        kernel = flat_ideal_from_closed_set(ring, E)
-        if vanishing_locus(ring, kernel) != E or not is_cyclic_flat(kernel).verdict:
-            return {}, {"operator": "flat-kernel", "set": _point_labels(E),
+        points = sp._points_of(E)
+        kernel = flat_ideal_from_closed_set(ring, points)
+        if vanishing_locus(ring, kernel) != points or not is_cyclic_flat(kernel).verdict:
+            return {}, {"operator": "flat-kernel", "set": sp._labels_of(E),
                         "kernel": kernel.label()}
-        kernels.append({"set": _point_labels(E), "kernel": kernel.label()})
+        kernels.append({"set": sp._labels_of(E), "kernel": kernel.label()})
 
     return {"flat_kernels": kernels,
-            "zariski_closed": len(zfam.sets),
-            "patch_closed": len(pfam.sets)}, None
+            "zariski_closed": len(zfam.masks),
+            "patch_closed": len(pfam.masks)}, None
 
 
 def check_flat_ideal_bijection(ring: Ring, entry=None) -> tuple[dict, dict | None]:
@@ -194,31 +189,32 @@ def check_flat_ideal_bijection(ring: Ring, entry=None) -> tuple[dict, dict | Non
     closed generalization-stable sets, verified against full enumeration."""
     ideals = enumerate_ideals(ring)
     flats = [i for i in ideals if is_cyclic_flat(i).verdict]
+    zfam = closed_family(ring, ZARISKI)
+    sp = zfam.spectrum
     image = {}
     for i in flats:
-        image.setdefault(vanishing_locus(ring, i), []).append(i)
-    zfam = closed_family(ring, ZARISKI)
-    codomain = {s for s in zfam.sets if is_stable_generalization(ring, s)}
+        image.setdefault(sp._mask_of(vanishing_locus(ring, i)), []).append(i)
+    codomain = {s for s in zfam.masks if sp.down_closure(s) == s}
 
     problems = []
     for locus, sources in image.items():
         if len(sources) > 1:
             problems.append({"kind": "not-injective",
                              "ideals": [i.label() for i in sources],
-                             "set": _point_labels(locus)})
+                             "set": sp._labels_of(locus)})
         if locus not in codomain:
             problems.append({"kind": "not-well-defined",
-                             "ideal": sources[0].label(), "set": _point_labels(locus)})
+                             "ideal": sources[0].label(), "set": sp._labels_of(locus)})
     for s in codomain:
         if s not in image:
-            problems.append({"kind": "not-surjective", "set": _point_labels(s)})
+            problems.append({"kind": "not-surjective", "set": sp._labels_of(s)})
 
     details = {
         "ideals": len(ideals),
         "flat_ideals": len(flats),
         "flat_ideal_labels": sorted(i.label() for i in flats),
         "closed_genstable_sets": len(codomain),
-        "image": _family_labels(image.keys()),
+        "image": sp._family_labels(image),
     }
     return details, ({"problems": problems} if problems else None)
 
@@ -254,14 +250,15 @@ def check_sring_equivalences(ring: Ring, entry=None) -> tuple[dict, dict | None]
     to idempotent correspondence and the patch clopen condition."""
     cert = sring_certificate(ring)
     pfam = closed_family(ring, PATCH)
+    sp = pfam.spectrum
     patch_ok = True
-    for E in pfam.sets:
-        if is_stable_generalization(ring, E) and is_stable_specialization(ring, E):
-            if pfam.spectrum.as_set() - E not in pfam.sets:
+    for E in pfam.masks:
+        if sp.down_closure(E) == E and sp.up_closure(E) == E:
+            if sp.full ^ E not in pfam.masks:
                 patch_ok = False
     details = {
         "double_closed": [
-            {"set": _point_labels(s), "idempotent": str(e)}
+            {"set": sp._labels_of(sp._mask_of(s)), "idempotent": str(e)}
             for s, e in cert.double_closed_matches
         ],
         "idempotents": [str(e) for e in idempotents(ring)],
@@ -355,7 +352,8 @@ def check_chain_conditions(ring: Ring, entry=None) -> tuple[dict, dict | None]:
         except HypothesisViolated as exc:
             return details, {"X": tag, "uncovered": exc.witness.label()}
         if not trace.conclusion.passed:
-            return details, {"X": tag, "family": _family_labels(trace.family)}
+            return details, {"X": tag,
+                             "family": sp._family_labels(map(sp._mask_of, trace.family))}
         details[tag] = {"meet_ideal": trace.meet_ideal.label(),
                         "family_size": len(trace.family)}
     return details, None

@@ -9,18 +9,30 @@ their sub-bases of open sets:
 * patch:   the D(f) and the V(g) together.  Both kinds contain the whole
            space, so they generate the same topology as all D(f) & V(g).
 
+The points of a spectrum are numbered 0..n-1 in label order, and inside
+the library a point set is an int mask with bit i set for point i, so
+closures, stability tests and families are bit operations and a mask's
+labels come out sorted by reading its bits in order.  Frozensets of
+:class:`PrimePoint` remain the public form: ``ClosedFamily.sets``, the
+closure functions and the vanishing sets convert at the boundary.
+
 Families of closed sets are materialized in full, as the unions of point
 closures, which keeps every "for all closed E" statement finitely
 checkable.  Generation is refused above ``MAX_FAMILY_POINTS`` spectrum
-points since the families grow like the power set.  Infinite products
-take their vanishing sets V(f) and V(I) factor by factor, as their
-spectra are the disjoint unions of the factor spectra.
+points since the families grow like the power set.  Each spectrum keeps
+the masks of its V(f) and the three families they generate, so they are
+built once however many checks read them; families from the V(I) basis
+are built afresh on every call.  Infinite products take their vanishing
+sets V(f) and V(I) factor by factor, as their spectra are the disjoint
+unions of the factor spectra.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import and_
 
 from .errors import SpectrumTooLarge, UnsupportedForPresentation
 from .ideals import (
@@ -84,48 +96,69 @@ class PrimePoint:
         return self.ideal.label()
 
 
-def _point_labels(points) -> list[str]:
-    """A point set as its sorted labels, the form every document uses."""
-    return sorted(p.label() for p in points)
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _family_key(points) -> tuple[int, list[str]]:
-    """The canonical order of point sets: smaller first, then by labels."""
-    labels = _point_labels(points)
-    return len(labels), labels
+def _union_of_cones(cones):
+    """The map from a mask to the union of the cones of its points.
 
+    A table per byte of the mask holds that union for each of the 256
+    values the byte can take, so the map costs one lookup a byte.
+    """
+    tables = []
+    for base in range(0, len(cones), 8):
+        table = [0] * 256
+        for v in range(1, 256):
+            low = v & -v
+            i = base + low.bit_length() - 1
+            table[v] = table[v ^ low] | (cones[i] if i < len(cones) else 0)
+        tables.append(table)
 
-def _family_labels(sets) -> list[list[str]]:
-    """A family of point sets as label lists, in the canonical order."""
-    return [labels for _, labels in sorted(map(_family_key, sets))]
+    def union(mask: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[mask & 255]
+            mask >>= 8
+        return out
+
+    return union
 
 
 class SpectrumPoset:
-    """All prime ideals of one ring, ordered by inclusion."""
+    """All prime ideals of one ring, ordered by inclusion.
+
+    Point i is ``points[i]``, in label order, and a point set is the int
+    with bit i set for each member.  ``down[i]`` is the generalization cone
+    of point i (the primes it contains) and ``up[i]`` its specialization
+    cone, both read off ideal inclusion.
+    """
 
     def __init__(self, ring: Ring, prime_ideals):
         self.ring = ring
         ideals = sorted(prime_ideals, key=lambda i: i.label())
-        below: dict[Ideal, set[Ideal]] = {q: set() for q in ideals}
-        for p in ideals:
-            for q in ideals:
+        n = len(ideals)
+        down, up = [0] * n, [0] * n
+        for i, p in enumerate(ideals):
+            for j, q in enumerate(ideals):
                 if p.issubset(q):
-                    below[q].add(p)
-        points = []
-        for q in ideals:
-            minimal = below[q] == {q}
-            maximal = sum(1 for r in ideals if q in below[r]) == 1
-            points.append(PrimePoint(q, minimal, maximal))
-        self.points = tuple(points)
+                    down[j] |= 1 << i
+                    up[i] |= 1 << j
+        self.down, self.up = tuple(down), tuple(up)
+        self.full = (1 << n) - 1
+        self.points = tuple(PrimePoint(q, down[j] == 1 << j, up[j] == 1 << j)
+                            for j, q in enumerate(ideals))
+        self.labels = tuple(p.label() for p in self.points)
+        self._index = {pt: i for i, pt in enumerate(self.points)}
         self._by_ideal = {pt.ideal: pt for pt in self.points}
-        self._down = {
-            pt: frozenset(self._by_ideal[i] for i in below[pt.ideal])
-            for pt in self.points
-        }
-        self._up = {
-            pt: frozenset(q for q in self.points if pt in self._down[q])
-            for pt in self.points
-        }
+        # The principal sub-basis V(f) as masks and the closed families it
+        # generates, filled in by closed_family.
+        self._vanishing_masks: frozenset[int] | None = None
+        self._families: dict[str, ClosedFamily] = {}
 
     def __len__(self):
         return len(self.points)
@@ -147,15 +180,52 @@ class SpectrumPoset:
         except KeyError:
             raise ValueError(f"{ideal.label()} is not a prime of {self.ring.describe()}")
 
+    def _mask_of(self, points) -> int:
+        """The mask of a collection of this spectrum's points."""
+        mask = 0
+        try:
+            for p in points:
+                mask |= 1 << self._index[p]
+        except KeyError:
+            raise ValueError("the given points do not belong to this spectrum") from None
+        return mask
+
+    def _points_of(self, mask: int) -> frozenset[PrimePoint]:
+        return frozenset(self.points[i] for i in _bits(mask))
+
+    def _labels_of(self, mask: int) -> list[str]:
+        """A point set as its sorted labels, the form every document uses;
+        bit order is label order."""
+        return [self.labels[i] for i in _bits(mask)]
+
+    def _mask_key(self, mask: int) -> tuple[int, list[str]]:
+        """The canonical order of point sets: smaller first, then by labels."""
+        labels = self._labels_of(mask)
+        return len(labels), labels
+
+    def _family_labels(self, masks) -> list[list[str]]:
+        """A family of point sets as label lists, in the canonical order."""
+        return [labels for _, labels in sorted(map(self._mask_key, masks))]
+
+    @cached_property
+    def down_closure(self):
+        """mask -> the union of the generalization cones of its points."""
+        return _union_of_cones(self.down)
+
+    @cached_property
+    def up_closure(self):
+        """mask -> the union of the specialization cones of its points."""
+        return _union_of_cones(self.up)
+
     def leq(self, p: PrimePoint, q: PrimePoint) -> bool:
         """The specialization order: p <= q iff p is contained in q."""
-        return p in self._down[q]
+        return bool(self.down[self._index[q]] >> self._index[p] & 1)
 
     def generalizations(self, p: PrimePoint) -> frozenset[PrimePoint]:
-        return self._down[p]
+        return self._points_of(self.down[self._index[p]])
 
     def specializations(self, p: PrimePoint) -> frozenset[PrimePoint]:
-        return self._up[p]
+        return self._points_of(self.up[self._index[p]])
 
     def minimal_points(self) -> frozenset[PrimePoint]:
         return frozenset(p for p in self.points if p.is_minimal)
@@ -164,18 +234,14 @@ class SpectrumPoset:
         return frozenset(p for p in self.points if p.is_maximal)
 
     def cover_edges(self) -> tuple[tuple[PrimePoint, PrimePoint], ...]:
-        """Strict containments with nothing in between, sorted by label."""
-        edges = []
-        for p in self.points:
-            for q in self.points:
-                if p == q or not self.leq(p, q):
-                    continue
-                strictly_between = any(
-                    r != p and r != q and self.leq(p, r) and self.leq(r, q)
-                    for r in self.points)
-                if not strictly_between:
-                    edges.append((p, q))
-        return tuple(sorted(edges, key=lambda e: (e[0].label(), e[1].label())))
+        """Strict containments with nothing in between, sorted by label.
+
+        p < q is a cover exactly when the points between them, up[p] &
+        down[q], are p and q alone.
+        """
+        pts = self.points
+        return tuple((pts[i], pts[j]) for i in range(len(pts)) for j in range(len(pts))
+                     if i != j and self.up[i] & self.down[j] == 1 << i | 1 << j)
 
 
 _SPECTRA: dict[Ring, SpectrumPoset] = {}
@@ -240,29 +306,25 @@ def flat_point_closure(ring: Ring, p: PrimePoint) -> frozenset[PrimePoint]:
 def generalization_closure(ring: Ring, points) -> frozenset[PrimePoint]:
     """Union of the generalization cones of the given points."""
     sp = enumerate_spectrum(ring)
-    out: set[PrimePoint] = set()
-    for p in points:
-        out |= sp.generalizations(p)
-    return frozenset(out)
+    return sp._points_of(sp.down_closure(sp._mask_of(points)))
 
 
 def specialization_closure(ring: Ring, points) -> frozenset[PrimePoint]:
     """Union of the vanishing sets V(p) of the given points."""
     sp = enumerate_spectrum(ring)
-    out: set[PrimePoint] = set()
-    for p in points:
-        out |= sp.specializations(p)
-    return frozenset(out)
+    return sp._points_of(sp.up_closure(sp._mask_of(points)))
 
 
 def is_stable_generalization(ring: Ring, points) -> bool:
-    points = frozenset(points)
-    return generalization_closure(ring, points) == points
+    sp = enumerate_spectrum(ring)
+    mask = sp._mask_of(points)
+    return sp.down_closure(mask) == mask
 
 
 def is_stable_specialization(ring: Ring, points) -> bool:
-    points = frozenset(points)
-    return specialization_closure(ring, points) == points
+    sp = enumerate_spectrum(ring)
+    mask = sp._mask_of(points)
+    return sp.up_closure(mask) == mask
 
 
 # ---------------------------------------------------------------------------
@@ -271,24 +333,32 @@ def is_stable_specialization(ring: Ring, points) -> bool:
 
 @dataclass(frozen=True)
 class ClosedFamily:
-    """The closed sets of one topology over a finite spectrum."""
+    """The closed sets of one topology over a finite spectrum, as masks."""
 
     topology: str
-    sets: frozenset[frozenset[PrimePoint]]
+    masks: frozenset[int]
     spectrum: SpectrumPoset = field(compare=False)
 
+    @cached_property
+    def sets(self) -> frozenset[frozenset[PrimePoint]]:
+        return frozenset(map(self.spectrum._points_of, self.masks))
+
     def __contains__(self, subset) -> bool:
-        return frozenset(subset) in self.sets
+        try:
+            return self.spectrum._mask_of(subset) in self.masks
+        except ValueError:
+            return False
 
     def validate(self) -> None:
         """Check for the empty set, the space and closure under union and
         intersection: by Birkhoff, the family must equal the unions of its
         point closures cl(x), the intersections of the members holding x."""
-        full = self.spectrum.as_set()
-        if frozenset() not in self.sets or full not in self.sets:
+        full = self.spectrum.full
+        if 0 not in self.masks or full not in self.masks:
             raise AssertionError("a closed family contains the empty set and the space")
-        closures = {full.intersection(*(s for s in self.sets if x in s)) for x in full}
-        if _unions(closures) != self.sets:
+        closures = {reduce(and_, filter((1 << x).__and__, self.masks), full)
+                    for x in range(len(self.spectrum))}
+        if _unions(closures) != self.masks:
             raise AssertionError("closed family not closed under union/intersection")
 
 
@@ -305,17 +375,41 @@ def _vanishing_representatives(ring: Ring) -> tuple[Element, ...]:
     raise UnsupportedForPresentation(ring.describe())
 
 
-def _factorwise_vanishing_sets(ring: ProductRing, factor_sets):
+def _factorwise_masks(ring: ProductRing, factor_masks) -> frozenset[int]:
     """The unions of one realizable set per factor, its points embedded:
     (x1, ..., xk) lies in the embedded prime (..., Pi, ...) iff xi lies in
     Pi, for elements and for ideals alike."""
     sp = enumerate_spectrum(ring)
     # Each point of the product is proper in exactly one slot.
-    embed = {(i, c): p for p in sp.points
+    embed = {(i, c): 1 << k for k, p in enumerate(sp.points)
              for i, c in enumerate(p.ideal.components) if not c.is_whole()}
-    per_factor = [[frozenset(embed[i, q.ideal] for q in s) for s in factor_sets(factor)]
-                  for i, factor in enumerate(ring.factors)]
-    return frozenset(frozenset().union(*c) for c in itertools.product(*per_factor))
+    per_factor = []
+    for i, factor in enumerate(ring.factors):
+        bits = [embed[i, q.ideal] for q in enumerate_spectrum(factor).points]
+        per_factor.append([sum(bits[j] for j in _bits(m)) for m in factor_masks(factor)])
+    # The factors' points are disjoint, so the sum of masks is their union.
+    return frozenset(map(sum, itertools.product(*per_factor)))
+
+
+def _principal_masks(ring: Ring) -> frozenset[int]:
+    """The masks of every V(f), computed once per spectrum."""
+    sp = enumerate_spectrum(ring)
+    if sp._vanishing_masks is None:
+        if not ring.is_finite and isinstance(ring, ProductRing):
+            sp._vanishing_masks = _factorwise_masks(ring, _principal_masks)
+        else:
+            sp._vanishing_masks = frozenset(
+                sum(1 << i for i, p in enumerate(sp.points) if p.ideal.contains(f))
+                for f in _vanishing_representatives(ring))
+    return sp._vanishing_masks
+
+
+def _ideal_masks(ring: Ring) -> frozenset[int]:
+    """The masks of every V(I), recomputed on each call."""
+    if not ring.is_finite and isinstance(ring, ProductRing):
+        return _factorwise_masks(ring, _ideal_masks)
+    sp = enumerate_spectrum(ring)
+    return frozenset(sp._mask_of(vanishing_locus(ring, i)) for i in enumerate_ideals(ring))
 
 
 def principal_vanishing_sets(ring: Ring) -> frozenset[frozenset[PrimePoint]]:
@@ -323,12 +417,7 @@ def principal_vanishing_sets(ring: Ring) -> frozenset[frozenset[PrimePoint]]:
 
     Infinite products take their sets factor by factor.
     """
-    if not ring.is_finite and isinstance(ring, ProductRing):
-        return _factorwise_vanishing_sets(ring, principal_vanishing_sets)
-    sp = enumerate_spectrum(ring)
-    return frozenset(
-        frozenset(p for p in sp.points if p.ideal.contains(f))
-        for f in _vanishing_representatives(ring))
+    return frozenset(map(enumerate_spectrum(ring)._points_of, _principal_masks(ring)))
 
 
 def ideal_vanishing_sets(ring: Ring) -> frozenset[frozenset[PrimePoint]]:
@@ -336,15 +425,13 @@ def ideal_vanishing_sets(ring: Ring) -> frozenset[frozenset[PrimePoint]]:
 
     Infinite products take their sets factor by factor.
     """
-    if not ring.is_finite and isinstance(ring, ProductRing):
-        return _factorwise_vanishing_sets(ring, ideal_vanishing_sets)
-    return frozenset(vanishing_locus(ring, i) for i in enumerate_ideals(ring))
+    return frozenset(map(enumerate_spectrum(ring)._points_of, _ideal_masks(ring)))
 
 
-def _unions(sets) -> set[frozenset]:
-    """Every union of some of the given sets, the empty union included."""
-    family = {frozenset()}
-    for c in sets:
+def _unions(masks) -> set[int]:
+    """Every union of some of the given masks, the empty union included."""
+    family = {0}
+    for c in masks:
         family |= {s | c for s in family}
     return family
 
@@ -362,7 +449,10 @@ def closed_family(ring: Ring, topology: str,
 
     ``use_ideal_basis`` switches to the alternative basis of V(I) over
     finitely generated ideals; both generate the same family and the
-    harness asserts that agreement on every corpus ring.
+    harness asserts that agreement on every corpus ring.  Families from
+    the V(f) sub-basis are built once per spectrum and then shared; the
+    V(I) basis is recomputed on every call, so that comparison is always
+    between two independent computations.
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
@@ -370,14 +460,23 @@ def closed_family(ring: Ring, topology: str,
     if len(sp) > MAX_FAMILY_POINTS:
         raise SpectrumTooLarge(
             f"{len(sp)} spectrum points exceed the bound {MAX_FAMILY_POINTS}")
-    full = sp.as_set()
-    vsets = ideal_vanishing_sets(ring) if use_ideal_basis else principal_vanishing_sets(ring)
-    dsets = frozenset(full - v for v in vsets)
+    if not use_ideal_basis and topology in sp._families:
+        return sp._families[topology]
+    n, full = len(sp), sp.full
+    if use_ideal_basis:
+        # Through the public function, so that replacing it (as the
+        # negative control of topology-characterization does) reaches here.
+        vsets = frozenset(map(sp._mask_of, ideal_vanishing_sets(ring)))
+    else:
+        vsets = _principal_masks(ring)
+    dsets = frozenset(full ^ v for v in vsets)
     subbasis = {ZARISKI: dsets, FLAT: vsets, PATCH: dsets | vsets}[topology]
-    least_open = {x: full.intersection(*(s for s in subbasis if x in s))
-                  for x in sp.points}
-    closures = {frozenset(y for y in sp.points if x in least_open[y])
-                for x in sp.points}
+    least_open = [reduce(and_, filter((1 << x).__and__, subbasis), full)
+                  for x in range(n)]
+    closures = {sum(1 << y for y in range(n) if least_open[y] >> x & 1)
+                for x in range(n)}
     family = ClosedFamily(topology, frozenset(_unions(closures)), sp)
     family.validate()
+    if not use_ideal_basis:
+        sp._families[topology] = family
     return family

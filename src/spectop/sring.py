@@ -31,13 +31,10 @@ from .spectrum import (
     FLAT,
     PrimePoint,
     ZARISKI,
-    _family_key,
-    _point_labels,
+    _bits,
+    _principal_masks,
     closed_family,
     enumerate_spectrum,
-    is_stable_generalization,
-    is_stable_specialization,
-    principal_vanishing_sets,
     vanishing_locus,
 )
 
@@ -235,26 +232,27 @@ def sring_certificate(ring: Ring) -> SRingCertificate:
     """
     zfam = closed_family(ring, ZARISKI)
     ffam = closed_family(ring, FLAT)
+    sp = zfam.spectrum
     failures = []
 
-    def stable_sets_open(fam: ClosedFamily, is_stable, stability: str) -> bool:
+    def stable_sets_open(fam: ClosedFamily, closure, stability: str) -> bool:
         ok = True
-        for E in fam.sets:
-            if is_stable(ring, E) and fam.spectrum.as_set() - E not in fam.sets:
+        for E in fam.masks:
+            if closure(E) == E and sp.full ^ E not in fam.masks:
                 ok = False
                 failures.append(
-                    f"{fam.topology} closed {stability}-stable set {_point_labels(E)} "
+                    f"{fam.topology} closed {stability}-stable set {sp._labels_of(E)} "
                     f"is not {fam.topology} open")
         return ok
 
-    genstable_open = stable_sets_open(zfam, is_stable_generalization, "generalization")
-    specstable_open = stable_sets_open(ffam, is_stable_specialization, "specialization")
+    genstable_open = stable_sets_open(zfam, sp.down_closure, "generalization")
+    specstable_open = stable_sets_open(ffam, sp.up_closure, "specialization")
 
-    double = zfam.sets & ffam.sets
+    double = zfam.masks & ffam.masks
     matches = []
     seen = {}
     for e in idempotents(ring):
-        locus = vanishing_locus(ring, principal_ideal(ring, e))
+        locus = sp._mask_of(vanishing_locus(ring, principal_ideal(ring, e)))
         if locus in seen:
             failures.append(f"idempotents {seen[locus]} and {e} share a vanishing set")
         seen[locus] = e
@@ -263,9 +261,9 @@ def sring_certificate(ring: Ring) -> SRingCertificate:
         failures.append(
             f"double-closed family has {len(double)} members but idempotents "
             f"realize {len(seen)} vanishing sets")
-    for E in sorted(double, key=_family_key):
+    for E in sorted(double, key=sp._mask_key):
         if E in seen:
-            matches.append((E, seen[E]))
+            matches.append((sp._points_of(E), seen[E]))
 
     passed = genstable_open and specstable_open and double_ok and not failures
     return SRingCertificate(
@@ -305,23 +303,20 @@ def chain_condition_check(ring: Ring, points,
     carries that family and the S-ring certificate of the ring itself.
     """
     sp = enumerate_spectrum(ring)
-    X = frozenset(points)
-    if not X <= sp.as_set():
-        raise ValueError("the given points do not belong to this spectrum")
-    # Label order, not hash order, so the work done is the same in every run.
-    by_label = sorted(X, key=lambda p: p.label())
-    for m in sorted(sp.maximal_points(), key=lambda p: p.label()):
-        if not any(p.ideal.issubset(m.ideal) for p in by_label):
+    x = sp._mask_of(points)
+    X = sp._points_of(x)
+    for j, m in enumerate(sp.points):
+        if m.is_maximal and not x & sp.down[j]:
             raise HypothesisViolated(
                 f"maximal ideal {m.label()} has no member of X below it",
                 witness=m)
 
     meet = unit_ideal(ring)
-    for p in by_label:
-        meet = ideal_intersection(meet, p.ideal)
+    for i in _bits(x):
+        meet = ideal_intersection(meet, sp.points[i].ideal)
 
-    family = {X & v for v in principal_vanishing_sets(ring)}
-    ordered = tuple(sorted(family, key=_family_key))
+    family = {x & v for v in _principal_masks(ring)}
+    ordered = tuple(sp._points_of(s) for s in sorted(family, key=sp._mask_key))
 
     sections = None
     if chain is not None:

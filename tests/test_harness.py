@@ -128,6 +128,26 @@ def test_topology_characterization_fails_when_bases_disagree(monkeypatch):
             in report.counterexample["problems"])
 
 
+def test_topology_characterization_fails_after_the_families_are_shared(monkeypatch):
+    # A passing run first leaves the V(f) families built; the V(I) families
+    # must still be computed afresh, so the same failure shows.
+    import spectop.spectrum as spectrum
+    target = parse_ring("Zloc(2) * Zloc(2)")
+    assert run_check("topology-characterization", target).verdict == "pass"
+    real = spectrum.ideal_vanishing_sets
+
+    def only_trivial_sets(ring):
+        if ring != target:
+            return real(ring)
+        return frozenset({frozenset(), spectrum.enumerate_spectrum(ring).as_set()})
+
+    monkeypatch.setattr(spectrum, "ideal_vanishing_sets", only_trivial_sets)
+    report = run_check("topology-characterization", target)
+    assert report.verdict == "fail"
+    assert ("flat families from V(f) and V(I) bases disagree"
+            in report.counterexample["problems"])
+
+
 def test_flat_ideal_bijection_fails_on_a_flipped_verdict(monkeypatch):
     z6 = parse_ring("Z/6")
     target = principal_ideal(z6, 2)

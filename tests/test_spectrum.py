@@ -6,6 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spectop import (
     FLAT,
@@ -28,7 +29,12 @@ from spectop import (
     specialization_closure,
     vanishing_locus,
 )
-from spectop.spectrum import ClosedFamily, ideal_vanishing_sets, principal_vanishing_sets
+from spectop.spectrum import (
+    TOPOLOGIES,
+    ClosedFamily,
+    ideal_vanishing_sets,
+    principal_vanishing_sets,
+)
 
 from conftest import (
     CORPUS_TEXTS,
@@ -155,6 +161,55 @@ def test_closure_operators_on_mixed_product():
     g, m = pts["(0) x (1)"], pts["(2) x (1)"]
     assert generalization_closure(mixed, {m}) == frozenset({g, m})
     assert specialization_closure(mixed, {g}) == frozenset({g, m})
+
+
+# Up to 12 points, so that masks span more than one byte.
+ZLOC_POWERS = tuple(" * ".join(["Zloc(2)"] * k) for k in range(1, 7))
+
+
+@given(st.sampled_from(CORPUS_TEXTS + ZLOC_POWERS), st.data())
+def test_mask_predicates_match_cone_unions(text, data):
+    """The mask closures and stability tests agree with the unions of the
+    cones, and the cones with ideal inclusion."""
+    ring = parse_ring(text)
+    sp = enumerate_spectrum(ring)
+    points = data.draw(st.frozensets(st.sampled_from(sp.points)))
+    gen = frozenset().union(*(sp.generalizations(p) for p in points))
+    spec = frozenset().union(*(sp.specializations(p) for p in points))
+    assert gen == {q for q in sp.points if any(q.ideal.issubset(p.ideal) for p in points)}
+    assert spec == {q for q in sp.points if any(p.ideal.issubset(q.ideal) for p in points)}
+    assert generalization_closure(ring, points) == gen
+    assert specialization_closure(ring, points) == spec
+    assert is_stable_generalization(ring, points) == (gen == points)
+    assert is_stable_specialization(ring, points) == (spec == points)
+
+
+@pytest.mark.parametrize("text", CORPUS_TEXTS + SMALL_FINITE_TEXTS + ZLOC_POWERS[2:4])
+def test_cover_edges_match_the_definition(text):
+    sp = enumerate_spectrum(parse_ring(text))
+    pts = sp.points
+    expected = [
+        (p, q) for p in pts for q in pts
+        if p != q and sp.leq(p, q)
+        and not any(r not in (p, q) and sp.leq(p, r) and sp.leq(r, q) for r in pts)]
+    assert list(sp.cover_edges()) == sorted(
+        expected, key=lambda e: (e[0].label(), e[1].label()))
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_principal_families_are_built_once_per_spectrum(corpus_ring, topology):
+    assert closed_family(corpus_ring, topology) is closed_family(corpus_ring, topology)
+    first = closed_family(corpus_ring, topology, use_ideal_basis=True)
+    second = closed_family(corpus_ring, topology, use_ideal_basis=True)
+    assert first is not second and first == second
+
+
+def test_closed_family_rejects_foreign_points():
+    fam = closed_family(parse_ring("Z/6"), ZARISKI)
+    foreign = enumerate_spectrum(parse_ring("Z/10")).points[1]
+    assert frozenset() in fam and fam.spectrum.points in fam
+    assert {foreign} not in fam
+    assert (*fam.spectrum.points, foreign) not in fam
 
 
 def _family_sets(ring, topology):
@@ -292,8 +347,8 @@ def test_closed_family_matches_topology_oracle(text):
 def _z30_family(*point_sets):
     sp = enumerate_spectrum(parse_ring("Z/30"))
     pts = {p.label(): p for p in sp.points}
-    sets = frozenset(frozenset(pts[label] for label in s) for s in point_sets)
-    return ClosedFamily(ZARISKI, sets, sp)
+    masks = frozenset(sp._mask_of(pts[label] for label in s) for s in point_sets)
+    return ClosedFamily(ZARISKI, masks, sp)
 
 
 @pytest.mark.parametrize("point_sets, message", [
