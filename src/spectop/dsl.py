@@ -42,6 +42,7 @@ from .rings import (
     PolyQuotientRing,
     ProductRing,
     Ring,
+    _ptrim,
     check_ring_size,
     factorization,
     product_ring,
@@ -164,11 +165,7 @@ def _parse_poly(body: str, p: int, offset: int) -> tuple[int, ...]:
             degree = int(m.group(3))
         coeffs[degree] = (coeffs.get(degree, 0) + coeff) % p
         pos += len(chunk) + 1
-    top = max(coeffs)
-    out = [coeffs.get(i, 0) for i in range(top + 1)]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return _ptrim(coeffs.get(i, 0) for i in range(max(coeffs) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -229,18 +229,19 @@ def check_radical_rigidity(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     if not nil.is_zero():
         raise _Skip(f"not reduced: nilradical is {nil.label()}")
     ideals = enumerate_ideals(ring)
+    flat = {i: is_cyclic_flat(i).verdict for i in ideals}
+    locus = {i: vanishing_locus(ring, i) for i in ideals}
     for i in ideals:
         root = radical(i)
-        if is_cyclic_flat(root).verdict and i != root:
+        if flat[root] and i != root:
             return {}, {"kind": "flat-radical", "ideal": i.label(), "radical": root.label()}
-        if is_cyclic_flat(i).verdict and i != root:
+        if flat[i] and i != root:
             return {}, {"kind": "flat-not-radical", "ideal": i.label()}
     for i in ideals:
-        if not is_cyclic_flat(i).verdict:
+        if not flat[i]:
             continue
-        vi = vanishing_locus(ring, i)
         for j in ideals:
-            if vanishing_locus(ring, j) == vi and i != j:
+            if locus[j] == locus[i] and i != j:
                 return {}, {"kind": "locus-collision", "ideals": [i.label(), j.label()]}
     return {"ideals": len(ideals)}, None
 

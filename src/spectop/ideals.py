@@ -1,12 +1,14 @@
 """Ideals of the supported ring presentations.
 
-The representation follows the presentation: an ideal of a finite ring
-is a bitmask over the indices of the ring's elements, built as a sum of
-principal ideals Rg from the ring's index tables, with its closure
-checked on the indices at construction; ideals of the
-localized integers live in the known lattice {(0)} U {(p^k) : k >= 0},
-ideals of the bits ring are either principal or the ideal of all finitely
-supported elements, and ideals of infinite products are componentwise.
+The representation follows the presentation.  An ideal of a finite ring
+is a bitmask over the indices of the ring's elements.  Every finite
+presentation is a principal ideal ring (Z/n, quotients of the principal
+ideal domain Z/p[x], fields, and finite products of these), so its
+ideals are exactly its principal ideals Rg, whose masks the ring's index
+kernel holds.  Ideals of the localized integers live in the known
+lattice {(0)} U {(p^k) : k >= 0}, ideals of the bits ring are either
+principal or the ideal of all finitely supported elements, and ideals of
+infinite products are componentwise.
 
 Each representation is one class that owns all of its operations:
 membership, inclusion, sum, intersection, radical, saturation kernel,
@@ -124,10 +126,10 @@ class ExplicitIdeal(Ideal):
     Bit i of ``mask`` stands for ``ring.elements()[i]`` (see
     :class:`~spectop.rings.IndexKernel`); every operation is a table
     lookup or a mask operation, and ``elements`` is derived on first use.
-    Construction takes either elements or a mask and checks, on indices,
-    that the set contains 0 and equals the sum of the principal ideals of
-    its members, which holds exactly when it is an ideal; so an
-    ExplicitIdeal is an ideal by fiat.
+    Construction takes either elements or a mask and checks that the set
+    is one of the principal ideals Rg.  Every finite presentation is a
+    principal ideal ring, so this holds exactly when the set is an ideal,
+    and an ExplicitIdeal is an ideal by fiat.
     """
 
     def __init__(self, ring: Ring, elements=(), *, mask: int | None = None):
@@ -141,9 +143,8 @@ class ExplicitIdeal(Ideal):
             raise ValueError("a mask has one bit per element of the ring")
         if not mask >> k.zero & 1:
             raise ValueError("an ideal contains 0")
-        members = k.members(mask)
-        if _span_sum(k, members) != mask:
-            raise ValueError(_closure_failure(k, members, mask))
+        if mask not in k.spans:
+            raise ValueError(_closure_failure(k, mask))
         self.ring = ring
         self.mask = mask
         self.key = ("explicit", ring, mask)
@@ -172,21 +173,16 @@ class ExplicitIdeal(Ideal):
 
     @cached_property
     def _label(self):
-        # The first g of R in canonical order with Rg = I; any such g lies in I.
+        # The first g of R in canonical order with Rg = I.
         k = self.ring.index_kernel
-        members = k.members(self.mask)
-        for g in members:
-            if k.spans[g] == self.mask:
-                return f"({k.elements[g]})"
-        gens = ",".join(str(k.elements[g]) for g in members)
-        return f"({gens})"
+        return f"({k.elements[k.spans.index(self.mask)]})"
 
     def label(self):
         return self._label
 
     def plus(self, other):
         k = self.ring.index_kernel
-        return ExplicitIdeal(self.ring, mask=_sumset(k, self.mask, other.mask))
+        return ExplicitIdeal(self.ring, mask=_least_span(k, self.mask | other.mask))
 
     def meet(self, other):
         return ExplicitIdeal(self.ring, mask=self.mask & other.mask)
@@ -548,36 +544,16 @@ def _check_same_ring(a: Ideal, b: Ideal):
         raise ValueError("ideals of different rings cannot be compared")
 
 
-def _sumset(k: IndexKernel, a: int, b: int) -> int:
-    """The mask of {x + y : x in a, y in b} for masks a and b of additive
-    subgroups: each y of b not yet covered adjoins its cyclic subgroup,
-    the union of the translates of the sum so far by y, 2y, ..."""
-    out = a
-    for y in k.members(b):
-        if out >> y & 1:
-            continue
-        by_y = k.add[y]
-        grown, coset = out, k.members(out)
-        while True:
-            coset = [by_y[x] for x in coset]
-            if out >> coset[0] & 1:  # cosets of a subgroup meet only when equal
-                break
-            grown |= k.mask(coset)
-        out = grown
-    return out
+def _least_span(k: IndexKernel, mask: int) -> int:
+    """The least principal ideal Rg containing the mask.  The spans that
+    contain a set are the ideals containing it, closed under intersection,
+    so the least one is the one with the fewest bits."""
+    return min((s for s in k.spans if not mask & ~s), key=int.bit_count)
 
 
-def _span_sum(k: IndexKernel, members) -> int:
-    """The mask of the sum of the principal ideals Rg over the members."""
-    out = 1 << k.zero
-    for g in members:
-        if k.spans[g] & ~out:
-            out = _sumset(k, out, k.spans[g])
-    return out
-
-
-def _closure_failure(k: IndexKernel, members, mask: int) -> str:
+def _closure_failure(k: IndexKernel, mask: int) -> str:
     """Name the first sum or product that leaves a set which is no ideal."""
+    members = k.members(mask)
     for a in members:
         for b in members:
             if not mask >> k.add[a][b] & 1:
@@ -611,8 +587,8 @@ def finite_support_ideal(ring: EventuallyConstantBitsRing) -> BoolFiniteSupportI
 def ideal_from_generators(ring: Ring, generators) -> Ideal:
     """The smallest ideal containing the generators, canonically represented.
 
-    Over a finite ring this is the sum Rg_1 + ... + Rg_n of the principal
-    ideals, built as iterated sumsets starting from (0).  For the localized
+    Over a finite ring, a principal ideal ring, this is the least principal
+    ideal Rg containing every generator.  For the localized
     integers the result is (p^v) with v the least valuation of a nonzero
     generator.  In the bits ring the generators are joined into a single
     principal generator.
@@ -620,7 +596,7 @@ def ideal_from_generators(ring: Ring, generators) -> Ideal:
     gens = [ring.element(g) for g in generators]
     if ring.is_finite:
         k = ring.index_kernel
-        return ExplicitIdeal(ring, mask=_span_sum(k, [k.index[g] for g in gens]))
+        return ExplicitIdeal(ring, mask=_least_span(k, k.mask({k.index[g] for g in gens})))
     if isinstance(ring, LocalizedIntegerRing):
         nonzero = [g for g in gens if g.value != 0]
         if not nonzero:
@@ -689,29 +665,17 @@ def saturation_kernel(ideal: Ideal) -> Ideal:
 def enumerate_ideals(ring: Ring, local_level_bound: int = 6) -> tuple[Ideal, ...]:
     """All ideals of the ring; finite rings sort by size, then label.
 
-    Every ideal of a finite ring is a finite sum of principal ideals Rg.
-    The sums of the distinct spans Rg are closed over as masks starting
-    from (0), each ideal found is wrapped (and its closure checked) once,
-    and the ring's index kernel keeps the result, so each ring instance
-    enumerates its ideals once.  For the localized integers
-    the lattice is (0) plus the chain (p^k), truncated at
-    ``local_level_bound``; for infinite products the component
-    enumerations are combined and sorted by label.
+    A finite ring is a principal ideal ring, so its ideals are exactly its
+    distinct spans Rg.  Each is wrapped once, and the ring's index kernel
+    keeps the result, so each ring instance enumerates its ideals once.
+    For the localized integers the lattice is (0) plus the chain (p^k),
+    truncated at ``local_level_bound``; for infinite products the
+    component enumerations are combined and sorted by label.
     """
     if ring.is_finite:
         k = ring.index_kernel
         if k.ideals is None:
-            spans = set(k.spans)
-            found = {1 << k.zero}
-            frontier = list(found)
-            while frontier:
-                base = frontier.pop()
-                for span in spans:
-                    join = _sumset(k, base, span) if span & ~base else base
-                    if join not in found:
-                        found.add(join)
-                        frontier.append(join)
-            ideals = [ExplicitIdeal(ring, mask=mask) for mask in found]
+            ideals = [ExplicitIdeal(ring, mask=mask) for mask in set(k.spans)]
             k.ideals = tuple(sorted(ideals, key=lambda i: (i.mask.bit_count(), i.label())))
         return k.ideals
     if isinstance(ring, LocalizedIntegerRing):

@@ -342,7 +342,9 @@ class IndexKernel:
     them from index operations, never pair by pair through payload
     arithmetic.  A set of elements is a bitmask whose bit i stands for
     index i: ``spans[g]`` is the mask of Rg and ``anns[g]`` that of
-    Ann(g).  ``ideals`` keeps the ring's ideal enumeration once it is made.
+    Ann(g).  Every finite presentation is a principal ideal ring, so the
+    distinct spans are all of its ideals; ``ideals`` keeps the ring's
+    ideal enumeration once it is made.
     """
 
     def __init__(self, ring: "Ring"):

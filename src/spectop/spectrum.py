@@ -45,6 +45,7 @@ from .ideals import (
 )
 from .rings import (
     Element,
+    IndexKernel,
     LocalizedIntegerRing,
     ProductRing,
     Ring,
@@ -94,14 +95,6 @@ class PrimePoint:
 
     def __repr__(self):
         return self.ideal.label()
-
-
-def _bits(mask: int):
-    """The indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _union_of_cones(cones):
@@ -191,12 +184,12 @@ class SpectrumPoset:
         return mask
 
     def _points_of(self, mask: int) -> frozenset[PrimePoint]:
-        return frozenset(self.points[i] for i in _bits(mask))
+        return frozenset(self.points[i] for i in IndexKernel.members(mask))
 
     def _labels_of(self, mask: int) -> list[str]:
         """A point set as its sorted labels, the form every document uses;
         bit order is label order."""
-        return [self.labels[i] for i in _bits(mask)]
+        return [self.labels[i] for i in IndexKernel.members(mask)]
 
     def _mask_key(self, mask: int) -> tuple[int, list[str]]:
         """The canonical order of point sets: smaller first, then by labels."""
@@ -386,7 +379,8 @@ def _factorwise_masks(ring: ProductRing, factor_masks) -> frozenset[int]:
     per_factor = []
     for i, factor in enumerate(ring.factors):
         bits = [embed[i, q.ideal] for q in enumerate_spectrum(factor).points]
-        per_factor.append([sum(bits[j] for j in _bits(m)) for m in factor_masks(factor)])
+        per_factor.append([sum(bits[j] for j in IndexKernel.members(m))
+                           for m in factor_masks(factor)])
     # The factors' points are disjoint, so the sum of masks is their union.
     return frozenset(map(sum, itertools.product(*per_factor)))
 
@@ -399,7 +393,7 @@ def _principal_masks(ring: Ring) -> frozenset[int]:
             sp._vanishing_masks = _factorwise_masks(ring, _principal_masks)
         else:
             sp._vanishing_masks = frozenset(
-                sum(1 << i for i, p in enumerate(sp.points) if p.ideal.contains(f))
+                IndexKernel.mask(i for i, p in enumerate(sp.points) if p.ideal.contains(f))
                 for f in _vanishing_representatives(ring))
     return sp._vanishing_masks
 
@@ -473,7 +467,7 @@ def closed_family(ring: Ring, topology: str,
     subbasis = {ZARISKI: dsets, FLAT: vsets, PATCH: dsets | vsets}[topology]
     least_open = [reduce(and_, filter((1 << x).__and__, subbasis), full)
                   for x in range(n)]
-    closures = {sum(1 << y for y in range(n) if least_open[y] >> x & 1)
+    closures = {IndexKernel.mask(y for y in range(n) if least_open[y] >> x & 1)
                 for x in range(n)}
     family = ClosedFamily(topology, frozenset(_unions(closures)), sp)
     family.validate()

@@ -25,13 +25,12 @@ from graphlib import CycleError, TopologicalSorter
 
 from .errors import HypothesisViolated, InvalidChain
 from .ideals import Ideal, ideal_intersection, principal_ideal, unit_ideal
-from .rings import Element, EventuallyConstantBitsRing, Ring, idempotents
+from .rings import Element, EventuallyConstantBitsRing, IndexKernel, Ring, idempotents
 from .spectrum import (
     ClosedFamily,
     FLAT,
     PrimePoint,
     ZARISKI,
-    _bits,
     _principal_masks,
     closed_family,
     enumerate_spectrum,
@@ -312,7 +311,7 @@ def chain_condition_check(ring: Ring, points,
                 witness=m)
 
     meet = unit_ideal(ring)
-    for i in _bits(x):
+    for i in IndexKernel.members(x):
         meet = ideal_intersection(meet, sp.points[i].ideal)
 
     family = {x & v for v in _principal_masks(ring)}

@@ -187,6 +187,15 @@ def test_radical_rigidity_fails_when_radicals_are_whole(monkeypatch):
     assert report.counterexample == {"kind": "flat-radical", "ideal": "(3)", "radical": "(1)"}
 
 
+def test_radical_rigidity_fails_when_vanishing_loci_collide(monkeypatch):
+    # Z/6 is reduced and every ideal is flat, so the first flat ideal (0)
+    # collides with the next ideal in enumeration order.
+    monkeypatch.setattr(harness, "vanishing_locus", lambda ring, ideal: frozenset())
+    report = run_check("radical-rigidity", parse_ring("Z/6"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {"kind": "locus-collision", "ideals": ["(0)", "(3)"]}
+
+
 def test_closure_operators_fail_on_a_wrong_flat_kernel(monkeypatch):
     monkeypatch.setattr(harness, "flat_ideal_from_closed_set",
                         lambda ring, points: zero_ideal(ring))
@@ -236,6 +245,8 @@ def test_flat_not_projective_fails_when_the_ideal_claims_projectivity(monkeypatc
     ("Z/210", ["stabilization-graph", "flat-not-projective", "expected-facts"]),
     ("Z/2 * Z/2 * Z/2 * Z/2 * Z/2 * Z/2",
      ["crt-decomposition", "flat-not-projective", "expected-facts"]),
+    ("Z/2 * Z/2 * Z/2 * Z/2 * Z/2 * Z/2 * Z/2 * Z/2",
+     ["crt-decomposition", "stabilization-graph", "flat-not-projective", "expected-facts"]),
 ])
 def test_large_finite_rings_pass_every_applicable_check(text, skipped):
     ring = parse_ring(text)

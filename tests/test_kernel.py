@@ -31,6 +31,7 @@ from conftest import (
     brute_force_generated,
     brute_force_is_prime,
     closure_generated,
+    is_ideal_subset,
 )
 
 # Z/n up to 64, finite products and polynomial quotients.
@@ -150,3 +151,33 @@ def test_explicit_ideal_rejects_non_ideals_with_the_same_message():
         with pytest.raises(ValueError, match="one bit per element"):
             ExplicitIdeal(z6, mask=mask)
     assert ExplicitIdeal(z6, {z6.element(0), z6.element(3)}) == ideal_from_generators(z6, [3])
+
+
+_REJECTIONS = r"^(an ideal contains 0|not closed under (addition|multiplication): .+)$"
+
+
+@pytest.mark.parametrize("text", ["Z/6", "Z/8", "Z/4 * Z/2", "Z/2 * Z/2 * Z/2", "Z/3[x]/(x^2)"])
+def test_explicit_ideal_accepts_exactly_the_ideal_subsets(text):
+    ring = parse_ring(text)
+    elements = ring.elements()
+    for size in range(len(elements) + 1):
+        for subset in itertools.combinations(elements, size):
+            if is_ideal_subset(ring, subset):
+                assert ExplicitIdeal(ring, subset).elements == frozenset(subset)
+            else:
+                with pytest.raises(ValueError, match=_REJECTIONS):
+                    ExplicitIdeal(ring, subset)
+
+
+@pytest.mark.parametrize("text", KERNEL_TEXTS)
+def test_sums_of_enumerated_ideals_are_enumerated(text):
+    # Every finite presentation is a principal ideal ring, so the spans Rg
+    # are all its ideals; the sum of two of them must be one of them too.
+    # A sum of comparable ideals is the larger one, so only incomparable
+    # pairs go to the closure oracle.
+    ring = parse_ring(text)
+    ideals = enumerate_ideals(ring)
+    found = {i.elements for i in ideals}
+    for a, b in itertools.combinations(ideals, 2):
+        if not (a.issubset(b) or b.issubset(a)):
+            assert closure_generated(ring, a.elements | b.elements) in found
