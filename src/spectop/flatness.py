@@ -15,6 +15,10 @@ index kernel.  Each ideal class in ``ideals`` supplies its certificate
 samples, a flat witness for each sample, the certificate note and its
 idempotent generator, and :func:`is_cyclic_flat` is one loop over the
 samples and their witnesses.
+
+The certificate of an ideal is computed once per ideal object and kept
+on it, so the checks that read the flatness of the same enumerated ideal
+or flat kernel share one search.
 """
 
 from __future__ import annotations
@@ -99,8 +103,16 @@ def is_cyclic_flat(ideal: Ideal) -> FlatnessCertificate:
     One generic search: the first witness sample of the ideal without a
     flat witness fails, otherwise the witnesses are collected.  Over a
     finite ring the samples are all of I, so the verdict is a complete
-    search; symbolic ideals sample a schema of their elements.
+    search; symbolic ideals sample a schema of their elements.  The
+    certificate is computed once per ideal object and kept on it.
     """
+    memo = ideal.memo
+    if "flatness" not in memo:
+        memo["flatness"] = _search(ideal)
+    return memo["flatness"]
+
+
+def _search(ideal: Ideal) -> FlatnessCertificate:
     witnesses = []
     for f in ideal.witness_samples():
         w = ideal.flat_witness(f)

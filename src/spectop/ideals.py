@@ -106,6 +106,13 @@ class Ideal:
         """The certificate note; ``failing`` is None when R/I is flat."""
         return None
 
+    @cached_property
+    def memo(self) -> dict:
+        """Facts derived from this instance, each computed once and dropped
+        with it: ``flatness`` keeps the flatness certificate here and
+        ``spectrum`` the vanishing locus."""
+        return {}
+
     def __eq__(self, other):
         return isinstance(other, Ideal) and self.key == other.key
 
@@ -188,15 +195,9 @@ class ExplicitIdeal(Ideal):
         return ExplicitIdeal(self.ring, mask=self.mask & other.mask)
 
     def radical(self):
-        # x is in the radical iff x^m is in I for some m <= |R|: the powers
-        # before the first one in I are distinct and lie outside I.  So it
-        # is enough to square until the exponent reaches |R|.
         k = self.ring.index_kernel
-        powers = list(range(len(k.elements)))
-        for _ in range((len(k.elements) - 1).bit_length()):
-            powers = [k.mul[x][x] for x in powers]
         return ExplicitIdeal(self.ring, mask=k.mask(
-            x for x, power in enumerate(powers) if self.mask >> power & 1))
+            x for x, power in enumerate(k.radical_powers) if self.mask >> power & 1))
 
     def saturation_kernel(self):
         # The union of Ann(s) over s in 1 + I.
@@ -540,7 +541,7 @@ class ProductIdeal(Ideal):
 
 
 def _check_same_ring(a: Ideal, b: Ideal):
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise ValueError("ideals of different rings cannot be compared")
 
 

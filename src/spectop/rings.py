@@ -378,6 +378,20 @@ class IndexKernel:
         return [self.mask(r for r, x in enumerate(row) if x == self.zero)
                 for row in self.mul]
 
+    @cached_property
+    def radical_powers(self) -> list[int]:
+        """``radical_powers[x]`` indexes x^(2^k), 2^k the least power of
+        two that is at least the number n of elements.
+
+        x lies in the radical of an ideal I iff x^m lies in I for some
+        m <= n: the powers before the first one in I are distinct and lie
+        outside I.  As I is an ideal, that holds iff x^(2^k) lies in I.
+        """
+        powers = list(range(len(self.elements)))
+        for _ in range((len(self.elements) - 1).bit_length()):
+            powers = [self.mul[x][x] for x in powers]
+        return powers
+
 
 # ---------------------------------------------------------------------------
 # ring presentations
@@ -390,7 +404,8 @@ class Ring:
     ``_mul``, ``_neg``, ``_fmt``, ``_sort_key``) and the derived
     interface here stays uniform.  Instances are immutable after
     construction and compare structurally through ``key``, a tuple each
-    presentation fixes once when it is built.
+    presentation fixes once when it is built; its hash is computed once
+    and cached.
     """
 
     is_finite = False
@@ -448,10 +463,20 @@ class Ring:
     def describe(self) -> str:
         raise NotImplementedError
 
+    @cached_property
+    def memo(self) -> dict:
+        """Facts derived from this instance, each computed once and dropped
+        with it: ``sring`` keeps the ring's S-ring certificate here."""
+        return {}
+
     def __eq__(self, other):
-        return isinstance(other, Ring) and self.key == other.key
+        return self is other or (isinstance(other, Ring) and self.key == other.key)
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
         return hash(self.key)
 
     def __repr__(self):

@@ -25,6 +25,10 @@ built once however many checks read them; families from the V(I) basis
 are built afresh on every call.  Infinite products take their vanishing
 sets V(f) and V(I) factor by factor, as their spectra are the disjoint
 unions of the factor spectra.
+
+The vanishing locus V(I) is computed once per ideal object and kept on
+the ideal, so the checks that read the locus of the same enumerated
+ideal or flat kernel share it.
 """
 
 from __future__ import annotations
@@ -280,9 +284,15 @@ def embed_factor_prime(ring: ProductRing, index: int, prime: Ideal) -> Ideal:
 
 
 def vanishing_locus(ring: Ring, ideal: Ideal) -> frozenset[PrimePoint]:
-    """V(I): the primes containing the ideal."""
-    sp = enumerate_spectrum(ring)
-    return frozenset(p for p in sp.points if ideal.issubset(p.ideal))
+    """V(I): the primes containing the ideal, computed once per ideal
+    object and kept on it."""
+    if ideal.ring is not ring and ideal.ring != ring:
+        raise ValueError("the ideal belongs to a different ring")
+    memo = ideal.memo
+    if "vanishing_locus" not in memo:
+        sp = enumerate_spectrum(ring)
+        memo["vanishing_locus"] = frozenset(p for p in sp.points if ideal.issubset(p.ideal))
+    return memo["vanishing_locus"]
 
 
 def nonvanishing_locus(ring: Ring, f: Element) -> frozenset[PrimePoint]:
@@ -399,7 +409,7 @@ def _principal_masks(ring: Ring) -> frozenset[int]:
 
 
 def _ideal_masks(ring: Ring) -> frozenset[int]:
-    """The masks of every V(I), recomputed on each call."""
+    """The masks of every V(I), collected afresh on each call."""
     if not ring.is_finite and isinstance(ring, ProductRing):
         return _factorwise_masks(ring, _ideal_masks)
     sp = enumerate_spectrum(ring)
@@ -445,8 +455,8 @@ def closed_family(ring: Ring, topology: str,
     finitely generated ideals; both generate the same family and the
     harness asserts that agreement on every corpus ring.  Families from
     the V(f) sub-basis are built once per spectrum and then shared; the
-    V(I) basis is recomputed on every call, so that comparison is always
-    between two independent computations.
+    V(I) basis is collected and its family generated on every call, so
+    that comparison is always between two independent computations.
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")

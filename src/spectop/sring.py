@@ -12,6 +12,11 @@ computable surfaces:
 * chain conditions on the families X & V(f) for a point set X covering
   the maximal ideals.
 
+The S-ring certificate is computed once per ring instance and kept on
+the ring, so ``sring-equivalences`` and both runs of the chain condition
+check (X the minimal and X the maximal points) share it; a ring parsed
+afresh starts without one.
+
 Chains are materialized up to a budget; a chain that keeps moving is
 reported as not stabilized within the budget, never as a proof of
 divergence.  The one genuinely infinite witness lives in the bits ring,
@@ -148,18 +153,20 @@ class StabilizationReport:
 
 
 def check_chain_stabilization(chain: MultiplicativeChain) -> StabilizationReport:
-    """The earliest position from which the chain is a constant idempotent."""
+    """The earliest position from which the chain is a constant idempotent.
+
+    That position can only be the start k of the longest constant suffix,
+    found by one backward scan; the chain stabilizes there when the last
+    term is idempotent and the suffix is witnessed as constant.
+    """
     ts = chain.terms
-    for k in range(1, len(ts) + 1):
-        e = ts[k - 1]
-        if not (e * e == e and all(t == e for t in ts[k - 1:])):
-            continue
-        if k == 1 or k < len(ts):
-            return StabilizationReport(chain, True, index=k, value=e)
-        break
     last = ts[-1]
-    prior = next((t for t in reversed(ts) if t != last), None)
-    distinct = None if prior is None else (prior, last)
+    k = len(ts)
+    while k > 1 and ts[k - 2] == last:
+        k -= 1
+    if last * last == last and (k == 1 or k < len(ts)):
+        return StabilizationReport(chain, True, index=k, value=last)
+    distinct = (ts[k - 2], last) if k > 1 else None
     return StabilizationReport(chain, False, last_index=len(ts), last_distinct=distinct)
 
 
@@ -227,8 +234,16 @@ def sring_certificate(ring: Ring) -> SRingCertificate:
     Checks, over the full materialized families: every Zariski closed
     generalization-stable set is Zariski open; every flat closed
     specialization-stable set is flat open; and the double-closed sets
-    are exactly the V(e) for idempotent e, matched one to one.
+    are exactly the V(e) for idempotent e, matched one to one.  The
+    certificate is computed once per ring instance and kept on it.
     """
+    memo = ring.memo
+    if "sring_certificate" not in memo:
+        memo["sring_certificate"] = _certify(ring)
+    return memo["sring_certificate"]
+
+
+def _certify(ring: Ring) -> SRingCertificate:
     zfam = closed_family(ring, ZARISKI)
     ffam = closed_family(ring, FLAT)
     sp = zfam.spectrum

@@ -215,6 +215,37 @@ def test_sring_equivalences_fail_when_idempotents_go_missing(monkeypatch):
         "patch_clopen_ok": True}
 
 
+def test_sring_equivalences_fail_on_a_fresh_ring_after_a_pass(monkeypatch):
+    # A passing run keeps its certificate on that ring instance only, so a
+    # freshly parsed equal ring is certified again and the failure shows.
+    import spectop.sring as sring
+    assert run_check("sring-equivalences", parse_ring("Z/6")).verdict == "pass"
+    monkeypatch.setattr(sring, "idempotents", lambda ring: (ring.zero, ring.one))
+    report = run_check("sring-equivalences", parse_ring("Z/6"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {
+        "failures": ["double-closed family has 4 members but idempotents realize "
+                     "2 vanishing sets"],
+        "patch_clopen_ok": True}
+
+
+@pytest.mark.parametrize("text", ["Zloc(2) * Zloc(2) * Zloc(2) * Zloc(2)",
+                                  "Z/2 * Z/2 * Z/2 * Z/2"])
+def test_one_run_certifies_each_ring_and_ideal_once(monkeypatch, text):
+    import spectop.flatness as flatness
+    import spectop.sring as sring
+    certified, searched = [], []
+    certify, search = sring._certify, flatness._search
+    monkeypatch.setattr(sring, "_certify", lambda ring: certified.append(ring) or certify(ring))
+    monkeypatch.setattr(flatness, "_search", lambda ideal: searched.append(ideal) or search(ideal))
+    ring = parse_ring(text)
+    reports = run_ring_checks(ring)
+    assert not any(r.failed for r in reports)
+    assert certified == [ring]
+    # The list keeps every searched ideal alive, so no id is reused.
+    assert searched and len({id(i) for i in searched}) == len(searched)
+
+
 def test_crt_decomposition_fails_when_summands_are_not_projective(monkeypatch):
     monkeypatch.setattr(harness, "is_cyclic_projective", lambda ideal: False)
     report = run_check("crt-decomposition", parse_ring("Z/6"))

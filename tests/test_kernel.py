@@ -103,6 +103,16 @@ def test_tables_match_element_arithmetic(text):
             assert elements[k.mul[i][j]] == a * b
 
 
+@pytest.mark.parametrize("text", SMALL_FINITE_TEXTS)
+def test_radical_powers_match_element_powers(text):
+    k = parse_ring(text).index_kernel
+    exponent = 1
+    while exponent < len(k.elements):
+        exponent *= 2
+    assert [k.elements[p] for p in k.radical_powers] == [e ** exponent for e in k.elements]
+    assert k.radical_powers is k.radical_powers  # built once per kernel
+
+
 @pytest.mark.parametrize("text", ["Z/210", "GF(256)", "Z/2[x]/(x^8)", "Z/13[x]/(x^2)",
                                   "Z/2 * Z/2 * Z/2 * Z/2 * Z/2 * Z/2", "Z/5 * GF(49)"])
 def test_large_tables_match_element_arithmetic_on_sampled_rows(text):

@@ -3,17 +3,89 @@
 from __future__ import annotations
 
 import ast
+import shutil
 from pathlib import Path
 
 import spectop
+
+SOURCE = Path(spectop.__file__).resolve().parent
+
+# The one module-global cache: spectra shared between equal rings.
+ALLOWED_GLOBAL_CACHES = {("spectrum.py", "_SPECTRA")}
+
+
+def _trees(root: Path):
+    for path in sorted(root.glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def test_no_runtime_check_is_an_assert_statement():
     # `python -O` strips assert statements, so a check written as one
     # silently stops checking.
     found = []
-    for path in sorted(Path(spectop.__file__).resolve().parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path, tree in _trees(SOURCE):
         found += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _is_empty_mapping_or_set(value) -> bool:
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "set") and not value.args and not value.keywords)
+
+
+def global_caches(root: Path) -> list[str]:
+    """Where a module caches outside the objects it computes on.
+
+    Flags every use of ``functools.cache`` or ``lru_cache``, and every
+    module-level name bound to an empty dict or set, except the allowed
+    ones.  Derived facts belong on the ring, ideal or kernel they
+    describe, so that they are dropped with it.
+    """
+    found = []
+    for path, tree in _trees(root):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.name}:{node.lineno} imports {a.name}"
+                          for a in node.names if a.name in ("cache", "lru_cache")]
+            if (isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+                    and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                found.append(f"{path.name}:{node.lineno} uses functools.{node.attr}")
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if not _is_empty_mapping_or_set(node.value):
+                continue
+            found += [f"{path.name}:{node.lineno} binds {t.id} to an empty container"
+                      for t in targets if isinstance(t, ast.Name)
+                      and (path.name, t.id) not in ALLOWED_GLOBAL_CACHES]
+    return found
+
+
+def test_no_cache_lives_in_a_module_global():
+    assert global_caches(SOURCE) == []
+
+
+def test_the_cache_rule_flags_an_added_global(tmp_path):
+    copy = tmp_path / "spectop"
+    shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert global_caches(copy) == []
+    with open(copy / "flatness.py", "a", encoding="utf-8") as handle:
+        handle.write("\n_CERTIFICATES: dict = {}\n_SEEN = set()\n"
+                     "import functools\n\n\n@functools.lru_cache\ndef f():\n    pass\n")
+    with open(copy / "sring.py", "a", encoding="utf-8") as handle:
+        handle.write("\nfrom functools import cache\n_MEMO = dict()\n")
+    found = global_caches(copy)
+    assert [f.split(" ", 1)[1] for f in found] == [
+        "uses functools.lru_cache",
+        "binds _CERTIFICATES to an empty container",
+        "binds _SEEN to an empty container",
+        "imports cache",
+        "binds _MEMO to an empty container",
+    ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from spectop import (
     run_check,
     stabilization_graph_check,
 )
+from spectop.sring import StabilizationReport
 
 
 def test_chain_validation():
@@ -70,6 +72,36 @@ def test_stabilization_needs_idempotent_witness():
     rep = check_chain_stabilization(MultiplicativeChain.build(z12, ASCENDING, [2, 7]))
     assert not rep.stabilized
     assert rep.last_distinct == (z12.element(2), z12.element(7))
+
+
+def _stabilization_by_rescanning(chain):
+    """The former check: at every k, test e*e == e and rescan the suffix."""
+    ts = chain.terms
+    for k in range(1, len(ts) + 1):
+        e = ts[k - 1]
+        if not (e * e == e and all(t == e for t in ts[k - 1:])):
+            continue
+        if k == 1 or k < len(ts):
+            return StabilizationReport(chain, True, index=k, value=e)
+        break
+    last = ts[-1]
+    prior = next((t for t in reversed(ts) if t != last), None)
+    distinct = None if prior is None else (prior, last)
+    return StabilizationReport(chain, False, last_index=len(ts), last_distinct=distinct)
+
+
+def test_backward_scan_matches_the_rescanning_loop():
+    compared = 0
+    for text in ("Z/6", "Z/4", "Z/2 * Z/2"):
+        ring = parse_ring(text)
+        for n in range(1, 6):
+            for terms in itertools.product(ring.elements(), repeat=n):
+                # Built without validation, so every sequence is compared,
+                # not only those that keep the chain discipline.
+                chain = MultiplicativeChain(ring, ASCENDING, terms)
+                assert check_chain_stabilization(chain) == _stabilization_by_rescanning(chain)
+                compared += 1
+    assert compared == 12_058
 
 
 def test_dual_chain_frozen_example():
