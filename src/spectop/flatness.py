@@ -59,7 +59,8 @@ class FlatnessCertificate:
     """Verdict plus re-checkable evidence for the flatness of R/I.
 
     When flat, ``witnesses`` holds triples (f, a, b) with a*f = 0, b in I,
-    a + b = 1; for finite rings there is one triple per element of I.
+    a + b = 1, one triple per witness sample of I; for finite rings that is
+    one triple per element of I.
     When not flat, ``failing`` is an element of I whose annihilator sums
     with I to a proper ideal.  ``note`` explains symbolic verdicts.
     """
@@ -77,7 +78,7 @@ class FlatnessCertificate:
             for f, a, b in self.witnesses:
                 if a * f != ring.zero or not self.ideal.contains(b) or a + b != ring.one:
                     return False
-            if ring.is_finite and {f for f, _, _ in self.witnesses} != self.ideal.elements:
+            if {f for f, _, _ in self.witnesses} != set(self.ideal.witness_samples()):
                 return False
             return True
         if self.failing is None or not self.ideal.contains(self.failing):

@@ -667,18 +667,18 @@ def enumerate_ideals(ring: Ring, local_level_bound: int = 6) -> tuple[Ideal, ...
     """All ideals of the ring; finite rings sort by size, then label.
 
     A finite ring is a principal ideal ring, so its ideals are exactly its
-    distinct spans Rg.  Each is wrapped once, and the ring's index kernel
-    keeps the result, so each ring instance enumerates its ideals once.
+    distinct spans Rg.  Each is wrapped once, and the ring's memo keeps
+    the result, so each ring instance enumerates its ideals once.
     For the localized integers the lattice is (0) plus the chain (p^k),
     truncated at ``local_level_bound``; for infinite products the
     component enumerations are combined and sorted by label.
     """
     if ring.is_finite:
-        k = ring.index_kernel
-        if k.ideals is None:
-            ideals = [ExplicitIdeal(ring, mask=mask) for mask in set(k.spans)]
-            k.ideals = tuple(sorted(ideals, key=lambda i: (i.mask.bit_count(), i.label())))
-        return k.ideals
+        memo = ring.memo
+        if "ideals" not in memo:
+            ideals = [ExplicitIdeal(ring, mask=mask) for mask in set(ring.index_kernel.spans)]
+            memo["ideals"] = tuple(sorted(ideals, key=lambda i: (i.mask.bit_count(), i.label())))
+        return memo["ideals"]
     if isinstance(ring, LocalizedIntegerRing):
         out = [LocalIdeal(ring, None)]
         out.extend(LocalIdeal(ring, k) for k in range(local_level_bound + 1))

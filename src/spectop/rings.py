@@ -343,8 +343,7 @@ class IndexKernel:
     arithmetic.  A set of elements is a bitmask whose bit i stands for
     index i: ``spans[g]`` is the mask of Rg and ``anns[g]`` that of
     Ann(g).  Every finite presentation is a principal ideal ring, so the
-    distinct spans are all of its ideals; ``ideals`` keeps the ring's
-    ideal enumeration once it is made.
+    distinct spans are all of its ideals.
     """
 
     def __init__(self, ring: "Ring"):
@@ -352,7 +351,6 @@ class IndexKernel:
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.zero, self.one = self.index[ring.zero], self.index[ring.one]
         self.add, self.mul = ring._tables()
-        self.ideals = None
 
     @staticmethod
     def mask(indices) -> int:
@@ -466,7 +464,8 @@ class Ring:
     @cached_property
     def memo(self) -> dict:
         """Facts derived from this instance, each computed once and dropped
-        with it: ``sring`` keeps the ring's S-ring certificate here."""
+        with it: ``ideals`` keeps the finite ring's ideal enumeration here
+        and ``sring`` the ring's S-ring certificate."""
         return {}
 
     def __eq__(self, other):
@@ -626,7 +625,8 @@ class GaloisFieldRing(PolyQuotientRing):
     """
 
     def __init__(self, p: int, degree: int | None = None, modulus=None):
-        if modulus is None:
+        least = modulus is None
+        if least:
             if degree is None or degree < 1:
                 raise ValueError("a degree >= 1 is required when no modulus is given")
             require_prime(p)
@@ -637,15 +637,16 @@ class GaloisFieldRing(PolyQuotientRing):
         witness = irreducibility_witness(self.modulus, p)
         if witness is not None:
             raise NotIrreducible(polynomial_text(self.modulus), polynomial_text(witness))
+        # Named once here: telling the least irreducible apart is a search.
+        least = least or self.modulus == least_irreducible_polynomial(p, self.degree)
+        self._name = f"GF({self.order})" if least else super().describe()
 
     @property
     def order(self) -> int:
         return self.p ** self.degree
 
     def describe(self):
-        if self.modulus == least_irreducible_polynomial(self.p, self.degree):
-            return f"GF({self.order})"
-        return super().describe()
+        return self._name
 
 
 class ProductRing(Ring):
@@ -707,8 +708,6 @@ class ProductRing(Ring):
 
     @cached_property
     def _elements(self):
-        if not self.is_finite:
-            return None
         combos = itertools.product(*(f.elements() for f in self.factors))
         return tuple(Element(self, tuple(e.value for e in c)) for c in combos)
 

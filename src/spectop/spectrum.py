@@ -21,10 +21,11 @@ closures, which keeps every "for all closed E" statement finitely
 checkable.  Generation is refused above ``MAX_FAMILY_POINTS`` spectrum
 points since the families grow like the power set.  Each spectrum keeps
 the masks of its V(f) and the three families they generate, so they are
-built once however many checks read them; families from the V(I) basis
-are built afresh on every call.  Infinite products take their vanishing
-sets V(f) and V(I) factor by factor, as their spectra are the disjoint
-unions of the factor spectra.
+built once however many checks read them, also by equal rings that share
+the spectrum.  The masks of the V(I) basis and the families they generate
+are built afresh on every call, straight from the ideal enumeration.
+Infinite products take their vanishing sets V(f) and V(I) factor by
+factor, as their spectra are the disjoint unions of the factor spectra.
 
 The vanishing locus V(I) is computed once per ideal object and kept on
 the ideal, so the checks that read the locus of the same enumerated
@@ -41,7 +42,6 @@ from operator import and_
 from .errors import SpectrumTooLarge, UnsupportedForPresentation
 from .ideals import (
     Ideal,
-    LocalIdeal,
     ProductIdeal,
     enumerate_ideals,
     is_prime_ideal,
@@ -151,10 +151,8 @@ class SpectrumPoset:
                             for j, q in enumerate(ideals))
         self.labels = tuple(p.label() for p in self.points)
         self._index = {pt: i for i, pt in enumerate(self.points)}
-        self._by_ideal = {pt.ideal: pt for pt in self.points}
-        # The principal sub-basis V(f) as masks and the closed families it
-        # generates, filled in by closed_family.
-        self._vanishing_masks: frozenset[int] | None = None
+        # The closed families of the V(f) sub-basis, filled in by
+        # closed_family.
         self._families: dict[str, ClosedFamily] = {}
 
     def __len__(self):
@@ -172,8 +170,9 @@ class SpectrumPoset:
         return frozenset(self.points)
 
     def point_of(self, ideal: Ideal) -> PrimePoint:
+        # Points compare by their ideal alone, so a bare point finds its index.
         try:
-            return self._by_ideal[ideal]
+            return self.points[self._index[PrimePoint(ideal)]]
         except KeyError:
             raise ValueError(f"{ideal.label()} is not a prime of {self.ring.describe()}")
 
@@ -203,6 +202,17 @@ class SpectrumPoset:
     def _family_labels(self, masks) -> list[list[str]]:
         """A family of point sets as label lists, in the canonical order."""
         return [labels for _, labels in sorted(map(self._mask_key, masks))]
+
+    @cached_property
+    def _principal_masks(self) -> frozenset[int]:
+        """The masks of every V(f), computed once per spectrum."""
+        ring = self.ring
+        if not ring.is_finite and isinstance(ring, ProductRing):
+            return _factorwise_masks(
+                self, lambda factor: enumerate_spectrum(factor)._principal_masks)
+        return frozenset(
+            IndexKernel.mask(i for i, p in enumerate(self.points) if p.ideal.contains(f))
+            for f in _vanishing_representatives(ring))
 
     @cached_property
     def down_closure(self):
@@ -247,23 +257,22 @@ _SPECTRA: dict[Ring, SpectrumPoset] = {}
 def enumerate_spectrum(ring: Ring) -> SpectrumPoset:
     """All prime ideals with the containment order.
 
-    Finite rings, finite products included, enumerate every ideal and
-    filter by the primality predicate.  Spectra of infinite products are
-    built factor-wise: a prime of a product is a prime in one slot and the
-    whole ring elsewhere.
+    Finite rings, finite products included, and the localized integers
+    enumerate their ideals and filter by the primality predicate; the
+    truncated chain of a localized ring holds both of its primes, (0) and
+    (p).  Spectra of infinite products are built factor-wise: a prime of a
+    product is a prime in one slot and the whole ring elsewhere.
     """
     cached = _SPECTRA.get(ring)
     if cached is not None:
         return cached
-    if ring.is_finite:
+    if ring.is_finite or isinstance(ring, LocalizedIntegerRing):
         primes = [i for i in enumerate_ideals(ring) if is_prime_ideal(i)]
     elif isinstance(ring, ProductRing):
         primes = []
         for i, factor in enumerate(ring.factors):
             for pt in enumerate_spectrum(factor).points:
                 primes.append(embed_factor_prime(ring, i, pt.ideal))
-    elif isinstance(ring, LocalizedIntegerRing):
-        primes = [LocalIdeal(ring, None), LocalIdeal(ring, 1)]
     else:
         raise UnsupportedForPresentation(
             f"the spectrum of {ring.describe()} is not enumerable")
@@ -378,11 +387,12 @@ def _vanishing_representatives(ring: Ring) -> tuple[Element, ...]:
     raise UnsupportedForPresentation(ring.describe())
 
 
-def _factorwise_masks(ring: ProductRing, factor_masks) -> frozenset[int]:
-    """The unions of one realizable set per factor, its points embedded:
-    (x1, ..., xk) lies in the embedded prime (..., Pi, ...) iff xi lies in
-    Pi, for elements and for ideals alike."""
-    sp = enumerate_spectrum(ring)
+def _factorwise_masks(sp: SpectrumPoset, factor_masks) -> frozenset[int]:
+    """The unions of one realizable set per factor of the infinite product
+    ``sp.ring``, its points embedded: (x1, ..., xk) lies in the embedded
+    prime (..., Pi, ...) iff xi lies in Pi, for elements and for ideals
+    alike."""
+    ring = sp.ring
     # Each point of the product is proper in exactly one slot.
     embed = {(i, c): 1 << k for k, p in enumerate(sp.points)
              for i, c in enumerate(p.ideal.components) if not c.is_whole()}
@@ -395,24 +405,11 @@ def _factorwise_masks(ring: ProductRing, factor_masks) -> frozenset[int]:
     return frozenset(map(sum, itertools.product(*per_factor)))
 
 
-def _principal_masks(ring: Ring) -> frozenset[int]:
-    """The masks of every V(f), computed once per spectrum."""
-    sp = enumerate_spectrum(ring)
-    if sp._vanishing_masks is None:
-        if not ring.is_finite and isinstance(ring, ProductRing):
-            sp._vanishing_masks = _factorwise_masks(ring, _principal_masks)
-        else:
-            sp._vanishing_masks = frozenset(
-                IndexKernel.mask(i for i, p in enumerate(sp.points) if p.ideal.contains(f))
-                for f in _vanishing_representatives(ring))
-    return sp._vanishing_masks
-
-
 def _ideal_masks(ring: Ring) -> frozenset[int]:
     """The masks of every V(I), collected afresh on each call."""
-    if not ring.is_finite and isinstance(ring, ProductRing):
-        return _factorwise_masks(ring, _ideal_masks)
     sp = enumerate_spectrum(ring)
+    if not ring.is_finite and isinstance(ring, ProductRing):
+        return _factorwise_masks(sp, _ideal_masks)
     return frozenset(sp._mask_of(vanishing_locus(ring, i)) for i in enumerate_ideals(ring))
 
 
@@ -421,7 +418,8 @@ def principal_vanishing_sets(ring: Ring) -> frozenset[frozenset[PrimePoint]]:
 
     Infinite products take their sets factor by factor.
     """
-    return frozenset(map(enumerate_spectrum(ring)._points_of, _principal_masks(ring)))
+    sp = enumerate_spectrum(ring)
+    return frozenset(map(sp._points_of, sp._principal_masks))
 
 
 def ideal_vanishing_sets(ring: Ring) -> frozenset[frozenset[PrimePoint]]:
@@ -455,8 +453,9 @@ def closed_family(ring: Ring, topology: str,
     finitely generated ideals; both generate the same family and the
     harness asserts that agreement on every corpus ring.  Families from
     the V(f) sub-basis are built once per spectrum and then shared; the
-    V(I) basis is collected and its family generated on every call, so
-    that comparison is always between two independent computations.
+    masks of the V(I) basis are collected from the ideal enumeration and
+    their family generated on every call, so that comparison is always
+    between two independent computations.
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
@@ -467,12 +466,7 @@ def closed_family(ring: Ring, topology: str,
     if not use_ideal_basis and topology in sp._families:
         return sp._families[topology]
     n, full = len(sp), sp.full
-    if use_ideal_basis:
-        # Through the public function, so that replacing it (as the
-        # negative control of topology-characterization does) reaches here.
-        vsets = frozenset(map(sp._mask_of, ideal_vanishing_sets(ring)))
-    else:
-        vsets = _principal_masks(ring)
+    vsets = _ideal_masks(ring) if use_ideal_basis else sp._principal_masks
     dsets = frozenset(full ^ v for v in vsets)
     subbasis = {ZARISKI: dsets, FLAT: vsets, PATCH: dsets | vsets}[topology]
     least_open = [reduce(and_, filter((1 << x).__and__, subbasis), full)

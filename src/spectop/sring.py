@@ -25,7 +25,7 @@ where the indicators of {1..n} grow strictly forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import HypothesisViolated, InvalidChain
@@ -36,7 +36,6 @@ from .spectrum import (
     FLAT,
     PrimePoint,
     ZARISKI,
-    _principal_masks,
     closed_family,
     enumerate_spectrum,
     vanishing_locus,
@@ -224,8 +223,6 @@ class SRingCertificate:
     double_closed_ok: bool
     double_closed_matches: tuple[tuple[frozenset[PrimePoint], Element], ...]
     failures: tuple[str, ...] = ()
-    zariski: ClosedFamily | None = field(compare=False, default=None)
-    flat: ClosedFamily | None = field(compare=False, default=None)
 
 
 def sring_certificate(ring: Ring) -> SRingCertificate:
@@ -282,7 +279,7 @@ def _certify(ring: Ring) -> SRingCertificate:
     passed = genstable_open and specstable_open and double_ok and not failures
     return SRingCertificate(
         ring, passed, genstable_open, specstable_open, double_ok,
-        tuple(matches), tuple(failures), zfam, ffam)
+        tuple(matches), tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +326,7 @@ def chain_condition_check(ring: Ring, points,
     for i in IndexKernel.members(x):
         meet = ideal_intersection(meet, sp.points[i].ideal)
 
-    family = {x & v for v in _principal_masks(ring)}
+    family = {x & v for v in sp._principal_masks}
     ordered = tuple(sp._points_of(s) for s in sorted(family, key=sp._mask_key))
 
     sections = None

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from spectop import enumerate_spectrum, is_cyclic_flat, parse_ring, principal_ideal
+from spectop.errors import ParseError
 from spectop.cli import (
     certificate_doc,
     certificate_from_doc,
@@ -77,6 +78,12 @@ def test_chaincond_command(capsys):
     assert doc["covering_ok"] is True
     assert doc["meet_ideal"] == "(6)"
     assert doc["acc"] and doc["dcc"]
+    code, out, _ = run_cli(capsys, "chaincond", "--ring", "Zloc(2)", "--X", "max")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["X"] == ["(2)"] and doc["covering_ok"] is True
+    assert doc["meet_ideal"] == "(2)"
+    assert doc["family"] == [[], ["(2)"]]
 
 
 def test_chaincond_custom_violation(capsys):
@@ -174,6 +181,9 @@ def test_parse_errors_exit_two(capsys):
     assert code == 2  # spectrum not enumerable
     code, _, err = run_cli(capsys, "flat", "--ring", "Z/6", "--ideal", "x")
     assert code == 2
+    code, out, err = run_cli(capsys, "chaincond", "--ring", "Z/12", "--X", "custom")
+    assert code == 2 and out == ""
+    assert err == "error: at position 0: --points is required with --X custom\n"
 
 
 @pytest.mark.parametrize("argv, size", [
@@ -248,6 +258,9 @@ def test_spectrum_json_round_trip():
         sp = enumerate_spectrum(parse_ring(text))
         doc = json.loads(json.dumps(spectrum_doc(sp)))
         assert spectrum_from_doc(doc) == sp
+        doc["order"].append(doc["order"][0] if doc["order"] else ["(x)", "(y)"])
+        with pytest.raises(ParseError, match="does not describe this ring's spectrum"):
+            spectrum_from_doc(doc)
 
 
 def test_certificate_json_round_trip():
@@ -258,6 +271,9 @@ def test_certificate_json_round_trip():
         cert = is_cyclic_flat(ideal)
         doc = json.loads(json.dumps(certificate_doc(cert)))
         assert certificate_from_doc(doc) == cert
+        doc["flat"] = not doc["flat"]
+        with pytest.raises(ParseError, match="does not match the recomputed certificate"):
+            certificate_from_doc(doc)
 
 
 def test_json_output_is_byte_stable(capsys):

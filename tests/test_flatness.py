@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -69,6 +70,36 @@ def test_flat_frozen_examples():
 
     z12 = parse_ring("Z/12")
     assert is_cyclic_flat(zero_ideal(z12)).verdict
+
+
+def _z6_flat():
+    z6 = parse_ring("Z/6")
+    return is_cyclic_flat(principal_ideal(z6, z6.element(2)))
+
+
+def _z4_not_flat():
+    z4 = parse_ring("Z/4")
+    return is_cyclic_flat(principal_ideal(z4, z4.element(2)))
+
+
+def _with_witness(cert, f, a, b):
+    ring = cert.ideal.ring
+    f, a, b = (ring.element(x) for x in (f, a, b))
+    return dataclasses.replace(
+        cert, witnesses=tuple((f, a, b) if w[0] == f else w for w in cert.witnesses))
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda: _with_witness(_z6_flat(), 2, 1, 0),   # a*f = 2, not 0
+    lambda: _with_witness(_z6_flat(), 2, 3, 2),   # a + b = 5, not 1
+    lambda: dataclasses.replace(_z6_flat(), witnesses=_z6_flat().witnesses[1:]),
+    lambda: dataclasses.replace(_z4_not_flat(), failing=parse_ring("Z/4").one),
+    lambda: dataclasses.replace(_z4_not_flat(), failing=parse_ring("Z/4").zero),
+], ids=["a-times-f-nonzero", "a-plus-b-not-one", "missing-f", "failing-outside-ideal",
+        "failing-ann-sum-whole"])
+def test_tampered_certificates_fail_verify(tamper):
+    assert _z6_flat().verify() and _z4_not_flat().verify()
+    assert not tamper().verify()
 
 
 def test_flat_exhaustive_pair_search(witness_ring):

@@ -14,6 +14,7 @@ from spectop import (
     UnsupportedForPresentation,
     annihilator,
     enumerate_ideals,
+    enumerate_spectrum,
     finite_support_ideal,
     ideal_from_generators,
     ideal_intersection,
@@ -182,6 +183,7 @@ def test_local_lattice_operations():
     assert ideal_intersection(a, b) == LocalIdeal(zl, 5)
     zero = LocalIdeal(zl, None)
     assert ideal_sum(zero, a) == a
+    assert ideal_sum(a, zero) == a
     assert ideal_intersection(zero, a) == zero
     assert a.issubset(LocalIdeal(zl, 1))
     assert not LocalIdeal(zl, 1).issubset(a)
@@ -194,6 +196,10 @@ def test_bool_ideal_operations():
     joined = ideal_from_generators(bits, [g, h])
     assert isinstance(joined, BoolPrincipalIdeal)
     assert joined.generator == bits.indicator({1, 2, 3})
+    pg, ph = BoolPrincipalIdeal(bits, g), BoolPrincipalIdeal(bits, bits.indicator({1, 2}))
+    assert ideal_sum(pg, ph) == BoolPrincipalIdeal(bits, bits.indicator({1, 2}))
+    assert ideal_intersection(ph, BoolPrincipalIdeal(bits, h)) == BoolPrincipalIdeal(
+        bits, bits.indicator({2}))
     fin = finite_support_ideal(bits)
     assert ideal_sum(BoolPrincipalIdeal(bits, g), fin) == fin
     cofinite = bits.element(({4}, 1))
@@ -247,6 +253,13 @@ def test_prime_ideals_symbolic():
     assert is_prime_ideal(LocalIdeal(zl, 1))
     assert not is_prime_ideal(LocalIdeal(zl, 0))
     assert not is_prime_ideal(LocalIdeal(zl, 2))
+    # A product ideal is prime when one component is a prime and the rest
+    # are whole: the primes among the enumerated ideals are the spectrum.
+    mixed = parse_ring("Zloc(2) * Zloc(3)")
+    primes = [i.label() for i in enumerate_ideals(mixed, local_level_bound=2)
+              if is_prime_ideal(i)]
+    assert primes == ["(0) x (1)", "(1) x (0)", "(1) x (3)", "(2) x (1)"]
+    assert tuple(primes) == enumerate_spectrum(mixed).labels
 
 
 def test_product_ideal_componentwise():

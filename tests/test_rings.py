@@ -71,6 +71,16 @@ def test_elements_of_distinct_rings_do_not_mix():
         a + b
 
 
+def test_element_arithmetic_takes_ints_and_nothing_else():
+    z6 = ModularRing(6)
+    f = z6.element(5)
+    assert f + 1 == z6.zero
+    assert 1 - f == z6.element(2)
+    for other in (1.5, "1", None):
+        with pytest.raises(TypeError, match="cannot interpret .* as a ring element"):
+            f + other
+
+
 def test_galois_field_canonical_modulus():
     gf4 = GaloisFieldRing(2, 2)
     assert gf4.modulus == (1, 1, 1)  # x^2+x+1
@@ -80,6 +90,14 @@ def test_galois_field_canonical_modulus():
     assert x * x == gf4.element((1, 1))  # x^2 = x+1 in GF(4)
     assert least_irreducible_polynomial(2, 3) == (1, 1, 0, 1)  # x^3+x+1
     assert least_irreducible_polynomial(3, 2) == (1, 0, 1)  # x^2+1
+
+
+@pytest.mark.parametrize("modulus, name", [
+    ((1, 0, 1, 1), "Z/2[x]/(x^3+x^2+1)"),  # irreducible, but not the least
+    ((1, 1, 0, 1), "GF(8)"),               # the least irreducible, given explicitly
+])
+def test_galois_field_is_named_gf_only_for_the_least_modulus(modulus, name):
+    assert GaloisFieldRing(2, modulus=modulus).describe() == name
 
 
 def test_galois_field_rejects_reducible_modulus():
@@ -164,6 +182,13 @@ def test_ring_size_budget():
 def test_product_ring_rejects_bits_factor():
     with pytest.raises(UnsupportedForPresentation):
         product_ring([EventuallyConstantBitsRing(), ModularRing(2)])
+
+
+def test_infinite_product_lists_no_elements():
+    ring = product_ring([LocalizedIntegerRing(2), ModularRing(3)])
+    with pytest.raises(UnsupportedForPresentation,
+                       match="Zloc\\(2\\) \\* Z/3 is infinite; its elements cannot be listed"):
+        ring.elements()
 
 
 def test_crt_isomorphism_z4_z3():

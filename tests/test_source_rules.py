@@ -13,6 +13,10 @@ SOURCE = Path(spectop.__file__).resolve().parent
 # The one module-global cache: spectra shared between equal rings.
 ALLOWED_GLOBAL_CACHES = {("spectrum.py", "_SPECTRA")}
 
+# The one private name a module takes from a sibling: the polynomial
+# trimming helper of ``rings``, which ``dsl`` applies to parsed coefficients.
+ALLOWED_PRIVATE_IMPORTS = {("dsl.py", "_ptrim")}
+
 
 def _trees(root: Path):
     for path in sorted(root.glob("*.py")):
@@ -88,4 +92,41 @@ def test_the_cache_rule_flags_an_added_global(tmp_path):
         "binds _SEEN to an empty container",
         "imports cache",
         "binds _MEMO to an empty container",
+    ]
+
+
+def private_imports(root: Path) -> list[str]:
+    """Where a module imports a private name from a sibling module.
+
+    A fact that another module needs belongs on the object it describes,
+    or under a public name; only the allowed imports are exempt.
+    """
+    found = []
+    for path, tree in _trees(root):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("spectop"):
+                continue
+            found += [f"{path.name}:{node.lineno} imports {a.name}"
+                      for a in node.names if a.name.startswith("_")
+                      and (path.name, a.name) not in ALLOWED_PRIVATE_IMPORTS]
+    return found
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    assert private_imports(SOURCE) == []
+
+
+def test_the_private_import_rule_flags_an_added_import(tmp_path):
+    copy = tmp_path / "spectop"
+    shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert private_imports(copy) == []
+    with open(copy / "sring.py", "a", encoding="utf-8") as handle:
+        handle.write("\nfrom .spectrum import _ideal_masks, closed_family\n"
+                     "from spectop.rings import _ptrim\n")
+    found = private_imports(copy)
+    assert [f.split(" ", 1)[1] for f in found] == [
+        "imports _ideal_masks",
+        "imports _ptrim",
     ]
