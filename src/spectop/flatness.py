@@ -12,9 +12,10 @@ cyclic modules over a commutative ring and is decidable here.
 Nothing here depends on how an ideal is represented, except that
 :func:`support_of_ideal` reads the annihilator masks of a finite ring's
 index kernel.  Each ideal class in ``ideals`` supplies its certificate
-samples, a flat witness for each sample, the certificate note and its
-idempotent generator, and :func:`is_cyclic_flat` is one loop over the
-samples and their witnesses.
+samples, a flat witness for each sample and the certificate note, and
+:func:`is_cyclic_flat` is one loop over the samples and their witnesses.
+The idempotent generator is defined once on ``Ideal``, as the first
+idempotent e with Re = I; only the bits ring's ideals supply their own.
 
 The certificate of an ideal is computed once per ideal object and kept
 on it, so the checks that read the flatness of the same enumerated ideal

@@ -12,10 +12,11 @@ infinite products are componentwise.
 
 Each representation is one class that owns all of its operations:
 membership, inclusion, sum, intersection, radical, saturation kernel,
-primality, and the flatness primitives (witness samples, flat witnesses,
-idempotent generator) that ``flatness`` runs generically.  The
-arithmetic functions of this module call these methods; only
-``ideal_from_generators``, ``annihilator`` and ``enumerate_ideals``,
+primality, and the flatness primitives (witness samples and flat
+witnesses) that ``flatness`` runs generically.  :class:`Ideal` defines
+the zero, whole and idempotent generator predicates once, from
+membership and equality.  The arithmetic functions call these methods;
+only ``ideal_from_generators``, ``annihilator`` and ``enumerate_ideals``,
 which build ideals, dispatch on the type of the ring.
 
 Every ideal is immutable and compares structurally.  ``label()`` gives a
@@ -26,10 +27,12 @@ short canonical name such as ``(2)``, ``(2^3)``, ``(fin)`` or
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 
-from .errors import UnsupportedForPresentation
+from .errors import RingTooLarge, UnsupportedForPresentation
 from .rings import (
+    MAX_FAMILY_POINTS,
     Element,
     EventuallyConstantBitsRing,
     IndexKernel,
@@ -65,14 +68,16 @@ class Ideal:
     """Base class; each subclass owns one representation and its operations.
 
     Each constructor sets ``key``, the tuple that equality compares; its
-    hash is computed once and cached.  Besides the methods below, every
-    subclass defines ``plus(other)``, ``meet(other)`` and ``radical()``,
-    and for flatness ``witness_samples()``, the elements f of I whose
-    witnesses make up a certificate, ``flat_witness(f)``, a pair (a, b)
-    with a*f = 0, b in I and a + b = 1 or None, and
-    ``idempotent_generator()``.  An operation a presentation does not
-    support falls through to the default here, which raises
-    :class:`UnsupportedForPresentation`.
+    hash is computed once and cached.  Every subclass supplies
+    ``contains``, ``issubset``, ``label``, ``plus(other)``, ``meet(other)``
+    and ``radical()``, and for flatness ``witness_samples()``, the
+    elements f of I whose witnesses make up a certificate, and
+    ``flat_witness(f)``, a pair (a, b) with a*f = 0, b in I and a + b = 1
+    or None.  The base defines ``is_zero``, ``is_whole`` and
+    ``idempotent_generator`` by their definitions; only the bits ring,
+    with infinitely many idempotents, overrides the last.  An operation a
+    presentation does not support falls through to the default here,
+    which raises :class:`UnsupportedForPresentation`.
     """
 
     ring: Ring
@@ -85,10 +90,15 @@ class Ideal:
         raise NotImplementedError
 
     def is_zero(self) -> bool:
-        raise NotImplementedError
+        return self == zero_ideal(self.ring)
 
     def is_whole(self) -> bool:
-        raise NotImplementedError
+        return self.contains(self.ring.one)
+
+    def idempotent_generator(self) -> Element | None:
+        """The idempotent e with Re = I, or None; when it exists it is unique."""
+        return next((e for e in idempotents(self.ring)
+                     if principal_ideal(self.ring, e) == self), None)
 
     def label(self) -> str:
         raise NotImplementedError
@@ -168,12 +178,6 @@ class ExplicitIdeal(Ideal):
         _check_same_ring(self, other)
         return not self.mask & ~other.mask
 
-    def is_zero(self):
-        return self.mask == 1 << self.ring.index_kernel.zero
-
-    def is_whole(self):
-        return bool(self.mask >> self.ring.index_kernel.one & 1)
-
     def sorted_elements(self) -> list[Element]:
         k = self.ring.index_kernel
         return [k.elements[i] for i in k.members(self.mask)]
@@ -231,13 +235,6 @@ class ExplicitIdeal(Ideal):
         a = (candidates & -candidates).bit_length() - 1
         return (k.elements[a], k.elements[k.one_minus[a]])
 
-    def idempotent_generator(self):
-        k = self.ring.index_kernel
-        for e in idempotents(self.ring):
-            if k.spans[k.index[e]] == self.mask:
-                return e
-        return None
-
 
 class LocalIdeal(Ideal):
     """An ideal of the localized integers: level None is (0), level k is (p^k)."""
@@ -266,12 +263,6 @@ class LocalIdeal(Ideal):
         if other.level is None:
             return False
         return self.level >= other.level
-
-    def is_zero(self):
-        return self.level is None
-
-    def is_whole(self):
-        return self.level == 0
 
     def label(self):
         if self.level is None:
@@ -327,13 +318,6 @@ class LocalIdeal(Ideal):
             return "the zero and unit ideals always give flat quotients"
         return "a nonzero element of a domain has zero annihilator"
 
-    def idempotent_generator(self):
-        if self.level is None:
-            return self.ring.zero
-        if self.level == 0:
-            return self.ring.one
-        return None
-
 
 class _BooleanIdeal(Ideal):
     """What the ideals of the bits ring share: x^2 = x for every x, so each
@@ -371,12 +355,6 @@ class BoolPrincipalIdeal(_BooleanIdeal):
     def issubset(self, other):
         _check_same_ring(self, other)
         return other.contains(self.generator)
-
-    def is_zero(self):
-        return self.generator == self.ring.zero
-
-    def is_whole(self):
-        return self.generator == self.ring.one
 
     def label(self):
         return f"({self.generator})"
@@ -418,12 +396,6 @@ class BoolFiniteSupportIdeal(_BooleanIdeal):
     def issubset(self, other):
         _check_same_ring(self, other)
         return other == self or other.is_whole()
-
-    def is_zero(self):
-        return False
-
-    def is_whole(self):
-        return False
 
     def label(self):
         return "(fin)"
@@ -483,12 +455,6 @@ class ProductIdeal(Ideal):
         _check_same_ring(self, other)
         return all(a.issubset(b) for a, b in zip(self.components, other.components))
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components)
-
-    def is_whole(self):
-        return all(c.is_whole() for c in self.components)
-
     def label(self):
         return " x ".join(c.label() for c in self.components)
 
@@ -532,12 +498,6 @@ class ProductIdeal(Ideal):
         zero = self.ring.zero.value
         slot = next(i for i, v in enumerate(failing.value) if v != zero[i])
         return f"component {slot} is not flat"
-
-    def idempotent_generator(self):
-        parts = [c.idempotent_generator() for c in self.components]
-        if None in parts:
-            return None
-        return Element(self.ring, tuple(e.value for e in parts))
 
 
 def _check_same_ring(a: Ideal, b: Ideal):
@@ -670,8 +630,9 @@ def enumerate_ideals(ring: Ring, local_level_bound: int = 6) -> tuple[Ideal, ...
     distinct spans Rg.  Each is wrapped once, and the ring's memo keeps
     the result, so each ring instance enumerates its ideals once.
     For the localized integers the lattice is (0) plus the chain (p^k),
-    truncated at ``local_level_bound``; for infinite products the
-    component enumerations are combined and sorted by label.
+    truncated at ``local_level_bound``; infinite products combine the
+    component enumerations, sorted by label, and refuse more than
+    ``2 ** MAX_FAMILY_POINTS`` combinations before building any.
     """
     if ring.is_finite:
         memo = ring.memo
@@ -685,6 +646,10 @@ def enumerate_ideals(ring: Ring, local_level_bound: int = 6) -> tuple[Ideal, ...
         return tuple(out)
     if isinstance(ring, ProductRing):
         per_factor = [enumerate_ideals(f, local_level_bound) for f in ring.factors]
+        count = math.prod(map(len, per_factor))
+        if count > 2 ** MAX_FAMILY_POINTS:
+            raise RingTooLarge(f"{ring.describe()} has {count} ideals, more than "
+                               f"the budget of {2 ** MAX_FAMILY_POINTS}")
         out = [ProductIdeal(ring, combo) for combo in itertools.product(*per_factor)]
         return tuple(sorted(out, key=lambda i: i.label()))
     raise UnsupportedForPresentation(

@@ -75,6 +75,11 @@ __all__ = [
 # up already take tens of seconds.
 MAX_RING_ELEMENTS = 256
 
+# Closed families grow like the power set of the spectrum, so they are
+# generated for at most this many points, and the ideals of an infinite
+# product are enumerated up to 2 ** MAX_FAMILY_POINTS.
+MAX_FAMILY_POINTS = 16
+
 # Miller-Rabin with the first 13 primes as bases decides primality of
 # every n below this bound (Sorenson and Webster, 2015); larger integers
 # are refused, so no verdict is probabilistic.
@@ -399,11 +404,13 @@ class Ring:
     """Base class for all presentations.
 
     Subclasses implement the payload protocol (``_canon``, ``_add``,
-    ``_mul``, ``_neg``, ``_fmt``, ``_sort_key``) and the derived
-    interface here stays uniform.  Instances are immutable after
-    construction and compare structurally through ``key``, a tuple each
-    presentation fixes once when it is built; its hash is computed once
-    and cached.
+    ``_mul``, ``_neg``, ``_fmt``, ``_sort_key``); the defaults here suit
+    number payloads: arithmetic canonicalizes the plain result, ``_fmt``
+    is ``str`` and the sort key is the payload.  ``elements()`` refuses an
+    infinite ring and returns a finite one's ``_elements``, in canonical
+    order.  Instances are immutable after construction and compare
+    structurally through ``key``, a tuple each presentation fixes once
+    when it is built; its hash is computed once and cached.
     """
 
     is_finite = False
@@ -414,19 +421,19 @@ class Ring:
         raise NotImplementedError
 
     def _add(self, a, b):
-        raise NotImplementedError
+        return self._canon(a + b)
 
     def _mul(self, a, b):
-        raise NotImplementedError
+        return self._canon(a * b)
 
     def _neg(self, a):
-        raise NotImplementedError
+        return self._canon(-a)
 
     def _fmt(self, a) -> str:
-        raise NotImplementedError
+        return str(a)
 
     def _sort_key(self, a):
-        raise NotImplementedError
+        return a
 
     def _tables(self):
         """The add and mul tables over the indices of ``elements()``."""
@@ -450,8 +457,10 @@ class Ring:
         return self.element(1)
 
     def elements(self) -> tuple[Element, ...]:
-        raise UnsupportedForPresentation(
-            f"{self.describe()} is infinite; its elements cannot be listed")
+        if not self.is_finite:
+            raise UnsupportedForPresentation(
+                f"{self.describe()} is infinite; its elements cannot be listed")
+        return self._elements
 
     @cached_property
     def index_kernel(self) -> IndexKernel:
@@ -499,21 +508,6 @@ class ModularRing(Ring):
             raise ValueError(f"expected an integer residue, got {value!r}")
         return value % self.modulus
 
-    def _add(self, a, b):
-        return (a + b) % self.modulus
-
-    def _mul(self, a, b):
-        return (a * b) % self.modulus
-
-    def _neg(self, a):
-        return (-a) % self.modulus
-
-    def _fmt(self, a):
-        return str(a)
-
-    def _sort_key(self, a):
-        return a
-
     @cached_property
     def _elements(self):
         return tuple(Element(self, r) for r in range(self.modulus))
@@ -521,9 +515,6 @@ class ModularRing(Ring):
     def _tables(self):
         n, r = self.modulus, range(self.modulus)
         return [[(a + b) % n for b in r] for a in r], [[a * b % n for b in r] for a in r]
-
-    def elements(self):
-        return self._elements
 
     def describe(self):
         return f"Z/{self.modulus}"
@@ -609,9 +600,6 @@ class PolyQuotientRing(Ring):
             mul.append(row)
         return add, mul
 
-    def elements(self):
-        return self._elements
-
     def describe(self):
         return f"Z/{self.p}[x]/({polynomial_text(self.modulus)})"
 
@@ -682,14 +670,7 @@ class ProductRing(Ring):
         if len(value) != len(self.factors):
             raise ValueError(
                 f"expected {len(self.factors)} components, got {len(value)}")
-        out = []
-        for f, v in zip(self.factors, value):
-            if isinstance(v, Element):
-                v = f.element(v).value
-                out.append(v)
-            else:
-                out.append(f._canon(v))
-        return tuple(out)
+        return tuple(f.element(v).value for f, v in zip(self.factors, value))
 
     def _add(self, a, b):
         return tuple(f._add(x, y) for f, x, y in zip(self.factors, a, b))
@@ -710,11 +691,6 @@ class ProductRing(Ring):
     def _elements(self):
         combos = itertools.product(*(f.elements() for f in self.factors))
         return tuple(Element(self, tuple(e.value for e in c)) for c in combos)
-
-    def elements(self):
-        if not self.is_finite:
-            return super().elements()
-        return self._elements
 
     def _tables(self):
         # Elements are listed as itertools.product of the factors', so an
@@ -757,18 +733,6 @@ class LocalizedIntegerRing(Ring):
                 f"{value} is not in the localization at {self.p}: "
                 "its denominator is divisible by the prime")
         return value
-
-    def _add(self, a, b):
-        return a + b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
-
-    def _fmt(self, a):
-        return str(a)
 
     def _sort_key(self, a):
         return (a.denominator, a.numerator)

@@ -48,6 +48,7 @@ from .ideals import (
     unit_ideal,
 )
 from .rings import (
+    MAX_FAMILY_POINTS,
     Element,
     IndexKernel,
     LocalizedIntegerRing,
@@ -83,8 +84,6 @@ FLAT = "flat"
 PATCH = "patch"
 TOPOLOGIES = (ZARISKI, FLAT, PATCH)
 
-MAX_FAMILY_POINTS = 16
-
 
 @dataclass(frozen=True)
 class PrimePoint:
@@ -104,16 +103,15 @@ class PrimePoint:
 def _union_of_cones(cones):
     """The map from a mask to the union of the cones of its points.
 
-    A table per byte of the mask holds that union for each of the 256
-    values the byte can take, so the map costs one lookup a byte.
+    A table per byte of the mask holds that union for each of the values
+    the byte can take, so the map costs one lookup a byte.
     """
     tables = []
     for base in range(0, len(cones), 8):
-        table = [0] * 256
-        for v in range(1, 256):
+        table = [0] * (1 << min(8, len(cones) - base))
+        for v in range(1, len(table)):
             low = v & -v
-            i = base + low.bit_length() - 1
-            table[v] = table[v ^ low] | (cones[i] if i < len(cones) else 0)
+            table[v] = table[v ^ low] | cones[base + low.bit_length() - 1]
         tables.append(table)
 
     def union(mask: int) -> int:
@@ -223,6 +221,12 @@ class SpectrumPoset:
     def up_closure(self):
         """mask -> the union of the specialization cones of its points."""
         return _union_of_cones(self.up)
+
+    def _check_family_bound(self) -> None:
+        """Refuse a spectrum whose closed families are too large to generate."""
+        if len(self) > MAX_FAMILY_POINTS:
+            raise SpectrumTooLarge(
+                f"{len(self)} spectrum points exceed the bound {MAX_FAMILY_POINTS}")
 
     def leq(self, p: PrimePoint, q: PrimePoint) -> bool:
         """The specialization order: p <= q iff p is contained in q."""
@@ -460,9 +464,7 @@ def closed_family(ring: Ring, topology: str,
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
     sp = enumerate_spectrum(ring)
-    if len(sp) > MAX_FAMILY_POINTS:
-        raise SpectrumTooLarge(
-            f"{len(sp)} spectrum points exceed the bound {MAX_FAMILY_POINTS}")
+    sp._check_family_bound()
     if not use_ideal_basis and topology in sp._families:
         return sp._families[topology]
     n, full = len(sp), sp.full

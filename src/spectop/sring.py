@@ -321,6 +321,9 @@ def chain_condition_check(ring: Ring, points,
             raise HypothesisViolated(
                 f"maximal ideal {m.label()} has no member of X below it",
                 witness=m)
+    # The certificate needs closed families; refuse a spectrum too large
+    # for them before the family, which can grow like 3^k, is built.
+    sp._check_family_bound()
 
     meet = unit_ideal(ring)
     for i in IndexKernel.members(x):

@@ -91,6 +91,26 @@ def test_parse_errors_carry_positions():
         parse_ring("Z/2[x]/(x+)")
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_ring, "Z/", "at position 2: expected a number (expected digit)"),
+    (parse_ring, "Z/2[x]/(x+1", "at position 11: missing ')' (expected ))"),
+    (parse_ring, "Z/2[x]/(x^^2)",
+     "at position 8: bad polynomial term 'x^^2' (expected coefficient | x | x^k)"),
+    (lambda text: parse_element(parse_ring("Z/2 * Z/3"), text), "1",
+     "at position 0: a product element is a (…, …) tuple (expected ()"),
+    (lambda text: parse_element(parse_ring("Z/2 * Z/3"), text), "(1)",
+     "at position 0: expected 2 components, got 1"),
+    (lambda text: parse_ideal_label(parse_ring("Zloc(2) * Z/3"), text), "(0)",
+     "at position 0: expected 2 ideal components"),
+    (lambda text: parse_ideal_label(parse_ring("Z/6"), text), "2",
+     "at position 0: an ideal label is parenthesized (expected ()"),
+])
+def test_parse_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 def test_parse_validation_errors():
     with pytest.raises(NotPrimePower):
         parse_ring("GF(6)")

@@ -316,6 +316,9 @@ def test_corpus_from_document_validation():
     with pytest.raises(CorpusError):
         corpus_from_document({"rings": []})
     with pytest.raises(CorpusError) as err:
+        corpus_from_document({"entries": {}})
+    assert str(err.value) == "'entries' must be an array"
+    with pytest.raises(CorpusError) as err:
         corpus_from_document({"entries": [{"ring": "Z/6", "expect": {"size": 1}}]})
     assert err.value.index == 0
     with pytest.raises(CorpusError):

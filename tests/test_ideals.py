@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from spectop import (
     EventuallyConstantBitsRing,
     LocalizedIntegerRing,
     ModularRing,
+    RingTooLarge,
     UnsupportedForPresentation,
     annihilator,
     enumerate_ideals,
@@ -27,7 +29,14 @@ from spectop import (
     unit_ideal,
     zero_ideal,
 )
-from spectop.ideals import BoolPrincipalIdeal, ExplicitIdeal, LocalIdeal
+from spectop.dsl import parse_ideal_label
+from spectop.ideals import (
+    BoolFiniteSupportIdeal,
+    BoolPrincipalIdeal,
+    ExplicitIdeal,
+    LocalIdeal,
+    ProductIdeal,
+)
 from spectop.rings import canonical_sorted
 
 from conftest import (
@@ -299,3 +308,63 @@ def _full_scan_label(ideal):
 def test_explicit_labels_match_full_scan(text):
     for ideal in enumerate_ideals(parse_ring(text)):
         assert ideal.label() == _full_scan_label(ideal)
+
+
+@pytest.mark.parametrize("text, label, zero, whole, generator", [
+    ("Zloc(2)", "(0)", True, False, "0"),
+    ("Zloc(2)", "(1)", False, True, "1"),
+    ("Zloc(2)", "(2^2)", False, False, None),
+    ("EvBits", "({}:0)", True, False, "{}:0"),
+    ("EvBits", "({}:1)", False, True, "{}:1"),
+    ("EvBits", "({1,2}:0)", False, False, "{1,2}:0"),
+    ("EvBits", "(fin)", False, False, None),
+    ("Z/12", "(3)", False, False, "9"),
+    ("Z/12", "(2)", False, False, None),
+    ("Zloc(2) * Z/6", "(0) x (3)", False, False, "(0, 3)"),
+    ("Zloc(2) * Z/6", "(2) x (1)", False, False, None),
+])
+def test_predicates_frozen_per_representation(text, label, zero, whole, generator):
+    ideal = parse_ideal_label(parse_ring(text), label)
+    assert ideal.label() == label
+    assert ideal.is_zero() is zero
+    assert ideal.is_whole() is whole
+    found = ideal.idempotent_generator()
+    assert (None if found is None else str(found)) == generator
+
+
+def test_constructor_checks_of_the_symbolic_ideals():
+    z2, zl = ModularRing(2), LocalizedIntegerRing(2)
+    mixed = parse_ring("Zloc(2) * Z/3")
+    cases = [
+        (lambda: LocalIdeal(z2, 1), UnsupportedForPresentation,
+         "LocalIdeal needs a localized integer ring"),
+        (lambda: LocalIdeal(zl, -1), ValueError, "level must be None or >= 0"),
+        (lambda: BoolPrincipalIdeal(z2, 1), UnsupportedForPresentation,
+         "BoolPrincipalIdeal needs the bits ring"),
+        (lambda: BoolFiniteSupportIdeal(z2), UnsupportedForPresentation,
+         "this ideal lives in the bits ring"),
+        (lambda: ProductIdeal(parse_ring("Z/2 * Z/3"), ()), UnsupportedForPresentation,
+         "ProductIdeal is the representation for infinite products"),
+        (lambda: ProductIdeal(mixed, (zero_ideal(zl),)), ValueError,
+         "one component ideal per factor is required"),
+        (lambda: ProductIdeal(mixed, (zero_ideal(mixed.factors[1]), zero_ideal(zl))),
+         ValueError, "component ideal belongs to the wrong factor"),
+        (lambda: ideal_sum(zero_ideal(ModularRing(4)), zero_ideal(ModularRing(6))),
+         ValueError, "ideals of different rings cannot be compared"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_infinite_product_ideal_enumeration_is_budgeted():
+    three = parse_ring(" * ".join(["Zloc(2)"] * 3))
+    assert len(enumerate_ideals(three)) == 8 ** 3
+    eight = parse_ring(" * ".join(["Zloc(2)"] * 8))
+    start = time.perf_counter()
+    with pytest.raises(RingTooLarge) as err:
+        enumerate_ideals(eight)
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == (f"{eight.describe()} has 16777216 ideals, "
+                              "more than the budget of 65536")

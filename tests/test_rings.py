@@ -144,6 +144,7 @@ def test_product_ring_componentwise():
     b = r.element((2, 2))
     assert a + b == r.element((1, 1))
     assert a * b == r.element((2, 1))
+    assert r.element((ModularRing(4).element(3), 5)) == a  # components coerced per factor
     assert len(r.elements()) == 12
     assert r.describe() == "Z/4 * Z/3"
 
@@ -220,6 +221,7 @@ def test_localized_integers_canonical_fractions():
     assert a.value == Fraction(4, 3)
     assert a + r.element(Fraction(2, 3)) == r.element(2)
     assert r.element(Fraction(1, 3)) * r.element(3) == r.one
+    assert str(-a) == "-4/3" and -a + a == r.zero
     assert r.valuation(r.element(Fraction(4, 3))) == 2
     assert r.valuation(r.element(Fraction(3, 5))) == 0
     with pytest.raises(ValueError):
@@ -263,6 +265,23 @@ def test_bits_ring_rejects_bad_payload():
         b.element((frozenset({0}), 0))  # positions start at 1
     with pytest.raises(ValueError):
         b.element((frozenset(), 2))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ModularRing(6).element("a"), "expected an integer residue, got 'a'"),
+    (lambda: PolyQuotientRing(2, (1, 1)).element(3.5),
+     "expected a coefficient sequence, got 3.5"),
+    (lambda: LocalizedIntegerRing(2).element("a"), "expected an integer or Fraction, got 'a'"),
+    (lambda: EventuallyConstantBitsRing().element("a"),
+     "expected Bits or (positions, tail), got 'a'"),
+    (lambda: GaloisFieldRing(2), "a degree >= 1 is required when no modulus is given"),
+    (lambda: ProductRing([ModularRing(2)]),
+     "ProductRing needs at least two factors; use product_ring"),
+])
+def test_payload_and_constructor_refusals(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 _bits = st.builds(

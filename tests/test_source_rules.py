@@ -17,6 +17,16 @@ ALLOWED_GLOBAL_CACHES = {("spectrum.py", "_SPECTRA")}
 # trimming helper of ``rings``, which ``dsl`` applies to parsed coefficients.
 ALLOWED_PRIVATE_IMPORTS = {("dsl.py", "_ptrim")}
 
+# Methods a base class defines once, by their definitions, for all of its
+# subclasses, each with the subclasses allowed to override it: every
+# element of the bits ring is idempotent, so no finite scan finds the
+# idempotent generator of its ideals.
+BASE_ONLY_METHODS = {
+    "Ideal": {"is_zero": set(), "is_whole": set(),
+              "idempotent_generator": {"BoolPrincipalIdeal", "BoolFiniteSupportIdeal"}},
+    "Ring": {"elements": set()},
+}
+
 
 def _trees(root: Path):
     for path in sorted(root.glob("*.py")):
@@ -129,4 +139,57 @@ def test_the_private_import_rule_flags_an_added_import(tmp_path):
     assert [f.split(" ", 1)[1] for f in found] == [
         "imports _ideal_masks",
         "imports _ptrim",
+    ]
+
+
+def base_overrides(root: Path) -> list[str]:
+    """Where a subclass redefines a method that its base defines once."""
+    bases, classes = {}, []
+    for path, tree in _trees(root):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [b.id for b in node.bases if isinstance(b, ast.Name)]
+                classes.append((path.name, node))
+
+    def ancestors(name):
+        found = set()
+        for base in bases.get(name, ()):
+            found |= {base} | ancestors(base)
+        return found
+
+    found = []
+    for filename, node in classes:
+        rules = {}
+        for base in ancestors(node.name) & BASE_ONLY_METHODS.keys():
+            rules.update(BASE_ONLY_METHODS[base])
+        for item in node.body:
+            if (isinstance(item, ast.FunctionDef) and item.name in rules
+                    and node.name not in rules[item.name]):
+                found.append(f"{filename}:{item.lineno} {node.name} defines {item.name}")
+    return found
+
+
+def test_base_class_predicates_are_defined_once():
+    assert base_overrides(SOURCE) == []
+
+
+def test_the_base_override_rule_flags_an_added_override(tmp_path):
+    copy = tmp_path / "spectop"
+    shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert base_overrides(copy) == []
+    with open(copy / "ideals.py", "a", encoding="utf-8") as handle:
+        handle.write("\n\nclass _Wrapped(BoolPrincipalIdeal):\n"
+                     "    def is_whole(self):\n        return False\n\n"
+                     "    def idempotent_generator(self):\n        return None\n"
+                     "\n\nclass _Listed(ProductIdeal):\n"
+                     "    def idempotent_generator(self):\n        return None\n")
+    with open(copy / "rings.py", "a", encoding="utf-8") as handle:
+        handle.write("\n\nclass _Field(GaloisFieldRing):\n"
+                     "    def elements(self):\n        return ()\n")
+    found = base_overrides(copy)
+    assert [f.split(" ", 1)[1] for f in found] == [
+        "_Wrapped defines is_whole",
+        "_Wrapped defines idempotent_generator",
+        "_Listed defines idempotent_generator",
+        "_Field defines elements",
     ]

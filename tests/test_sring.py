@@ -257,6 +257,15 @@ def test_sring_certificate_examples():
     assert len(local.double_closed_matches) == 2  # only empty set and spectrum
 
 
+def test_sring_certificate_fails_when_idempotents_share_a_vanishing_set(monkeypatch):
+    import spectop.sring as sring
+    real = sring.idempotents
+    monkeypatch.setattr(sring, "idempotents", lambda ring: real(ring) + (ring.element(3),))
+    cert = sring_certificate(parse_ring("Z/6"))
+    assert not cert.passed and cert.double_closed_ok
+    assert cert.failures == ("idempotents 3 and 3 share a vanishing set",)
+
+
 def test_chain_condition_check_frozen_examples():
     z12 = parse_ring("Z/12")
     sp = enumerate_spectrum(z12)
@@ -308,6 +317,17 @@ def test_covering_test_work_does_not_depend_on_hash_order():
                               capture_output=True, text=True, check=True)
         counts.append(int(done.stdout))
     assert counts[0] == counts[1] > 0
+
+
+def test_chaincond_refuses_a_large_spectrum_before_building_its_family():
+    # The family {X & V(f)} of Zloc(2)^k has 3^k members; the 40-point
+    # spectrum of Zloc(2)^20 is refused before any is built.
+    ring = " * ".join(["Zloc(2)"] * 20)
+    env = {**os.environ, "PYTHONPATH": str(Path(spectop.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "spectop.cli", "chaincond", "--ring", ring,
+                           "--X", "min"], env=env, timeout=10, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: 40 spectrum points exceed the bound 16\n"
 
 
 def test_chain_condition_hypothesis_violation():
