@@ -257,48 +257,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spectop",
         description="prime spectra, spectral topologies and flatness certificates")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def ring_arg(p):
-        p.add_argument("--ring", required=True, help="ring expression, e.g. 'Z/12'")
-
-    p = sub.add_parser("spec", help="enumerate the prime spectrum")
-    ring_arg(p)
-    p.set_defaults(func=_cmd_spec)
-
-    p = sub.add_parser("topology", help="materialize the closed sets of one topology")
-    ring_arg(p)
-    p.add_argument("--which", required=True, choices=TOPOLOGIES)
-    p.set_defaults(func=_cmd_topology)
-
-    p = sub.add_parser("flat", help="flatness certificate for a cyclic quotient")
-    ring_arg(p)
-    p.add_argument("--ideal", required=True,
-                   help="comma separated generators, e.g. '2' or '(0/1, 1)'")
-    p.set_defaults(func=_cmd_flat)
-
-    p = sub.add_parser("sring", help="topological S-ring certificate")
-    ring_arg(p)
-    p.set_defaults(func=_cmd_sring)
-
-    p = sub.add_parser("chaincond", help="covering chain conditions for a point set")
-    ring_arg(p)
-    p.add_argument("--X", required=True, choices=("min", "max", "custom"))
-    p.add_argument("--points", help="semicolon separated prime labels for --X custom")
-    p.set_defaults(func=_cmd_chaincond)
-
-    p = sub.add_parser("verify", help="run verification checks on one ring")
-    ring_arg(p)
-    p.add_argument("--theorem", choices=CHECK_NAMES, help="run a single named check")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("corpus", help="run every check over a corpus")
-    p.add_argument("file", nargs="?", help="JSON corpus file; defaults to the built-in corpus")
-    p.set_defaults(func=_cmd_corpus)
-
-    p = sub.add_parser("export-dot", help="specialization order as DOT")
-    ring_arg(p)
-    p.set_defaults(func=_cmd_export_dot)
-
+    ring = ("--ring", {"required": True, "help": "ring expression, e.g. 'Z/12'"})
+    # (name, handler, help, arguments), each argument a name and its options.
+    commands = (
+        ("spec", _cmd_spec, "enumerate the prime spectrum", [ring]),
+        ("topology", _cmd_topology, "materialize the closed sets of one topology",
+         [ring, ("--which", {"required": True, "choices": TOPOLOGIES})]),
+        ("flat", _cmd_flat, "flatness certificate for a cyclic quotient",
+         [ring, ("--ideal", {"required": True,
+                             "help": "comma separated generators, e.g. '2' or '(0/1, 1)'"})]),
+        ("sring", _cmd_sring, "topological S-ring certificate", [ring]),
+        ("chaincond", _cmd_chaincond, "covering chain conditions for a point set",
+         [ring, ("--X", {"required": True, "choices": ("min", "max", "custom")}),
+          ("--points", {"help": "semicolon separated prime labels for --X custom"})]),
+        ("verify", _cmd_verify, "run verification checks on one ring",
+         [ring, ("--theorem", {"choices": CHECK_NAMES, "help": "run a single named check"})]),
+        ("corpus", _cmd_corpus, "run every check over a corpus",
+         [("file", {"nargs": "?",
+                    "help": "JSON corpus file; defaults to the built-in corpus"})]),
+        ("export-dot", _cmd_export_dot, "specialization order as DOT", [ring]),
+    )
+    for name, handler, help_text, arguments in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -14,8 +14,9 @@ counterexample ``None`` on a pass, or raises ``_Skip`` with the reason it
 does not apply.  :func:`run_check` alone turns that outcome into a
 plain-data :class:`TheoremReport`: the check's name is its registry key, a
 counterexample makes the verdict "fail", and ``_Skip``,
-:class:`UnsupportedForPresentation` and :class:`SpectrumTooLarge` all make
-it "skipped" with the reason in the details.  A counterexample payload
+:class:`UnsupportedForPresentation` and a size budget hit
+(:class:`RingTooLarge`, :class:`SpectrumTooLarge`) all make it "skipped"
+with the reason in the details.  A counterexample payload
 reproduces the failure when the check is re-run.
 """
 
@@ -28,6 +29,7 @@ from .dsl import parse_ring
 from .errors import (
     CorpusError,
     HypothesisViolated,
+    RingTooLarge,
     SpectopError,
     SpectrumTooLarge,
     UnsupportedForPresentation,
@@ -449,7 +451,7 @@ def run_check(name: str, ring: Ring, entry: CorpusEntry | None = None) -> Theore
     fn, _ = _CHECKS[name]
     try:
         details, counterexample = fn(ring, entry)
-    except (_Skip, UnsupportedForPresentation, SpectrumTooLarge) as exc:
+    except (_Skip, UnsupportedForPresentation, RingTooLarge, SpectrumTooLarge) as exc:
         return TheoremReport(name, ring.describe(), "skipped", {"reason": str(exc)})
     verdict = "pass" if counterexample is None else "fail"
     return TheoremReport(name, ring.describe(), verdict, details, counterexample)

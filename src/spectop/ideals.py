@@ -160,7 +160,7 @@ class ExplicitIdeal(Ideal):
             raise ValueError("a mask has one bit per element of the ring")
         if not mask >> k.zero & 1:
             raise ValueError("an ideal contains 0")
-        if mask not in k.spans:
+        if mask not in k.generator_of:
             raise ValueError(_closure_failure(k, mask))
         self.ring = ring
         self.mask = mask
@@ -186,7 +186,7 @@ class ExplicitIdeal(Ideal):
     def _label(self):
         # The first g of R in canonical order with Rg = I.
         k = self.ring.index_kernel
-        return f"({k.elements[k.spans.index(self.mask)]})"
+        return f"({k.elements[k.generator_of[self.mask]]})"
 
     def label(self):
         return self._label
@@ -509,7 +509,9 @@ def _least_span(k: IndexKernel, mask: int) -> int:
     """The least principal ideal Rg containing the mask.  The spans that
     contain a set are the ideals containing it, closed under intersection,
     so the least one is the one with the fewest bits."""
-    return min((s for s in k.spans if not mask & ~s), key=int.bit_count)
+    if mask in k.generator_of:
+        return mask
+    return min((s for s in k.generator_of if not mask & ~s), key=int.bit_count)
 
 
 def _closure_failure(k: IndexKernel, mask: int) -> str:
@@ -549,7 +551,7 @@ def ideal_from_generators(ring: Ring, generators) -> Ideal:
     """The smallest ideal containing the generators, canonically represented.
 
     Over a finite ring, a principal ideal ring, this is the least principal
-    ideal Rg containing every generator.  For the localized
+    ideal Rg containing 0 and the span of every generator.  For the localized
     integers the result is (p^v) with v the least valuation of a nonzero
     generator.  In the bits ring the generators are joined into a single
     principal generator.
@@ -557,7 +559,10 @@ def ideal_from_generators(ring: Ring, generators) -> Ideal:
     gens = [ring.element(g) for g in generators]
     if ring.is_finite:
         k = ring.index_kernel
-        return ExplicitIdeal(ring, mask=_least_span(k, k.mask({k.index[g] for g in gens})))
+        mask = 1 << k.zero
+        for g in gens:
+            mask |= k.spans[k.index[g]]
+        return ExplicitIdeal(ring, mask=_least_span(k, mask))
     if isinstance(ring, LocalizedIntegerRing):
         nonzero = [g for g in gens if g.value != 0]
         if not nonzero:
@@ -637,7 +642,7 @@ def enumerate_ideals(ring: Ring, local_level_bound: int = 6) -> tuple[Ideal, ...
     if ring.is_finite:
         memo = ring.memo
         if "ideals" not in memo:
-            ideals = [ExplicitIdeal(ring, mask=mask) for mask in set(ring.index_kernel.spans)]
+            ideals = [ExplicitIdeal(ring, mask=mask) for mask in ring.index_kernel.generator_of]
             memo["ideals"] = tuple(sorted(ideals, key=lambda i: (i.mask.bit_count(), i.label())))
         return memo["ideals"]
     if isinstance(ring, LocalizedIntegerRing):

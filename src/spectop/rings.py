@@ -348,7 +348,8 @@ class IndexKernel:
     arithmetic.  A set of elements is a bitmask whose bit i stands for
     index i: ``spans[g]`` is the mask of Rg and ``anns[g]`` that of
     Ann(g).  Every finite presentation is a principal ideal ring, so the
-    distinct spans are all of its ideals.
+    distinct spans are all of its ideals; ``generator_of`` maps each to
+    its least generator, the first g in canonical order that spans it.
     """
 
     def __init__(self, ring: "Ring"):
@@ -375,6 +376,13 @@ class IndexKernel:
     @cached_property
     def spans(self) -> list[int]:
         return [self.mask(set(row)) for row in self.mul]
+
+    @cached_property
+    def generator_of(self) -> dict[int, int]:
+        generators = {}
+        for g, span in enumerate(self.spans):
+            generators.setdefault(span, g)
+        return generators
 
     @cached_property
     def anns(self) -> list[int]:
@@ -473,8 +481,8 @@ class Ring:
     @cached_property
     def memo(self) -> dict:
         """Facts derived from this instance, each computed once and dropped
-        with it: ``ideals`` keeps the finite ring's ideal enumeration here
-        and ``sring`` the ring's S-ring certificate."""
+        with it: the finite ring's ``ideals``, the ``spectrum`` and the
+        ``sring`` certificate."""
         return {}
 
     def __eq__(self, other):

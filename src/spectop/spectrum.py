@@ -20,10 +20,11 @@ Families of closed sets are materialized in full, as the unions of point
 closures, which keeps every "for all closed E" statement finitely
 checkable.  Generation is refused above ``MAX_FAMILY_POINTS`` spectrum
 points since the families grow like the power set.  Each spectrum keeps
-the masks of its V(f) and the three families they generate, so they are
-built once however many checks read them, also by equal rings that share
-the spectrum.  The masks of the V(I) basis and the families they generate
-are built afresh on every call, straight from the ideal enumeration.
+the masks of its V(f) and the three families they generate, and the
+ring's memo keeps the spectrum, so they are built once per ring instance
+however many checks read them, and dropped with the ring.  The masks of
+the V(I) basis and the families they generate are built afresh on every
+call, straight from the ideal enumeration.
 Infinite products take their vanishing sets V(f) and V(I) factor by
 factor, as their spectra are the disjoint unions of the factor spectra.
 
@@ -255,11 +256,9 @@ class SpectrumPoset:
                      if i != j and self.up[i] & self.down[j] == 1 << i | 1 << j)
 
 
-_SPECTRA: dict[Ring, SpectrumPoset] = {}
-
-
 def enumerate_spectrum(ring: Ring) -> SpectrumPoset:
-    """All prime ideals with the containment order.
+    """All prime ideals with the containment order, built once per ring
+    instance and kept in its memo.
 
     Finite rings, finite products included, and the localized integers
     enumerate their ideals and filter by the primality predicate; the
@@ -267,9 +266,9 @@ def enumerate_spectrum(ring: Ring) -> SpectrumPoset:
     (p).  Spectra of infinite products are built factor-wise: a prime of a
     product is a prime in one slot and the whole ring elsewhere.
     """
-    cached = _SPECTRA.get(ring)
-    if cached is not None:
-        return cached
+    memo = ring.memo
+    if "spectrum" in memo:
+        return memo["spectrum"]
     if ring.is_finite or isinstance(ring, LocalizedIntegerRing):
         primes = [i for i in enumerate_ideals(ring) if is_prime_ideal(i)]
     elif isinstance(ring, ProductRing):
@@ -280,9 +279,8 @@ def enumerate_spectrum(ring: Ring) -> SpectrumPoset:
     else:
         raise UnsupportedForPresentation(
             f"the spectrum of {ring.describe()} is not enumerable")
-    poset = SpectrumPoset(ring, primes)
-    _SPECTRA[ring] = poset
-    return poset
+    memo["spectrum"] = SpectrumPoset(ring, primes)
+    return memo["spectrum"]
 
 
 def embed_factor_prime(ring: ProductRing, index: int, prime: Ideal) -> Ideal:

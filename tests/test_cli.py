@@ -143,6 +143,33 @@ def test_corpus_file_good(tmp_path, capsys):
     assert code == 0
 
 
+def test_corpus_skips_a_check_over_the_ideal_budget(tmp_path, capsys):
+    big = " * ".join(["Zloc(2)"] * 6)
+    corpus = {"entries": [{"ring": "Z/6"}, {"ring": big, "expect": {"flat_ideals": 3}}]}
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(corpus))
+    code, out, err = run_cli(capsys, "corpus", str(path))
+    assert code == 0 and err == ""
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 20
+    assert any(r["ring"] == "Z/6" for r in reports)
+    facts = next(r for r in reports if r["ring"] == big and r["check"] == "expected-facts")
+    assert facts["verdict"] == "skipped"
+    assert facts["details"] == {
+        "reason": f"{big} has 262144 ideals, more than the budget of 65536"}
+
+
+def test_verify_skips_a_check_over_the_ideal_budget(capsys):
+    big = " * ".join(["Zloc(2)"] * 8)
+    code, out, err = run_cli(capsys, "verify", "--ring", big,
+                             "--theorem", "flat-ideal-bijection")
+    assert code == 0 and err == ""
+    assert json.loads(out) == [{
+        "check": "flat-ideal-bijection", "ring": big, "verdict": "skipped",
+        "details": {"reason": f"{big} has 16777216 ideals, more than the budget of 65536"},
+        "counterexample": None}]
+
+
 def test_corpus_bad_json_exits_two(tmp_path, capsys):
     path = tmp_path / "corpus.json"
     path.write_text("{not json")
@@ -280,3 +307,104 @@ def test_json_output_is_byte_stable(capsys):
     code, first, _ = run_cli(capsys, "spec", "--ring", "Z/12")
     code, second, _ = run_cli(capsys, "spec", "--ring", "Z/12")
     assert first == second
+
+
+# The help texts at 80 columns; the subcommand table must keep them as they are.
+HELP_TEXTS = {
+    "": """\
+usage: spectop [-h]
+               {spec,topology,flat,sring,chaincond,verify,corpus,export-dot}
+               ...
+
+prime spectra, spectral topologies and flatness certificates
+
+positional arguments:
+  {spec,topology,flat,sring,chaincond,verify,corpus,export-dot}
+    spec                enumerate the prime spectrum
+    topology            materialize the closed sets of one topology
+    flat                flatness certificate for a cyclic quotient
+    sring               topological S-ring certificate
+    chaincond           covering chain conditions for a point set
+    verify              run verification checks on one ring
+    corpus              run every check over a corpus
+    export-dot          specialization order as DOT
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "spec": """\
+usage: spectop spec [-h] --ring RING
+
+options:
+  -h, --help   show this help message and exit
+  --ring RING  ring expression, e.g. 'Z/12'
+""",
+    "topology": """\
+usage: spectop topology [-h] --ring RING --which {zariski,flat,patch}
+
+options:
+  -h, --help            show this help message and exit
+  --ring RING           ring expression, e.g. 'Z/12'
+  --which {zariski,flat,patch}
+""",
+    "flat": """\
+usage: spectop flat [-h] --ring RING --ideal IDEAL
+
+options:
+  -h, --help     show this help message and exit
+  --ring RING    ring expression, e.g. 'Z/12'
+  --ideal IDEAL  comma separated generators, e.g. '2' or '(0/1, 1)'
+""",
+    "sring": """\
+usage: spectop sring [-h] --ring RING
+
+options:
+  -h, --help   show this help message and exit
+  --ring RING  ring expression, e.g. 'Z/12'
+""",
+    "chaincond": """\
+usage: spectop chaincond [-h] --ring RING --X {min,max,custom}
+                         [--points POINTS]
+
+options:
+  -h, --help            show this help message and exit
+  --ring RING           ring expression, e.g. 'Z/12'
+  --X {min,max,custom}
+  --points POINTS       semicolon separated prime labels for --X custom
+""",
+    "verify": """\
+usage: spectop verify [-h] --ring RING
+                      [--theorem {topology-characterization,closure-operators,flat-ideal-bijection,support-consistency,radical-rigidity,sring-equivalences,crt-decomposition,chain-conditions,stabilization-graph,flat-not-projective,expected-facts}]
+
+options:
+  -h, --help            show this help message and exit
+  --ring RING           ring expression, e.g. 'Z/12'
+  --theorem {topology-characterization,closure-operators,flat-ideal-bijection,support-consistency,radical-rigidity,sring-equivalences,crt-decomposition,chain-conditions,stabilization-graph,flat-not-projective,expected-facts}
+                        run a single named check
+""",
+    "corpus": """\
+usage: spectop corpus [-h] [file]
+
+positional arguments:
+  file        JSON corpus file; defaults to the built-in corpus
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "export-dot": """\
+usage: spectop export-dot [-h] --ring RING
+
+options:
+  -h, --help   show this help message and exit
+  --ring RING  ring expression, e.g. 'Z/12'
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_TEXTS))
+def test_help_texts_are_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "-h"] if command else ["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == HELP_TEXTS[command]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,11 +139,27 @@ def test_ideals_compare_across_separately_parsed_rings(text):
         assert a.issubset(b) == (a.elements <= b.elements)
         assert b.issubset(a) == (b.elements <= a.elements)
         assert ideal_sum(a, b) == ideal_sum(b, a)
-    # The spectrum is shared between equal rings, so its primes meet the
-    # ideals of the other instance.
+    # Each instance keeps its own spectrum, and its primes meet the ideals
+    # of the other instance.
     for i in theirs:
         assert vanishing_locus(second, i) == vanishing_locus(first, ours[theirs.index(i)])
-    assert enumerate_spectrum(second) is enumerate_spectrum(first)
+    assert enumerate_spectrum(second) == enumerate_spectrum(first)
+    assert enumerate_spectrum(second) is not enumerate_spectrum(first)
+
+
+def test_idempotent_generator_matches_a_brute_force_search():
+    ring = parse_ring(" * ".join(["Z/2"] * 8))
+    ideals = enumerate_ideals(ring)
+    started = time.perf_counter()
+    found = [i.idempotent_generator() for i in ideals]
+    assert time.perf_counter() - started < 0.5
+    # The e with e*e = e and Re = I, searched over every element.
+    spans = {}
+    for e in ring.elements():
+        if e * e == e:
+            spans.setdefault(frozenset(e * r for r in ring.elements()), e)
+    assert found == [spans.get(i.elements) for i in ideals]
+    assert None not in found
 
 
 def test_explicit_ideal_rejects_non_ideals_with_the_same_message():

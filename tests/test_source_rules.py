@@ -10,9 +10,6 @@ import spectop
 
 SOURCE = Path(spectop.__file__).resolve().parent
 
-# The one module-global cache: spectra shared between equal rings.
-ALLOWED_GLOBAL_CACHES = {("spectrum.py", "_SPECTRA")}
-
 # The one private name a module takes from a sibling: the polynomial
 # trimming helper of ``rings``, which ``dsl`` applies to parsed coefficients.
 ALLOWED_PRIVATE_IMPORTS = {("dsl.py", "_ptrim")}
@@ -54,9 +51,9 @@ def global_caches(root: Path) -> list[str]:
     """Where a module caches outside the objects it computes on.
 
     Flags every use of ``functools.cache`` or ``lru_cache``, and every
-    module-level name bound to an empty dict or set, except the allowed
-    ones.  Derived facts belong on the ring, ideal or kernel they
-    describe, so that they are dropped with it.
+    module-level name bound to an empty dict or set.  Derived facts belong
+    on the ring, ideal or kernel they describe, so that they are dropped
+    with it.
     """
     found = []
     for path, tree in _trees(root):
@@ -77,8 +74,7 @@ def global_caches(root: Path) -> list[str]:
             if not _is_empty_mapping_or_set(node.value):
                 continue
             found += [f"{path.name}:{node.lineno} binds {t.id} to an empty container"
-                      for t in targets if isinstance(t, ast.Name)
-                      and (path.name, t.id) not in ALLOWED_GLOBAL_CACHES]
+                      for t in targets if isinstance(t, ast.Name)]
     return found
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -376,3 +378,15 @@ def test_patch_family_at_fourteen_and_sixteen_points(factors):
     ring = product_ring([LocalizedIntegerRing(2)] * factors)
     assert len(enumerate_spectrum(ring)) == 2 * factors
     assert len(closed_family(ring, PATCH).sets) == 2 ** (2 * factors)
+
+
+@pytest.mark.parametrize("text", ["Z/12", "Zloc(2) * Zloc(2) * Zloc(2)"])
+def test_a_spectrum_lives_on_its_ring_and_dies_with_it(text):
+    ring = parse_ring(text)
+    assert enumerate_spectrum(ring) is enumerate_spectrum(ring)
+    for topology in TOPOLOGIES:
+        closed_family(ring, topology)
+    spectrum = weakref.ref(enumerate_spectrum(ring))
+    del ring
+    gc.collect()
+    assert spectrum() is None
