@@ -51,7 +51,6 @@ from .spectrum import (
     PATCH,
     ZARISKI,
     ClosedFamily,
-    PrimePoint,
     SpectrumPoset,
     closed_family,
     enumerate_spectrum,

@@ -56,8 +56,8 @@ def spectrum_doc(sp: SpectrumPoset) -> dict:
     return {
         "ring": sp.ring.describe(),
         "points": [
-            {"ideal": label, "minimal": p.is_minimal, "maximal": p.is_maximal}
-            for p, label in zip(sp.points, sp.labels)
+            {"ideal": label, "minimal": sp.down[j] == 1 << j, "maximal": sp.up[j] == 1 << j}
+            for j, label in enumerate(sp.labels)
         ],
         "order": [
             [p, q]

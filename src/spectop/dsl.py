@@ -185,7 +185,10 @@ def parse_element(ring: Ring, text: str) -> Element:
         from fractions import Fraction
         if "/" in body:
             num, _, den = body.partition("/")
-            return ring.element(Fraction(_parse_int(num), _parse_int(den)))
+            num, den = _parse_int(num), _parse_int(den)
+            if den == 0:
+                raise ParseError("a fraction needs a nonzero denominator", 0)
+            return ring.element(Fraction(num, den))
         return ring.element(_parse_int(body))
     if isinstance(ring, ProductRing):
         if not (body.startswith("(") and body.endswith(")")):

@@ -56,11 +56,12 @@ class HypothesisViolated(SpectopError):
 
 
 class NotPrime(SpectopError):
-    """An integer that had to be prime is composite; ``factor`` divides it,
-    or is None when no factor up to the search ``bound`` exists."""
+    """An integer that had to be prime is not; ``factor`` divides it, or is
+    None when n < 2 or no factor up to the search ``bound`` exists."""
 
     def __init__(self, n: int, factor: int | None, bound: int | None = None):
-        reason = (f"divisible by {factor}" if factor is not None
+        reason = ("primes are at least 2" if n < 2
+                  else f"divisible by {factor}" if factor is not None
                   else f"it has no factor up to {bound}")
         super().__init__(f"{n} is not prime ({reason})")
         self.n = n

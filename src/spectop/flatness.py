@@ -37,7 +37,6 @@ from .ideals import (
 )
 from .rings import Element
 from .spectrum import (
-    PrimePoint,
     enumerate_spectrum,
     is_stable_generalization,
     vanishing_locus,
@@ -152,7 +151,7 @@ def is_cyclic_projective(ideal: Ideal) -> bool:
     return idempotent_generator(ideal) is not None
 
 
-def support_of_ideal(ideal: Ideal) -> frozenset[PrimePoint]:
+def support_of_ideal(ideal: Ideal) -> frozenset[Ideal]:
     """Supp(I) = {p : the localization of I at p is nonzero}.
 
     Computed as the primes containing Ann(f) for some f in I; it always
@@ -169,9 +168,9 @@ def support_of_ideal(ideal: Ideal) -> frozenset[PrimePoint]:
         k = ring.index_kernel
         anns = {k.anns[f] for f in k.members(ideal.mask)}
         return frozenset(
-            p for p in sp.points if any(not a & ~p.ideal.mask for a in anns))
+            p for p in sp.points if any(not a & ~p.mask for a in anns))
     anns = [annihilator(f) for f in ideal.witness_samples()]
-    return frozenset(p for p in sp.points if any(a.issubset(p.ideal) for a in anns))
+    return frozenset(p for p in sp.points if any(a.issubset(p) for a in anns))
 
 
 def flat_ideal_from_closed_set(ring, points) -> Ideal:
@@ -188,7 +187,7 @@ def flat_ideal_from_closed_set(ring, points) -> Ideal:
         raise ValueError("the given points do not belong to this spectrum")
     realized = unit_ideal(ring)
     for p in E:
-        realized = ideal_intersection(realized, p.ideal)
+        realized = ideal_intersection(realized, p)
     if vanishing_locus(ring, realized) != E:
         raise NotZariskiClosed(
             "the set is not the vanishing locus of any ideal")

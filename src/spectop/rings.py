@@ -103,14 +103,14 @@ def check_ring_size(size: int) -> None:
 
 def smallest_factor(n: int, bound: int | None = None) -> int | None:
     """The least divisor d >= 2 of n by trial division; n itself when none
-    is at most sqrt(n).  With a ``bound`` below sqrt(n) only d <= bound are
-    tried, and None means that none of them divides n."""
+    is at most sqrt(n), and None for n < 2.  With a ``bound`` below sqrt(n)
+    only d <= bound are tried, and None means that none of them divides n."""
     limit = math.isqrt(max(n, 0))
     searched = limit if bound is None else min(limit, bound)
     for d in range(2, searched + 1):
         if n % d == 0:
             return d
-    return n if searched == limit else None
+    return n if searched == limit and n > 1 else None
 
 
 def is_prime_int(n: int) -> bool:

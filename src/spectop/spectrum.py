@@ -12,9 +12,10 @@ their sub-bases of open sets:
 The points of a spectrum are numbered 0..n-1 in label order, and inside
 the library a point set is an int mask with bit i set for point i, so
 closures, stability tests and families are bit operations and a mask's
-labels come out sorted by reading its bits in order.  Frozensets of
-:class:`PrimePoint` remain the public form: ``ClosedFamily.sets``, the
-closure functions and the vanishing sets convert at the boundary.
+labels come out sorted by reading its bits in order.  A point is its
+prime :class:`Ideal`, and frozensets of those ideals remain the public
+form: ``ClosedFamily.sets``, the closure functions and the vanishing sets
+convert at the boundary.
 
 Families of closed sets are materialized in full, as the unions of point
 closures, which keeps every "for all closed E" statement finitely
@@ -64,10 +65,8 @@ __all__ = [
     "TOPOLOGIES",
     "ZARISKI",
     "ClosedFamily",
-    "PrimePoint",
     "SpectrumPoset",
     "closed_family",
-    "embed_factor_prime",
     "enumerate_spectrum",
     "flat_point_closure",
     "generalization_closure",
@@ -84,21 +83,6 @@ ZARISKI = "zariski"
 FLAT = "flat"
 PATCH = "patch"
 TOPOLOGIES = (ZARISKI, FLAT, PATCH)
-
-
-@dataclass(frozen=True)
-class PrimePoint:
-    """A prime ideal together with its position flags in the spectrum."""
-
-    ideal: Ideal
-    is_minimal: bool = field(compare=False, default=False)
-    is_maximal: bool = field(compare=False, default=False)
-
-    def label(self) -> str:
-        return self.ideal.label()
-
-    def __repr__(self):
-        return self.ideal.label()
 
 
 def _union_of_cones(cones):
@@ -128,28 +112,26 @@ def _union_of_cones(cones):
 class SpectrumPoset:
     """All prime ideals of one ring, ordered by inclusion.
 
-    Point i is ``points[i]``, in label order, and a point set is the int
-    with bit i set for each member.  ``down[i]`` is the generalization cone
-    of point i (the primes it contains) and ``up[i]`` its specialization
-    cone, both read off ideal inclusion.
+    Point i is the prime ideal ``points[i]``, in label order, and a point
+    set is the int with bit i set for each member.  ``down[i]`` is the
+    generalization cone of point i (the primes it contains) and ``up[i]``
+    its specialization cone, both read off ideal inclusion.
     """
 
     def __init__(self, ring: Ring, prime_ideals):
         self.ring = ring
-        ideals = sorted(prime_ideals, key=lambda i: i.label())
-        n = len(ideals)
+        self.points = tuple(sorted(prime_ideals, key=lambda i: i.label()))
+        n = len(self.points)
         down, up = [0] * n, [0] * n
-        for i, p in enumerate(ideals):
-            for j, q in enumerate(ideals):
+        for i, p in enumerate(self.points):
+            for j, q in enumerate(self.points):
                 if p.issubset(q):
                     down[j] |= 1 << i
                     up[i] |= 1 << j
         self.down, self.up = tuple(down), tuple(up)
         self.full = (1 << n) - 1
-        self.points = tuple(PrimePoint(q, down[j] == 1 << j, up[j] == 1 << j)
-                            for j, q in enumerate(ideals))
         self.labels = tuple(p.label() for p in self.points)
-        self._index = {pt: i for i, pt in enumerate(self.points)}
+        self._index = {p: i for i, p in enumerate(self.points)}
         # The closed families of the V(f) sub-basis, filled in by
         # closed_family.
         self._families: dict[str, ClosedFamily] = {}
@@ -163,15 +145,14 @@ class SpectrumPoset:
     def __eq__(self, other):
         return (isinstance(other, SpectrumPoset)
                 and self.ring == other.ring
-                and [p.ideal for p in self.points] == [p.ideal for p in other.points])
+                and self.points == other.points)
 
-    def as_set(self) -> frozenset[PrimePoint]:
+    def as_set(self) -> frozenset[Ideal]:
         return frozenset(self.points)
 
-    def point_of(self, ideal: Ideal) -> PrimePoint:
-        # Points compare by their ideal alone, so a bare point finds its index.
+    def point_of(self, ideal: Ideal) -> Ideal:
         try:
-            return self.points[self._index[PrimePoint(ideal)]]
+            return self.points[self._index[ideal]]
         except KeyError:
             raise ValueError(f"{ideal.label()} is not a prime of {self.ring.describe()}")
 
@@ -185,7 +166,7 @@ class SpectrumPoset:
             raise ValueError("the given points do not belong to this spectrum") from None
         return mask
 
-    def _points_of(self, mask: int) -> frozenset[PrimePoint]:
+    def _points_of(self, mask: int) -> frozenset[Ideal]:
         return frozenset(self.points[i] for i in IndexKernel.members(mask))
 
     def _labels_of(self, mask: int) -> list[str]:
@@ -210,7 +191,7 @@ class SpectrumPoset:
             return _factorwise_masks(
                 self, lambda factor: enumerate_spectrum(factor)._principal_masks)
         return frozenset(
-            IndexKernel.mask(i for i, p in enumerate(self.points) if p.ideal.contains(f))
+            IndexKernel.mask(i for i, p in enumerate(self.points) if p.contains(f))
             for f in _vanishing_representatives(ring))
 
     @cached_property
@@ -229,23 +210,23 @@ class SpectrumPoset:
             raise SpectrumTooLarge(
                 f"{len(self)} spectrum points exceed the bound {MAX_FAMILY_POINTS}")
 
-    def leq(self, p: PrimePoint, q: PrimePoint) -> bool:
+    def leq(self, p: Ideal, q: Ideal) -> bool:
         """The specialization order: p <= q iff p is contained in q."""
         return bool(self.down[self._index[q]] >> self._index[p] & 1)
 
-    def generalizations(self, p: PrimePoint) -> frozenset[PrimePoint]:
+    def generalizations(self, p: Ideal) -> frozenset[Ideal]:
         return self._points_of(self.down[self._index[p]])
 
-    def specializations(self, p: PrimePoint) -> frozenset[PrimePoint]:
+    def specializations(self, p: Ideal) -> frozenset[Ideal]:
         return self._points_of(self.up[self._index[p]])
 
-    def minimal_points(self) -> frozenset[PrimePoint]:
-        return frozenset(p for p in self.points if p.is_minimal)
+    def minimal_points(self) -> frozenset[Ideal]:
+        return frozenset(p for j, p in enumerate(self.points) if self.down[j] == 1 << j)
 
-    def maximal_points(self) -> frozenset[PrimePoint]:
-        return frozenset(p for p in self.points if p.is_maximal)
+    def maximal_points(self) -> frozenset[Ideal]:
+        return frozenset(p for j, p in enumerate(self.points) if self.up[j] == 1 << j)
 
-    def cover_edges(self) -> tuple[tuple[PrimePoint, PrimePoint], ...]:
+    def cover_edges(self) -> tuple[tuple[Ideal, Ideal], ...]:
         """Strict containments with nothing in between, sorted by label.
 
         p < q is a cover exactly when the points between them, up[p] &
@@ -272,10 +253,10 @@ def enumerate_spectrum(ring: Ring) -> SpectrumPoset:
     if ring.is_finite or isinstance(ring, LocalizedIntegerRing):
         primes = [i for i in enumerate_ideals(ring) if is_prime_ideal(i)]
     elif isinstance(ring, ProductRing):
-        primes = []
-        for i, factor in enumerate(ring.factors):
-            for pt in enumerate_spectrum(factor).points:
-                primes.append(embed_factor_prime(ring, i, pt.ideal))
+        units = [unit_ideal(factor) for factor in ring.factors]
+        primes = [ProductIdeal(ring, units[:i] + [p] + units[i + 1:])
+                  for i, factor in enumerate(ring.factors)
+                  for p in enumerate_spectrum(factor).points]
     else:
         raise UnsupportedForPresentation(
             f"the spectrum of {ring.describe()} is not enumerable")
@@ -283,18 +264,7 @@ def enumerate_spectrum(ring: Ring) -> SpectrumPoset:
     return memo["spectrum"]
 
 
-def embed_factor_prime(ring: ProductRing, index: int, prime: Ideal) -> Ideal:
-    """The prime (whole) x ... x prime x ... x (whole) of an infinite product.
-
-    Finite products have explicit ideals and find their primes by
-    enumeration instead; :class:`ProductIdeal` refuses them.
-    """
-    comps = [prime if i == index else unit_ideal(f)
-             for i, f in enumerate(ring.factors)]
-    return ProductIdeal(ring, comps)
-
-
-def vanishing_locus(ring: Ring, ideal: Ideal) -> frozenset[PrimePoint]:
+def vanishing_locus(ring: Ring, ideal: Ideal) -> frozenset[Ideal]:
     """V(I): the primes containing the ideal, computed once per ideal
     object and kept on it."""
     if ideal.ring is not ring and ideal.ring != ring:
@@ -302,28 +272,28 @@ def vanishing_locus(ring: Ring, ideal: Ideal) -> frozenset[PrimePoint]:
     memo = ideal.memo
     if "vanishing_locus" not in memo:
         sp = enumerate_spectrum(ring)
-        memo["vanishing_locus"] = frozenset(p for p in sp.points if ideal.issubset(p.ideal))
+        memo["vanishing_locus"] = frozenset(p for p in sp.points if ideal.issubset(p))
     return memo["vanishing_locus"]
 
 
-def nonvanishing_locus(ring: Ring, f: Element) -> frozenset[PrimePoint]:
+def nonvanishing_locus(ring: Ring, f: Element) -> frozenset[Ideal]:
     """D(f): the primes avoiding f, the complement of V((f))."""
     sp = enumerate_spectrum(ring)
-    return frozenset(p for p in sp.points if not p.ideal.contains(f))
+    return frozenset(p for p in sp.points if not p.contains(f))
 
 
-def flat_point_closure(ring: Ring, p: PrimePoint) -> frozenset[PrimePoint]:
+def flat_point_closure(ring: Ring, p: Ideal) -> frozenset[Ideal]:
     """The closure of {p} in the flat topology: all generalizations of p."""
     return enumerate_spectrum(ring).generalizations(p)
 
 
-def generalization_closure(ring: Ring, points) -> frozenset[PrimePoint]:
+def generalization_closure(ring: Ring, points) -> frozenset[Ideal]:
     """Union of the generalization cones of the given points."""
     sp = enumerate_spectrum(ring)
     return sp._points_of(sp.down_closure(sp._mask_of(points)))
 
 
-def specialization_closure(ring: Ring, points) -> frozenset[PrimePoint]:
+def specialization_closure(ring: Ring, points) -> frozenset[Ideal]:
     """Union of the vanishing sets V(p) of the given points."""
     sp = enumerate_spectrum(ring)
     return sp._points_of(sp.up_closure(sp._mask_of(points)))
@@ -354,7 +324,7 @@ class ClosedFamily:
     spectrum: SpectrumPoset = field(compare=False)
 
     @cached_property
-    def sets(self) -> frozenset[frozenset[PrimePoint]]:
+    def sets(self) -> frozenset[frozenset[Ideal]]:
         return frozenset(map(self.spectrum._points_of, self.masks))
 
     def __contains__(self, subset) -> bool:
@@ -397,10 +367,10 @@ def _factorwise_masks(sp: SpectrumPoset, factor_masks) -> frozenset[int]:
     ring = sp.ring
     # Each point of the product is proper in exactly one slot.
     embed = {(i, c): 1 << k for k, p in enumerate(sp.points)
-             for i, c in enumerate(p.ideal.components) if not c.is_whole()}
+             for i, c in enumerate(p.components) if not c.is_whole()}
     per_factor = []
     for i, factor in enumerate(ring.factors):
-        bits = [embed[i, q.ideal] for q in enumerate_spectrum(factor).points]
+        bits = [embed[i, q] for q in enumerate_spectrum(factor).points]
         per_factor.append([sum(bits[j] for j in IndexKernel.members(m))
                            for m in factor_masks(factor)])
     # The factors' points are disjoint, so the sum of masks is their union.
@@ -415,7 +385,7 @@ def _ideal_masks(ring: Ring) -> frozenset[int]:
     return frozenset(sp._mask_of(vanishing_locus(ring, i)) for i in enumerate_ideals(ring))
 
 
-def principal_vanishing_sets(ring: Ring) -> frozenset[frozenset[PrimePoint]]:
+def principal_vanishing_sets(ring: Ring) -> frozenset[frozenset[Ideal]]:
     """All realizable sets V(f) = {p : f in p} for single elements f.
 
     Infinite products take their sets factor by factor.
@@ -424,7 +394,7 @@ def principal_vanishing_sets(ring: Ring) -> frozenset[frozenset[PrimePoint]]:
     return frozenset(map(sp._points_of, sp._principal_masks))
 
 
-def ideal_vanishing_sets(ring: Ring) -> frozenset[frozenset[PrimePoint]]:
+def ideal_vanishing_sets(ring: Ring) -> frozenset[frozenset[Ideal]]:
     """All realizable sets V(I) over the (finitely generated) ideals.
 
     Infinite products take their sets factor by factor.

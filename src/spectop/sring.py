@@ -34,7 +34,6 @@ from .rings import Element, EventuallyConstantBitsRing, IndexKernel, Ring, idemp
 from .spectrum import (
     ClosedFamily,
     FLAT,
-    PrimePoint,
     ZARISKI,
     closed_family,
     enumerate_spectrum,
@@ -132,10 +131,6 @@ class StabilizationReport:
     last_index: int | None = None
     last_distinct: tuple[Element, Element] | None = None
 
-    @property
-    def checked_length(self) -> int:
-        return len(self.chain)
-
     def verify(self) -> bool:
         ts = self.chain.terms
         if self.stabilized:
@@ -221,7 +216,7 @@ class SRingCertificate:
     closed_genstable_open: bool
     flatclosed_specstable_open: bool
     double_closed_ok: bool
-    double_closed_matches: tuple[tuple[frozenset[PrimePoint], Element], ...]
+    double_closed_matches: tuple[tuple[frozenset[Ideal], Element], ...]
     failures: tuple[str, ...] = ()
 
 
@@ -296,10 +291,10 @@ class ChainConditionTrace:
     materialized and their inclusions checked.
     """
 
-    x_points: frozenset[PrimePoint]
+    x_points: frozenset[Ideal]
     meet_ideal: Ideal
-    family: tuple[frozenset[PrimePoint], ...]
-    sections: tuple[tuple[frozenset[PrimePoint], frozenset[PrimePoint]], ...] | None
+    family: tuple[frozenset[Ideal], ...]
+    sections: tuple[tuple[frozenset[Ideal], frozenset[Ideal]], ...] | None
     conclusion: SRingCertificate
 
 
@@ -317,7 +312,7 @@ def chain_condition_check(ring: Ring, points,
     x = sp._mask_of(points)
     X = sp._points_of(x)
     for j, m in enumerate(sp.points):
-        if m.is_maximal and not x & sp.down[j]:
+        if sp.up[j] == 1 << j and not x & sp.down[j]:
             raise HypothesisViolated(
                 f"maximal ideal {m.label()} has no member of X below it",
                 witness=m)
@@ -327,7 +322,7 @@ def chain_condition_check(ring: Ring, points,
 
     meet = unit_ideal(ring)
     for i in IndexKernel.members(x):
-        meet = ideal_intersection(meet, sp.points[i].ideal)
+        meet = ideal_intersection(meet, sp.points[i])
 
     family = {x & v for v in sp._principal_masks}
     ordered = tuple(sp._points_of(s) for s in sorted(family, key=sp._mask_key))

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spectop import enumerate_spectrum, is_cyclic_flat, parse_ring, principal_ideal
 from spectop.errors import ParseError
@@ -16,6 +21,10 @@ from spectop.cli import (
     spectrum_doc,
     spectrum_from_doc,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import SESSION_POOL  # noqa: E402
 
 
 def run_cli(capsys, *argv):
@@ -260,6 +269,47 @@ def test_value_errors_exit_two(capsys):
     assert code == 2 and "not a prime" in err
     code, _, err = run_cli(capsys, "flat", "--ring", "Zloc(2)", "--ideal", "1/2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("flat", "--ring", "Zloc(2)", "--ideal", "1/0"),
+    ("flat", "--ring", "Zloc(2) * Z/3", "--ideal", "(0/0, 1)"),
+    ("chaincond", "--ring", "Zloc(2)", "--X", "custom", "--points", "(1/0)"),
+])
+def test_zero_denominator_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: at position 0: a fraction needs a nonzero denominator\n"
+
+
+_SCALARS = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9)),
+    st.lists(st.sampled_from(["1", "x", "2x", "x^2", "x^3+1"]), min_size=1, max_size=3)
+    .map("+".join),
+    st.builds("{{{}}}:{}".format, st.sets(st.integers(0, 6), max_size=3)
+              .map(lambda s: ",".join(map(str, sorted(s)))), st.integers(0, 1)),
+)
+_LITERALS = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, min_size=1, max_size=3).map(lambda xs: f"({', '.join(xs)})"),
+    st.text("0123/-x^+(),{}:;fin", max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([ring for ring, _ in SESSION_POOL]), _LITERALS)
+@example("Zloc(2)", "1/0")
+def test_no_literal_gives_an_internal_error(ring, literal):
+    # The "=" form keeps a literal that starts with "-" from reading as a flag.
+    for argv in (["flat", "--ring", ring, f"--ideal={literal}"],
+                 ["chaincond", "--ring", ring, "--X", "custom", f"--points={literal}"],
+                 ["chaincond", "--ring", ring, "--X", "custom", f"--points=({literal})"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "internal" not in err.getvalue(), argv
 
 
 def test_export_dot_deterministic(capsys):

@@ -125,6 +125,14 @@ def test_parse_validation_errors():
         parse_ring("Z/2[x]/(2x+1)")  # not monic after reduction
 
 
+@pytest.mark.parametrize("text, n", [("Zloc(1)", 1), ("Z/1[x]/(x)", 1), ("Zloc(0)", 0)])
+def test_not_prime_below_two_names_no_factor(text, n):
+    with pytest.raises(NotPrime) as err:
+        parse_ring(text)
+    assert err.value.factor is None
+    assert str(err.value) == f"{n} is not prime (primes are at least 2)"
+
+
 def test_parse_elements_per_presentation():
     z12 = parse_ring("Z/12")
     assert parse_element(z12, "-1") == z12.element(11)

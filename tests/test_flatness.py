@@ -305,7 +305,7 @@ def test_support_contains_complement_of_locus(support_ring):
         if support_ring.is_finite:
             anns = [annihilator(f) for f in ideal.elements]
             assert supp == frozenset(
-                p for p in sp.points if any(a.issubset(p.ideal) for a in anns))
+                p for p in sp.points if any(a.issubset(p) for a in anns))
         outside = sp.as_set() - vanishing_locus(support_ring, ideal)
         assert outside <= supp
         if is_cyclic_flat(ideal).verdict:

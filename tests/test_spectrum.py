@@ -23,8 +23,10 @@ from spectop import (
     flat_point_closure,
     generalization_closure,
     ideal_from_generators,
+    is_prime_ideal,
     is_stable_generalization,
     is_stable_specialization,
+    parse_ideal_label,
     parse_ring,
     principal_ideal,
     product_ring,
@@ -54,7 +56,7 @@ def _locus_labels(points):
 def test_spectrum_frozen_examples():
     sp = enumerate_spectrum(parse_ring("Z/12"))
     assert [p.label() for p in sp.points] == ["(2)", "(3)"]
-    assert all(p.is_minimal and p.is_maximal for p in sp.points)
+    assert sp.minimal_points() == sp.maximal_points() == sp.as_set()
 
     sp4 = enumerate_spectrum(parse_ring("GF(4)"))
     assert [p.label() for p in sp4.points] == ["(0)"]
@@ -63,8 +65,21 @@ def test_spectrum_frozen_examples():
     assert [p.label() for p in spl.points] == ["(0)", "(2)"]
     zero, two = spl.points
     assert spl.leq(zero, two) and not spl.leq(two, zero)
-    assert zero.is_minimal and not zero.is_maximal
-    assert two.is_maximal and not two.is_minimal
+    assert zero in spl.minimal_points() and zero not in spl.maximal_points()
+    assert two in spl.maximal_points() and two not in spl.minimal_points()
+
+
+@pytest.mark.parametrize("text", ["Z/12", "GF(4)", "Zloc(2)", "Z/2 * Z/2 * Z/2"])
+def test_points_are_the_prime_ideals(text):
+    ring = parse_ring(text)
+    assert set(enumerate_spectrum(ring).points) == {
+        i for i in enumerate_ideals(ring) if is_prime_ideal(i)}
+
+
+def test_product_points_are_their_parsed_labels():
+    ring = parse_ring("Zloc(2) * Z/3")
+    for p in enumerate_spectrum(ring).points:
+        assert p == parse_ideal_label(ring, p.label())
 
 
 def test_spectrum_of_bits_ring_is_refused():
@@ -74,7 +89,7 @@ def test_spectrum_of_bits_ring_is_refused():
 
 def test_spectrum_primality_is_exhaustive(finite_ring):
     sp = enumerate_spectrum(finite_ring)
-    primes = {p.ideal.elements for p in sp.points}
+    primes = {p.elements for p in sp.points}
     oracle = {s for s in brute_force_ideals(finite_ring)
               if brute_force_is_prime(finite_ring, s)}
     assert primes == oracle
@@ -91,7 +106,7 @@ def test_product_spectrum_matches_brute_force():
                     by_hand.add(frozenset(e for e in prod.elements()
                                           if prod.component(e, i) in prime))
         sp = enumerate_spectrum(prod)
-        assert {p.ideal.elements for p in sp.points} == by_hand, text
+        assert {p.elements for p in sp.points} == by_hand, text
         assert len(sp) == len(prod.factors), text
 
 
@@ -102,7 +117,7 @@ def test_mixed_product_spectrum_shape():
     pts = {p.label(): p for p in sp.points}
     assert sp.leq(pts["(0) x (1)"], pts["(2) x (1)"])
     assert not sp.leq(pts["(0) x (1)"], pts["(1) x (0)"])
-    assert pts["(1) x (0)"].is_minimal and pts["(1) x (0)"].is_maximal
+    assert pts["(1) x (0)"] in sp.minimal_points() & sp.maximal_points()
 
 
 def test_vanishing_locus_frozen_examples():
@@ -178,8 +193,8 @@ def test_mask_predicates_match_cone_unions(text, data):
     points = data.draw(st.frozensets(st.sampled_from(sp.points)))
     gen = frozenset().union(*(sp.generalizations(p) for p in points))
     spec = frozenset().union(*(sp.specializations(p) for p in points))
-    assert gen == {q for q in sp.points if any(q.ideal.issubset(p.ideal) for p in points)}
-    assert spec == {q for q in sp.points if any(p.ideal.issubset(q.ideal) for p in points)}
+    assert gen == {q for q in sp.points if any(q.issubset(p) for p in points)}
+    assert spec == {q for q in sp.points if any(p.issubset(q) for p in points)}
     assert generalization_closure(ring, points) == gen
     assert specialization_closure(ring, points) == spec
     assert is_stable_generalization(ring, points) == (gen == points)
@@ -192,7 +207,7 @@ def test_cover_edges_match_the_definition(text):
     pts = sp.points
 
     def leq(a, b):
-        return a.ideal.issubset(b.ideal)
+        return a.issubset(b)
 
     expected = [
         (p, q) for p in pts for q in pts
@@ -295,7 +310,7 @@ def test_product_vanishing_sets_match_definition(text):
     tuples = [ring.element(combo) for combo in
               itertools.product(*(_sample_elements(f) for f in ring.factors))]
     assert principal_vanishing_sets(ring) == {
-        frozenset(p for p in points if p.ideal.contains(f)) for f in tuples}
+        frozenset(p for p in points if p.contains(f)) for f in tuples}
 
 
 def test_principal_vanishing_sets_cover_mixed_product():
