@@ -6,6 +6,9 @@ as "not flat"), 1 for a verification failure found by ``verify`` or
 ``corpus``, 2 for usage, parse or presentation errors, 3 for any other
 exception, reported as one ``error: internal:`` line.  All JSON is
 printed with sorted keys, so output is byte-stable for a fixed input.
+This module is the only one that produces JSON text; the documents of
+closed families, which reach 65,536 sets, are written by
+:func:`family_json` straight from their masks.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
 
 from .dsl import parse_generators, parse_ideal_label, parse_ring
 from .errors import HypothesisViolated, ParseError, SpectopError
@@ -29,6 +34,7 @@ from .harness import (
 from .ideals import ideal_from_generators
 from .rings import Ring
 from .spectrum import (
+    ClosedFamily,
     SpectrumPoset,
     TOPOLOGIES,
     closed_family,
@@ -40,7 +46,7 @@ __all__ = [
     "certificate_doc",
     "certificate_from_doc",
     "dot_text",
-    "family_doc",
+    "family_json",
     "main",
     "report_doc",
     "spectrum_doc",
@@ -75,10 +81,36 @@ def spectrum_from_doc(doc: dict) -> SpectrumPoset:
     return sp
 
 
-def family_doc(ring: Ring, topology: str) -> dict:
-    fam = closed_family(ring, topology)
-    return {"ring": ring.describe(), "topology": topology,
-            "closed_sets": fam.spectrum._family_labels(fam.masks)}
+# Sets written per chunk of a family document.
+_FAMILY_CHUNK = 2048
+
+
+def family_json(family: ClosedFamily) -> Iterator[str]:
+    """The document of a closed family as printed text, in chunks.
+
+    The text is what ``_emit`` prints for ``{"closed_sets": <the sets'
+    label lists in the canonical order>, "ring": ..., "topology": ...}``,
+    byte for byte, but written straight from the masks: each label is
+    encoded once, and each set's labels are its prefix set's (the set
+    without its highest point) plus one separator and one label.
+    """
+    sp = family.spectrum
+    texts = {1 << i: encode_basestring_ascii(label) for i, label in enumerate(sp.labels)}
+
+    def text(mask: int) -> str:
+        if mask not in texts:
+            high = 1 << (mask.bit_length() - 1)
+            texts[mask] = text(mask ^ high) + ",\n      " + texts[high]
+        return texts[mask]
+
+    # Every closed family holds the empty set, and it sorts first.
+    order = sorted(family.masks, key=sp._mask_key)
+    yield '{\n  "closed_sets": [\n    []'
+    for start in range(1, len(order), _FAMILY_CHUNK):
+        yield "".join([",\n    [\n      " + text(m) + "\n    ]"
+                       for m in order[start:start + _FAMILY_CHUNK]])
+    yield (f'\n  ],\n  "ring": {encode_basestring_ascii(sp.ring.describe())},'
+           f'\n  "topology": {encode_basestring_ascii(family.topology)}\n}}\n')
 
 
 def certificate_doc(cert: FlatnessCertificate) -> dict:
@@ -155,7 +187,7 @@ def _cmd_spec(args) -> int:
 
 def _cmd_topology(args) -> int:
     ring = parse_ring(args.ring)
-    _emit(family_doc(ring, args.which))
+    sys.stdout.writelines(family_json(closed_family(ring, args.which)))
     return 0
 
 

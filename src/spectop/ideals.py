@@ -483,9 +483,20 @@ class ProductIdeal(Ideal):
                      for i, c in enumerate(self.components)
                      for f in c.witness_samples())
 
+    @cached_property
+    def _zero_witnesses(self) -> tuple:
+        """Each component's witness for zero, the answer in every slot
+        where an element is zero."""
+        return tuple(c.flat_witness(c.ring.zero) for c in self.components)
+
     def flat_witness(self, f):
-        parts = [c.flat_witness(self.ring.component(f, i))
-                 for i, c in enumerate(self.components)]
+        # A witness sample is zero outside one slot, so only the slots
+        # where f is nonzero ask their component.
+        zero = self.ring.zero.value
+        parts = list(self._zero_witnesses)
+        for i, v in enumerate(f.value):
+            if v != zero[i]:
+                parts[i] = self.components[i].flat_witness(self.ring.component(f, i))
         if None in parts:
             return None
         return tuple(Element(self.ring, tuple(w[k].value for w in parts)) for k in (0, 1))

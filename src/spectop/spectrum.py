@@ -174,14 +174,22 @@ class SpectrumPoset:
         bit order is label order."""
         return [self.labels[i] for i in IndexKernel.members(mask)]
 
-    def _mask_key(self, mask: int) -> tuple[int, list[str]]:
-        """The canonical order of point sets: smaller first, then by labels."""
-        labels = self._labels_of(mask)
-        return len(labels), labels
+    @cached_property
+    def _reversed(self):
+        """mask -> the same mask with its n point bits in reverse order."""
+        n = len(self.points)
+        return _union_of_cones([1 << (n - 1 - i) for i in range(n)])
+
+    def _mask_key(self, mask: int) -> int:
+        """The canonical order of point sets: smaller sets first, and of two
+        sets of one size, the one holding the lowest point where they differ.
+        The key is the size above the complement of the reversed mask; as
+        bit order is label order, it sorts like (len, labels)."""
+        return mask.bit_count() << len(self.points) | self.full ^ self._reversed(mask)
 
     def _family_labels(self, masks) -> list[list[str]]:
         """A family of point sets as label lists, in the canonical order."""
-        return [labels for _, labels in sorted(map(self._mask_key, masks))]
+        return [self._labels_of(m) for m in sorted(masks, key=self._mask_key)]
 
     @cached_property
     def _principal_masks(self) -> frozenset[int]:

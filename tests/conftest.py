@@ -9,10 +9,16 @@ are used to check.
 from __future__ import annotations
 
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
 from spectop import parse_ring
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import all_ops  # noqa: E402
 
 CORPUS_TEXTS = (
     "Z/4",
@@ -23,6 +29,12 @@ CORPUS_TEXTS = (
     "Zloc(2)",
     "Zloc(2) * Z/3",
 )
+
+# Every ring the benchmark's golden outputs ask about whose spectrum is
+# finite, so that its closed families can be generated; EvBits is the one
+# without.
+GOLDEN_TEXTS = tuple(sorted({argv[2] for argv in all_ops() if argv[1:2] == ["--ring"]}
+                            - {"EvBits"}))
 
 FINITE_CORPUS_TEXTS = tuple(t for t in CORPUS_TEXTS if "Zloc" not in t)
 

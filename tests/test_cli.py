@@ -5,26 +5,36 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spectop import enumerate_spectrum, is_cyclic_flat, parse_ring, principal_ideal
+from spectop import (
+    closed_family,
+    enumerate_spectrum,
+    is_cyclic_flat,
+    parse_ring,
+    principal_ideal,
+)
 from spectop.errors import ParseError
 from spectop.cli import (
     certificate_doc,
     certificate_from_doc,
     dot_text,
+    family_json,
     main,
     spectrum_doc,
     spectrum_from_doc,
 )
+from spectop.spectrum import TOPOLOGIES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-from workloads import SESSION_POOL  # noqa: E402
+from conftest import GOLDEN_TEXTS  # noqa: E402
+from workloads import SESSION_POOL, zloc_power  # noqa: E402
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +63,31 @@ def test_topology_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["closed_sets"] == [[], ["(0)"], ["(0)", "(2)"]]
+
+
+# Every golden ring, an empty spectrum, and families of 16,384 and 256
+# sets, which the writer prints in several chunks.
+@pytest.mark.parametrize("text", GOLDEN_TEXTS + (
+    "Z/1", zloc_power(7), " * ".join(["Z/2"] * 8)))
+def test_family_json_prints_the_dumped_document(text):
+    ring = parse_ring(text)
+    for topology in TOPOLOGIES:
+        family = closed_family(ring, topology)
+        reference = {"closed_sets": family.spectrum._family_labels(family.masks),
+                     "ring": ring.describe(), "topology": topology}
+        got = "".join(family_json(family))
+        want = json.dumps(reference, indent=2, sort_keys=True) + "\n"
+        # pytest would diff megabytes of text line by line; name the first
+        # difference instead.
+        if got != want:
+            at = len(os.path.commonprefix([got, want]))
+            pytest.fail(f"{topology}: at {at}, {got[at:at + 40]!r} != {want[at:at + 40]!r}")
+
+
+def test_topology_of_an_empty_spectrum(capsys):
+    code, out, _ = run_cli(capsys, "topology", "--ring", "Z/1", "--which", "patch")
+    assert code == 0
+    assert json.loads(out) == {"closed_sets": [[]], "ring": "Z/1", "topology": "patch"}
 
 
 def test_flat_command_negative_answer_exits_zero(capsys):
@@ -246,6 +281,23 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["topology", "--ring", "Z/6", "--which", "hausdorff"])
     assert err.value.code == 2
+
+
+def test_a_literal_starting_with_a_minus_needs_the_equals_form(capsys):
+    # argparse reads "-x" after "--ideal" as a flag, so the literal only
+    # reaches the ring grammar in the "=" form.
+    code, out, _ = run_cli(capsys, "flat", "--ring", "Zloc(2)", "--ideal=-1/3")
+    assert code == 0 and json.loads(out)["ideal"] == "(1)"
+    code, _, err = run_cli(capsys, "flat", "--ring", "GF(4)", "--ideal=-x")
+    assert code == 2 and err.startswith("error: at position 0: bad polynomial term '-x'")
+    for ring, literal in (("GF(4)", "-x"), ("Zloc(2)", "-1/3")):
+        with pytest.raises(SystemExit) as exit_:
+            main(["flat", "--ring", ring, "--ideal", literal])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: spectop flat ")
+        assert err.endswith("spectop flat: error: argument --ideal: expected one argument\n")
+        assert "Traceback" not in err
 
 
 def test_unexpected_exception_exits_three(monkeypatch, capsys):

@@ -189,3 +189,51 @@ def test_the_base_override_rule_flags_an_added_override(tmp_path):
         "_Listed defines idempotent_generator",
         "_Field defines elements",
     ]
+
+
+def json_writers(root: Path) -> list[str]:
+    """Where a module other than ``cli.py`` produces JSON text.
+
+    Flags every use of ``json.dump``, ``json.dumps`` or
+    ``encode_basestring_ascii``, by attribute or by import: the command
+    line layer owns all serialization, so every document is printed
+    byte-stable from one place.
+    """
+    writers = {"dump", "dumps", "encode_basestring_ascii"}
+    found = []
+    for path, tree in _trees(root):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("json", "json.encoder"):
+                found += [f"{path.name}:{node.lineno} imports {a.name}"
+                          for a in node.names if a.name in writers]
+            if isinstance(node, ast.Attribute) and node.attr in writers and (
+                    node.attr == "encode_basestring_ascii"
+                    or isinstance(node.value, ast.Name) and node.value.id == "json"):
+                found.append(f"{path.name}:{node.lineno} uses {node.attr}")
+    return found
+
+
+def test_json_text_is_produced_only_by_the_cli():
+    assert json_writers(SOURCE) == []
+
+
+def test_the_json_rule_flags_an_added_writer(tmp_path):
+    copy = tmp_path / "spectop"
+    shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert json_writers(copy) == []
+    with open(copy / "harness.py", "a", encoding="utf-8") as handle:
+        handle.write("\nimport json\nimport pickle\n\n\ndef _text(doc):\n"
+                     "    return json.dumps(doc) + str(pickle.dumps(doc))\n")
+    with open(copy / "sring.py", "a", encoding="utf-8") as handle:
+        handle.write("\nfrom json import dump, loads\n"
+                     "from json.encoder import encode_basestring_ascii\n"
+                     "import json.encoder\n_QUOTE = json.encoder.encode_basestring_ascii\n")
+    found = json_writers(copy)
+    assert [f.split(" ", 1)[1] for f in found] == [
+        "uses dumps",
+        "imports dump",
+        "imports encode_basestring_ascii",
+        "uses encode_basestring_ascii",
+    ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 import weakref
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from spectop.spectrum import (
 
 from conftest import (
     CORPUS_TEXTS,
+    GOLDEN_TEXTS,
     SMALL_FINITE_TEXTS,
     brute_force_ideals,
     brute_force_is_prime,
@@ -405,3 +407,22 @@ def test_a_spectrum_lives_on_its_ring_and_dies_with_it(text):
     del ring
     gc.collect()
     assert spectrum() is None
+
+
+def _label_key(sp, mask):
+    labels = sp._labels_of(mask)
+    return len(labels), labels
+
+
+@pytest.mark.parametrize("text", sorted(
+    set(GOLDEN_TEXTS) | set(CORPUS_TEXTS) | set(SMALL_FINITE_TEXTS)
+) + [" * ".join(["Zloc(2)"] * 8)])
+def test_mask_key_sorts_point_sets_by_size_then_labels(text):
+    # Every point set of a spectrum of at most 10 points, a seeded sample
+    # of larger ones.
+    sp = enumerate_spectrum(parse_ring(text))
+    masks = range(1 << len(sp))
+    if len(sp) > 10:
+        masks = random.Random(len(sp)).sample(masks, 2000) + [0, sp.full]
+    assert (sorted(masks, key=sp._mask_key)
+            == sorted(masks, key=lambda m: _label_key(sp, m)))
