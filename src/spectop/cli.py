@@ -32,7 +32,7 @@ from .harness import (
     run_corpus,
 )
 from .ideals import ideal_from_generators
-from .rings import Ring
+from .rings import IndexKernel, Ring
 from .spectrum import (
     ClosedFamily,
     SpectrumPoset,
@@ -104,7 +104,7 @@ def family_json(family: ClosedFamily) -> Iterator[str]:
         return texts[mask]
 
     # Every closed family holds the empty set, and it sorts first.
-    order = sorted(family.masks, key=sp._mask_key)
+    order = sorted(IndexKernel.members(family.table), key=sp._mask_key)
     yield '{\n  "closed_sets": [\n    []'
     for start in range(1, len(order), _FAMILY_CHUNK):
         yield "".join([",\n    [\n      " + text(m) + "\n    ]"

@@ -25,6 +25,7 @@ or flat kernel share one search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import NotFlat, NotGenStable, NotZariskiClosed
 from .ideals import (
@@ -185,9 +186,7 @@ def flat_ideal_from_closed_set(ring, points) -> Ideal:
     E = frozenset(points)
     if not E <= sp.as_set():
         raise ValueError("the given points do not belong to this spectrum")
-    realized = unit_ideal(ring)
-    for p in E:
-        realized = ideal_intersection(realized, p)
+    realized = reduce(ideal_intersection, E) if E else unit_ideal(ring)
     if vanishing_locus(ring, realized) != E:
         raise NotZariskiClosed(
             "the set is not the vanishing locus of any ideal")

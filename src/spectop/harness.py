@@ -49,8 +49,8 @@ from .ideals import (
 )
 from .rings import (
     EventuallyConstantBitsRing,
+    IndexKernel,
     ModularRing,
-    ProductRing,
     Ring,
     factorization,
     idempotents,
@@ -122,34 +122,32 @@ def check_topology_characterization(ring: Ring, entry=None) -> tuple[dict, dict 
 
     Also asserts that the patch family is the full power set of the
     spectrum and that the V(f) sub-basis and the V(I) basis generate the
-    same flat and Zariski families.
+    same flat and Zariski families, all as comparisons of family tables.
     """
     zfam = closed_family(ring, ZARISKI)
     ffam = closed_family(ring, FLAT)
     pfam = closed_family(ring, PATCH)
     sp = pfam.spectrum
 
-    expect_flat = frozenset(s for s in pfam.masks if sp.down_closure(s) == s)
-    expect_zar = frozenset(s for s in pfam.masks if sp.up_closure(s) == s)
     problems = []
-    if ffam.masks != expect_flat:
+    if ffam.table != pfam.table & sp.down_table:
         problems.append("flat family differs from patch-closed gen-stable sets")
-    if zfam.masks != expect_zar:
+    if zfam.table != pfam.table & sp.up_table:
         problems.append("zariski family differs from patch-closed spec-stable sets")
-    if not (zfam.masks <= pfam.masks and ffam.masks <= pfam.masks):
+    if (zfam.table | ffam.table) & ~pfam.table:
         problems.append("patch family does not refine the other two")
-    if len(pfam.masks) != 2 ** len(sp):
+    if len(pfam) != 2 ** len(sp):
         problems.append("patch family is not the full power set")
-    if closed_family(ring, FLAT, use_ideal_basis=True).masks != ffam.masks:
+    if closed_family(ring, FLAT, use_ideal_basis=True).table != ffam.table:
         problems.append("flat families from V(f) and V(I) bases disagree")
-    if closed_family(ring, ZARISKI, use_ideal_basis=True).masks != zfam.masks:
+    if closed_family(ring, ZARISKI, use_ideal_basis=True).table != zfam.table:
         problems.append("zariski families from V(f) and V(I) bases disagree")
 
     details = {
         "points": len(sp),
-        "zariski_closed": len(zfam.masks),
-        "flat_closed": len(ffam.masks),
-        "patch_closed": len(pfam.masks),
+        "zariski_closed": len(zfam),
+        "flat_closed": len(ffam),
+        "patch_closed": len(pfam),
     }
     return details, ({"problems": problems} if problems else None)
 
@@ -163,17 +161,16 @@ def check_closure_operators(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     pfam = closed_family(ring, PATCH)
     sp = pfam.spectrum
 
-    for E in zfam.masks:
+    # An image under a closure is no table operation: close each member.
+    for E in IndexKernel.members(zfam.table):
         if sp.down_closure(E) not in ffam.masks:
             return {}, {"operator": "generalization", "set": sp._labels_of(E)}
-    for E in pfam.masks:
+    for E in IndexKernel.members(pfam.table):
         if sp.up_closure(E) not in zfam.masks:
             return {}, {"operator": "specialization", "set": sp._labels_of(E)}
 
     kernels = []
-    for E in sorted(zfam.masks, key=sp._mask_key):
-        if sp.down_closure(E) != E:
-            continue
+    for E in sorted(IndexKernel.members(zfam.table & sp.down_table), key=sp._mask_key):
         points = sp._points_of(E)
         kernel = flat_ideal_from_closed_set(ring, points)
         if vanishing_locus(ring, kernel) != points or not is_cyclic_flat(kernel).verdict:
@@ -182,8 +179,8 @@ def check_closure_operators(ring: Ring, entry=None) -> tuple[dict, dict | None]:
         kernels.append({"set": sp._labels_of(E), "kernel": kernel.label()})
 
     return {"flat_kernels": kernels,
-            "zariski_closed": len(zfam.masks),
-            "patch_closed": len(pfam.masks)}, None
+            "zariski_closed": len(zfam),
+            "patch_closed": len(pfam)}, None
 
 
 def check_flat_ideal_bijection(ring: Ring, entry=None) -> tuple[dict, dict | None]:
@@ -196,7 +193,7 @@ def check_flat_ideal_bijection(ring: Ring, entry=None) -> tuple[dict, dict | Non
     image = {}
     for i in flats:
         image.setdefault(sp._mask_of(vanishing_locus(ring, i)), []).append(i)
-    codomain = {s for s in zfam.masks if sp.down_closure(s) == s}
+    codomain = zfam.table & sp.down_table
 
     problems = []
     for locus, sources in image.items():
@@ -204,10 +201,10 @@ def check_flat_ideal_bijection(ring: Ring, entry=None) -> tuple[dict, dict | Non
             problems.append({"kind": "not-injective",
                              "ideals": [i.label() for i in sources],
                              "set": sp._labels_of(locus)})
-        if locus not in codomain:
+        if not codomain >> locus & 1:
             problems.append({"kind": "not-well-defined",
                              "ideal": sources[0].label(), "set": sp._labels_of(locus)})
-    for s in codomain:
+    for s in IndexKernel.members(codomain):
         if s not in image:
             problems.append({"kind": "not-surjective", "set": sp._labels_of(s)})
 
@@ -215,7 +212,7 @@ def check_flat_ideal_bijection(ring: Ring, entry=None) -> tuple[dict, dict | Non
         "ideals": len(ideals),
         "flat_ideals": len(flats),
         "flat_ideal_labels": sorted(i.label() for i in flats),
-        "closed_genstable_sets": len(codomain),
+        "closed_genstable_sets": codomain.bit_count(),
         "image": sp._family_labels(image),
     }
     return details, ({"problems": problems} if problems else None)
@@ -254,11 +251,9 @@ def check_sring_equivalences(ring: Ring, entry=None) -> tuple[dict, dict | None]
     cert = sring_certificate(ring)
     pfam = closed_family(ring, PATCH)
     sp = pfam.spectrum
-    patch_ok = True
-    for E in pfam.masks:
-        if sp.down_closure(E) == E and sp.up_closure(E) == E:
-            if sp.full ^ E not in pfam.masks:
-                patch_ok = False
+    # Every patch closed set that is stable both ways is patch open.
+    stable = pfam.table & sp.down_table & sp.up_table
+    patch_ok = not stable & ~sp._complements(pfam.table)
     details = {
         "double_closed": [
             {"set": sp._labels_of(sp._mask_of(s)), "idempotent": str(e)}
@@ -436,11 +431,12 @@ CHECK_NAMES = tuple(_CHECKS)
 
 def applicable_checks(ring: Ring) -> tuple[str, ...]:
     try:
-        spectral = len(enumerate_spectrum(ring)) <= MAX_FAMILY_POINTS
+        sp = enumerate_spectrum(ring)
+        spectral = len(sp) <= MAX_FAMILY_POINTS
     except (UnsupportedForPresentation, SpectrumTooLarge):
         spectral = False
     # The bits ring fails `spectral`: its spectrum is not enumerable.
-    ideals = spectral and not (isinstance(ring, ProductRing) and not ring.is_finite)
+    ideals = spectral and not sp.slotwise
     allowed = {_ANY: True, _SPECTRAL: spectral, _IDEALS: ideals}
     return tuple(name for name, (_, need) in _CHECKS.items() if allowed[need])
 

@@ -440,7 +440,7 @@ class ProductIdeal(Ideal):
         if len(components) != len(ring.factors):
             raise ValueError("one component ideal per factor is required")
         for f, c in zip(ring.factors, components):
-            if c.ring != f:
+            if c.ring is not f and c.ring != f:
                 raise ValueError("component ideal belongs to the wrong factor")
         self.ring = ring
         self.components = components
@@ -491,11 +491,11 @@ class ProductIdeal(Ideal):
 
     def flat_witness(self, f):
         # A witness sample is zero outside one slot, so only the slots
-        # where f is nonzero ask their component.
-        zero = self.ring.zero.value
+        # where f is nonzero ask their component; a factor's zero payload
+        # (0, Fraction(0) or the empty polynomial) is its only false one.
         parts = list(self._zero_witnesses)
         for i, v in enumerate(f.value):
-            if v != zero[i]:
+            if v:
                 parts[i] = self.components[i].flat_witness(self.ring.component(f, i))
         if None in parts:
             return None

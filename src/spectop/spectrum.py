@@ -9,29 +9,23 @@ their sub-bases of open sets:
 * patch:   the D(f) and the V(g) together.  Both kinds contain the whole
            space, so they generate the same topology as all D(f) & V(g).
 
-The points of a spectrum are numbered 0..n-1 in label order, and inside
-the library a point set is an int mask with bit i set for point i, so
-closures, stability tests and families are bit operations and a mask's
-labels come out sorted by reading its bits in order.  A point is its
-prime :class:`Ideal`, and frozensets of those ideals remain the public
-form: ``ClosedFamily.sets``, the closure functions and the vanishing sets
-convert at the boundary.
+The points of a spectrum are numbered 0..n-1 in label order.  A point set
+is an int mask with bit i set for point i, and a family of point sets an
+int table with bit m set for each member mask m, so closures, stability
+tests and tests over a whole family are bit operations.  A point is its
+prime :class:`Ideal`; frozensets of those ideals are the public form.
 
-Families of closed sets are materialized in full, as the unions of point
-closures, which keeps every "for all closed E" statement finitely
-checkable.  Generation is refused above ``MAX_FAMILY_POINTS`` spectrum
-points since the families grow like the power set.  Each spectrum keeps
-the masks of its V(f) and the three families they generate, and the
-ring's memo keeps the spectrum, so they are built once per ring instance
-however many checks read them, and dropped with the ring.  The masks of
-the V(I) basis and the families they generate are built afresh on every
-call, straight from the ideal enumeration.
-Infinite products take their vanishing sets V(f) and V(I) factor by
-factor, as their spectra are the disjoint unions of the factor spectra.
-
-The vanishing locus V(I) is computed once per ideal object and kept on
-the ideal, so the checks that read the locus of the same enumerated
-ideal or flat kernel share it.
+Families of closed sets are materialized in full, which keeps every "for
+all closed E" statement finitely checkable, for at most
+``MAX_FAMILY_POINTS`` points, as a table has 2^n bits.  Each spectrum
+keeps the masks of its V(f), the patterns P_x (the table of the masks
+holding x), the tables of its stable sets and the three families the V(f)
+generate.  The ring's memo keeps the spectrum and each ideal its V(I), so
+all are built once per object and dropped with it.  The V(I) basis and
+its families are built afresh on every call.  Infinite products work slot
+by slot: a point is proper in exactly one slot, so p is in q iff they
+share a slot and their components there are nested, and V(f) and V(I)
+are taken factor by factor.
 """
 
 from __future__ import annotations
@@ -109,32 +103,42 @@ def _union_of_cones(cones):
     return union
 
 
+# Each byte value with its eight bits in reverse order (the multiply,
+# mask and modulus byte reversal of Anderson's Bit Twiddling Hacks).
+_BYTE_REVERSED = bytes((b * 0x0202020202 & 0x010884422010) % 1023 for b in range(256))
+
+
 class SpectrumPoset:
     """All prime ideals of one ring, ordered by inclusion.
 
     Point i is the prime ideal ``points[i]``, in label order, and a point
     set is the int with bit i set for each member.  ``down[i]`` is the
     generalization cone of point i (the primes it contains) and ``up[i]``
-    its specialization cone, both read off ideal inclusion.
+    its specialization cone, both read off ideal inclusion.  ``_parts``
+    holds each point of an infinite product (``slotwise``) as (the slot
+    where it is proper, its component there), and compares points of one
+    slot only; any other point is (None, the point).
     """
 
     def __init__(self, ring: Ring, prime_ideals):
         self.ring = ring
         self.points = tuple(sorted(prime_ideals, key=lambda i: i.label()))
         n = len(self.points)
+        self.slotwise = not ring.is_finite and isinstance(ring, ProductRing)
+        self._parts = tuple(
+            next((s, c) for s, c in enumerate(p.components) if not c.is_whole())
+            if self.slotwise else (None, p) for p in self.points)
         down, up = [0] * n, [0] * n
-        for i, p in enumerate(self.points):
-            for j, q in enumerate(self.points):
-                if p.issubset(q):
+        for i, (s, a) in enumerate(self._parts):
+            for j, (t, b) in enumerate(self._parts):
+                if s == t and a.issubset(b):
                     down[j] |= 1 << i
                     up[i] |= 1 << j
         self.down, self.up = tuple(down), tuple(up)
         self.full = (1 << n) - 1
         self.labels = tuple(p.label() for p in self.points)
         self._index = {p: i for i, p in enumerate(self.points)}
-        # The closed families of the V(f) sub-basis, filled in by
-        # closed_family.
-        self._families: dict[str, ClosedFamily] = {}
+        self._families: dict[str, ClosedFamily] = {}  # the V(f) families
 
     def __len__(self):
         return len(self.points)
@@ -193,14 +197,17 @@ class SpectrumPoset:
 
     @cached_property
     def _principal_masks(self) -> frozenset[int]:
-        """The masks of every V(f), computed once per spectrum."""
+        """The masks of every V(f), computed once per spectrum.  A finite
+        ring tries every f; over the localized integers V(f) only depends
+        on whether f is zero, a prime multiple or a unit."""
         ring = self.ring
-        if not ring.is_finite and isinstance(ring, ProductRing):
+        if self.slotwise:
             return _factorwise_masks(
                 self, lambda factor: enumerate_spectrum(factor)._principal_masks)
+        samples = ring.elements() if ring.is_finite else (0, ring.p, 1)
         return frozenset(
             IndexKernel.mask(i for i, p in enumerate(self.points) if p.contains(f))
-            for f in _vanishing_representatives(ring))
+            for f in samples)
 
     @cached_property
     def down_closure(self):
@@ -211,6 +218,59 @@ class SpectrumPoset:
     def up_closure(self):
         """mask -> the union of the specialization cones of its points."""
         return _union_of_cones(self.up)
+
+    # -- tables over the power set -----------------------------------------
+
+    @cached_property
+    def _patterns(self) -> tuple[int, ...]:
+        """P_x for each point x, the table of the masks that hold x: runs
+        of 2^x clear and 2^x set bits, alternating."""
+        self._check_family_bound()
+        every = (1 << (1 << len(self.points))) - 1
+        return tuple(every // ((1 << (2 << x)) - 1) * (((1 << (1 << x)) - 1) << (1 << x))
+                     for x in range(len(self.points)))
+
+    def _table_of(self, masks) -> int:
+        """The table holding the given masks."""
+        table = bytearray(((1 << len(self.points)) + 7) >> 3)
+        for m in masks:
+            table[m >> 3] |= 1 << (m & 7)
+        return int.from_bytes(table, "little")
+
+    def _complements(self, table: int) -> int:
+        """The table of the complements of the members: bit m moves to bit
+        full ^ m, which reverses the table's 2^n bits."""
+        size = 1 << len(self.points)
+        width = (size + 7) >> 3
+        flipped = table.to_bytes(width, "little").translate(_BYTE_REVERSED)
+        return int.from_bytes(flipped, "big") >> (8 * width - size)
+
+    def _least_members(self, table: int) -> list[int]:
+        """For each point x, the intersection of the members holding x (the
+        whole space when none does): the points y with T & P_x & ~P_y == 0."""
+        patterns = self._patterns
+        return [IndexKernel.mask(y for y, py in enumerate(patterns) if held & py == held)
+                for held in (table & px for px in patterns)]
+
+    def _saturated_table(self, hulls) -> int:
+        """The table of the masks that hold hulls[x] whenever they hold x:
+        the AND over x of (not P_x, or P_y for every y in hulls[x])."""
+        patterns = self._patterns
+        table = every = (1 << (1 << len(patterns))) - 1
+        for px, hull in zip(patterns, hulls):
+            table &= every ^ px | reduce(
+                and_, [patterns[y] for y in IndexKernel.members(hull)], every)
+        return table
+
+    @cached_property
+    def down_table(self) -> int:
+        """The generalization-stable masks, read off the cones alone."""
+        return self._saturated_table(self.down)
+
+    @cached_property
+    def up_table(self) -> int:
+        """The specialization-stable masks, read off the cones alone."""
+        return self._saturated_table(self.up)
 
     def _check_family_bound(self) -> None:
         """Refuse a spectrum whose closed families are too large to generate."""
@@ -280,7 +340,9 @@ def vanishing_locus(ring: Ring, ideal: Ideal) -> frozenset[Ideal]:
     memo = ideal.memo
     if "vanishing_locus" not in memo:
         sp = enumerate_spectrum(ring)
-        memo["vanishing_locus"] = frozenset(p for p in sp.points if ideal.issubset(p))
+        memo["vanishing_locus"] = frozenset(
+            p for p, (s, part) in zip(sp.points, sp._parts)
+            if (ideal if s is None else ideal.components[s]).issubset(part))
     return memo["vanishing_locus"]
 
 
@@ -325,11 +387,19 @@ def is_stable_specialization(ring: Ring, points) -> bool:
 
 @dataclass(frozen=True)
 class ClosedFamily:
-    """The closed sets of one topology over a finite spectrum, as masks."""
+    """The closed sets of one topology over a finite spectrum: bit m of
+    ``table`` is set when mask m is closed; ``masks`` and ``sets`` are lazy."""
 
     topology: str
-    masks: frozenset[int]
+    table: int
     spectrum: SpectrumPoset = field(compare=False)
+
+    def __len__(self) -> int:
+        return self.table.bit_count()
+
+    @cached_property
+    def masks(self) -> frozenset[int]:
+        return frozenset(IndexKernel.members(self.table))
 
     @cached_property
     def sets(self) -> frozenset[frozenset[Ideal]]:
@@ -337,34 +407,19 @@ class ClosedFamily:
 
     def __contains__(self, subset) -> bool:
         try:
-            return self.spectrum._mask_of(subset) in self.masks
+            return bool(self.table >> self.spectrum._mask_of(subset) & 1)
         except ValueError:
             return False
 
     def validate(self) -> None:
         """Check for the empty set, the space and closure under union and
-        intersection: by Birkhoff, the family must equal the unions of its
-        point closures cl(x), the intersections of the members holding x."""
-        full = self.spectrum.full
-        if 0 not in self.masks or full not in self.masks:
+        intersection: by Birkhoff, the masks that hold cl(x) whenever they
+        hold x, cl(x) the intersection of the members holding x."""
+        sp, table = self.spectrum, self.table
+        if not table & 1 or not table >> sp.full & 1:
             raise AssertionError("a closed family contains the empty set and the space")
-        closures = {reduce(and_, filter((1 << x).__and__, self.masks), full)
-                    for x in range(len(self.spectrum))}
-        if _unions(closures) != self.masks:
+        if sp._saturated_table(sp._least_members(table)) != table:
             raise AssertionError("closed family not closed under union/intersection")
-
-
-def _vanishing_representatives(ring: Ring) -> tuple[Element, ...]:
-    """Finitely many elements whose V(f) realize every principal vanishing set.
-
-    For a finite ring every element is used.  Over the localized integers
-    V(f) only depends on whether f is zero, a unit, or a prime multiple.
-    """
-    if ring.is_finite:
-        return ring.elements()
-    if isinstance(ring, LocalizedIntegerRing):
-        return (ring.zero, ring.element(ring.p), ring.one)
-    raise UnsupportedForPresentation(ring.describe())
 
 
 def _factorwise_masks(sp: SpectrumPoset, factor_masks) -> frozenset[int]:
@@ -372,12 +427,9 @@ def _factorwise_masks(sp: SpectrumPoset, factor_masks) -> frozenset[int]:
     ``sp.ring``, its points embedded: (x1, ..., xk) lies in the embedded
     prime (..., Pi, ...) iff xi lies in Pi, for elements and for ideals
     alike."""
-    ring = sp.ring
-    # Each point of the product is proper in exactly one slot.
-    embed = {(i, c): 1 << k for k, p in enumerate(sp.points)
-             for i, c in enumerate(p.components) if not c.is_whole()}
+    embed = {part: 1 << k for k, part in enumerate(sp._parts)}
     per_factor = []
-    for i, factor in enumerate(ring.factors):
+    for i, factor in enumerate(sp.ring.factors):
         bits = [embed[i, q] for q in enumerate_spectrum(factor).points]
         per_factor.append([sum(bits[j] for j in IndexKernel.members(m))
                            for m in factor_masks(factor)])
@@ -388,54 +440,39 @@ def _factorwise_masks(sp: SpectrumPoset, factor_masks) -> frozenset[int]:
 def _ideal_masks(ring: Ring) -> frozenset[int]:
     """The masks of every V(I), collected afresh on each call."""
     sp = enumerate_spectrum(ring)
-    if not ring.is_finite and isinstance(ring, ProductRing):
+    if sp.slotwise:
         return _factorwise_masks(sp, _ideal_masks)
     return frozenset(sp._mask_of(vanishing_locus(ring, i)) for i in enumerate_ideals(ring))
 
 
 def principal_vanishing_sets(ring: Ring) -> frozenset[frozenset[Ideal]]:
-    """All realizable sets V(f) = {p : f in p} for single elements f.
-
-    Infinite products take their sets factor by factor.
-    """
+    """All realizable sets V(f) = {p : f in p} for single elements f."""
     sp = enumerate_spectrum(ring)
     return frozenset(map(sp._points_of, sp._principal_masks))
 
 
 def ideal_vanishing_sets(ring: Ring) -> frozenset[frozenset[Ideal]]:
-    """All realizable sets V(I) over the (finitely generated) ideals.
-
-    Infinite products take their sets factor by factor.
-    """
+    """All realizable sets V(I) over the (finitely generated) ideals."""
     return frozenset(map(enumerate_spectrum(ring)._points_of, _ideal_masks(ring)))
-
-
-def _unions(masks) -> set[int]:
-    """Every union of some of the given masks, the empty union included."""
-    family = {0}
-    for c in masks:
-        family |= {s | c for s in family}
-    return family
 
 
 def closed_family(ring: Ring, topology: str,
                   use_ideal_basis: bool = False) -> ClosedFamily:
-    """Materialize the closed sets of the named topology.
+    """Materialize the closed sets of the named topology as a table.
 
     A finite space is fixed by the least open neighbourhood U_x of each
-    point, the intersection of the sub-basic opens containing x.  The
-    closure of {x} is {y : x in U_y}, and the closed sets are exactly the
-    unions of point closures.  U_x is read off the sub-basis, never off
-    ideal inclusion, so comparing the families with the specialization
-    order (as ``topology-characterization`` does) stays a real check.
+    point, the intersection of the sub-basic opens containing x: with B
+    the table of the sub-basis, y is in U_x iff B & P_x & ~P_y == 0.  The
+    open sets are the masks that hold U_x whenever they hold x, and the
+    closed sets their complements.  U_x is read off the sub-basis, never
+    off ideal inclusion, so comparing the families with the
+    specialization order (as ``topology-characterization`` does) stays a
+    real check.
 
-    ``use_ideal_basis`` switches to the alternative basis of V(I) over
-    finitely generated ideals; both generate the same family and the
-    harness asserts that agreement on every corpus ring.  Families from
-    the V(f) sub-basis are built once per spectrum and then shared; the
-    masks of the V(I) basis are collected from the ideal enumeration and
-    their family generated on every call, so that comparison is always
-    between two independent computations.
+    ``use_ideal_basis`` switches to the basis of V(I) over finitely
+    generated ideals, which generates the same family.  Families of the
+    V(f) are built once per spectrum; those of the V(I) on every call, so
+    that the harness always compares two independent computations.
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
@@ -443,15 +480,11 @@ def closed_family(ring: Ring, topology: str,
     sp._check_family_bound()
     if not use_ideal_basis and topology in sp._families:
         return sp._families[topology]
-    n, full = len(sp), sp.full
-    vsets = _ideal_masks(ring) if use_ideal_basis else sp._principal_masks
-    dsets = frozenset(full ^ v for v in vsets)
-    subbasis = {ZARISKI: dsets, FLAT: vsets, PATCH: dsets | vsets}[topology]
-    least_open = [reduce(and_, filter((1 << x).__and__, subbasis), full)
-                  for x in range(n)]
-    closures = {IndexKernel.mask(y for y in range(n) if least_open[y] >> x & 1)
-                for x in range(n)}
-    family = ClosedFamily(topology, frozenset(_unions(closures)), sp)
+    vtable = sp._table_of(_ideal_masks(ring) if use_ideal_basis else sp._principal_masks)
+    dtable = sp._complements(vtable)
+    subbasis = {ZARISKI: dtable, FLAT: vtable, PATCH: dtable | vtable}[topology]
+    opens = sp._saturated_table(sp._least_members(subbasis))
+    family = ClosedFamily(topology, sp._complements(opens), sp)
     family.validate()
     if not use_ideal_basis:
         sp._families[topology] = family

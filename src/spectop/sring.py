@@ -241,20 +241,18 @@ def _certify(ring: Ring) -> SRingCertificate:
     sp = zfam.spectrum
     failures = []
 
-    def stable_sets_open(fam: ClosedFamily, closure, stability: str) -> bool:
-        ok = True
-        for E in fam.masks:
-            if closure(E) == E and sp.full ^ E not in fam.masks:
-                ok = False
-                failures.append(
-                    f"{fam.topology} closed {stability}-stable set {sp._labels_of(E)} "
-                    f"is not {fam.topology} open")
-        return ok
+    def stable_sets_open(fam: ClosedFamily, stable: int, stability: str) -> bool:
+        not_open = fam.table & stable & ~sp._complements(fam.table)
+        for E in IndexKernel.members(not_open):
+            failures.append(
+                f"{fam.topology} closed {stability}-stable set {sp._labels_of(E)} "
+                f"is not {fam.topology} open")
+        return not not_open
 
-    genstable_open = stable_sets_open(zfam, sp.down_closure, "generalization")
-    specstable_open = stable_sets_open(ffam, sp.up_closure, "specialization")
+    genstable_open = stable_sets_open(zfam, sp.down_table, "generalization")
+    specstable_open = stable_sets_open(ffam, sp.up_table, "specialization")
 
-    double = zfam.masks & ffam.masks
+    double = zfam.table & ffam.table
     matches = []
     seen = {}
     for e in idempotents(ring):
@@ -262,12 +260,12 @@ def _certify(ring: Ring) -> SRingCertificate:
         if locus in seen:
             failures.append(f"idempotents {seen[locus]} and {e} share a vanishing set")
         seen[locus] = e
-    double_ok = set(seen) == set(double) and len(seen) == len(double)
+    double_ok = sp._table_of(seen) == double
     if not double_ok:
         failures.append(
-            f"double-closed family has {len(double)} members but idempotents "
+            f"double-closed family has {double.bit_count()} members but idempotents "
             f"realize {len(seen)} vanishing sets")
-    for E in sorted(double, key=sp._mask_key):
+    for E in sorted(IndexKernel.members(double), key=sp._mask_key):
         if E in seen:
             matches.append((sp._points_of(E), seen[E]))
 

@@ -123,21 +123,32 @@ def brute_force_is_prime(ring, subset) -> bool:
 def oracle_closed_sets(points, subbasis):
     """The closed sets of the topology a sub-basis generates, by definition.
 
-    The basis is {X} together with the sub-basic opens, closed under
-    pairwise intersection.  A subset is open when it is the union of the
-    basis members inside it, and closed when its complement is open.
+    The basis is the finite intersections of sub-basic opens, X (the empty
+    intersection) included.  A subset is open when it is the union of the
+    basis members inside it, and closed when its complement is open.  Point
+    sets are bitmasks over ``points`` here, so that both steps can be
+    dynamic programs over all subsets: U is a finite intersection iff it is
+    the intersection of the sub-basic opens that contain it, and the basis
+    members inside U are those inside U minus one point, and U itself.
     """
-    full = frozenset(points)
-    basis = {full, *subbasis}
-    while True:
-        new = {a & b for a in basis for b in basis} - basis
-        if not new:
-            break
-        basis |= new
-    closed = set()
-    for size in range(len(full) + 1):
-        for combo in itertools.combinations(full, size):
-            subset = frozenset(combo)
-            if frozenset().union(*(b for b in basis if b <= subset)) == subset:
-                closed.add(full - subset)
-    return closed
+    points = list(points)
+    bit = {p: 1 << i for i, p in enumerate(points)}
+    full = (1 << len(points)) - 1
+    meet = [full] * (full + 1)  # the intersection of the sub-basic opens holding U
+    for s in subbasis:
+        m = sum(bit[p] for p in s)
+        meet[m] &= m
+    inner = [0] * (full + 1)  # the union of the basis members inside U
+    for i in range(len(points)):
+        for u in range(full, -1, -1):
+            if not u >> i & 1:
+                meet[u] &= meet[u | 1 << i]
+    for u in range(full + 1):
+        if meet[u] == u:
+            inner[u] = u
+    for i in range(len(points)):
+        for u in range(full + 1):
+            if u >> i & 1:
+                inner[u] |= inner[u ^ 1 << i]
+    return {frozenset(p for p in points if not bit[p] & u)
+            for u in range(full + 1) if inner[u] == u}

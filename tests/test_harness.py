@@ -148,6 +148,22 @@ def test_topology_characterization_fails_after_the_families_are_shared(monkeypat
             in report.counterexample["problems"])
 
 
+def test_topology_characterization_fails_on_a_wrong_stable_table(monkeypatch):
+    # The generalization-stable table is read off the cones alone; one set
+    # dropped from it must show against the flat family.
+    import spectop.spectrum as spectrum
+    target = parse_ring("Zloc(2) * Zloc(2)")
+    sp = spectrum.enumerate_spectrum(target)
+    assert run_check("topology-characterization", target).verdict == "pass"
+    without_space = sp.down_table ^ 1 << sp.full
+    monkeypatch.setattr(spectrum.SpectrumPoset, "down_table",
+                        property(lambda self: without_space))
+    report = run_check("topology-characterization", target)
+    assert report.verdict == "fail"
+    assert report.counterexample["problems"] == [
+        "flat family differs from patch-closed gen-stable sets"]
+
+
 def test_flat_ideal_bijection_fails_on_a_flipped_verdict(monkeypatch):
     z6 = parse_ring("Z/6")
     target = principal_ideal(z6, 2)

@@ -237,3 +237,38 @@ def test_the_json_rule_flags_an_added_writer(tmp_path):
         "imports encode_basestring_ascii",
         "uses encode_basestring_ascii",
     ]
+
+
+def bin_calls(root: Path) -> list[str]:
+    """Where a module other than ``rings.py`` calls ``bin``.
+
+    The set bits of a point mask, an ideal mask or a family table are read
+    through ``IndexKernel.members`` alone, so that one helper decides how
+    bits are scanned.
+    """
+    found = []
+    for path, tree in _trees(root):
+        if path.name == "rings.py":
+            continue
+        found += [f"{path.name}:{node.lineno} calls bin" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "bin"]
+    return found
+
+
+def test_only_the_index_kernel_reads_set_bits():
+    assert bin_calls(SOURCE) == []
+
+
+def test_the_bin_rule_flags_an_added_call(tmp_path):
+    copy = tmp_path / "spectop"
+    shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert bin_calls(copy) == []
+    with open(copy / "spectrum.py", "a", encoding="utf-8") as handle:
+        handle.write("\n\ndef _bits(table):\n"
+                     "    return [i for i, b in enumerate(reversed(bin(table))) if b == '1']\n")
+    with open(copy / "harness.py", "a", encoding="utf-8") as handle:
+        handle.write("\n_WIDTH = len(bin(255)) - 2\n_TEXT = 'bin(' + str(0b11)\n")
+    found = bin_calls(copy)
+    assert [f.split(" ", 1)[1] for f in found] == ["calls bin", "calls bin"]
+    assert [f.split(":")[0] for f in found] == ["harness.py", "spectrum.py"]

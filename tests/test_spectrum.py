@@ -34,6 +34,7 @@ from spectop import (
     specialization_closure,
     vanishing_locus,
 )
+from spectop.ideals import ProductIdeal
 from spectop.spectrum import (
     TOPOLOGIES,
     ClosedFamily,
@@ -203,6 +204,34 @@ def test_mask_predicates_match_cone_unions(text, data):
     assert is_stable_specialization(ring, points) == (spec == points)
 
 
+@pytest.mark.parametrize("text", ["Zloc(2) * Z/3", "Zloc(3) * Z/4 * Zloc(2)", ZLOC_POWERS[5]])
+def test_slotwise_order_and_loci_match_ideal_inclusion(text):
+    """The cones and V(I) of an infinite product, read slot by slot, equal
+    those of whole-ideal inclusion; Zloc(2)^6 has too many ideals for all,
+    so it takes a seeded sample."""
+    ring = parse_ring(text)
+    sp = enumerate_spectrum(ring)
+    pts = sp.points
+    assert sp.slotwise
+    for j, q in enumerate(pts):
+        assert sp.down[j] == sum(1 << i for i, p in enumerate(pts) if p.issubset(q))
+        assert sp.up[j] == sum(1 << i for i, p in enumerate(pts) if q.issubset(p))
+    combos = list(itertools.product(*(enumerate_ideals(f) for f in ring.factors)))
+    if len(combos) > 400:
+        combos = random.Random(len(combos)).sample(combos, 400)
+    for components in combos:
+        ideal = ProductIdeal(ring, components)
+        assert vanishing_locus(ring, ideal) == {p for p in pts if ideal.issubset(p)}
+
+
+@given(st.sampled_from(CORPUS_TEXTS + SMALL_FINITE_TEXTS + ZLOC_POWERS + ("Z/1",)))
+def test_stable_tables_hold_the_fixed_points_of_the_closures(text):
+    sp = enumerate_spectrum(parse_ring(text))
+    masks = range(1 << len(sp))
+    assert sp.down_table == sp._table_of(m for m in masks if sp.down_closure(m) == m)
+    assert sp.up_table == sp._table_of(m for m in masks if sp.up_closure(m) == m)
+
+
 @pytest.mark.parametrize("text", CORPUS_TEXTS + SMALL_FINITE_TEXTS + ZLOC_POWERS[2:4])
 def test_cover_edges_match_the_definition(text):
     sp = enumerate_spectrum(parse_ring(text))
@@ -342,9 +371,12 @@ def test_closure_operator_theorems(corpus_ring):
         assert specialization_closure(corpus_ring, E) in zfam.sets
 
 
+# Up to 12 points, in products of localized and finite factors.
 ORACLE_TEXTS = CORPUS_TEXTS + SMALL_FINITE_TEXTS + (
     "Zloc(2) * Zloc(2) * Zloc(2)",
     "Zloc(2) * Z/6",
+    "Zloc(3) * Z/4 * Zloc(2)",
+    ZLOC_POWERS[5],
 )
 
 
@@ -370,8 +402,8 @@ def test_closed_family_matches_topology_oracle(text):
 def _z30_family(*point_sets):
     sp = enumerate_spectrum(parse_ring("Z/30"))
     pts = {p.label(): p for p in sp.points}
-    masks = frozenset(sp._mask_of(pts[label] for label in s) for s in point_sets)
-    return ClosedFamily(ZARISKI, masks, sp)
+    masks = {sp._mask_of(pts[label] for label in s) for s in point_sets}
+    return ClosedFamily(ZARISKI, sp._table_of(masks), sp)
 
 
 @pytest.mark.parametrize("point_sets, message", [
