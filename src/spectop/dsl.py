@@ -28,9 +28,11 @@ import re
 from .errors import NotPrimePower, ParseError
 from .ideals import (
     BoolFiniteSupportIdeal,
+    BoolPrincipalIdeal,
     Ideal,
     LocalIdeal,
     ProductIdeal,
+    ideal_class,
     ideal_from_generators,
 )
 from .rings import (
@@ -244,7 +246,7 @@ def parse_generators(ring: Ring, text: str) -> list[Element]:
 def parse_ideal_label(ring: Ring, label: str) -> Ideal:
     """Reconstruct an ideal from its canonical label."""
     body = label.strip()
-    if isinstance(ring, ProductRing) and not ring.is_finite:
+    if ideal_class(ring) is ProductIdeal:
         parts = body.split(" x ")
         if len(parts) != len(ring.factors):
             raise ParseError(
@@ -254,9 +256,9 @@ def parse_ideal_label(ring: Ring, label: str) -> Ideal:
     if not (body.startswith("(") and body.endswith(")")):
         raise ParseError("an ideal label is parenthesized", 0, ("(",))
     inner = body[1:-1].strip()
-    if isinstance(ring, EventuallyConstantBitsRing) and inner == "fin":
+    if ideal_class(ring) is BoolPrincipalIdeal and inner == "fin":
         return BoolFiniteSupportIdeal(ring)
-    if isinstance(ring, LocalizedIntegerRing):
+    if ideal_class(ring) is LocalIdeal:
         m = re.match(rf"^{ring.p}\^(\d+)$", inner)
         if m:
             return LocalIdeal(ring, int(m.group(1)))

@@ -41,8 +41,10 @@ from .flatness import (
     support_of_ideal,
 )
 from .ideals import (
+    ProductIdeal,
     enumerate_ideals,
     finite_support_ideal,
+    ideal_class,
     principal_ideal,
     radical,
     zero_ideal,
@@ -436,7 +438,7 @@ def applicable_checks(ring: Ring) -> tuple[str, ...]:
     except (UnsupportedForPresentation, SpectrumTooLarge):
         spectral = False
     # The bits ring fails `spectral`: its spectrum is not enumerable.
-    ideals = spectral and not sp.slotwise
+    ideals = spectral and ideal_class(ring) is not ProductIdeal
     allowed = {_ANY: True, _SPECTRAL: spectral, _IDEALS: ideals}
     return tuple(name for name, (_, need) in _CHECKS.items() if allowed[need])
 

@@ -15,9 +15,11 @@ membership, inclusion, sum, intersection, radical, saturation kernel,
 primality, and the flatness primitives (witness samples and flat
 witnesses) that ``flatness`` runs generically.  :class:`Ideal` defines
 the zero, whole and idempotent generator predicates once, from
-membership and equality.  The arithmetic functions call these methods;
-only ``ideal_from_generators``, ``annihilator`` and ``enumerate_ideals``,
-which build ideals, dispatch on the type of the ring.
+membership and equality.  Each class also builds its presentation's
+generated ideals, annihilators, ideal list and primes, and
+:func:`ideal_class` is the one map from a presentation to its class:
+``ideal_from_generators``, ``annihilator``, ``enumerate_ideals`` and
+``spectrum.enumerate_spectrum`` each make one call through it.
 
 Every ideal is immutable and compares structurally.  ``label()`` gives a
 short canonical name such as ``(2)``, ``(2^3)``, ``(fin)`` or
@@ -39,7 +41,6 @@ from .rings import (
     LocalizedIntegerRing,
     ProductRing,
     Ring,
-    idempotents,
 )
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
     "annihilator",
     "enumerate_ideals",
     "finite_support_ideal",
+    "ideal_class",
     "ideal_from_generators",
     "ideal_intersection",
     "ideal_sum",
@@ -77,7 +79,10 @@ class Ideal:
     ``idempotent_generator`` by their definitions; only the bits ring,
     with infinitely many idempotents, overrides the last.  An operation a
     presentation does not support falls through to the default here,
-    which raises :class:`UnsupportedForPresentation`.
+    which raises :class:`UnsupportedForPresentation`.  The class methods
+    ``generated_by``, ``annihilator_of``, ``enumerate_all`` and
+    ``primes_of`` build the ideals of a ring that :func:`ideal_class`
+    maps to the class; ``primes_of`` filters the enumeration by default.
     """
 
     ring: Ring
@@ -97,7 +102,7 @@ class Ideal:
 
     def idempotent_generator(self) -> Element | None:
         """The idempotent e with Re = I, or None; when it exists it is unique."""
-        return next((e for e in idempotents(self.ring)
+        return next((e for e in self.ring.idempotents()
                      if principal_ideal(self.ring, e) == self), None)
 
     def label(self) -> str:
@@ -122,6 +127,15 @@ class Ideal:
         with it: ``flatness`` keeps the flatness certificate here and
         ``spectrum`` the vanishing locus."""
         return {}
+
+    @classmethod
+    def enumerate_all(cls, ring: Ring, local_level_bound: int) -> tuple["Ideal", ...]:
+        raise UnsupportedForPresentation(
+            f"the ideals of {ring.describe()} cannot be enumerated")
+
+    @classmethod
+    def primes_of(cls, ring: Ring) -> list["Ideal"]:
+        return [i for i in enumerate_ideals(ring) if is_prime_ideal(i)]
 
     def __eq__(self, other):
         return isinstance(other, Ideal) and self.key == other.key
@@ -165,6 +179,30 @@ class ExplicitIdeal(Ideal):
         self.ring = ring
         self.mask = mask
         self.key = ("explicit", ring, mask)
+
+    @classmethod
+    def generated_by(cls, ring, gens):
+        # The least span Rg containing 0 and the span of every generator.
+        k = ring.index_kernel
+        mask = 1 << k.zero
+        for g in gens:
+            mask |= k.spans[k.index[g]]
+        return ExplicitIdeal(ring, mask=_least_span(k, mask))
+
+    @classmethod
+    def annihilator_of(cls, f):
+        k = f.ring.index_kernel
+        return ExplicitIdeal(f.ring, mask=k.anns[k.index[f]])
+
+    @classmethod
+    def enumerate_all(cls, ring, local_level_bound):
+        # A principal ideal ring: the ideals are the distinct spans Rg, each
+        # wrapped once per ring instance and kept in its memo.
+        memo = ring.memo
+        if "ideals" not in memo:
+            ideals = [ExplicitIdeal(ring, mask=mask) for mask in ring.index_kernel.generator_of]
+            memo["ideals"] = tuple(sorted(ideals, key=lambda i: (i.mask.bit_count(), i.label())))
+        return memo["ideals"]
 
     @cached_property
     def elements(self) -> frozenset[Element]:
@@ -240,13 +278,27 @@ class LocalIdeal(Ideal):
     """An ideal of the localized integers: level None is (0), level k is (p^k)."""
 
     def __init__(self, ring: LocalizedIntegerRing, level: int | None):
-        if not isinstance(ring, LocalizedIntegerRing):
+        if ideal_class(ring) is not LocalIdeal:
             raise UnsupportedForPresentation("LocalIdeal needs a localized integer ring")
         if level is not None and level < 0:
             raise ValueError("level must be None or >= 0")
         self.ring = ring
         self.level = level
         self.key = ("local", ring, level)
+
+    @classmethod
+    def generated_by(cls, ring, gens):
+        # (p^v), v the least valuation of a nonzero generator; (0) if none.
+        levels = [ring.valuation(g) for g in gens if g.value != 0]
+        return LocalIdeal(ring, min(levels, default=None))
+
+    @classmethod
+    def annihilator_of(cls, f):
+        return LocalIdeal(f.ring, 0 if f.value == 0 else None)
+
+    @classmethod
+    def enumerate_all(cls, ring, local_level_bound):
+        return tuple(LocalIdeal(ring, k) for k in (None, *range(local_level_bound + 1)))
 
     def contains(self, element):
         el = self.ring.element(element)
@@ -342,11 +394,28 @@ class BoolPrincipalIdeal(_BooleanIdeal):
     """
 
     def __init__(self, ring: EventuallyConstantBitsRing, generator):
-        if not isinstance(ring, EventuallyConstantBitsRing):
+        if ideal_class(ring) is not BoolPrincipalIdeal:
             raise UnsupportedForPresentation("BoolPrincipalIdeal needs the bits ring")
         self.ring = ring
         self.generator = ring.element(generator)
         self.key = ("boolprincipal", ring, self.generator)
+
+    @classmethod
+    def generated_by(cls, ring, gens):
+        join = ring.zero
+        for g in gens:
+            join = join + g - join * g
+        return BoolPrincipalIdeal(ring, join)
+
+    @classmethod
+    def annihilator_of(cls, f):
+        # x*f == 0 exactly when x == x*(1-f), i.e. x lies under 1-f.
+        return BoolPrincipalIdeal(f.ring, f.ring.one - f)
+
+    @classmethod
+    def primes_of(cls, ring):
+        raise UnsupportedForPresentation(
+            f"the spectrum of {ring.describe()} is not enumerable")
 
     def contains(self, element):
         el = self.ring.element(element)
@@ -385,7 +454,7 @@ class BoolFiniteSupportIdeal(_BooleanIdeal):
     """
 
     def __init__(self, ring: EventuallyConstantBitsRing):
-        if not isinstance(ring, EventuallyConstantBitsRing):
+        if ideal_class(ring) is not BoolPrincipalIdeal:
             raise UnsupportedForPresentation("this ideal lives in the bits ring")
         self.ring = ring
         self.key = ("boolfin", ring)
@@ -433,7 +502,7 @@ class ProductIdeal(Ideal):
     """
 
     def __init__(self, ring: ProductRing, components):
-        if not isinstance(ring, ProductRing) or ring.is_finite:
+        if ideal_class(ring) is not ProductIdeal:
             raise UnsupportedForPresentation(
                 "ProductIdeal is the representation for infinite products")
         components = tuple(components)
@@ -445,6 +514,37 @@ class ProductIdeal(Ideal):
         self.ring = ring
         self.components = components
         self.key = ("prodideal", ring, components)
+
+    @classmethod
+    def generated_by(cls, ring, gens):
+        return ProductIdeal(ring, (
+            ideal_from_generators(factor, [ring.component(g, i) for g in gens])
+            for i, factor in enumerate(ring.factors)))
+
+    @classmethod
+    def annihilator_of(cls, f):
+        ring = f.ring
+        return ProductIdeal(ring, (
+            annihilator(ring.component(f, i)) for i in range(len(ring.factors))))
+
+    @classmethod
+    def enumerate_all(cls, ring, local_level_bound):
+        # The combinations are counted against the budget before any is built.
+        per_factor = [enumerate_ideals(f, local_level_bound) for f in ring.factors]
+        count = math.prod(map(len, per_factor))
+        if count > 2 ** MAX_FAMILY_POINTS:
+            raise RingTooLarge(f"{ring.describe()} has {count} ideals, more than "
+                               f"the budget of {2 ** MAX_FAMILY_POINTS}")
+        out = [ProductIdeal(ring, combo) for combo in itertools.product(*per_factor)]
+        return tuple(sorted(out, key=lambda i: i.label()))
+
+    @classmethod
+    def primes_of(cls, ring):
+        # A prime of a product is a prime in one slot and the whole ring elsewhere.
+        units = [unit_ideal(factor) for factor in ring.factors]
+        return [ProductIdeal(ring, units[:i] + [p] + units[i + 1:])
+                for i, factor in enumerate(ring.factors)
+                for p in ideal_class(factor).primes_of(factor)]
 
     def contains(self, element):
         el = self.ring.element(element)
@@ -542,6 +642,20 @@ def _closure_failure(k: IndexKernel, mask: int) -> str:
 # constructors
 
 
+# The ideal class of each infinite presentation; a finite ring's ideals,
+# finite products included, are explicit.
+_SYMBOLIC_IDEAL_CLASSES = {
+    LocalizedIntegerRing: LocalIdeal,
+    EventuallyConstantBitsRing: BoolPrincipalIdeal,
+    ProductRing: ProductIdeal,
+}
+
+
+def ideal_class(ring: Ring) -> type[Ideal]:
+    """The class that represents the ideals of the ring's presentation."""
+    return ExplicitIdeal if ring.is_finite else _SYMBOLIC_IDEAL_CLASSES[type(ring)]
+
+
 def zero_ideal(ring: Ring) -> Ideal:
     return ideal_from_generators(ring, ())
 
@@ -559,38 +673,9 @@ def finite_support_ideal(ring: EventuallyConstantBitsRing) -> BoolFiniteSupportI
 
 
 def ideal_from_generators(ring: Ring, generators) -> Ideal:
-    """The smallest ideal containing the generators, canonically represented.
-
-    Over a finite ring, a principal ideal ring, this is the least principal
-    ideal Rg containing 0 and the span of every generator.  For the localized
-    integers the result is (p^v) with v the least valuation of a nonzero
-    generator.  In the bits ring the generators are joined into a single
-    principal generator.
-    """
-    gens = [ring.element(g) for g in generators]
-    if ring.is_finite:
-        k = ring.index_kernel
-        mask = 1 << k.zero
-        for g in gens:
-            mask |= k.spans[k.index[g]]
-        return ExplicitIdeal(ring, mask=_least_span(k, mask))
-    if isinstance(ring, LocalizedIntegerRing):
-        nonzero = [g for g in gens if g.value != 0]
-        if not nonzero:
-            return LocalIdeal(ring, None)
-        return LocalIdeal(ring, min(ring.valuation(g) for g in nonzero))
-    if isinstance(ring, EventuallyConstantBitsRing):
-        join = ring.zero
-        for g in gens:
-            join = join + g - join * g
-        return BoolPrincipalIdeal(ring, join)
-    if isinstance(ring, ProductRing):
-        comps = []
-        for i, factor in enumerate(ring.factors):
-            comps.append(ideal_from_generators(
-                factor, [ring.component(g, i) for g in gens]))
-        return ProductIdeal(ring, comps)
-    raise UnsupportedForPresentation(ring.describe())
+    """The smallest ideal containing the generators, canonically
+    represented by the ring's :func:`ideal_class`."""
+    return ideal_class(ring).generated_by(ring, [ring.element(g) for g in generators])
 
 
 # ---------------------------------------------------------------------------
@@ -609,19 +694,7 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
 
 def annihilator(f: Element) -> Ideal:
     """The ideal of all x with x*f == 0."""
-    ring = f.ring
-    if ring.is_finite:
-        k = ring.index_kernel
-        return ExplicitIdeal(ring, mask=k.anns[k.index[f]])
-    if isinstance(ring, LocalizedIntegerRing):
-        return LocalIdeal(ring, 0 if f.value == 0 else None)
-    if isinstance(ring, EventuallyConstantBitsRing):
-        # x*f == 0 exactly when x == x*(1-f), i.e. x lies under 1-f.
-        return BoolPrincipalIdeal(ring, ring.one - f)
-    if isinstance(ring, ProductRing):
-        return ProductIdeal(ring, tuple(
-            annihilator(ring.component(f, i)) for i in range(len(ring.factors))))
-    raise UnsupportedForPresentation(ring.describe())
+    return ideal_class(f.ring).annihilator_of(f)
 
 
 def radical(ideal: Ideal) -> Ideal:
@@ -640,36 +713,10 @@ def saturation_kernel(ideal: Ideal) -> Ideal:
 
 
 def enumerate_ideals(ring: Ring, local_level_bound: int = 6) -> tuple[Ideal, ...]:
-    """All ideals of the ring; finite rings sort by size, then label.
-
-    A finite ring is a principal ideal ring, so its ideals are exactly its
-    distinct spans Rg.  Each is wrapped once, and the ring's memo keeps
-    the result, so each ring instance enumerates its ideals once.
-    For the localized integers the lattice is (0) plus the chain (p^k),
-    truncated at ``local_level_bound``; infinite products combine the
-    component enumerations, sorted by label, and refuse more than
-    ``2 ** MAX_FAMILY_POINTS`` combinations before building any.
-    """
-    if ring.is_finite:
-        memo = ring.memo
-        if "ideals" not in memo:
-            ideals = [ExplicitIdeal(ring, mask=mask) for mask in ring.index_kernel.generator_of]
-            memo["ideals"] = tuple(sorted(ideals, key=lambda i: (i.mask.bit_count(), i.label())))
-        return memo["ideals"]
-    if isinstance(ring, LocalizedIntegerRing):
-        out = [LocalIdeal(ring, None)]
-        out.extend(LocalIdeal(ring, k) for k in range(local_level_bound + 1))
-        return tuple(out)
-    if isinstance(ring, ProductRing):
-        per_factor = [enumerate_ideals(f, local_level_bound) for f in ring.factors]
-        count = math.prod(map(len, per_factor))
-        if count > 2 ** MAX_FAMILY_POINTS:
-            raise RingTooLarge(f"{ring.describe()} has {count} ideals, more than "
-                               f"the budget of {2 ** MAX_FAMILY_POINTS}")
-        out = [ProductIdeal(ring, combo) for combo in itertools.product(*per_factor)]
-        return tuple(sorted(out, key=lambda i: i.label()))
-    raise UnsupportedForPresentation(
-        f"the ideals of {ring.describe()} cannot be enumerated")
+    """All ideals of the ring, listed by its :func:`ideal_class`; finite
+    rings sort by size, then label, and infinite products by label.  The
+    chain (p^k) of a localized ring stops at ``local_level_bound``."""
+    return ideal_class(ring).enumerate_all(ring, local_level_bound)
 
 
 def is_prime_ideal(ideal: Ideal) -> bool:

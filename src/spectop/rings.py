@@ -481,9 +481,20 @@ class Ring:
     @cached_property
     def memo(self) -> dict:
         """Facts derived from this instance, each computed once and dropped
-        with it: the finite ring's ``ideals``, the ``spectrum`` and the
-        ``sring`` certificate."""
+        with it: the ``idempotents``, the finite ring's ``ideals``, the
+        ``spectrum`` and the ``sring`` certificate."""
         return {}
+
+    def idempotents(self) -> tuple[Element, ...]:
+        """All e with e*e == e, canonically sorted, found once per instance."""
+        memo = self.memo
+        if "idempotents" not in memo:
+            memo["idempotents"] = self._idempotents()
+        return memo["idempotents"]
+
+    def _idempotents(self):
+        k = self.index_kernel
+        return tuple(e for i, e in enumerate(k.elements) if k.mul[i][i] == i)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Ring) and self.key == other.key)
@@ -715,6 +726,11 @@ class ProductRing(Ring):
         """Project a product element onto one factor."""
         return self.factors[index].element(element.value[index])
 
+    def _idempotents(self):
+        combos = itertools.product(*(f.idempotents() for f in self.factors))
+        found = [Element(self, tuple(e.value for e in c)) for c in combos]
+        return tuple(canonical_sorted(found))
+
     def describe(self):
         return " * ".join(f.describe() for f in self.factors)
 
@@ -755,6 +771,9 @@ class LocalizedIntegerRing(Ring):
             n //= self.p
             v += 1
         return v
+
+    def _idempotents(self):
+        return (self.zero, self.one)
 
     def describe(self):
         return f"Zloc({self.p})"
@@ -811,6 +830,10 @@ class EventuallyConstantBitsRing(Ring):
         """The element that is 1 exactly on the given finite position set."""
         return self.element((frozenset(positions), 0))
 
+    def _idempotents(self):
+        raise UnsupportedForPresentation(
+            f"every element of {self.describe()} is idempotent; the list is infinite")
+
     def describe(self):
         return "EvBits"
 
@@ -839,21 +862,12 @@ def product_ring(factors) -> Ring:
 
 
 def idempotents(ring: Ring) -> tuple[Element, ...]:
-    """All e with e*e == e, canonically sorted.
+    """All e with e*e == e, canonically sorted: ``ring.idempotents()``,
+    which each ring finds once and keeps in its memo.
 
-    Finite rings scan the diagonal of their mul table.  The localization
+    Finite rings read the diagonal of their mul table.  The localization
     of the integers is a domain, so its only idempotents are 0 and 1; a
-    product combines factor idempotents componentwise.  For the bits ring every
-    element is idempotent, so no finite list exists.
+    product combines factor idempotents componentwise.  For the bits ring
+    every element is idempotent, so no finite list exists.
     """
-    if ring.is_finite:
-        k = ring.index_kernel
-        return tuple(e for i, e in enumerate(k.elements) if k.mul[i][i] == i)
-    if isinstance(ring, LocalizedIntegerRing):
-        return (ring.zero, ring.one)
-    if isinstance(ring, ProductRing):
-        combos = itertools.product(*(idempotents(f) for f in ring.factors))
-        found = [Element(ring, tuple(e.value for e in c)) for c in combos]
-        return tuple(canonical_sorted(found))
-    raise UnsupportedForPresentation(
-        f"every element of {ring.describe()} is idempotent; the list is infinite")
+    return ring.idempotents()

@@ -35,20 +35,17 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_
 
-from .errors import SpectrumTooLarge, UnsupportedForPresentation
+from .errors import SpectrumTooLarge
 from .ideals import (
     Ideal,
     ProductIdeal,
     enumerate_ideals,
-    is_prime_ideal,
-    unit_ideal,
+    ideal_class,
 )
 from .rings import (
     MAX_FAMILY_POINTS,
     Element,
     IndexKernel,
-    LocalizedIntegerRing,
-    ProductRing,
     Ring,
 )
 
@@ -124,7 +121,7 @@ class SpectrumPoset:
         self.ring = ring
         self.points = tuple(sorted(prime_ideals, key=lambda i: i.label()))
         n = len(self.points)
-        self.slotwise = not ring.is_finite and isinstance(ring, ProductRing)
+        self.slotwise = ideal_class(ring) is ProductIdeal
         self._parts = tuple(
             next((s, c) for s, c in enumerate(p.components) if not c.is_whole())
             if self.slotwise else (None, p) for p in self.points)
@@ -309,26 +306,14 @@ def enumerate_spectrum(ring: Ring) -> SpectrumPoset:
     """All prime ideals with the containment order, built once per ring
     instance and kept in its memo.
 
-    Finite rings, finite products included, and the localized integers
-    enumerate their ideals and filter by the primality predicate; the
-    truncated chain of a localized ring holds both of its primes, (0) and
-    (p).  Spectra of infinite products are built factor-wise: a prime of a
-    product is a prime in one slot and the whole ring elsewhere.
+    The ring's ``ideals.ideal_class`` lists the primes: the prime ones
+    among the enumerated ideals (the truncated chain of ``Zloc(p)`` holds
+    both (0) and (p)), and for an infinite product a prime in one slot
+    with the whole ring elsewhere.  The bits ring refuses.
     """
     memo = ring.memo
-    if "spectrum" in memo:
-        return memo["spectrum"]
-    if ring.is_finite or isinstance(ring, LocalizedIntegerRing):
-        primes = [i for i in enumerate_ideals(ring) if is_prime_ideal(i)]
-    elif isinstance(ring, ProductRing):
-        units = [unit_ideal(factor) for factor in ring.factors]
-        primes = [ProductIdeal(ring, units[:i] + [p] + units[i + 1:])
-                  for i, factor in enumerate(ring.factors)
-                  for p in enumerate_spectrum(factor).points]
-    else:
-        raise UnsupportedForPresentation(
-            f"the spectrum of {ring.describe()} is not enumerable")
-    memo["spectrum"] = SpectrumPoset(ring, primes)
+    if "spectrum" not in memo:
+        memo["spectrum"] = SpectrumPoset(ring, ideal_class(ring).primes_of(ring))
     return memo["spectrum"]
 
 

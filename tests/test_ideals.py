@@ -36,6 +36,7 @@ from spectop.ideals import (
     ExplicitIdeal,
     LocalIdeal,
     ProductIdeal,
+    ideal_class,
 )
 from spectop.rings import canonical_sorted
 
@@ -368,3 +369,31 @@ def test_infinite_product_ideal_enumeration_is_budgeted():
     assert time.perf_counter() - start < 1
     assert str(err.value) == (f"{eight.describe()} has 16777216 ideals, "
                               "more than the budget of 65536")
+
+
+@pytest.mark.parametrize("text, cls", [
+    ("Z/6", ExplicitIdeal),
+    ("GF(4)", ExplicitIdeal),
+    ("Z/2[x]/(x^2)", ExplicitIdeal),
+    ("Z/2 * Z/3", ExplicitIdeal),
+    ("Zloc(2)", LocalIdeal),
+    ("Zloc(2) * Z/3", ProductIdeal),
+    ("EvBits", BoolPrincipalIdeal),
+])
+def test_ideal_class_is_the_type_of_every_ideal_the_ring_builds(text, cls):
+    ring = parse_ring(text)
+    assert ideal_class(ring) is cls
+    built = [zero_ideal(ring), annihilator(ring.one)]
+    if cls is not BoolPrincipalIdeal:  # the bits ring lists neither
+        built += [*enumerate_ideals(ring), *enumerate_spectrum(ring).points]
+    assert [type(i) for i in built] == [cls] * len(built)
+
+
+def test_the_bits_ring_refuses_its_ideal_list_and_its_spectrum():
+    bits = EventuallyConstantBitsRing()
+    with pytest.raises(UnsupportedForPresentation) as err:
+        enumerate_ideals(bits)
+    assert str(err.value) == "the ideals of EvBits cannot be enumerated"
+    with pytest.raises(UnsupportedForPresentation) as err:
+        enumerate_spectrum(bits)
+    assert str(err.value) == "the spectrum of EvBits is not enumerable"

@@ -22,12 +22,14 @@ from spectop import (
     SpectopError,
     UnsupportedForPresentation,
     idempotents,
+    parse_ring,
     product_ring,
 )
 from spectop.rings import (
     FACTOR_SEARCH_BOUND,
     MAX_RING_ELEMENTS,
     PRIMALITY_BOUND,
+    canonical_sorted,
     is_prime_int,
     least_irreducible_polynomial,
     polynomial_text,
@@ -325,6 +327,26 @@ def test_idempotents_always_include_zero_and_one(corpus_ring):
     assert corpus_ring.one in found
     for e in found:
         assert e * e == e
+
+
+def _brute_idempotents(candidates):
+    return canonical_sorted(e for e in candidates if e * e == e)
+
+
+def test_idempotents_match_a_brute_force_scan(finite_ring):
+    found = finite_ring.idempotents()
+    assert list(found) == _brute_idempotents(finite_ring.elements())
+    assert finite_ring.idempotents() is found  # kept in the ring's memo
+
+
+def test_idempotents_of_an_infinite_product_match_a_brute_force_scan():
+    ring = parse_ring("Zloc(2) * Z/6")
+    # An idempotent of Zloc(2) is 0 or 1, both among these fractions.
+    fractions = {Fraction(a, b) for a in range(-4, 5) for b in (1, 3, 5)}
+    candidates = [ring.element((q, r)) for q in fractions for r in range(6)]
+    assert list(ring.idempotents()) == _brute_idempotents(candidates)
+    assert [str(e) for e in ring.idempotents()] == [
+        "(0, 0)", "(0, 1)", "(0, 3)", "(0, 4)", "(1, 0)", "(1, 1)", "(1, 3)", "(1, 4)"]
 
 
 def test_idempotents_infinite_presentations():

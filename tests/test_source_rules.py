@@ -272,3 +272,54 @@ def test_the_bin_rule_flags_an_added_call(tmp_path):
     found = bin_calls(copy)
     assert [f.split(" ", 1)[1] for f in found] == ["calls bin", "calls bin"]
     assert [f.split(":")[0] for f in found] == ["harness.py", "spectrum.py"]
+
+
+# The ring presentations, and the modules that reach a ring's ideals
+# through ``ideals.ideal_class`` instead of testing its presentation.
+PRESENTATIONS = {"ModularRing", "PolyQuotientRing", "GaloisFieldRing", "ProductRing",
+                 "LocalizedIntegerRing", "EventuallyConstantBitsRing"}
+MAPPED_MODULES = ("ideals.py", "spectrum.py", "flatness.py", "sring.py", "cli.py")
+
+
+def presentation_tests(root: Path) -> list[str]:
+    """Where a mapped module calls ``isinstance`` with a ring presentation,
+    alone or in a tuple, by name or as a module attribute."""
+    found = []
+    for path, tree in _trees(root):
+        if path.name not in MAPPED_MODULES:
+            continue
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            kinds = node.args[1]
+            for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+                name = kind.attr if isinstance(kind, ast.Attribute) else getattr(kind, "id", None)
+                if name in PRESENTATIONS:
+                    found.append(f"{path.name}:{node.lineno} tests {name}")
+    return found
+
+
+def test_the_mapped_modules_never_test_a_ring_presentation():
+    assert presentation_tests(SOURCE) == []
+
+
+def test_the_presentation_rule_flags_an_added_test(tmp_path):
+    copy = tmp_path / "spectop"
+    shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert presentation_tests(copy) == []
+    with open(copy / "spectrum.py", "a", encoding="utf-8") as handle:
+        handle.write("\n\ndef _slotwise(ring):\n"
+                     "    return isinstance(ring, ProductRing) and not ring.is_finite\n"
+                     "\n\ndef _kinds(ring, ideal):\n"
+                     "    return isinstance(ring, (rings.LocalizedIntegerRing, Ring)), "
+                     "isinstance(ideal, Ideal)\n")
+    # dsl parses each presentation's own syntax and is not a mapped module.
+    with open(copy / "dsl.py", "a", encoding="utf-8") as handle:
+        handle.write("\n_BITS = isinstance(None, EventuallyConstantBitsRing)\n")
+    found = presentation_tests(copy)
+    assert [f.split(" ", 1)[1] for f in found] == [
+        "tests ProductRing",
+        "tests LocalizedIntegerRing",
+    ]
+    assert {f.split(":")[0] for f in found} == {"spectrum.py"}
