@@ -4,7 +4,9 @@ emit JSON and DOT.
 Exit codes: 0 for success (including negative mathematical answers such
 as "not flat"), 1 for a verification failure found by ``verify`` or
 ``corpus``, 2 for usage, parse or presentation errors, 3 for any other
-exception, reported as one ``error: internal:`` line.  All JSON is
+exception, reported as one ``error: internal:`` line, and 141 (128 +
+SIGPIPE), silently, when the reader of the output closes it early, as
+``| head`` does.  All JSON is
 printed with sorted keys, so output is byte-stable for a fixed input.
 This module is the only one that produces JSON text; the documents of
 closed families, which reach 65,536 sets, are written by
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
@@ -85,29 +88,38 @@ def spectrum_from_doc(doc: dict) -> SpectrumPoset:
 _FAMILY_CHUNK = 2048
 
 
+def _label_runs(labels: list[str]) -> list[str]:
+    """For each value b of a byte, the given labels of the points whose
+    bits b sets, joined as a document's set lists them."""
+    runs = [""]
+    for label in labels:
+        runs += [run + ",\n      " + label if run else label for run in runs]
+    return runs
+
+
 def family_json(family: ClosedFamily) -> Iterator[str]:
     """The document of a closed family as printed text, in chunks.
 
     The text is what ``_emit`` prints for ``{"closed_sets": <the sets'
     label lists in the canonical order>, "ring": ..., "topology": ...}``,
-    byte for byte, but written straight from the masks: each label is
-    encoded once, and each set's labels are its prefix set's (the set
-    without its highest point) plus one separator and one label.
+    byte for byte, but written straight from the masks.  A family has at
+    most ``MAX_FAMILY_POINTS`` = 16 points, so a mask is two bytes, and
+    each set's text joins the label runs of its points 0-7 and 8-15, two
+    tables of 256 entries with each label encoded once.
     """
     sp = family.spectrum
-    texts = {1 << i: encode_basestring_ascii(label) for i, label in enumerate(sp.labels)}
-
-    def text(mask: int) -> str:
-        if mask not in texts:
-            high = 1 << (mask.bit_length() - 1)
-            texts[mask] = text(mask ^ high) + ",\n      " + texts[high]
-        return texts[mask]
-
+    labels = [encode_basestring_ascii(label) for label in sp.labels]
+    low, high = _label_runs(labels[:8]), _label_runs(labels[8:])
+    # A set opens with its points 0-7 when it has any; its points 8-15
+    # follow them after a separator or stand alone.
+    heads = [",\n    [\n      " + run for run in low]
+    tails = ["\n    ]"] + [",\n      " + run + "\n    ]" for run in high[1:]]
+    alone = [",\n    [\n      " + run + "\n    ]" for run in high]
     # Every closed family holds the empty set, and it sorts first.
     order = sorted(IndexKernel.members(family.table), key=sp._mask_key)
     yield '{\n  "closed_sets": [\n    []'
     for start in range(1, len(order), _FAMILY_CHUNK):
-        yield "".join([",\n    [\n      " + text(m) + "\n    ]"
+        yield "".join([heads[m & 255] + tails[m >> 8] if m & 255 else alone[m >> 8]
                        for m in order[start:start + _FAMILY_CHUNK]])
     yield (f'\n  ],\n  "ring": {encode_basestring_ascii(sp.ring.describe())},'
            f'\n  "topology": {encode_basestring_ascii(family.topology)}\n}}\n')
@@ -321,7 +333,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, a closed pipe is met while it can still be handled.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nobody reads the rest; the interpreter's final flush of what is
+        # still buffered goes to devnull, so nothing is printed.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (SpectopError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -58,6 +58,7 @@ __all__ = [
     "ideal_intersection",
     "ideal_sum",
     "is_prime_ideal",
+    "prime_ideals",
     "principal_ideal",
     "radical",
     "saturation_kernel",
@@ -544,7 +545,7 @@ class ProductIdeal(Ideal):
         units = [unit_ideal(factor) for factor in ring.factors]
         return [ProductIdeal(ring, units[:i] + [p] + units[i + 1:])
                 for i, factor in enumerate(ring.factors)
-                for p in ideal_class(factor).primes_of(factor)]
+                for p in prime_ideals(factor)]
 
     def contains(self, element):
         el = self.ring.element(element)
@@ -717,6 +718,16 @@ def enumerate_ideals(ring: Ring, local_level_bound: int = 6) -> tuple[Ideal, ...
     rings sort by size, then label, and infinite products by label.  The
     chain (p^k) of a localized ring stops at ``local_level_bound``."""
     return ideal_class(ring).enumerate_all(ring, local_level_bound)
+
+
+def prime_ideals(ring: Ring) -> tuple[Ideal, ...]:
+    """The prime ideals of the ring, listed by its :func:`ideal_class` once
+    per ring instance and kept in its memo, so that a product's primes and
+    its factors' spectra share each factor's list."""
+    memo = ring.memo
+    if "primes" not in memo:
+        memo["primes"] = tuple(ideal_class(ring).primes_of(ring))
+    return memo["primes"]
 
 
 def is_prime_ideal(ideal: Ideal) -> bool:

@@ -482,7 +482,7 @@ class Ring:
     def memo(self) -> dict:
         """Facts derived from this instance, each computed once and dropped
         with it: the ``idempotents``, the finite ring's ``ideals``, the
-        ``spectrum`` and the ``sring`` certificate."""
+        ``primes``, the ``spectrum`` and the ``sring`` certificate."""
         return {}
 
     def idempotents(self) -> tuple[Element, ...]:

@@ -17,20 +17,20 @@ prime :class:`Ideal`; frozensets of those ideals are the public form.
 
 Families of closed sets are materialized in full, which keeps every "for
 all closed E" statement finitely checkable, for at most
-``MAX_FAMILY_POINTS`` points, as a table has 2^n bits.  Each spectrum
-keeps the masks of its V(f), the patterns P_x (the table of the masks
-holding x), the tables of its stable sets and the three families the V(f)
-generate.  The ring's memo keeps the spectrum and each ideal its V(I), so
-all are built once per object and dropped with it.  The V(I) basis and
-its families are built afresh on every call.  Infinite products work slot
-by slot: a point is proper in exactly one slot, so p is in q iff they
-share a slot and their components there are nested, and V(f) and V(I)
-are taken factor by factor.
+``MAX_FAMILY_POINTS`` points, as a table has 2^n bits.  The bases of the
+V(f) and of the V(I) are held as tables too.  Each spectrum keeps the
+table of its V(f), the patterns P_x (the table of the masks holding x),
+the tables of its stable sets and the three families the V(f) generate.
+The ring's memo keeps the spectrum and each ideal its V(I), so all are
+built once per object and dropped with it.  The V(I) table and its
+families are built afresh on every call.  Infinite products work slot by
+slot: a point is proper in exactly one slot, so p is in q iff they share
+a slot and their components there are nested, and the V(f) and V(I)
+tables are built from the factors' tables by shifting.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_
@@ -41,6 +41,7 @@ from .ideals import (
     ProductIdeal,
     enumerate_ideals,
     ideal_class,
+    prime_ideals,
 )
 from .rings import (
     MAX_FAMILY_POINTS,
@@ -103,6 +104,11 @@ def _union_of_cones(cones):
 # Each byte value with its eight bits in reverse order (the multiply,
 # mask and modulus byte reversal of Anderson's Bit Twiddling Hacks).
 _BYTE_REVERSED = bytes((b * 0x0202020202 & 0x010884422010) % 1023 for b in range(256))
+
+# The parts of ``SpectrumPoset._mask_key`` that each byte of a 16-bit mask
+# gives: its size, and its complement reversed into the other byte.
+_LOW_BYTE_KEYS = [b.bit_count() << 16 | (255 ^ _BYTE_REVERSED[b]) << 8 for b in range(256)]
+_HIGH_BYTE_KEYS = [b.bit_count() << 16 | 255 ^ _BYTE_REVERSED[b] for b in range(256)]
 
 
 class SpectrumPoset:
@@ -175,36 +181,51 @@ class SpectrumPoset:
         bit order is label order."""
         return [self.labels[i] for i in IndexKernel.members(mask)]
 
-    @cached_property
-    def _reversed(self):
-        """mask -> the same mask with its n point bits in reverse order."""
-        n = len(self.points)
-        return _union_of_cones([1 << (n - 1 - i) for i in range(n)])
-
-    def _mask_key(self, mask: int) -> int:
+    @staticmethod
+    def _mask_key(mask: int) -> int:
         """The canonical order of point sets: smaller sets first, and of two
         sets of one size, the one holding the lowest point where they differ.
-        The key is the size above the complement of the reversed mask; as
-        bit order is label order, it sorts like (len, labels)."""
-        return mask.bit_count() << len(self.points) | self.full ^ self._reversed(mask)
+        The key is the size above the complement of the mask's 16 bits in
+        reverse order, read a byte at a time through ``_BYTE_REVERSED``; as
+        bit order is label order, it sorts like (len, labels).  A mask of
+        more than ``MAX_FAMILY_POINTS`` bits has no key."""
+        return _LOW_BYTE_KEYS[mask & 255] + _HIGH_BYTE_KEYS[mask >> 8]
 
     def _family_labels(self, masks) -> list[list[str]]:
         """A family of point sets as label lists, in the canonical order."""
         return [self._labels_of(m) for m in sorted(masks, key=self._mask_key)]
 
     @cached_property
-    def _principal_masks(self) -> frozenset[int]:
-        """The masks of every V(f), computed once per spectrum.  A finite
-        ring tries every f; over the localized integers V(f) only depends
-        on whether f is zero, a prime multiple or a unit."""
+    def _principal_table(self) -> int:
+        """The table of every V(f), built once per spectrum.  A finite ring
+        tries every f; over the localized integers V(f) only depends on
+        whether f is zero, a prime multiple or a unit."""
         ring = self.ring
         if self.slotwise:
-            return _factorwise_masks(
-                self, lambda factor: enumerate_spectrum(factor)._principal_masks)
+            return self._product_table(
+                [enumerate_spectrum(factor)._principal_table for factor in ring.factors])
         samples = ring.elements() if ring.is_finite else (0, ring.p, 1)
-        return frozenset(
+        return self._table_of(
             IndexKernel.mask(i for i, p in enumerate(self.points) if p.contains(f))
             for f in samples)
+
+    def _product_table(self, factor_tables) -> int:
+        """The table of the unions of one member of each factor's table, the
+        members embedded in their slots of the infinite product
+        ``self.ring``: (x1, ..., xk) lies in the embedded prime
+        (..., Pi, ...) iff xi lies in Pi, for elements and for ideals
+        alike.  The slots hold disjoint points, so joining a member e to
+        every union m built so far moves bit m to bit m | e = m + e: the
+        table shifted by e."""
+        embed = {part: 1 << k for k, part in enumerate(self._parts)}
+        table = 1
+        for s, (factor, factor_table) in enumerate(zip(self.ring.factors, factor_tables)):
+            bits = [embed[s, q] for q in enumerate_spectrum(factor).points]
+            shifted = 0
+            for member in IndexKernel.members(factor_table):
+                shifted |= table << sum(bits[j] for j in IndexKernel.members(member))
+            table = shifted
+        return table
 
     @cached_property
     def down_closure(self):
@@ -306,14 +327,15 @@ def enumerate_spectrum(ring: Ring) -> SpectrumPoset:
     """All prime ideals with the containment order, built once per ring
     instance and kept in its memo.
 
-    The ring's ``ideals.ideal_class`` lists the primes: the prime ones
+    ``ideals.prime_ideals`` lists the primes once per ring: the prime ones
     among the enumerated ideals (the truncated chain of ``Zloc(p)`` holds
-    both (0) and (p)), and for an infinite product a prime in one slot
-    with the whole ring elsewhere.  The bits ring refuses.
+    both (0) and (p)), and for an infinite product a prime of one factor
+    in its slot with the whole ring elsewhere, from the list that the
+    factor's own spectrum reads.  The bits ring refuses.
     """
     memo = ring.memo
     if "spectrum" not in memo:
-        memo["spectrum"] = SpectrumPoset(ring, ideal_class(ring).primes_of(ring))
+        memo["spectrum"] = SpectrumPoset(ring, prime_ideals(ring))
     return memo["spectrum"]
 
 
@@ -407,38 +429,24 @@ class ClosedFamily:
             raise AssertionError("closed family not closed under union/intersection")
 
 
-def _factorwise_masks(sp: SpectrumPoset, factor_masks) -> frozenset[int]:
-    """The unions of one realizable set per factor of the infinite product
-    ``sp.ring``, its points embedded: (x1, ..., xk) lies in the embedded
-    prime (..., Pi, ...) iff xi lies in Pi, for elements and for ideals
-    alike."""
-    embed = {part: 1 << k for k, part in enumerate(sp._parts)}
-    per_factor = []
-    for i, factor in enumerate(sp.ring.factors):
-        bits = [embed[i, q] for q in enumerate_spectrum(factor).points]
-        per_factor.append([sum(bits[j] for j in IndexKernel.members(m))
-                           for m in factor_masks(factor)])
-    # The factors' points are disjoint, so the sum of masks is their union.
-    return frozenset(map(sum, itertools.product(*per_factor)))
-
-
-def _ideal_masks(ring: Ring) -> frozenset[int]:
-    """The masks of every V(I), collected afresh on each call."""
+def _ideal_table(ring: Ring) -> int:
+    """The table of every V(I), built afresh on each call."""
     sp = enumerate_spectrum(ring)
     if sp.slotwise:
-        return _factorwise_masks(sp, _ideal_masks)
-    return frozenset(sp._mask_of(vanishing_locus(ring, i)) for i in enumerate_ideals(ring))
+        return sp._product_table([_ideal_table(factor) for factor in ring.factors])
+    return sp._table_of(sp._mask_of(vanishing_locus(ring, i)) for i in enumerate_ideals(ring))
 
 
 def principal_vanishing_sets(ring: Ring) -> frozenset[frozenset[Ideal]]:
     """All realizable sets V(f) = {p : f in p} for single elements f."""
     sp = enumerate_spectrum(ring)
-    return frozenset(map(sp._points_of, sp._principal_masks))
+    return frozenset(map(sp._points_of, IndexKernel.members(sp._principal_table)))
 
 
 def ideal_vanishing_sets(ring: Ring) -> frozenset[frozenset[Ideal]]:
     """All realizable sets V(I) over the (finitely generated) ideals."""
-    return frozenset(map(enumerate_spectrum(ring)._points_of, _ideal_masks(ring)))
+    sp = enumerate_spectrum(ring)
+    return frozenset(map(sp._points_of, IndexKernel.members(_ideal_table(ring))))
 
 
 def closed_family(ring: Ring, topology: str,
@@ -465,7 +473,7 @@ def closed_family(ring: Ring, topology: str,
     sp._check_family_bound()
     if not use_ideal_basis and topology in sp._families:
         return sp._families[topology]
-    vtable = sp._table_of(_ideal_masks(ring) if use_ideal_basis else sp._principal_masks)
+    vtable = _ideal_table(ring) if use_ideal_basis else sp._principal_table
     dtable = sp._complements(vtable)
     subbasis = {ZARISKI: dtable, FLAT: vtable, PATCH: dtable | vtable}[topology]
     opens = sp._saturated_table(sp._least_members(subbasis))

@@ -322,7 +322,7 @@ def chain_condition_check(ring: Ring, points,
     for i in IndexKernel.members(x):
         meet = ideal_intersection(meet, sp.points[i])
 
-    family = {x & v for v in sp._principal_masks}
+    family = {x & v for v in IndexKernel.members(sp._principal_table)}
     ordered = tuple(sp._points_of(s) for s in sorted(family, key=sp._mask_key))
 
     sections = None

@@ -9,14 +9,17 @@ are used to check.
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from spectop import parse_ring
+from spectop import enumerate_spectrum, parse_ring
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import all_ops  # noqa: E402
 
@@ -152,3 +155,26 @@ def oracle_closed_sets(points, subbasis):
                 inner[u] |= inner[u ^ 1 << i]
     return {frozenset(p for p in points if not bit[p] & u)
             for u in range(full + 1) if inner[u] == u}
+
+
+def factorwise_unions(ring, factor_sets):
+    """The unions of one set per factor of an infinite product, each
+    factor's points embedded in its slot, by ``itertools.product`` over the
+    factors' own point sets.  ``factor_sets(factor)`` gives a factor's
+    sets; a point of the product is proper in exactly one slot."""
+    embedded = {}
+    for p in enumerate_spectrum(ring).points:
+        slot = next(i for i, c in enumerate(p.components) if not c.is_whole())
+        embedded[slot, p.components[slot]] = p
+    per_factor = [[frozenset(embedded[i, q] for q in s) for s in factor_sets(factor)]
+                  for i, factor in enumerate(ring.factors)]
+    return {frozenset().union(*combo) for combo in itertools.product(*per_factor)}
+
+
+def spectop_process(*argv: str) -> subprocess.Popen:
+    """``python -m spectop.cli`` with ``PYTHONPATH=src`` as a process of its
+    own, its stdout and stderr pipes of text, so that what happens when it
+    exits, and what it writes to a pipe, can be seen."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.Popen([sys.executable, "-m", "spectop.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)

@@ -33,7 +33,7 @@ from spectop.spectrum import TOPOLOGIES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-from conftest import GOLDEN_TEXTS  # noqa: E402
+from conftest import GOLDEN_TEXTS, spectop_process  # noqa: E402
 from workloads import SESSION_POOL, zloc_power  # noqa: E402
 
 
@@ -65,10 +65,11 @@ def test_topology_command(capsys):
     assert doc["closed_sets"] == [[], ["(0)"], ["(0)", "(2)"]]
 
 
-# Every golden ring, an empty spectrum, and families of 16,384 and 256
-# sets, which the writer prints in several chunks.
+# Every golden ring, an empty spectrum, families of 16,384 and 256 sets,
+# which the writer prints in several chunks, and the 16-point bound, the
+# only family whose points 8-15 all hold labels (65,536 sets, 32 chunks).
 @pytest.mark.parametrize("text", GOLDEN_TEXTS + (
-    "Z/1", zloc_power(7), " * ".join(["Z/2"] * 8)))
+    "Z/1", zloc_power(7), " * ".join(["Z/2"] * 8), zloc_power(8)))
 def test_family_json_prints_the_dumped_document(text):
     ring = parse_ring(text)
     for topology in TOPOLOGIES:
@@ -510,3 +511,43 @@ def test_help_texts_are_pinned(command, capsys, monkeypatch):
         main([command, "-h"] if command else ["--help"])
     assert exit_.value.code == 0
     assert capsys.readouterr().out == HELP_TEXTS[command]
+
+
+# The CLI as a process of its own: exit codes as the shell sees them, and
+# what is printed when the interpreter exits.
+
+
+def test_a_closed_pipe_exits_141_silently():
+    # The document is 197 kB, more than a pipe holds, so the writer meets
+    # the closed pipe.
+    with spectop_process("topology", "--ring", zloc_power(6), "--which", "flat") as proc:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == ""
+
+
+def test_a_process_exits_zero_with_its_document():
+    proc = spectop_process("spec", "--ring", "Z/4")
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(out)["points"][0]["ideal"] == "(2)"
+    assert err == ""
+
+
+def test_a_process_exits_one_on_a_failed_expectation(tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"entries": [{"ring": "Z/12", "expect": {"spectrum_size": 3}}]}))
+    proc = spectop_process("corpus", str(path))
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert json.loads(out)["failures"] == 1
+    assert err == ""
+
+
+def test_a_process_exits_two_on_a_bad_ring():
+    proc = spectop_process("spec", "--ring", "Z/0")
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert out == ""
+    assert err.startswith("error: ") and "modulus" in err

@@ -114,14 +114,14 @@ def test_expected_facts_mismatch_is_reported_and_recheckable():
 def test_topology_characterization_fails_when_bases_disagree(monkeypatch):
     import spectop.spectrum as spectrum
     target = parse_ring("Zloc(2) * Zloc(2)")
-    real = spectrum._ideal_masks
+    real = spectrum._ideal_table
 
-    def only_trivial_masks(ring):
+    def only_trivial_sets(ring):
         if ring != target:
             return real(ring)
-        return frozenset({0, spectrum.enumerate_spectrum(ring).full})
+        return 1 | 1 << spectrum.enumerate_spectrum(ring).full
 
-    monkeypatch.setattr(spectrum, "_ideal_masks", only_trivial_masks)
+    monkeypatch.setattr(spectrum, "_ideal_table", only_trivial_sets)
     report = run_check("topology-characterization", target)
     assert report.verdict == "fail"
     assert ("flat families from V(f) and V(I) bases disagree"
@@ -134,14 +134,14 @@ def test_topology_characterization_fails_after_the_families_are_shared(monkeypat
     import spectop.spectrum as spectrum
     target = parse_ring("Zloc(2) * Zloc(2)")
     assert run_check("topology-characterization", target).verdict == "pass"
-    real = spectrum._ideal_masks
+    real = spectrum._ideal_table
 
-    def only_trivial_masks(ring):
+    def only_trivial_sets(ring):
         if ring != target:
             return real(ring)
-        return frozenset({0, spectrum.enumerate_spectrum(ring).full})
+        return 1 | 1 << spectrum.enumerate_spectrum(ring).full
 
-    monkeypatch.setattr(spectrum, "_ideal_masks", only_trivial_masks)
+    monkeypatch.setattr(spectrum, "_ideal_table", only_trivial_sets)
     report = run_check("topology-characterization", target)
     assert report.verdict == "fail"
     assert ("flat families from V(f) and V(I) bases disagree"

@@ -129,11 +129,11 @@ def test_the_private_import_rule_flags_an_added_import(tmp_path):
     shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
     assert private_imports(copy) == []
     with open(copy / "sring.py", "a", encoding="utf-8") as handle:
-        handle.write("\nfrom .spectrum import _ideal_masks, closed_family\n"
+        handle.write("\nfrom .spectrum import _ideal_table, closed_family\n"
                      "from spectop.rings import _ptrim\n")
     found = private_imports(copy)
     assert [f.split(" ", 1)[1] for f in found] == [
-        "imports _ideal_masks",
+        "imports _ideal_table",
         "imports _ptrim",
     ]
 

@@ -34,7 +34,7 @@ from spectop import (
     specialization_closure,
     vanishing_locus,
 )
-from spectop.ideals import ProductIdeal
+from spectop.ideals import LocalIdeal, ProductIdeal
 from spectop.spectrum import (
     TOPOLOGIES,
     ClosedFamily,
@@ -48,6 +48,7 @@ from conftest import (
     SMALL_FINITE_TEXTS,
     brute_force_ideals,
     brute_force_is_prime,
+    factorwise_unions,
     oracle_closed_sets,
 )
 
@@ -342,6 +343,29 @@ def test_product_vanishing_sets_match_definition(text):
               itertools.product(*(_sample_elements(f) for f in ring.factors))]
     assert principal_vanishing_sets(ring) == {
         frozenset(p for p in points if p.contains(f)) for f in tuples}
+
+
+@pytest.mark.parametrize("text", ["Zloc(2) * Z/3", "Zloc(3) * Z/4 * Zloc(2)", ZLOC_POWERS[5]])
+def test_shifted_tables_hold_the_unions_over_factor_products(text):
+    ring = parse_ring(text)
+    assert principal_vanishing_sets(ring) == factorwise_unions(ring, principal_vanishing_sets)
+    assert ideal_vanishing_sets(ring) == factorwise_unions(ring, ideal_vanishing_sets)
+
+
+def test_an_infinite_product_lists_each_factors_primes_once(monkeypatch):
+    listed = []
+    primes_of = LocalIdeal.primes_of.__func__
+
+    def counted(cls, ring):
+        listed.append(ring)
+        return primes_of(cls, ring)
+
+    monkeypatch.setattr(LocalIdeal, "primes_of", classmethod(counted))
+    ring = parse_ring(ZLOC_POWERS[5])
+    enumerate_spectrum(ring)
+    for topology in TOPOLOGIES:
+        closed_family(ring, topology)
+    assert len(listed) == 6
 
 
 def test_principal_vanishing_sets_cover_mixed_product():
