@@ -12,8 +12,10 @@ cyclic modules over a commutative ring and is decidable here.
 Nothing here depends on how an ideal is represented, except that
 :func:`support_of_ideal` reads the annihilator masks of a finite ring's
 index kernel.  Each ideal class in ``ideals`` supplies its certificate
-samples, a flat witness for each sample and the certificate note, and
-:func:`is_cyclic_flat` is one loop over the samples and their witnesses.
+samples, a flat witness for each sample and the certificate note;
+``Ideal.flat_search`` is the one loop over the samples and their
+witnesses, which a product ideal assembles from its components' searches,
+and :func:`is_cyclic_flat` turns its result into the certificate.
 The idempotent generator is defined once on ``Ideal``, as the first
 idempotent e with Re = I; only the bits ring's ideals supply their own.
 
@@ -25,23 +27,17 @@ or flat kernel share one search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import NotFlat, NotGenStable, NotZariskiClosed
 from .ideals import (
     Ideal,
     annihilator,
-    ideal_intersection,
     ideal_sum,
+    intersect_all,
     saturation_kernel,
-    unit_ideal,
 )
 from .rings import Element
-from .spectrum import (
-    enumerate_spectrum,
-    is_stable_generalization,
-    vanishing_locus,
-)
+from .spectrum import enumerate_spectrum
 
 __all__ = [
     "FlatnessCertificate",
@@ -102,11 +98,13 @@ def flat_witness(ideal: Ideal, f: Element) -> tuple[Element, Element] | None:
 def is_cyclic_flat(ideal: Ideal) -> FlatnessCertificate:
     """Decide flatness of R/I and produce a certificate.
 
-    One generic search: the first witness sample of the ideal without a
-    flat witness fails, otherwise the witnesses are collected.  Over a
-    finite ring the samples are all of I, so the verdict is a complete
-    search; symbolic ideals sample a schema of their elements.  The
-    certificate is computed once per ideal object and kept on it.
+    One generic search, ``Ideal.flat_search``: the first witness sample
+    of the ideal without a flat witness fails, otherwise the witnesses
+    are collected.  Over a finite ring the samples are all of I, so the
+    verdict is a complete search; symbolic ideals sample a schema of
+    their elements, and a product splices its components' searches into
+    their slots.  The certificate is computed once per ideal object and
+    kept on it.
     """
     memo = ideal.memo
     if "flatness" not in memo:
@@ -115,13 +113,10 @@ def is_cyclic_flat(ideal: Ideal) -> FlatnessCertificate:
 
 
 def _search(ideal: Ideal) -> FlatnessCertificate:
-    witnesses = []
-    for f in ideal.witness_samples():
-        w = ideal.flat_witness(f)
-        if w is None:
-            return FlatnessCertificate(ideal, False, failing=f, note=ideal.flat_note(f))
-        witnesses.append((f, *w))
-    return FlatnessCertificate(ideal, True, tuple(witnesses), note=ideal.flat_note(None))
+    witnesses, failing = ideal.flat_search()
+    if failing is not None:
+        return FlatnessCertificate(ideal, False, failing=failing, note=ideal.flat_note(failing))
+    return FlatnessCertificate(ideal, True, witnesses, note=ideal.flat_note(None))
 
 
 def common_multiplier(ideal: Ideal, elements) -> Element:
@@ -181,19 +176,19 @@ def flat_ideal_from_closed_set(ring, points) -> Ideal:
     E is realized as V of the intersection of its primes; J is the kernel
     of localization at 1 plus that intersection.  Both postconditions are
     re-checked before returning, and a violation raises AssertionError.
+    The vanishing loci are compared as masks over the spectrum.
     """
     sp = enumerate_spectrum(ring)
     E = frozenset(points)
-    if not E <= sp.as_set():
-        raise ValueError("the given points do not belong to this spectrum")
-    realized = reduce(ideal_intersection, E) if E else unit_ideal(ring)
-    if vanishing_locus(ring, realized) != E:
+    mask = sp._mask_of(E)
+    realized = intersect_all(ring, E)
+    if sp._vanishing_mask(realized) != mask:
         raise NotZariskiClosed(
             "the set is not the vanishing locus of any ideal")
-    if not is_stable_generalization(ring, E):
+    if sp.down_closure(mask) != mask:
         raise NotGenStable("the set is not stable under generalization")
     kernel = saturation_kernel(realized)
-    if vanishing_locus(ring, kernel) != E:
+    if sp._vanishing_mask(kernel) != mask:
         raise AssertionError(f"the flat kernel {kernel.label()} does not vanish exactly on E")
     if not is_cyclic_flat(kernel).verdict:
         raise AssertionError(f"the quotient by the flat kernel {kernel.label()} is not flat")

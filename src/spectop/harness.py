@@ -64,6 +64,7 @@ from .spectrum import (
     ZARISKI,
     closed_family,
     enumerate_spectrum,
+    ideal_basis_families,
     vanishing_locus,
 )
 from .sring import (
@@ -140,9 +141,10 @@ def check_topology_characterization(ring: Ring, entry=None) -> tuple[dict, dict 
         problems.append("patch family does not refine the other two")
     if len(pfam) != 2 ** len(sp):
         problems.append("patch family is not the full power set")
-    if closed_family(ring, FLAT, use_ideal_basis=True).table != ffam.table:
+    ideal_zfam, ideal_ffam = ideal_basis_families(ring)
+    if ideal_ffam.table != ffam.table:
         problems.append("flat families from V(f) and V(I) bases disagree")
-    if closed_family(ring, ZARISKI, use_ideal_basis=True).table != zfam.table:
+    if ideal_zfam.table != zfam.table:
         problems.append("zariski families from V(f) and V(I) bases disagree")
 
     details = {
@@ -157,28 +159,35 @@ def check_topology_characterization(ring: Ring, entry=None) -> tuple[dict, dict 
 def check_closure_operators(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     """Generalization closures of Zariski closed sets are flat closed,
     specialization closures of patch closed sets are Zariski closed, and
-    every closed generalization-stable set is V(J) for a flat kernel J."""
+    every closed generalization-stable set is V(J) for a flat kernel J.
+
+    The images are tested on the point closures alone.  A closure takes
+    unions to unions, and every member E of a closed family is the union
+    of the point closures cl(x), x in E, each a member itself.  The
+    target family is closed under union.  So the image of the family
+    lies in the target iff the images of its point closures do, and a
+    failure is reported at the first point closure, in the canonical
+    order, whose image leaves the target.
+    """
     zfam = closed_family(ring, ZARISKI)
     ffam = closed_family(ring, FLAT)
     pfam = closed_family(ring, PATCH)
     sp = pfam.spectrum
 
-    # An image under a closure is no table operation: close each member.
-    for E in IndexKernel.members(zfam.table):
-        if sp.down_closure(E) not in ffam.masks:
-            return {}, {"operator": "generalization", "set": sp._labels_of(E)}
-    for E in IndexKernel.members(pfam.table):
-        if sp.up_closure(E) not in zfam.masks:
-            return {}, {"operator": "specialization", "set": sp._labels_of(E)}
+    for operator, closure, source, target in (
+            ("generalization", sp.down_closure, zfam, ffam),
+            ("specialization", sp.up_closure, pfam, zfam)):
+        for E in sorted(set(source.point_closures), key=sp._mask_key):
+            if not target.table >> closure(E) & 1:
+                return {}, {"operator": operator, "set": sp._labels_of(E)}
 
     kernels = []
     for E in sorted(IndexKernel.members(zfam.table & sp.down_table), key=sp._mask_key):
-        points = sp._points_of(E)
-        kernel = flat_ideal_from_closed_set(ring, points)
-        if vanishing_locus(ring, kernel) != points or not is_cyclic_flat(kernel).verdict:
-            return {}, {"operator": "flat-kernel", "set": sp._labels_of(E),
-                        "kernel": kernel.label()}
-        kernels.append({"set": sp._labels_of(E), "kernel": kernel.label()})
+        kernel = flat_ideal_from_closed_set(ring, sp._points_of(E))
+        found = {"set": sp._labels_of(E), "kernel": kernel.label()}
+        if sp._vanishing_mask(kernel) != E or not is_cyclic_flat(kernel).verdict:
+            return {}, {"operator": "flat-kernel", **found}
+        kernels.append(found)
 
     return {"flat_kernels": kernels,
             "zariski_closed": len(zfam),

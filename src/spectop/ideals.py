@@ -8,7 +8,11 @@ ideals are exactly its principal ideals Rg, whose masks the ring's index
 kernel holds.  Ideals of the localized integers live in the known
 lattice {(0)} U {(p^k) : k >= 0}, ideals of the bits ring are either
 principal or the ideal of all finitely supported elements, and ideals of
-infinite products are componentwise.
+infinite products are componentwise.  The components of a product ideal
+are shared: each is the one instance equal to it that its factor ring's
+memo keeps, and the meets, saturation kernels and generated ideals of
+components are kept on the components and factors, so a fact about a
+component is found once however many products hold it.
 
 Each representation is one class that owns all of its operations:
 membership, inclusion, sum, intersection, radical, saturation kernel,
@@ -30,7 +34,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import attrgetter
 
 from .errors import RingTooLarge, UnsupportedForPresentation
 from .rings import (
@@ -57,6 +62,7 @@ __all__ = [
     "ideal_from_generators",
     "ideal_intersection",
     "ideal_sum",
+    "intersect_all",
     "is_prime_ideal",
     "prime_ideals",
     "principal_ideal",
@@ -70,8 +76,8 @@ __all__ = [
 class Ideal:
     """Base class; each subclass owns one representation and its operations.
 
-    Each constructor sets ``key``, the tuple that equality compares; its
-    hash is computed once and cached.  Every subclass supplies
+    Each constructor ends in ``_keyed``, which sets ``key``, the tuple
+    that equality compares, its hash and the ``memo``.  Every subclass supplies
     ``contains``, ``issubset``, ``label``, ``plus(other)``, ``meet(other)``
     and ``radical()``, and for flatness ``witness_samples()``, the
     elements f of I whose witnesses make up a certificate, and
@@ -88,6 +94,7 @@ class Ideal:
 
     ring: Ring
     key: tuple
+    memo: dict
 
     def contains(self, element: Element) -> bool:
         raise NotImplementedError
@@ -122,12 +129,24 @@ class Ideal:
         """The certificate note; ``failing`` is None when R/I is flat."""
         return None
 
-    @cached_property
-    def memo(self) -> dict:
-        """Facts derived from this instance, each computed once and dropped
-        with it: ``flatness`` keeps the flatness certificate here and
-        ``spectrum`` the vanishing locus."""
-        return {}
+    def flat_search(self) -> tuple[tuple, Element | None]:
+        """The triples (f, a, b) of the witness samples f in order, with
+        (a, b) the flat witness of f, and the first sample without one,
+        None when every sample has one.  Searched once per instance and
+        kept on its memo, so a component that many products share is
+        searched once."""
+        memo = self.memo
+        if "flat_search" not in memo:
+            witnesses = []
+            failing = None
+            for f in self.witness_samples():
+                w = self.flat_witness(f)
+                if w is None:
+                    failing = f
+                    break
+                witnesses.append((f, *w))
+            memo["flat_search"] = (tuple(witnesses), failing)
+        return memo["flat_search"]
 
     @classmethod
     def enumerate_all(cls, ring: Ring, local_level_bound: int) -> tuple["Ideal", ...]:
@@ -138,15 +157,27 @@ class Ideal:
     def primes_of(cls, ring: Ring) -> list["Ideal"]:
         return [i for i in enumerate_ideals(ring) if is_prime_ideal(i)]
 
+    @classmethod
+    def meet_all(cls, ring: Ring, ideals: tuple["Ideal", ...]) -> "Ideal":
+        """The intersection of one or more ideals of the ring."""
+        return reduce(ideal_intersection, ideals)
+
     def __eq__(self, other):
         return isinstance(other, Ideal) and self.key == other.key
 
     def __hash__(self):
         return self._hash
 
-    @cached_property
-    def _hash(self):
-        return hash(self.key)
+    def _keyed(self, ring: Ring, key: tuple) -> None:
+        """Finish a constructor: the ring, the key that equality compares
+        and its hash, and an empty ``memo`` for the facts derived from
+        this instance (the flatness search and its certificate, the
+        vanishing locus and its mask, and a shared component's saturation
+        kernel and meets), each computed once and dropped with it."""
+        self.ring = ring
+        self.key = key
+        self._hash = hash(key)
+        self.memo = {}
 
     def __repr__(self):
         return self.label()
@@ -177,9 +208,8 @@ class ExplicitIdeal(Ideal):
             raise ValueError("an ideal contains 0")
         if mask not in k.generator_of:
             raise ValueError(_closure_failure(k, mask))
-        self.ring = ring
         self.mask = mask
-        self.key = ("explicit", ring, mask)
+        self._keyed(ring, ("explicit", ring, mask))
 
     @classmethod
     def generated_by(cls, ring, gens):
@@ -283,9 +313,8 @@ class LocalIdeal(Ideal):
             raise UnsupportedForPresentation("LocalIdeal needs a localized integer ring")
         if level is not None and level < 0:
             raise ValueError("level must be None or >= 0")
-        self.ring = ring
         self.level = level
-        self.key = ("local", ring, level)
+        self._keyed(ring, ("local", ring, level))
 
     @classmethod
     def generated_by(cls, ring, gens):
@@ -397,9 +426,8 @@ class BoolPrincipalIdeal(_BooleanIdeal):
     def __init__(self, ring: EventuallyConstantBitsRing, generator):
         if ideal_class(ring) is not BoolPrincipalIdeal:
             raise UnsupportedForPresentation("BoolPrincipalIdeal needs the bits ring")
-        self.ring = ring
         self.generator = ring.element(generator)
-        self.key = ("boolprincipal", ring, self.generator)
+        self._keyed(ring, ("boolprincipal", ring, self.generator))
 
     @classmethod
     def generated_by(cls, ring, gens):
@@ -457,8 +485,7 @@ class BoolFiniteSupportIdeal(_BooleanIdeal):
     def __init__(self, ring: EventuallyConstantBitsRing):
         if ideal_class(ring) is not BoolPrincipalIdeal:
             raise UnsupportedForPresentation("this ideal lives in the bits ring")
-        self.ring = ring
-        self.key = ("boolfin", ring)
+        self._keyed(ring, ("boolfin", ring))
 
     def contains(self, element):
         return self.ring.element(element).value.has_finite_support
@@ -499,7 +526,11 @@ class ProductIdeal(Ideal):
 
     Finite products use :class:`ExplicitIdeal` instead, so this class only
     appears when some factor is a localization.  Every operation works
-    component by component.
+    component by component.  The components are shared: each is the one
+    instance equal to it that its factor ring's memo keeps, so the facts
+    an ideal keeps on its memo (the vanishing locus, the flatness search,
+    the saturation kernel) are found once per distinct component and
+    read by every product built from it.
     """
 
     def __init__(self, ring: ProductRing, components):
@@ -509,18 +540,16 @@ class ProductIdeal(Ideal):
         components = tuple(components)
         if len(components) != len(ring.factors):
             raise ValueError("one component ideal per factor is required")
-        for f, c in zip(ring.factors, components):
-            if c.ring is not f and c.ring != f:
-                raise ValueError("component ideal belongs to the wrong factor")
-        self.ring = ring
-        self.components = components
-        self.key = ("prodideal", ring, components)
+        if tuple(map(_ring_of, components)) != ring.factors:
+            raise ValueError("component ideal belongs to the wrong factor")
+        self.components = tuple(map(_shared, components))
+        self._keyed(ring, ("prodideal", ring, self.components))
 
     @classmethod
     def generated_by(cls, ring, gens):
-        return ProductIdeal(ring, (
-            ideal_from_generators(factor, [ring.component(g, i) for g in gens])
-            for i, factor in enumerate(ring.factors)))
+        # The generators' payloads slot by slot; no generators give the zero ideal.
+        columns = list(zip(*(g.value for g in gens))) or [()] * len(ring.factors)
+        return ProductIdeal(ring, map(_generated, ring.factors, columns))
 
     @classmethod
     def annihilator_of(cls, f):
@@ -536,6 +565,7 @@ class ProductIdeal(Ideal):
         if count > 2 ** MAX_FAMILY_POINTS:
             raise RingTooLarge(f"{ring.describe()} has {count} ideals, more than "
                                f"the budget of {2 ** MAX_FAMILY_POINTS}")
+        per_factor = [list(map(_shared, ideals)) for ideals in per_factor]
         out = [ProductIdeal(ring, combo) for combo in itertools.product(*per_factor)]
         return tuple(sorted(out, key=lambda i: i.label()))
 
@@ -546,6 +576,12 @@ class ProductIdeal(Ideal):
         return [ProductIdeal(ring, units[:i] + [p] + units[i + 1:])
                 for i, factor in enumerate(ring.factors)
                 for p in prime_ideals(factor)]
+
+    @classmethod
+    def meet_all(cls, ring, ideals):
+        # Slot by slot, over the shared components there.
+        return ProductIdeal(ring, [reduce(_meet, column)
+                                   for column in zip(*(i.components for i in ideals))])
 
     def contains(self, element):
         el = self.ring.element(element)
@@ -564,14 +600,13 @@ class ProductIdeal(Ideal):
             a.plus(b) for a, b in zip(self.components, other.components)))
 
     def meet(self, other):
-        return ProductIdeal(self.ring, (
-            a.meet(b) for a, b in zip(self.components, other.components)))
+        return ProductIdeal(self.ring, map(_meet, self.components, other.components))
 
     def radical(self):
         return ProductIdeal(self.ring, (c.radical() for c in self.components))
 
     def saturation_kernel(self):
-        return ProductIdeal(self.ring, (c.saturation_kernel() for c in self.components))
+        return ProductIdeal(self.ring, map(_saturation_kernel, self.components))
 
     def is_prime(self):
         proper = [c for c in self.components if not c.is_whole()]
@@ -584,23 +619,49 @@ class ProductIdeal(Ideal):
                      for i, c in enumerate(self.components)
                      for f in c.witness_samples())
 
-    @cached_property
-    def _zero_witnesses(self) -> tuple:
-        """Each component's witness for zero, the answer in every slot
-        where an element is zero."""
-        return tuple(c.flat_witness(c.ring.zero) for c in self.components)
-
     def flat_witness(self, f):
         # A witness sample is zero outside one slot, so only the slots
         # where f is nonzero ask their component; a factor's zero payload
         # (0, Fraction(0) or the empty polynomial) is its only false one.
-        parts = list(self._zero_witnesses)
+        parts = [c.flat_witness(c.ring.zero) for c in self.components]
         for i, v in enumerate(f.value):
             if v:
                 parts[i] = self.components[i].flat_witness(self.ring.component(f, i))
         if None in parts:
             return None
         return tuple(Element(self.ring, tuple(w[k].value for w in parts)) for k in (0, 1))
+
+    def flat_search(self):
+        # A sample of slot i is zero in every other slot, where each
+        # component's witness for zero answers, so the triples are each
+        # component's own search spliced into its slot; the witness of a
+        # zero sample is the product's witness for zero.  The spliced
+        # samples are kept on the ring, for each slot and component.
+        ring, zero = self.ring, self.ring.zero.value
+        memo = ring.memo
+        if "spliced_samples" not in memo:
+            memo["spliced_samples"] = {}
+        spliced = memo["spliced_samples"]
+        at_zero = [c.flat_witness(c.ring.zero) for c in self.components]
+        zero_a, zero_b = (tuple(map(_value_of, column)) for column in zip(*at_zero))
+        product_at_zero = (Element(ring, zero_a), Element(ring, zero_b))
+        witnesses = []
+        for i, c in enumerate(self.components):
+            found, failing = c.flat_search()
+            if failing is not None:
+                return (), Element(ring, zero[:i] + (failing.value,) + zero[i + 1:])
+            samples = spliced.get((i, c))
+            if samples is None:
+                samples = spliced[i, c] = [Element(ring, zero[:i] + (f.value,) + zero[i + 1:])
+                                           for f, _, _ in found]
+            for sample, (f, a, b) in zip(samples, found):
+                if not f.value:
+                    witnesses.append((sample, *product_at_zero))
+                    continue
+                witnesses.append((sample,
+                                  Element(ring, zero_a[:i] + (a.value,) + zero_a[i + 1:]),
+                                  Element(ring, zero_b[:i] + (b.value,) + zero_b[i + 1:])))
+        return tuple(witnesses), None
 
     def flat_note(self, failing):
         if failing is None:
@@ -612,9 +673,57 @@ class ProductIdeal(Ideal):
         return f"component {slot} is not flat"
 
 
+_ring_of = attrgetter("ring")
+_value_of = attrgetter("value")
+
+
 def _check_same_ring(a: Ideal, b: Ideal):
     if a.ring is not b.ring and a.ring != b.ring:
         raise ValueError("ideals of different rings cannot be compared")
+
+
+def _shared(ideal: Ideal) -> Ideal:
+    """The one instance equal to the ideal that its ring's memo keeps; the
+    kept instance is marked as such on its own memo."""
+    if "shared" in ideal.memo:
+        return ideal
+    memo = ideal.ring.memo
+    if "shared_ideals" not in memo:
+        memo["shared_ideals"] = {}
+    shared = memo["shared_ideals"].setdefault(ideal, ideal)
+    shared.memo["shared"] = True
+    return shared
+
+
+def _saturation_kernel(ideal: Ideal) -> Ideal:
+    """The saturation kernel of a shared component, kept on its memo."""
+    memo = ideal.memo
+    if "saturation_kernel" not in memo:
+        memo["saturation_kernel"] = _shared(ideal.saturation_kernel())
+    return memo["saturation_kernel"]
+
+
+def _meet(a: Ideal, b: Ideal) -> Ideal:
+    """The meet of two shared components, kept on the first one's memo."""
+    if a is b:
+        return a
+    memo = a.memo
+    key = ("meet", b)
+    if key not in memo:
+        memo[key] = _shared(ideal_intersection(a, b))
+    return memo[key]
+
+
+def _generated(ring: Ring, values: tuple) -> Ideal:
+    """The shared ideal of a factor generated by the elements with these
+    payloads, kept in the factor's memo."""
+    memo = ring.memo
+    if "generated" not in memo:
+        memo["generated"] = {}
+    ideal = memo["generated"].get(values)
+    if ideal is None:
+        ideal = memo["generated"][values] = _shared(ideal_from_generators(ring, values))
+    return ideal
 
 
 def _least_span(k: IndexKernel, mask: int) -> int:
@@ -691,6 +800,12 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
 def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
     _check_same_ring(a, b)
     return a.meet(b)
+
+
+def intersect_all(ring: Ring, ideals) -> Ideal:
+    """The intersection of the ideals, the unit ideal when there are none."""
+    ideals = tuple(ideals)
+    return ideal_class(ring).meet_all(ring, ideals) if ideals else unit_ideal(ring)
 
 
 def annihilator(f: Element) -> Ideal:

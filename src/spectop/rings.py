@@ -336,6 +336,13 @@ def canonical_sorted(elements) -> list[Element]:
 # ---------------------------------------------------------------------------
 # index kernels of finite rings
 
+# For ``IndexKernel.members``: the set bits of each byte value, of each
+# byte value as the second byte of a mask, and the digits of a binary text
+# as the bytes 0 and 1.
+_BYTE_MEMBERS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+_HIGH_BYTE_MEMBERS = [tuple(i + 8 for i in low) for low in _BYTE_MEMBERS]
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 class IndexKernel:
     """The elements of one finite ring as indices 0..n-1, with int tables.
@@ -365,8 +372,26 @@ class IndexKernel:
 
     @staticmethod
     def members(mask: int) -> list[int]:
-        """The indices of the set bits, ascending."""
-        return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+        """The indices of the set bits, ascending.
+
+        A mask of at most 16 bits, such as a point set, is read a byte at a
+        time from tables.  A longer one is read from its reversed binary
+        text, so the scan runs in C and Python touches set bits only: a
+        sparse mask is searched for its ones, and a dense one (at least one
+        bit in eight set) is filtered by its text turned into 0/1 bytes.
+        """
+        if mask < 65536:
+            return [*_BYTE_MEMBERS[mask & 255], *_HIGH_BYTE_MEMBERS[mask >> 8]]
+        bits = bin(mask)[:1:-1]
+        if mask.bit_count() << 3 >= len(bits):
+            return list(itertools.compress(itertools.count(),
+                                           bits.encode().translate(_BIT_BYTES)))
+        found = []
+        i = bits.find("1")
+        while i >= 0:
+            found.append(i)
+            i = bits.find("1", i + 1)
+        return found
 
     @cached_property
     def one_minus(self) -> list[int]:
@@ -660,8 +685,10 @@ class ProductRing(Ring):
     """A direct product of >= 2 factors with tuple payloads.
 
     Nested product factors are flattened, so the factor list is canonical.
-    The eventually-constant-bits ring is not allowed as a factor; its
-    product structure is not representable here.
+    Equal factors are held as one instance, so the facts a factor keeps in
+    its memo (its spectrum, ideals and shared component ideals) are found
+    once for all of its slots.  The eventually-constant-bits ring is not
+    allowed as a factor; its product structure is not representable here.
     """
 
     def __init__(self, factors):
@@ -678,7 +705,8 @@ class ProductRing(Ring):
                 raise UnsupportedForPresentation(
                     "product factors must be finite rings or localized integers")
         check_ring_size(math.prod(len(f.elements()) for f in flat if f.is_finite))
-        self.factors = tuple(flat)
+        instances: dict[Ring, Ring] = {}
+        self.factors = tuple(instances.setdefault(f, f) for f in flat)
         self.is_finite = all(f.is_finite for f in self.factors)
         self.key = ("product", tuple(f.key for f in self.factors))
 
@@ -727,9 +755,11 @@ class ProductRing(Ring):
         return self.factors[index].element(element.value[index])
 
     def _idempotents(self):
+        # Each factor lists its idempotents sorted, so their combinations,
+        # in the order of itertools.product, are sorted by the tuple of
+        # the factors' sort keys, which is the product's sort key.
         combos = itertools.product(*(f.idempotents() for f in self.factors))
-        found = [Element(self, tuple(e.value for e in c)) for c in combos]
-        return tuple(canonical_sorted(found))
+        return tuple(Element(self, tuple(e.value for e in c)) for c in combos)
 
     def describe(self):
         return " * ".join(f.describe() for f in self.factors)

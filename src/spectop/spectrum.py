@@ -26,14 +26,19 @@ built once per object and dropped with it.  The V(I) table and its
 families are built afresh on every call.  Infinite products work slot by
 slot: a point is proper in exactly one slot, so p is in q iff they share
 a slot and their components there are nested, and the V(f) and V(I)
-tables are built from the factors' tables by shifting.
+tables are built from the factors' tables by shifting.  The V(I) of a
+product ideal is the union of its components' loci, each embedded in its
+slot; the components are shared ideals of the factors (see
+``ideals.ProductIdeal``), so each component's locus is found once, on
+the factor's spectrum, and read by every product that holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import and_
+from itertools import compress
+from operator import and_, getitem, or_
 
 from .errors import SpectrumTooLarge
 from .ideals import (
@@ -62,6 +67,7 @@ __all__ = [
     "enumerate_spectrum",
     "flat_point_closure",
     "generalization_closure",
+    "ideal_basis_families",
     "ideal_vanishing_sets",
     "is_stable_generalization",
     "is_stable_specialization",
@@ -78,27 +84,27 @@ TOPOLOGIES = (ZARISKI, FLAT, PATCH)
 
 
 def _union_of_cones(cones):
-    """The map from a mask to the union of the cones of its points.
-
-    A table per byte of the mask holds that union for each of the values
-    the byte can take, so the map costs one lookup a byte.
-    """
-    tables = []
-    for base in range(0, len(cones), 8):
-        table = [0] * (1 << min(8, len(cones) - base))
-        for v in range(1, len(table)):
-            low = v & -v
-            table[v] = table[v ^ low] | cones[base + low.bit_length() - 1]
-        tables.append(table)
+    """The map from a mask to the union of the cones of its points."""
 
     def union(mask: int) -> int:
-        out = 0
-        for table in tables:
-            out |= table[mask & 255]
-            mask >>= 8
-        return out
+        return reduce(or_, map(cones.__getitem__, IndexKernel.members(mask)), 0)
 
     return union
+
+
+class _SlotLoci(dict):
+    """One slot of an infinite product: ``embed`` maps a mask over the
+    factor's spectrum to the mask of those points in the slot, and looking
+    up a component ideal c gives V(c) embedded in the slot, found on the
+    factor's spectrum on first lookup."""
+
+    def __init__(self, factor_spectrum: "SpectrumPoset", embed):
+        super().__init__()
+        self.factor_spectrum, self.embed = factor_spectrum, embed
+
+    def __missing__(self, component: Ideal) -> int:
+        locus = self[component] = self.embed(self.factor_spectrum._vanishing_mask(component))
+        return locus
 
 
 # Each byte value with its eight bits in reverse order (the multiply,
@@ -174,7 +180,7 @@ class SpectrumPoset:
         return mask
 
     def _points_of(self, mask: int) -> frozenset[Ideal]:
-        return frozenset(self.points[i] for i in IndexKernel.members(mask))
+        return frozenset(map(self.points.__getitem__, IndexKernel.members(mask)))
 
     def _labels_of(self, mask: int) -> list[str]:
         """A point set as its sorted labels, the form every document uses;
@@ -209,6 +215,14 @@ class SpectrumPoset:
             IndexKernel.mask(i for i, p in enumerate(self.points) if p.contains(f))
             for f in samples)
 
+    @cached_property
+    def _slots(self) -> tuple["_SlotLoci", ...]:
+        """The slots of an infinite product, one per factor."""
+        index = {part: 1 << i for i, part in enumerate(self._parts)}
+        spectra = map(enumerate_spectrum, self.ring.factors)
+        return tuple(_SlotLoci(fsp, _union_of_cones([index[s, q] for q in fsp.points]))
+                     for s, fsp in enumerate(spectra))
+
     def _product_table(self, factor_tables) -> int:
         """The table of the unions of one member of each factor's table, the
         members embedded in their slots of the infinite product
@@ -217,15 +231,26 @@ class SpectrumPoset:
         alike.  The slots hold disjoint points, so joining a member e to
         every union m built so far moves bit m to bit m | e = m + e: the
         table shifted by e."""
-        embed = {part: 1 << k for k, part in enumerate(self._parts)}
         table = 1
-        for s, (factor, factor_table) in enumerate(zip(self.ring.factors, factor_tables)):
-            bits = [embed[s, q] for q in enumerate_spectrum(factor).points]
+        for slot, factor_table in zip(self._slots, factor_tables):
             shifted = 0
             for member in IndexKernel.members(factor_table):
-                shifted |= table << sum(bits[j] for j in IndexKernel.members(member))
+                shifted |= table << slot.embed(member)
             table = shifted
         return table
+
+    def _vanishing_mask(self, ideal: Ideal) -> int:
+        """V(I) as a mask, kept on the ideal's memo.  Over an infinite
+        product it is the union of the components' loci, each in its slot,
+        so each shared component's locus is found once."""
+        memo = ideal.memo
+        if "vanishing_mask" not in memo:
+            if self.slotwise:
+                memo["vanishing_mask"] = sum(map(getitem, self._slots, ideal.components))
+            else:
+                memo["vanishing_mask"] = IndexKernel.mask(
+                    i for i, p in enumerate(self.points) if ideal.issubset(p))
+        return memo["vanishing_mask"]
 
     @cached_property
     def down_closure(self):
@@ -267,7 +292,8 @@ class SpectrumPoset:
         """For each point x, the intersection of the members holding x (the
         whole space when none does): the points y with T & P_x & ~P_y == 0."""
         patterns = self._patterns
-        return [IndexKernel.mask(y for y, py in enumerate(patterns) if held & py == held)
+        bits = [1 << y for y in range(len(patterns))]
+        return [sum(compress(bits, map(held.__eq__, map(held.__and__, patterns))))
                 for held in (table & px for px in patterns)]
 
     def _saturated_table(self, hulls) -> int:
@@ -277,7 +303,7 @@ class SpectrumPoset:
         table = every = (1 << (1 << len(patterns))) - 1
         for px, hull in zip(patterns, hulls):
             table &= every ^ px | reduce(
-                and_, [patterns[y] for y in IndexKernel.members(hull)], every)
+                and_, map(patterns.__getitem__, IndexKernel.members(hull)), every)
         return table
 
     @cached_property
@@ -347,9 +373,7 @@ def vanishing_locus(ring: Ring, ideal: Ideal) -> frozenset[Ideal]:
     memo = ideal.memo
     if "vanishing_locus" not in memo:
         sp = enumerate_spectrum(ring)
-        memo["vanishing_locus"] = frozenset(
-            p for p, (s, part) in zip(sp.points, sp._parts)
-            if (ideal if s is None else ideal.components[s]).issubset(part))
+        memo["vanishing_locus"] = sp._points_of(sp._vanishing_mask(ideal))
     return memo["vanishing_locus"]
 
 
@@ -412,6 +436,12 @@ class ClosedFamily:
     def sets(self) -> frozenset[frozenset[Ideal]]:
         return frozenset(map(self.spectrum._points_of, self.masks))
 
+    @cached_property
+    def point_closures(self) -> list[int]:
+        """cl(x) for each point x, the intersection of the members holding
+        x: in a valid family the least member holding x."""
+        return self.spectrum._least_members(self.table)
+
     def __contains__(self, subset) -> bool:
         try:
             return bool(self.table >> self.spectrum._mask_of(subset) & 1)
@@ -421,11 +451,11 @@ class ClosedFamily:
     def validate(self) -> None:
         """Check for the empty set, the space and closure under union and
         intersection: by Birkhoff, the masks that hold cl(x) whenever they
-        hold x, cl(x) the intersection of the members holding x."""
+        hold x."""
         sp, table = self.spectrum, self.table
         if not table & 1 or not table >> sp.full & 1:
             raise AssertionError("a closed family contains the empty set and the space")
-        if sp._saturated_table(sp._least_members(table)) != table:
+        if sp._saturated_table(self.point_closures) != table:
             raise AssertionError("closed family not closed under union/intersection")
 
 
@@ -434,7 +464,7 @@ def _ideal_table(ring: Ring) -> int:
     sp = enumerate_spectrum(ring)
     if sp.slotwise:
         return sp._product_table([_ideal_table(factor) for factor in ring.factors])
-    return sp._table_of(sp._mask_of(vanishing_locus(ring, i)) for i in enumerate_ideals(ring))
+    return sp._table_of(map(sp._vanishing_mask, enumerate_ideals(ring)))
 
 
 def principal_vanishing_sets(ring: Ring) -> frozenset[frozenset[Ideal]]:
@@ -464,21 +494,36 @@ def closed_family(ring: Ring, topology: str,
 
     ``use_ideal_basis`` switches to the basis of V(I) over finitely
     generated ideals, which generates the same family.  Families of the
-    V(f) are built once per spectrum; those of the V(I) on every call, so
-    that the harness always compares two independent computations.
+    V(f) are built once per spectrum; those of the V(I) on every call
+    (see :func:`ideal_basis_families`).
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
+    if use_ideal_basis:
+        return ideal_basis_families(ring, (topology,))[0]
     sp = enumerate_spectrum(ring)
     sp._check_family_bound()
-    if not use_ideal_basis and topology in sp._families:
-        return sp._families[topology]
-    vtable = _ideal_table(ring) if use_ideal_basis else sp._principal_table
+    if topology not in sp._families:
+        sp._families[topology] = _generated_family(sp, topology, sp._principal_table)
+    return sp._families[topology]
+
+
+def ideal_basis_families(ring: Ring, topologies=(ZARISKI, FLAT)) -> tuple[ClosedFamily, ...]:
+    """The families of the named topologies that the basis of the V(I)
+    generates, all from one table of the V(I) made afresh on each call,
+    so that the harness compares two independent computations."""
+    sp = enumerate_spectrum(ring)
+    sp._check_family_bound()
+    vtable = _ideal_table(ring)
+    return tuple(_generated_family(sp, topology, vtable) for topology in topologies)
+
+
+def _generated_family(sp: SpectrumPoset, topology: str, vtable: int) -> ClosedFamily:
+    """The family of the topology whose sub-basis the vanishing sets of
+    ``vtable`` and their complements give, validated."""
     dtable = sp._complements(vtable)
     subbasis = {ZARISKI: dtable, FLAT: vtable, PATCH: dtable | vtable}[topology]
     opens = sp._saturated_table(sp._least_members(subbasis))
     family = ClosedFamily(topology, sp._complements(opens), sp)
     family.validate()
-    if not use_ideal_basis:
-        sp._families[topology] = family
     return family

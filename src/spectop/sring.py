@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import HypothesisViolated, InvalidChain
-from .ideals import Ideal, ideal_intersection, principal_ideal, unit_ideal
+from .ideals import Ideal, intersect_all, principal_ideal
 from .rings import Element, EventuallyConstantBitsRing, IndexKernel, Ring, idempotents
 from .spectrum import (
     ClosedFamily,
@@ -256,7 +256,7 @@ def _certify(ring: Ring) -> SRingCertificate:
     matches = []
     seen = {}
     for e in idempotents(ring):
-        locus = sp._mask_of(vanishing_locus(ring, principal_ideal(ring, e)))
+        locus = sp._vanishing_mask(principal_ideal(ring, e))
         if locus in seen:
             failures.append(f"idempotents {seen[locus]} and {e} share a vanishing set")
         seen[locus] = e
@@ -318,9 +318,7 @@ def chain_condition_check(ring: Ring, points,
     # for them before the family, which can grow like 3^k, is built.
     sp._check_family_bound()
 
-    meet = unit_ideal(ring)
-    for i in IndexKernel.members(x):
-        meet = ideal_intersection(meet, sp.points[i])
+    meet = intersect_all(ring, X)
 
     family = {x & v for v in IndexKernel.members(sp._principal_table)}
     ordered = tuple(sp._points_of(s) for s in sorted(family, key=sp._mask_key))

@@ -16,7 +16,18 @@ from pathlib import Path
 
 import pytest
 
-from spectop import enumerate_spectrum, parse_ring
+from spectop import (
+    FLAT,
+    PATCH,
+    ZARISKI,
+    closed_family,
+    enumerate_spectrum,
+    flat_ideal_from_closed_set,
+    is_cyclic_flat,
+    parse_ring,
+    vanishing_locus,
+)
+from spectop.rings import IndexKernel
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -40,6 +51,9 @@ GOLDEN_TEXTS = tuple(sorted({argv[2] for argv in all_ops() if argv[1:2] == ["--r
                             - {"EvBits"}))
 
 FINITE_CORPUS_TEXTS = tuple(t for t in CORPUS_TEXTS if "Zloc" not in t)
+
+# Zloc(2)^1 .. Zloc(2)^6: up to 12 points, so that masks span more than one byte.
+ZLOC_POWERS = tuple(" * ".join(["Zloc(2)"] * k) for k in range(1, 7))
 
 # Finite rings of at most 12 elements, small enough for subset-scanning oracles.
 SMALL_FINITE_TEXTS = (
@@ -169,6 +183,36 @@ def factorwise_unions(ring, factor_sets):
     per_factor = [[frozenset(embedded[i, q] for q in s) for s in factor_sets(factor)]
                   for i, factor in enumerate(ring.factors)]
     return {frozenset().union(*combo) for combo in itertools.product(*per_factor)}
+
+
+def closure_operators_by_members(ring):
+    """The ``closure-operators`` check as first written, member by member:
+    it closes every Zariski closed set and every patch closed set and
+    looks each image up in the target family, then builds the flat kernel
+    of every Zariski closed generalization-stable set and checks it
+    against the set's points.  Returns ``(details, counterexample)`` as
+    the harness check does."""
+    zfam = closed_family(ring, ZARISKI)
+    ffam = closed_family(ring, FLAT)
+    pfam = closed_family(ring, PATCH)
+    sp = pfam.spectrum
+    for E in IndexKernel.members(zfam.table):
+        if sp.down_closure(E) not in ffam.masks:
+            return {}, {"operator": "generalization", "set": sp._labels_of(E)}
+    for E in IndexKernel.members(pfam.table):
+        if sp.up_closure(E) not in zfam.masks:
+            return {}, {"operator": "specialization", "set": sp._labels_of(E)}
+    kernels = []
+    for E in sorted(IndexKernel.members(zfam.table & sp.down_table), key=sp._mask_key):
+        points = sp._points_of(E)
+        kernel = flat_ideal_from_closed_set(ring, points)
+        if vanishing_locus(ring, kernel) != points or not is_cyclic_flat(kernel).verdict:
+            return {}, {"operator": "flat-kernel", "set": sp._labels_of(E),
+                        "kernel": kernel.label()}
+        kernels.append({"set": sp._labels_of(E), "kernel": kernel.label()})
+    return {"flat_kernels": kernels,
+            "zariski_closed": len(zfam),
+            "patch_closed": len(pfam)}, None
 
 
 def spectop_process(*argv: str) -> subprocess.Popen:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectop import (
     CorpusEntry,
@@ -15,8 +16,10 @@ from spectop import (
     unit_ideal,
     zero_ideal,
 )
-from spectop import harness
+from spectop import enumerate_spectrum, harness
 from spectop.errors import CorpusError
+from spectop.ideals import Ideal
+from spectop.spectrum import SpectrumPoset
 from spectop.harness import (
     CHECK_NAMES,
     DEFAULT_CORPUS,
@@ -24,6 +27,8 @@ from spectop.harness import (
     corpus_from_document,
     run_ring_checks,
 )
+
+from conftest import CORPUS_TEXTS, ZLOC_POWERS, closure_operators_by_members
 
 
 def test_default_corpus_all_pass():
@@ -218,6 +223,114 @@ def test_closure_operators_fail_on_a_wrong_flat_kernel(monkeypatch):
     report = run_check("closure-operators", parse_ring("Z/6"))
     assert report.verdict == "fail"
     assert report.counterexample == {"operator": "flat-kernel", "set": [], "kernel": "(0)"}
+
+
+def _lose_a_point(patch, closure: str, cones: str) -> None:
+    """Patch ``closure`` on every spectrum: the image of a mask that holds
+    x, the last point whose cone (``down`` or ``up``) holds another
+    point, loses the lowest other point of that cone."""
+    real = SpectrumPoset.__dict__[closure].func
+
+    def patched(sp):
+        union, cone = real(sp), getattr(sp, cones)
+        proper = [x for x, c in enumerate(cone) if c != 1 << x]
+        if not proper:
+            return union
+        x = proper[-1]
+        other = cone[x] & ~(1 << x)
+        lost = other & -other
+        return lambda mask: union(mask) & ~lost if mask >> x & 1 else union(mask)
+
+    patch.setattr(SpectrumPoset, closure, property(patched))
+
+
+@pytest.mark.parametrize("closure, cones, operator, point", [
+    ("down_closure", "down", "generalization", "(2) x (1)"),
+    ("up_closure", "up", "specialization", "(0) x (1)"),
+])
+def test_closure_operators_fail_when_a_closure_image_leaves_its_family(
+        monkeypatch, closure, cones, operator, point):
+    # The image of the point closure of that one point loses a point of its
+    # cone, so it is no longer stable and leaves the target family.
+    _lose_a_point(monkeypatch, closure, cones)
+    report = run_check("closure-operators", parse_ring("Zloc(2) * Z/3"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {"operator": operator, "set": [point]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CORPUS_TEXTS + ZLOC_POWERS))
+def test_closure_operators_agree_with_the_member_by_member_reference(text):
+    report = run_check("closure-operators", parse_ring(text))
+    details, counterexample = closure_operators_by_members(parse_ring(text))
+    assert counterexample is None and report.verdict == "pass"
+    assert report.details == details
+    if all(c == 1 << x for x, c in enumerate(enumerate_spectrum(parse_ring(text)).down)):
+        return  # a discrete spectrum: every set is closed in every topology
+    for closure, cones, operator in (("down_closure", "down", "generalization"),
+                                     ("up_closure", "up", "specialization")):
+        with pytest.MonkeyPatch.context() as patch:
+            _lose_a_point(patch, closure, cones)
+            report = run_check("closure-operators", parse_ring(text))
+            _, counterexample = closure_operators_by_members(parse_ring(text))
+        assert report.verdict == "fail" and report.counterexample["operator"] == operator
+        assert counterexample["operator"] == operator
+
+
+def test_closure_images_close_each_point_closure_once(monkeypatch):
+    # A structural guard, with no timing: on Zloc(2)^8 the image tests close
+    # at most one set per point for each family.  The stability test inside
+    # each flat kernel's construction is not an image test and is not counted.
+    ring = parse_ring(" * ".join(["Zloc(2)"] * 8))
+    calls = {"down_closure": 0, "up_closure": 0}
+    in_kernel = [False]
+    for name in calls:
+        real = SpectrumPoset.__dict__[name].func
+
+        def counted(sp, real=real, name=name):
+            union = real(sp)
+
+            def closure(mask):
+                calls[name] += not in_kernel[0]
+                return union(mask)
+            return closure
+
+        monkeypatch.setattr(SpectrumPoset, name, property(counted))
+    kernel_of = harness.flat_ideal_from_closed_set
+
+    def flagged(ring, points):
+        in_kernel[0] = True
+        try:
+            return kernel_of(ring, points)
+        finally:
+            in_kernel[0] = False
+
+    monkeypatch.setattr(harness, "flat_ideal_from_closed_set", flagged)
+    assert run_check("closure-operators", ring).verdict == "pass"
+    points = len(enumerate_spectrum(ring))
+    assert 0 < calls["down_closure"] <= points and 0 < calls["up_closure"] <= points
+
+
+def test_closure_operators_search_each_component_once(monkeypatch):
+    # A structural guard, with no timing: the 32 flat kernels of Zloc(2)^5
+    # are products of two distinct component ideals, (0) and (1), and each
+    # is searched for flat witnesses once.
+    searched = []
+    search = Ideal.flat_search
+
+    def counted(ideal):
+        if "flat_search" not in ideal.memo:
+            searched.append(ideal)
+        return search(ideal)
+
+    monkeypatch.setattr(Ideal, "flat_search", counted)
+    ring = parse_ring(ZLOC_POWERS[4])
+    report = run_check("closure-operators", ring)
+    assert report.verdict == "pass" and len(report.details["flat_kernels"]) == 32
+    components = {c for k in report.details["flat_kernels"] for c in k["kernel"].split(" x ")}
+    assert components == {"(0)", "(1)"}
+    assert all(ideal.ring in ring.factors for ideal in searched)
+    assert sorted(ideal.label() for ideal in searched) == ["(0)", "(1)"]
 
 
 def test_sring_equivalences_fail_when_idempotents_go_missing(monkeypatch):

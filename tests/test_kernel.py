@@ -24,7 +24,7 @@ from spectop import (
 )
 from spectop.dsl import parse_ideal_label
 from spectop.ideals import ExplicitIdeal
-from spectop.rings import canonical_sorted
+from spectop.rings import IndexKernel, canonical_sorted
 
 from conftest import (
     FINITE_CORPUS_TEXTS,
@@ -208,3 +208,29 @@ def test_sums_of_enumerated_ideals_are_enumerated(text):
     for a, b in itertools.combinations(ideals, 2):
         if not (a.issubset(b) or b.issubset(a)):
             assert closure_generated(ring, a.elements | b.elements) in found
+
+
+def _members_by_comprehension(mask: int) -> list[int]:
+    """The set bits as ``IndexKernel.members`` first read them: one Python
+    step per bit of the mask, set or not."""
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(min_value=0, max_value=(1 << 20) - 1),
+    st.integers(min_value=0, max_value=(1 << 4096) - 1),
+    st.sets(st.integers(min_value=0, max_value=65535), max_size=64).map(
+        lambda bits: sum(1 << b for b in bits)),
+))
+def test_members_match_the_bit_by_bit_reading(mask):
+    assert IndexKernel.members(mask) == _members_by_comprehension(mask)
+
+
+@pytest.mark.parametrize("mask", [
+    0, 1, 255, 256, 65535, 65536, 1 << 65535, (1 << 65536) - 1,
+    (1 << 65536) - 1 - (1 << 40000), sum(1 << b for b in range(0, 65536, 9)),
+], ids=["0", "1", "byte", "bit-8", "16-bits", "bit-16", "top-of-65536", "all-65536",
+        "all-but-one-65536", "every-ninth-65536"])
+def test_members_on_empty_and_power_set_sized_tables(mask):
+    assert IndexKernel.members(mask) == _members_by_comprehension(mask)
