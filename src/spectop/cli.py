@@ -50,6 +50,7 @@ __all__ = [
     "certificate_from_doc",
     "dot_text",
     "family_json",
+    "json_text",
     "main",
     "report_doc",
     "spectrum_doc",
@@ -183,8 +184,47 @@ def dot_text(ring: Ring) -> str:
     return "\n".join(lines) + "\n"
 
 
+def json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+
+    With an indent the standard library encodes in pure Python, through a
+    generator per nested list or dict; this writes the same text with one
+    call per value.  Strings and keys go through the C string encoder, and
+    every other value that is no list, tuple or dict through ``json.dumps``.
+    """
+    parts: list[str] = []
+    _json_parts(doc, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(doc, newline: str, parts: list[str]) -> None:
+    """Append the text of doc, nested below a line break and ``newline``'s
+    indent."""
+    if isinstance(doc, str):
+        parts.append(encode_basestring_ascii(doc))
+    elif isinstance(doc, dict) and doc:
+        inner = newline + "  "
+        opener = "{" + inner
+        for key in sorted(doc):
+            text = key if isinstance(key, str) else json.dumps(key)
+            parts.append(opener + encode_basestring_ascii(text) + ": ")
+            _json_parts(doc[key], inner, parts)
+            opener = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(doc, (list, tuple)) and doc:
+        inner = newline + "  "
+        opener = "[" + inner
+        for item in doc:
+            parts.append(opener)
+            _json_parts(item, inner, parts)
+            opener = "," + inner
+        parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(doc))
+
+
 def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json_text(doc))
 
 
 # ---------------------------------------------------------------------------

@@ -131,10 +131,10 @@ class Ideal:
 
     def flat_search(self) -> tuple[tuple, Element | None]:
         """The triples (f, a, b) of the witness samples f in order, with
-        (a, b) the flat witness of f, and the first sample without one,
-        None when every sample has one.  Searched once per instance and
-        kept on its memo, so a component that many products share is
-        searched once."""
+        (a, b) the flat witness of f, up to the first sample without one,
+        and that sample, None when every sample has one.  Searched once per
+        instance and kept on its memo, so a component that many products
+        share is searched once."""
         memo = self.memo
         if "flat_search" not in memo:
             witnesses = []
@@ -633,34 +633,25 @@ class ProductIdeal(Ideal):
 
     def flat_search(self):
         # A sample of slot i is zero in every other slot, where each
-        # component's witness for zero answers, so the triples are each
-        # component's own search spliced into its slot; the witness of a
-        # zero sample is the product's witness for zero.  The spliced
-        # samples are kept on the ring, for each slot and component.
-        ring, zero = self.ring, self.ring.zero.value
-        memo = ring.memo
-        if "spliced_samples" not in memo:
-            memo["spliced_samples"] = {}
-        spliced = memo["spliced_samples"]
+        # component's witness for zero answers, so each triple is a triple
+        # of component i's own search spliced into slot i of the zero
+        # element and of the product's two witnesses for zero.  A zero
+        # sample's triple is those three elements themselves; a factor's
+        # zero payload is its only false one.
+        ring = self.ring
         at_zero = [c.flat_witness(c.ring.zero) for c in self.components]
-        zero_a, zero_b = (tuple(map(_value_of, column)) for column in zip(*at_zero))
-        product_at_zero = (Element(ring, zero_a), Element(ring, zero_b))
+        bases = (ring.zero.value, *(tuple(map(_value_of, column)) for column in zip(*at_zero)))
+        at_zero_triple = tuple(Element(ring, base) for base in bases)
         witnesses = []
         for i, c in enumerate(self.components):
             found, failing = c.flat_search()
+            witnesses += [tuple(Element(ring, base[:i] + (x.value,) + base[i + 1:])
+                                for base, x in zip(bases, triple))
+                          if triple[0].value else at_zero_triple
+                          for triple in found]
             if failing is not None:
-                return (), Element(ring, zero[:i] + (failing.value,) + zero[i + 1:])
-            samples = spliced.get((i, c))
-            if samples is None:
-                samples = spliced[i, c] = [Element(ring, zero[:i] + (f.value,) + zero[i + 1:])
-                                           for f, _, _ in found]
-            for sample, (f, a, b) in zip(samples, found):
-                if not f.value:
-                    witnesses.append((sample, *product_at_zero))
-                    continue
-                witnesses.append((sample,
-                                  Element(ring, zero_a[:i] + (a.value,) + zero_a[i + 1:]),
-                                  Element(ring, zero_b[:i] + (b.value,) + zero_b[i + 1:])))
+                return tuple(witnesses), Element(
+                    ring, bases[0][:i] + (failing.value,) + bases[0][i + 1:])
         return tuple(witnesses), None
 
     def flat_note(self, failing):

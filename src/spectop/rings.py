@@ -375,23 +375,14 @@ class IndexKernel:
         """The indices of the set bits, ascending.
 
         A mask of at most 16 bits, such as a point set, is read a byte at a
-        time from tables.  A longer one is read from its reversed binary
-        text, so the scan runs in C and Python touches set bits only: a
-        sparse mask is searched for its ones, and a dense one (at least one
-        bit in eight set) is filtered by its text turned into 0/1 bytes.
+        time from tables.  A longer one, such as a family's table, is
+        filtered by its reversed binary text turned into 0/1 bytes, so the
+        scan over its bits runs in C.
         """
         if mask < 65536:
             return [*_BYTE_MEMBERS[mask & 255], *_HIGH_BYTE_MEMBERS[mask >> 8]]
-        bits = bin(mask)[:1:-1]
-        if mask.bit_count() << 3 >= len(bits):
-            return list(itertools.compress(itertools.count(),
-                                           bits.encode().translate(_BIT_BYTES)))
-        found = []
-        i = bits.find("1")
-        while i >= 0:
-            found.append(i)
-            i = bits.find("1", i + 1)
-        return found
+        bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+        return list(itertools.compress(itertools.count(), bits))
 
     @cached_property
     def one_minus(self) -> list[int]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress
-from operator import and_, getitem, or_
+from operator import and_, or_
 
 from .errors import SpectrumTooLarge
 from .ideals import (
@@ -84,27 +84,14 @@ TOPOLOGIES = (ZARISKI, FLAT, PATCH)
 
 
 def _union_of_cones(cones):
-    """The map from a mask to the union of the cones of its points."""
+    """The map from a mask to the union of the cones of its points.  The
+    checks close a few sets per family, one per point, so nothing is
+    tabulated up front."""
 
     def union(mask: int) -> int:
         return reduce(or_, map(cones.__getitem__, IndexKernel.members(mask)), 0)
 
     return union
-
-
-class _SlotLoci(dict):
-    """One slot of an infinite product: ``embed`` maps a mask over the
-    factor's spectrum to the mask of those points in the slot, and looking
-    up a component ideal c gives V(c) embedded in the slot, found on the
-    factor's spectrum on first lookup."""
-
-    def __init__(self, factor_spectrum: "SpectrumPoset", embed):
-        super().__init__()
-        self.factor_spectrum, self.embed = factor_spectrum, embed
-
-    def __missing__(self, component: Ideal) -> int:
-        locus = self[component] = self.embed(self.factor_spectrum._vanishing_mask(component))
-        return locus
 
 
 # Each byte value with its eight bits in reverse order (the multiply,
@@ -180,7 +167,7 @@ class SpectrumPoset:
         return mask
 
     def _points_of(self, mask: int) -> frozenset[Ideal]:
-        return frozenset(map(self.points.__getitem__, IndexKernel.members(mask)))
+        return frozenset(self.points[i] for i in IndexKernel.members(mask))
 
     def _labels_of(self, mask: int) -> list[str]:
         """A point set as its sorted labels, the form every document uses;
@@ -216,12 +203,20 @@ class SpectrumPoset:
             for f in samples)
 
     @cached_property
-    def _slots(self) -> tuple["_SlotLoci", ...]:
-        """The slots of an infinite product, one per factor."""
+    def _slots(self) -> tuple[tuple["SpectrumPoset", list[int]], ...]:
+        """Each slot of an infinite product as its factor's spectrum and the
+        list that maps each mask over that spectrum to the same points in
+        the slot.  A factor has at most 8 points: a localization has 2, and
+        a finite ring at most log2(MAX_RING_ELEMENTS)."""
         index = {part: 1 << i for i, part in enumerate(self._parts)}
-        spectra = map(enumerate_spectrum, self.ring.factors)
-        return tuple(_SlotLoci(fsp, _union_of_cones([index[s, q] for q in fsp.points]))
-                     for s, fsp in enumerate(spectra))
+        slots = []
+        for s, fsp in enumerate(map(enumerate_spectrum, self.ring.factors)):
+            embed = [0]
+            for q in fsp.points:
+                bit = index[s, q]
+                embed += [m | bit for m in embed]
+            slots.append((fsp, embed))
+        return tuple(slots)
 
     def _product_table(self, factor_tables) -> int:
         """The table of the unions of one member of each factor's table, the
@@ -232,10 +227,10 @@ class SpectrumPoset:
         every union m built so far moves bit m to bit m | e = m + e: the
         table shifted by e."""
         table = 1
-        for slot, factor_table in zip(self._slots, factor_tables):
+        for (_, embed), factor_table in zip(self._slots, factor_tables):
             shifted = 0
             for member in IndexKernel.members(factor_table):
-                shifted |= table << slot.embed(member)
+                shifted |= table << embed[member]
             table = shifted
         return table
 
@@ -246,7 +241,9 @@ class SpectrumPoset:
         memo = ideal.memo
         if "vanishing_mask" not in memo:
             if self.slotwise:
-                memo["vanishing_mask"] = sum(map(getitem, self._slots, ideal.components))
+                memo["vanishing_mask"] = sum(
+                    embed[fsp._vanishing_mask(c)]
+                    for (fsp, embed), c in zip(self._slots, ideal.components))
             else:
                 memo["vanishing_mask"] = IndexKernel.mask(
                     i for i, p in enumerate(self.points) if ideal.issubset(p))
@@ -303,7 +300,7 @@ class SpectrumPoset:
         table = every = (1 << (1 << len(patterns))) - 1
         for px, hull in zip(patterns, hulls):
             table &= every ^ px | reduce(
-                and_, map(patterns.__getitem__, IndexKernel.members(hull)), every)
+                and_, [patterns[y] for y in IndexKernel.members(hull)], every)
         return table
 
     @cached_property

@@ -8,10 +8,12 @@ are used to check.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -22,11 +24,13 @@ from spectop import (
     ZARISKI,
     closed_family,
     enumerate_spectrum,
-    flat_ideal_from_closed_set,
-    is_cyclic_flat,
+    ideal_intersection,
+    is_stable_generalization,
     parse_ring,
-    vanishing_locus,
+    saturation_kernel,
+    unit_ideal,
 )
+from spectop.ideals import Ideal
 from spectop.rings import IndexKernel
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -185,13 +189,38 @@ def factorwise_unions(ring, factor_sets):
     return {frozenset().union(*combo) for combo in itertools.product(*per_factor)}
 
 
+def fresh_copy(ideal):
+    """The ideal as a new instance with an empty memo, so that nothing
+    found on the original (a flatness search, a locus) is read back."""
+    fresh = copy.copy(ideal)
+    fresh.memo = {}
+    return fresh
+
+
+def locus_by_inclusion(ring, ideal):
+    """V(I) as the primes that contain I, each prime tested on its own."""
+    return frozenset(p for p in enumerate_spectrum(ring).points if ideal.issubset(p))
+
+
+def flat_kernel_by_pairwise_meets(ring, points):
+    """The flat kernel of a closed generalization-stable set as it was first
+    built: the pairwise meet of its points, whose locus must be the set,
+    and that meet's saturation kernel.  Loci are found by inclusion."""
+    E = frozenset(points)
+    realized = reduce(ideal_intersection, E) if E else unit_ideal(ring)
+    assert locus_by_inclusion(ring, realized) == E
+    assert is_stable_generalization(ring, E)
+    return saturation_kernel(realized)
+
+
 def closure_operators_by_members(ring):
     """The ``closure-operators`` check as first written, member by member:
     it closes every Zariski closed set and every patch closed set and
     looks each image up in the target family, then builds the flat kernel
-    of every Zariski closed generalization-stable set and checks it
-    against the set's points.  Returns ``(details, counterexample)`` as
-    the harness check does."""
+    of every Zariski closed generalization-stable set by pairwise meets
+    and checks its locus, by inclusion, and its flatness, by the generic
+    witness search of ``Ideal`` on a fresh copy.  Returns
+    ``(details, counterexample)`` as the harness check does."""
     zfam = closed_family(ring, ZARISKI)
     ffam = closed_family(ring, FLAT)
     pfam = closed_family(ring, PATCH)
@@ -205,8 +234,9 @@ def closure_operators_by_members(ring):
     kernels = []
     for E in sorted(IndexKernel.members(zfam.table & sp.down_table), key=sp._mask_key):
         points = sp._points_of(E)
-        kernel = flat_ideal_from_closed_set(ring, points)
-        if vanishing_locus(ring, kernel) != points or not is_cyclic_flat(kernel).verdict:
+        kernel = flat_kernel_by_pairwise_meets(ring, points)
+        _, failing = Ideal.flat_search(fresh_copy(kernel))
+        if locus_by_inclusion(ring, kernel) != points or failing is not None:
             return {}, {"operator": "flat-kernel", "set": sp._labels_of(E),
                         "kernel": kernel.label()}
         kernels.append({"set": sp._labels_of(E), "kernel": kernel.label()})

@@ -25,6 +25,7 @@ from spectop.cli import (
     certificate_from_doc,
     dot_text,
     family_json,
+    json_text,
     main,
     spectrum_doc,
     spectrum_from_doc,
@@ -551,3 +552,29 @@ def test_a_process_exits_two_on_a_bad_ring():
     assert proc.returncode == 2
     assert out == ""
     assert err.startswith("error: ") and "modulus" in err
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(),
+    st.floats(allow_nan=True, allow_infinity=True))
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCS)
+@example({"": [], "a": {}, "b": [[], {}, ()], "\u00e9\n\"": [1.5, -0.0, True, None]})
+def test_json_text_matches_the_indented_dump(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_text_refuses_what_json_refuses():
+    for doc in ({"a": {1, 2}}, [object()]):
+        with pytest.raises(TypeError):
+            json_text(doc)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spectop import (
     EventuallyConstantBitsRing,
@@ -34,18 +35,23 @@ from spectop.ideals import (
     BoolFiniteSupportIdeal,
     BoolPrincipalIdeal,
     ExplicitIdeal,
+    Ideal,
     LocalIdeal,
     ProductIdeal,
     ideal_class,
+    intersect_all,
 )
 from spectop.rings import canonical_sorted
 
 from conftest import (
+    CORPUS_TEXTS,
     FINITE_CORPUS_TEXTS,
     SMALL_FINITE_TEXTS,
+    ZLOC_POWERS,
     brute_force_generated,
     brute_force_ideals,
     brute_force_is_prime,
+    fresh_copy,
 )
 
 
@@ -397,3 +403,25 @@ def test_the_bits_ring_refuses_its_ideal_list_and_its_spectrum():
     with pytest.raises(UnsupportedForPresentation) as err:
         enumerate_spectrum(bits)
     assert str(err.value) == "the spectrum of EvBits is not enumerable"
+
+
+INFINITE_PRODUCT_TEXTS = tuple(t for t in CORPUS_TEXTS + ZLOC_POWERS
+                               if " * " in t and "Zloc" in t) + ("Zloc(3) * Z/4 * Zloc(2)",)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(INFINITE_PRODUCT_TEXTS), st.data())
+def test_product_searches_and_meets_match_the_generic_ones(text, data):
+    # A product splices its components' witness searches and meets its
+    # points slot by slot; the generic search of ``Ideal`` on a fresh copy
+    # (nothing read from a memo) and the pairwise meet must agree exactly.
+    # An enumerated ideal, one enumerated ideal per factor: Zloc(2)^6 has
+    # more ideals than the enumeration budget.
+    ring = parse_ring(text)
+    ideal = ProductIdeal(ring, [data.draw(st.sampled_from(enumerate_ideals(factor)))
+                                for factor in ring.factors])
+    assert ideal.flat_search() == Ideal.flat_search(fresh_copy(ideal))
+    points = enumerate_spectrum(ring).points
+    chosen = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=len(points)))
+    assert intersect_all(ring, chosen) == reduce(ideal_intersection, chosen)
+    assert intersect_all(ring, []) == unit_ideal(ring)

@@ -406,3 +406,15 @@ def test_not_prime_searches_its_factor_under_a_bound():
     assert err.value.factor is None
     assert str(err.value) == (
         f"{semiprime} is not prime (it has no factor up to {FACTOR_SEARCH_BOUND})")
+
+
+@pytest.mark.parametrize("text", [
+    "Zloc(2) * Z/3", "Zloc(3) * Z/4 * Zloc(2)", "Z/4 * Z/3", "Z/2 * Z/2 * Z/2 * Z/2",
+    "Z/6 * Zloc(5) * Z/4", "GF(4) * Z/2[x]/(x^2+x) * Zloc(3)",
+    " * ".join(["Zloc(2)"] * 5),
+])
+def test_product_idempotents_come_out_in_canonical_order(text):
+    # A product lists its idempotents in the order of itertools.product
+    # over its factors' sorted lists, with no sort of its own.
+    found = list(idempotents(parse_ring(text)))
+    assert found == canonical_sorted(found)
