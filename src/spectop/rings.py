@@ -336,11 +336,19 @@ def canonical_sorted(elements) -> list[Element]:
 # ---------------------------------------------------------------------------
 # index kernels of finite rings
 
+def _byte_members(offset: int) -> list[tuple[int, ...]]:
+    """For each byte value b, offset plus the index of each bit b sets,
+    built by doubling: the values with bit i set extend those without."""
+    members = [()]
+    for i in range(offset, offset + 8):
+        members += [low + (i,) for low in members]
+    return members
+
+
 # For ``IndexKernel.members``: the set bits of each byte value, of each
 # byte value as the second byte of a mask, and the digits of a binary text
 # as the bytes 0 and 1.
-_BYTE_MEMBERS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
-_HIGH_BYTE_MEMBERS = [tuple(i + 8 for i in low) for low in _BYTE_MEMBERS]
+_BYTE_MEMBERS, _HIGH_BYTE_MEMBERS = _byte_members(0), _byte_members(8)
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
