@@ -619,11 +619,17 @@ class ProductIdeal(Ideal):
                      for i, c in enumerate(self.components)
                      for f in c.witness_samples())
 
+    @cached_property
+    def _zero_witnesses(self) -> tuple:
+        """Each component's witness for zero, the answer in every slot
+        where an element is zero."""
+        return tuple(c.flat_witness(c.ring.zero) for c in self.components)
+
     def flat_witness(self, f):
         # A witness sample is zero outside one slot, so only the slots
         # where f is nonzero ask their component; a factor's zero payload
         # (0, Fraction(0) or the empty polynomial) is its only false one.
-        parts = [c.flat_witness(c.ring.zero) for c in self.components]
+        parts = list(self._zero_witnesses)
         for i, v in enumerate(f.value):
             if v:
                 parts[i] = self.components[i].flat_witness(self.ring.component(f, i))
@@ -639,8 +645,8 @@ class ProductIdeal(Ideal):
         # sample's triple is those three elements themselves; a factor's
         # zero payload is its only false one.
         ring = self.ring
-        at_zero = [c.flat_witness(c.ring.zero) for c in self.components]
-        bases = (ring.zero.value, *(tuple(map(_value_of, column)) for column in zip(*at_zero)))
+        bases = (ring.zero.value,
+                 *(tuple(map(_value_of, column)) for column in zip(*self._zero_witnesses)))
         at_zero_triple = tuple(Element(ring, base) for base in bases)
         witnesses = []
         for i, c in enumerate(self.components):
