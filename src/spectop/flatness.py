@@ -26,8 +26,6 @@ or flat kernel share one search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotFlat, NotGenStable, NotZariskiClosed
 from .ideals import (
     Ideal,
@@ -36,7 +34,7 @@ from .ideals import (
     intersect_all,
     saturation_kernel,
 )
-from .rings import Element
+from .rings import Element, Record
 from .spectrum import enumerate_spectrum
 
 __all__ = [
@@ -51,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FlatnessCertificate:
+class FlatnessCertificate(Record):
     """Verdict plus re-checkable evidence for the flatness of R/I.
 
     When flat, ``witnesses`` holds triples (f, a, b) with a*f = 0, b in I,
@@ -62,11 +59,8 @@ class FlatnessCertificate:
     with I to a proper ideal.  ``note`` explains symbolic verdicts.
     """
 
-    ideal: Ideal
-    verdict: bool
-    witnesses: tuple[tuple[Element, Element, Element], ...] = ()
-    failing: Element | None = None
-    note: str | None = None
+    __slots__ = ("ideal", "verdict", "witnesses", "failing", "note")
+    _defaults = {"witnesses": (), "failing": None, "note": None}
 
     def verify(self) -> bool:
         """Re-check the recorded evidence by direct arithmetic."""

@@ -23,7 +23,6 @@ reproduces the failure when the check is re-run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .dsl import parse_ring
 from .errors import (
@@ -53,6 +52,7 @@ from .rings import (
     EventuallyConstantBitsRing,
     IndexKernel,
     ModularRing,
+    Record,
     Ring,
     factorization,
     idempotents,
@@ -89,23 +89,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    """One ring of the corpus: its description plus optional expected facts."""
+class CorpusEntry(Record):
+    """One ring of the corpus: its description plus optional expected facts
+    (a fresh dict when none are given)."""
 
-    ring_text: str
-    expect: dict = field(default_factory=dict)
+    __slots__ = ("ring_text", "expect")
+
+    def __init__(self, ring_text: str, expect: dict | None = None):
+        super().__init__(ring_text, {} if expect is None else expect)
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    """Outcome of one check on one ring; plain data, JSON-friendly."""
+class TheoremReport(Record):
+    """Outcome of one check on one ring ("pass", "fail" or "skipped"); plain
+    data, JSON-friendly.  ``details`` is a fresh dict when none are given."""
 
-    check: str
-    ring: str
-    verdict: str  # "pass" | "fail" | "skipped"
-    details: dict = field(default_factory=dict)
-    counterexample: dict | None = None
+    __slots__ = ("check", "ring", "verdict", "details", "counterexample")
+
+    def __init__(self, check: str, ring: str, verdict: str, details: dict | None = None,
+                 counterexample: dict | None = None):
+        super().__init__(check, ring, verdict, {} if details is None else details,
+                         counterexample)
 
     @property
     def failed(self) -> bool:
@@ -265,12 +268,16 @@ def check_sring_equivalences(ring: Ring, entry=None) -> tuple[dict, dict | None]
     # Every patch closed set that is stable both ways is patch open.
     stable = pfam.table & sp.down_table & sp.up_table
     patch_ok = not stable & ~sp._complements(pfam.table)
+    # Format each idempotent once; the matches hold the ring's memoized objects.
+    idems = idempotents(ring)
+    texts = [str(e) for e in idems]
+    text_of = dict(zip(map(id, idems), texts))
     details = {
         "double_closed": [
-            {"set": sp._labels_of(sp._mask_of(s)), "idempotent": str(e)}
+            {"set": sp._labels_of(sp._mask_of(s)), "idempotent": text_of.get(id(e)) or str(e)}
             for s, e in cert.double_closed_matches
         ],
-        "idempotents": [str(e) for e in idempotents(ring)],
+        "idempotents": texts,
     }
     if not (cert.passed and patch_ok):
         return details, {"failures": list(cert.failures), "patch_clopen_ok": patch_ok}
@@ -468,12 +475,10 @@ def run_ring_checks(ring: Ring, entry: CorpusEntry | None = None) -> list[Theore
     return [run_check(name, ring, entry) for name in applicable_checks(ring)]
 
 
-@dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(Record):
     """Aggregated reports over one corpus run; sorted canonically."""
 
-    reports: tuple[TheoremReport, ...]
-    elapsed_seconds: float
+    __slots__ = ("reports", "elapsed_seconds")
 
     @property
     def failures(self) -> int:

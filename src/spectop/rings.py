@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 
 from .errors import (
     EmptyProduct,
@@ -57,6 +57,7 @@ __all__ = [
     "PRIMALITY_BOUND",
     "PolyQuotientRing",
     "ProductRing",
+    "Record",
     "Ring",
     "canonical_sorted",
     "check_ring_size",
@@ -247,19 +248,77 @@ def polynomial_text(coeffs: tuple[int, ...]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# elements
+# records and elements
 
 
-@dataclass(frozen=True)
-class Bits:
+_set_field = object.__setattr__
+
+
+class Record:
+    """A frozen record of named fields, with the semantics of a frozen
+    dataclass.
+
+    A subclass names its fields in ``__slots__``, in constructor order
+    (last ``"__dict__"`` when it caches properties), and the defaults of
+    trailing fields in ``_defaults``; fields are given by position or by
+    name.  Two records are equal when they are of the same class and their
+    compared fields (all but those in ``_uncompared``, at least two) are
+    equal in order; a record hashes as the tuple of its compared fields.
+    Assigning to a field, or to any other attribute, raises.
+    """
+
+    __slots__ = ()
+    _defaults: dict[str, object] = {}
+    _uncompared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        # An attrgetter of two or more names returns their values as a tuple.
+        cls._key = attrgetter(*(name for name in cls._fields if name not in cls._uncompared))
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        try:
+            values += tuple(named.pop(name) if name in named else self._defaults[name]
+                            for name in fields[len(values):])
+        except KeyError as missing:
+            raise TypeError(f"{type(self).__name__}() is missing the field {missing}") from None
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, values):
+            _set_field(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
+class Bits(Record):
     """An eventually constant 0/1 sequence over positions 1, 2, 3, ...
 
     ``flips`` is the finite set of positions where the value differs from
     ``tail``; minimality of this set is what makes the form canonical.
     """
 
-    flips: frozenset[int]
-    tail: int
+    __slots__ = ("flips", "tail")
 
     def value_at(self, position: int) -> int:
         return self.tail ^ (1 if position in self.flips else 0)
@@ -269,12 +328,15 @@ class Bits:
         return self.tail == 0
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Record):
     """A canonical element of one ring; equality and hashing are structural."""
 
-    ring: "Ring"
-    value: object
+    __slots__ = ("ring", "value")
+
+    def __init__(self, ring: Ring, value: object):
+        # Every arithmetic step builds one, so the fields are set directly.
+        _set_field(self, "ring", ring)
+        _set_field(self, "value", value)
 
     def _coerce(self, other) -> "Element":
         if isinstance(other, Element):

@@ -35,7 +35,6 @@ the factor's spectrum, and read by every product that holds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress
 from operator import and_, or_
@@ -52,6 +51,7 @@ from .rings import (
     MAX_FAMILY_POINTS,
     Element,
     IndexKernel,
+    Record,
     Ring,
 )
 
@@ -413,14 +413,13 @@ def is_stable_specialization(ring: Ring, points) -> bool:
 # topology generation
 
 
-@dataclass(frozen=True)
-class ClosedFamily:
+class ClosedFamily(Record):
     """The closed sets of one topology over a finite spectrum: bit m of
-    ``table`` is set when mask m is closed; ``masks`` and ``sets`` are lazy."""
+    ``table`` is set when mask m is closed; ``masks`` and ``sets`` are lazy.
+    The spectrum takes no part in equality."""
 
-    topology: str
-    table: int
-    spectrum: SpectrumPoset = field(compare=False)
+    __slots__ = ("topology", "table", "spectrum", "__dict__")
+    _uncompared = ("spectrum",)
 
     def __len__(self) -> int:
         return self.table.bit_count()

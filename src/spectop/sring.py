@@ -25,12 +25,11 @@ where the indicators of {1..n} grow strictly forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import HypothesisViolated, InvalidChain
-from .ideals import Ideal, intersect_all, principal_ideal
-from .rings import Element, EventuallyConstantBitsRing, IndexKernel, Ring, idempotents
+from .ideals import intersect_all, principal_ideal
+from .rings import Element, EventuallyConstantBitsRing, IndexKernel, Record, Ring, idempotents
 from .spectrum import (
     ClosedFamily,
     FLAT,
@@ -60,8 +59,7 @@ ASCENDING = "ascending"
 DESCENDING = "descending"
 
 
-@dataclass(frozen=True)
-class MultiplicativeChain:
+class MultiplicativeChain(Record):
     """A finite materialization of a chain under one mode equation.
 
     Ascending mode requires f_n = f_n * f_{n+1}, descending mode requires
@@ -70,9 +68,7 @@ class MultiplicativeChain:
     Indices are 1-based throughout.
     """
 
-    ring: Ring
-    mode: str
-    terms: tuple[Element, ...]
+    __slots__ = ("ring", "mode", "terms")
 
     @staticmethod
     def build(ring: Ring, mode: str, prefix=(), rule=None,
@@ -111,8 +107,7 @@ class MultiplicativeChain:
         return len(self.terms)
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(Record):
     """Outcome of scanning a materialized chain for a stable idempotent.
 
     ``stabilized`` with index k and value e means e*e == e and every
@@ -124,12 +119,8 @@ class StabilizationReport:
     carries the last index and the last two distinct values seen.
     """
 
-    chain: MultiplicativeChain
-    stabilized: bool
-    index: int | None = None
-    value: Element | None = None
-    last_index: int | None = None
-    last_distinct: tuple[Element, Element] | None = None
+    __slots__ = ("chain", "stabilized", "index", "value", "last_index", "last_distinct")
+    _defaults = dict.fromkeys(("index", "value", "last_index", "last_distinct"))
 
     def verify(self) -> bool:
         ts = self.chain.terms
@@ -202,8 +193,7 @@ def growing_indicator_chain(ring: EventuallyConstantBitsRing,
 # topological S-ring certificate
 
 
-@dataclass(frozen=True)
-class SRingCertificate:
+class SRingCertificate(Record):
     """Exhaustive check of the open/closed characterizations on one ring.
 
     ``double_closed_matches`` pairs every set closed in both the Zariski
@@ -211,13 +201,9 @@ class SRingCertificate:
     V(e).
     """
 
-    ring: Ring
-    passed: bool
-    closed_genstable_open: bool
-    flatclosed_specstable_open: bool
-    double_closed_ok: bool
-    double_closed_matches: tuple[tuple[frozenset[Ideal], Element], ...]
-    failures: tuple[str, ...] = ()
+    __slots__ = ("ring", "passed", "closed_genstable_open", "flatclosed_specstable_open",
+                 "double_closed_ok", "double_closed_matches", "failures")
+    _defaults = {"failures": ()}
 
 
 def sring_certificate(ring: Ring) -> SRingCertificate:
@@ -279,8 +265,7 @@ def _certify(ring: Ring) -> SRingCertificate:
 # chain conditions on X & V(f)
 
 
-@dataclass(frozen=True)
-class ChainConditionTrace:
+class ChainConditionTrace(Record):
     """Evidence collected while checking the covering chain condition.
 
     ``family`` is the full finite family {X & V(f) : f in R}; finiteness
@@ -289,11 +274,7 @@ class ChainConditionTrace:
     materialized and their inclusions checked.
     """
 
-    x_points: frozenset[Ideal]
-    meet_ideal: Ideal
-    family: tuple[frozenset[Ideal], ...]
-    sections: tuple[tuple[frozenset[Ideal], frozenset[Ideal]], ...] | None
-    conclusion: SRingCertificate
+    __slots__ = ("x_points", "meet_ideal", "family", "sections", "conclusion")
 
 
 def chain_condition_check(ring: Ring, points,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -14,6 +13,7 @@ import pytest
 
 from spectop import (
     EventuallyConstantBitsRing,
+    FlatnessCertificate,
     NotFlat,
     NotGenStable,
     NotZariskiClosed,
@@ -85,16 +85,24 @@ def _z4_not_flat():
 def _with_witness(cert, f, a, b):
     ring = cert.ideal.ring
     f, a, b = (ring.element(x) for x in (f, a, b))
-    return dataclasses.replace(
-        cert, witnesses=tuple((f, a, b) if w[0] == f else w for w in cert.witnesses))
+    return FlatnessCertificate(
+        cert.ideal, cert.verdict, tuple((f, a, b) if w[0] == f else w for w in cert.witnesses),
+        cert.failing, cert.note)
+
+
+def _with_fields(cert, witnesses=None, failing=None):
+    """The certificate with its witnesses or its failing element replaced."""
+    return FlatnessCertificate(
+        cert.ideal, cert.verdict, cert.witnesses if witnesses is None else witnesses,
+        cert.failing if failing is None else failing, cert.note)
 
 
 @pytest.mark.parametrize("tamper", [
     lambda: _with_witness(_z6_flat(), 2, 1, 0),   # a*f = 2, not 0
     lambda: _with_witness(_z6_flat(), 2, 3, 2),   # a + b = 5, not 1
-    lambda: dataclasses.replace(_z6_flat(), witnesses=_z6_flat().witnesses[1:]),
-    lambda: dataclasses.replace(_z4_not_flat(), failing=parse_ring("Z/4").one),
-    lambda: dataclasses.replace(_z4_not_flat(), failing=parse_ring("Z/4").zero),
+    lambda: _with_fields(_z6_flat(), witnesses=_z6_flat().witnesses[1:]),
+    lambda: _with_fields(_z4_not_flat(), failing=parse_ring("Z/4").one),
+    lambda: _with_fields(_z4_not_flat(), failing=parse_ring("Z/4").zero),
 ], ids=["a-times-f-nonzero", "a-plus-b-not-one", "missing-f", "failing-outside-ideal",
         "failing-ann-sum-whole"])
 def test_tampered_certificates_fail_verify(tamper):

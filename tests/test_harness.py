@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectop import (
     CorpusEntry,
+    FlatnessCertificate,
     parse_ring,
     principal_ideal,
     run_check,
@@ -176,7 +175,10 @@ def test_flat_ideal_bijection_fails_on_a_flipped_verdict(monkeypatch):
 
     def flipped(ideal):
         cert = real(ideal)
-        return dataclasses.replace(cert, verdict=not cert.verdict) if ideal == target else cert
+        if ideal != target:
+            return cert
+        return FlatnessCertificate(cert.ideal, not cert.verdict, cert.witnesses,
+                                   cert.failing, cert.note)
 
     monkeypatch.setattr(harness, "is_cyclic_flat", flipped)
     report = run_check("flat-ideal-bijection", z6)
@@ -195,6 +197,17 @@ def test_support_consistency_fails_when_supports_lose_a_point(monkeypatch):
     report = run_check("support-consistency", parse_ring("Z/6"))
     assert report.verdict == "fail"
     assert report.counterexample == {"ideal": "(3)", "kind": "containment"}
+
+
+def test_support_consistency_fails_when_a_flat_ideal_has_extra_support(monkeypatch):
+    # Supports that claim every point still contain each complement of
+    # V(I), so only the equality owed by flat quotients can fail: first on
+    # (0), whose support is empty.
+    monkeypatch.setattr(harness, "support_of_ideal",
+                        lambda ideal: enumerate_spectrum(ideal.ring).as_set())
+    report = run_check("support-consistency", parse_ring("Z/6"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {"ideal": "(0)", "kind": "flat-equality"}
 
 
 def test_radical_rigidity_fails_when_radicals_are_whole(monkeypatch):
@@ -391,6 +404,17 @@ def test_chain_conditions_fail_when_a_maximal_ideal_is_uncovered(monkeypatch):
     report = run_check("chain-conditions", parse_ring("Z/6"))
     assert report.verdict == "fail"
     assert report.counterexample == {"X": "min", "uncovered": "(3)"}
+
+
+def test_chain_conditions_fail_when_the_sring_certificate_fails(monkeypatch):
+    # X is covered, but with two idempotents missing the ring's own S-ring
+    # certificate fails, and the first X reports its family.
+    import spectop.sring as sring
+    monkeypatch.setattr(sring, "idempotents", lambda ring: (ring.zero, ring.one))
+    report = run_check("chain-conditions", parse_ring("Z/6"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {"X": "min",
+                                     "family": [[], ["(2)"], ["(3)"], ["(2)", "(3)"]]}
 
 
 def test_flat_not_projective_fails_when_the_ideal_claims_projectivity(monkeypatch):

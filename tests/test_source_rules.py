@@ -17,11 +17,14 @@ ALLOWED_PRIVATE_IMPORTS = {("dsl.py", "_ptrim")}
 # Methods a base class defines once, by their definitions, for all of its
 # subclasses, each with the subclasses allowed to override it: every
 # element of the bits ring is idempotent, so no finite scan finds the
-# idempotent generator of its ideals.
+# idempotent generator of its ideals, and an element prints as its ring
+# formats it.
 BASE_ONLY_METHODS = {
     "Ideal": {"is_zero": set(), "is_whole": set(),
               "idempotent_generator": {"BoolPrincipalIdeal", "BoolFiniteSupportIdeal"}},
     "Ring": {"elements": set()},
+    "Record": {"__eq__": set(), "__hash__": set(), "__setattr__": set(),
+               "__repr__": {"Element"}},
 }
 
 
@@ -189,6 +192,46 @@ def test_the_base_override_rule_flags_an_added_override(tmp_path):
         "_Listed defines idempotent_generator",
         "_Field defines elements",
     ]
+
+
+def dataclass_imports(root: Path) -> list[str]:
+    """Where a module imports ``dataclasses``.
+
+    Importing it costs every launch about 12 ms, more than many whole
+    checks; the frozen records derive from ``rings.Record`` instead.
+    """
+    found = []
+    for path, tree in _trees(root):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} imports {name}" for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    assert dataclass_imports(SOURCE) == []
+
+
+def test_the_dataclass_rule_flags_an_added_import(tmp_path):
+    copy = tmp_path / "spectop"
+    shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert dataclass_imports(copy) == []
+    with open(copy / "flatness.py", "a", encoding="utf-8") as handle:
+        handle.write("\nfrom dataclasses import dataclass, field\n")
+    with open(copy / "sring.py", "a", encoding="utf-8") as handle:
+        handle.write("\nimport json, dataclasses\nfrom .rings import Record\n")
+    found = dataclass_imports(copy)
+    assert [f.split(" ", 1)[1] for f in found] == [
+        "imports dataclasses",
+        "imports dataclasses",
+    ]
+    assert [f.split(":")[0] for f in found] == ["flatness.py", "sring.py"]
 
 
 def json_writers(root: Path) -> list[str]:
