@@ -3,7 +3,7 @@ commutative rings.
 
 Every public name below loads its module on first use (PEP 562), so a
 program pays only for the modules it touches: ``spectop.parse_ring``
-loads ``dsl`` with ``errors``, ``rings`` and ``ideals``, and leaves
+loads ``dsl`` with ``errors`` and ``rings``, and leaves ``ideals``,
 ``spectrum``, ``flatness``, ``sring`` and ``harness`` unloaded.
 ``from spectop import X`` and ``from spectop import *`` work as for any
 package, and importing ``spectop.cli`` loads every module.

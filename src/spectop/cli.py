@@ -199,7 +199,7 @@ def json_text(doc) -> str:
 
 def _json_parts(doc, newline: str, parts: list[str]) -> None:
     """Append the text of doc, nested below a line break and ``newline``'s
-    indent."""
+    indent.  A list of strings alone is written with one join."""
     if isinstance(doc, str):
         parts.append(encode_basestring_ascii(doc))
     elif isinstance(doc, dict) and doc:
@@ -213,11 +213,14 @@ def _json_parts(doc, newline: str, parts: list[str]) -> None:
         parts.append(newline + "}")
     elif isinstance(doc, (list, tuple)) and doc:
         inner = newline + "  "
-        opener = "[" + inner
-        for item in doc:
-            parts.append(opener)
-            _json_parts(item, inner, parts)
-            opener = "," + inner
+        if {*map(type, doc)} == {str}:
+            parts.append("[" + inner + ("," + inner).join(map(encode_basestring_ascii, doc)))
+        else:
+            opener = "[" + inner
+            for item in doc:
+                parts.append(opener)
+                _json_parts(item, inner, parts)
+                opener = "," + inner
         parts.append(newline + "]")
     else:
         parts.append(json.dumps(doc))

@@ -26,15 +26,6 @@ from __future__ import annotations
 import re
 
 from .errors import NotPrimePower, ParseError
-from .ideals import (
-    BoolFiniteSupportIdeal,
-    BoolPrincipalIdeal,
-    Ideal,
-    LocalIdeal,
-    ProductIdeal,
-    ideal_class,
-    ideal_from_generators,
-)
 from .rings import (
     Element,
     EventuallyConstantBitsRing,
@@ -85,11 +76,12 @@ class _Scanner:
 
     def read_nat(self) -> int:
         self.skip_ws()
-        m = re.match(r"\d+", self.text[self.pos:])
-        if not m:
-            raise ParseError("expected a number", self.pos, ("digit",))
-        self.pos += m.end()
-        return int(m.group())
+        start = self.pos
+        end = _digits_end(self.text, start)
+        if end == start:
+            raise ParseError("expected a number", start, ("digit",))
+        self.pos = end
+        return int(self.text[start:end])
 
     def read_until(self, closer: str) -> tuple[str, int]:
         """Consume text up to (not including) the closing literal."""
@@ -99,6 +91,15 @@ class _Scanner:
             raise ParseError(f"missing {closer!r}", len(self.text), (closer,))
         self.pos = idx + len(closer)
         return self.text[start:idx], start
+
+
+def _digits_end(text: str, pos: int) -> int:
+    """The end of the run of decimal digits at pos: the characters that
+    ``str.isdecimal`` accepts, the same ones ``\\d`` matches in a str."""
+    end = pos
+    while end < len(text) and text[end].isdecimal():
+        end += 1
+    return end
 
 
 def parse_ring(text: str) -> Ring:
@@ -144,9 +145,6 @@ def _parse_atom(sc: _Scanner) -> Ring:
                      ("Z/", "GF(", "Zloc(", "EvBits"))
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*?)?(x(?:\^(\d+))?)?$")
-
-
 def _parse_poly(body: str, p: int, offset: int) -> tuple[int, ...]:
     coeffs: dict[int, int] = {}
     pos = offset
@@ -154,20 +152,32 @@ def _parse_poly(body: str, p: int, offset: int) -> tuple[int, ...]:
         term = chunk.strip()
         if not term:
             raise ParseError("empty polynomial term", pos)
-        m = _TERM_RE.match(term)
-        if not m or (m.group(1) is None and m.group(2) is None):
+        parsed = _parse_term(term)
+        if parsed is None:
             raise ParseError(f"bad polynomial term {term!r}", pos,
                              ("coefficient", "x", "x^k"))
-        coeff = int(m.group(1)) if m.group(1) else 1
-        if m.group(2) is None:
-            degree = 0
-        elif m.group(3) is None:
-            degree = 1
-        else:
-            degree = int(m.group(3))
+        coeff, degree = parsed
         coeffs[degree] = (coeffs.get(degree, 0) + coeff) % p
         pos += len(chunk) + 1
     return _ptrim(coeffs.get(i, 0) for i in range(max(coeffs) + 1))
+
+
+def _parse_term(term: str) -> tuple[int, int] | None:
+    """The coefficient and degree of a term ``coeff[*]``, ``[coeff[*]]x`` or
+    ``[coeff[*]]x^exp``; None for any other text."""
+    split = _digits_end(term, 0)
+    rest = term[split:]
+    if split and rest.startswith("*"):
+        rest = rest[1:]
+    if rest == "x":
+        degree = 1
+    elif rest.startswith("x^") and rest[2:].isdecimal():
+        degree = int(rest[2:])
+    elif rest or not split:
+        return None
+    else:
+        degree = 0
+    return (int(term[:split]) if split else 1), degree
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +223,7 @@ def parse_element(ring: Ring, text: str) -> Element:
 
 def _parse_int(text: str) -> int:
     body = text.strip()
-    m = re.match(r"^-?\d+$", body)
-    if not m:
+    if not body.removeprefix("-").isdecimal():
         raise ParseError(f"expected an integer, got {body!r}", 0, ("integer",))
     return int(body)
 
@@ -243,8 +252,20 @@ def parse_generators(ring: Ring, text: str) -> list[Element]:
     return [parse_element(ring, part) for part in split_top_level(text, ",")]
 
 
-def parse_ideal_label(ring: Ring, label: str) -> Ideal:
-    """Reconstruct an ideal from its canonical label."""
+def parse_ideal_label(ring: Ring, label: str):
+    """Reconstruct an ideal from its canonical label.
+
+    ``ideals`` is imported here, on first use, so that a program that only
+    parses rings does not load it."""
+    from .ideals import (
+        BoolFiniteSupportIdeal,
+        BoolPrincipalIdeal,
+        LocalIdeal,
+        ProductIdeal,
+        ideal_class,
+        ideal_from_generators,
+    )
+
     body = label.strip()
     if ideal_class(ring) is ProductIdeal:
         parts = body.split(" x ")

@@ -34,12 +34,13 @@ from .ideals import (
     intersect_all,
     saturation_kernel,
 )
-from .rings import Element, Record
+from .rings import Element, IndexKernel, Record
 from .spectrum import enumerate_spectrum
 
 __all__ = [
     "FlatnessCertificate",
     "common_multiplier",
+    "flat_ideal_from_closed_mask",
     "flat_ideal_from_closed_set",
     "flat_witness",
     "idempotent_generator",
@@ -164,8 +165,14 @@ def support_of_ideal(ideal: Ideal) -> frozenset[Ideal]:
 
 
 def flat_ideal_from_closed_set(ring, points) -> Ideal:
-    """Given a Zariski closed, generalization stable set E, an ideal J with
-    V(J) = E and R/J flat.
+    """:func:`flat_ideal_from_closed_mask` of a collection of points; a
+    point of another spectrum raises ValueError."""
+    return flat_ideal_from_closed_mask(ring, enumerate_spectrum(ring)._mask_of(points))
+
+
+def flat_ideal_from_closed_mask(ring, mask: int) -> Ideal:
+    """Given a Zariski closed, generalization stable set E, as a mask over
+    the spectrum's points, an ideal J with V(J) = E and R/J flat.
 
     E is realized as V of the intersection of its primes; J is the kernel
     of localization at 1 plus that intersection.  Both postconditions are
@@ -173,9 +180,7 @@ def flat_ideal_from_closed_set(ring, points) -> Ideal:
     The vanishing loci are compared as masks over the spectrum.
     """
     sp = enumerate_spectrum(ring)
-    E = frozenset(points)
-    mask = sp._mask_of(E)
-    realized = intersect_all(ring, E)
+    realized = intersect_all(ring, map(sp.points.__getitem__, IndexKernel.members(mask)))
     if sp._vanishing_mask(realized) != mask:
         raise NotZariskiClosed(
             "the set is not the vanishing locus of any ideal")

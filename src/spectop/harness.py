@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedForPresentation,
 )
 from .flatness import (
-    flat_ideal_from_closed_set,
+    flat_ideal_from_closed_mask,
     is_cyclic_flat,
     is_cyclic_projective,
     support_of_ideal,
@@ -186,7 +186,7 @@ def check_closure_operators(ring: Ring, entry=None) -> tuple[dict, dict | None]:
 
     kernels = []
     for E in sorted(IndexKernel.members(zfam.table & sp.down_table), key=sp._mask_key):
-        kernel = flat_ideal_from_closed_set(ring, sp._points_of(E))
+        kernel = flat_ideal_from_closed_mask(ring, E)
         found = {"set": sp._labels_of(E), "kernel": kernel.label()}
         if sp._vanishing_mask(kernel) != E or not is_cyclic_flat(kernel).verdict:
             return {}, {"operator": "flat-kernel", **found}

@@ -713,13 +713,16 @@ def _meet(a: Ideal, b: Ideal) -> Ideal:
 
 def _generated(ring: Ring, values: tuple) -> Ideal:
     """The shared ideal of a factor generated by the elements with these
-    payloads, kept in the factor's memo."""
+    payloads, kept in the factor's memo.  The memo is keyed by the
+    payloads' sort keys, which are made of ints and hash in C; a Fraction
+    payload would hash in Python."""
     memo = ring.memo
     if "generated" not in memo:
         memo["generated"] = {}
-    ideal = memo["generated"].get(values)
+    key = tuple(map(ring._sort_key, values))
+    ideal = memo["generated"].get(key)
     if ideal is None:
-        ideal = memo["generated"][values] = _shared(ideal_from_generators(ring, values))
+        ideal = memo["generated"][key] = _shared(ideal_from_generators(ring, values))
     return ideal
 
 

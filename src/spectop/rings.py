@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
 
@@ -830,15 +829,21 @@ class LocalizedIntegerRing(Ring):
     """Integers localized at a prime p; payloads are ``Fraction`` values.
 
     Fractions are canonical by construction (lowest terms, positive
-    denominator) and the denominator must be coprime to p.
+    denominator) and the denominator must be coprime to p.  ``fractions``
+    is imported by the first such ring, so a program that never builds one
+    never loads it.
     """
 
     def __init__(self, p: int):
+        from fractions import Fraction
+
         require_prime(p)
         self.p = p
         self.key = ("zloc", p)
+        self._fraction = Fraction
 
     def _canon(self, value):
+        Fraction = self._fraction
         if isinstance(value, int):
             value = Fraction(value)
         if not isinstance(value, Fraction):

@@ -570,6 +570,9 @@ _JSON_DOCS = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_JSON_DOCS)
 @example({"": [], "a": {}, "b": [[], {}, ()], "\u00e9\n\"": [1.5, -0.0, True, None]})
+@example(["", ""])
+@example(["\u00e9", "\U0001f600", "\ud800", "a\"\\\n"])
+@example({"sets": [["(2)", ""], [], ["(3)"], [["(5)"]], ("x", "y")], "mixed": ["a", 1, "b"]})
 def test_json_text_matches_the_indented_dump(doc):
     assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 

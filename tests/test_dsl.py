@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from spectop import dsl
 from spectop import (
     EventuallyConstantBitsRing,
     GaloisFieldRing,
@@ -131,6 +133,84 @@ def test_not_prime_below_two_names_no_factor(text, n):
         parse_ring(text)
     assert err.value.factor is None
     assert str(err.value) == f"{n} is not prime (primes are at least 2)"
+
+
+# The regexes the grammar read numbers and polynomial terms with before it
+# scanned with str methods; the scanner accepts and reads what they did.
+_OLD_NAT = re.compile(r"\d+")
+_OLD_TERM = re.compile(r"^(?:(\d+)\*?)?(x(?:\^(\d+))?)?$")
+_OLD_INT = re.compile(r"^-?\d+$")
+
+# ASCII digits, other decimal digits (Arabic-Indic 3, fullwidth 1,
+# Devanagari 7), digit-like characters that are no decimal digits
+# (superscript two, the vulgar fraction one fifth), the grammar's own
+# symbols, whitespace and any other character.
+_CHARS = st.one_of(
+    st.sampled_from("0123456789"),
+    st.sampled_from("\u0663\uff11\u096d\u00b2\u2155"),
+    st.sampled_from("x^*+- \t\n"),
+    st.characters())
+_TEXT = st.text(_CHARS, max_size=10)
+_NUMBER = st.text(st.sampled_from("0123456789\u0663\u00b2"), max_size=3)
+_TERM = st.one_of(_TEXT, st.builds("".join, st.tuples(
+    _NUMBER, st.sampled_from(["", "*", "**"]), st.sampled_from(["", "x", "x^", "X", "x^^"]),
+    _NUMBER, st.sampled_from(["", " ", "x"]))))
+_INTEGER = st.one_of(_TEXT, st.builds("".join, st.tuples(
+    st.sampled_from(["", "-", "--", " -"]), _NUMBER, st.sampled_from(["", " ", "\n"]))))
+
+
+@given(_TEXT, st.integers(0, 10))
+@example("Z/\u00b2", 2)
+@example("  \u06637x", 0)
+def test_read_nat_reads_what_the_digit_regex_matched(text, start):
+    scanner = dsl._Scanner(text)
+    scanner.pos = min(start, len(text))
+    scanner.skip_ws()
+    at = scanner.pos
+    match = _OLD_NAT.match(text[at:])
+    if match is None:
+        with pytest.raises(ParseError) as err:
+            scanner.read_nat()
+        assert (str(err.value), err.value.position, err.value.expected) == (
+            f"at position {at}: expected a number (expected digit)", at, ("digit",))
+    else:
+        assert scanner.read_nat() == int(match.group())
+        assert scanner.pos == at + match.end()
+
+
+@given(_TERM)
+@example("3*")
+@example("x^0")
+@example("*x")
+@example("2x^\u00b2")
+@example("\uff11x^\u0663")
+def test_a_term_reads_as_the_term_regex_matched(text):
+    term = text.strip()
+    match = _OLD_TERM.match(term)
+    if not match or (match.group(1) is None and match.group(2) is None):
+        assert dsl._parse_term(term) is None
+        return
+    coeff = int(match.group(1)) if match.group(1) else 1
+    if match.group(2) is None:
+        degree = 0
+    elif match.group(3) is None:
+        degree = 1
+    else:
+        degree = int(match.group(3))
+    assert dsl._parse_term(term) == (coeff, degree)
+
+
+@given(_INTEGER)
+@example("-\u0663")
+@example("-")
+def test_an_integer_literal_reads_as_the_integer_regex_matched(text):
+    body = text.strip()
+    if _OLD_INT.match(body):
+        assert dsl._parse_int(text) == int(body)
+    else:
+        with pytest.raises(ParseError) as err:
+            dsl._parse_int(text)
+        assert (err.value.position, err.value.expected) == (0, ("integer",))
 
 
 def test_parse_elements_per_presentation():

@@ -19,6 +19,7 @@ from spectop import enumerate_spectrum, harness
 from spectop.errors import CorpusError
 from spectop.ideals import Ideal
 from spectop.spectrum import SpectrumPoset
+from spectop.sring import ASCENDING, MultiplicativeChain, prefix_indicator
 from spectop.harness import (
     CHECK_NAMES,
     DEFAULT_CORPUS,
@@ -231,8 +232,8 @@ def test_radical_rigidity_fails_when_vanishing_loci_collide(monkeypatch):
 
 
 def test_closure_operators_fail_on_a_wrong_flat_kernel(monkeypatch):
-    monkeypatch.setattr(harness, "flat_ideal_from_closed_set",
-                        lambda ring, points: zero_ideal(ring))
+    monkeypatch.setattr(harness, "flat_ideal_from_closed_mask",
+                        lambda ring, mask: zero_ideal(ring))
     report = run_check("closure-operators", parse_ring("Z/6"))
     assert report.verdict == "fail"
     assert report.counterexample == {"operator": "flat-kernel", "set": [], "kernel": "(0)"}
@@ -309,16 +310,16 @@ def test_closure_images_close_each_point_closure_once(monkeypatch):
             return closure
 
         monkeypatch.setattr(SpectrumPoset, name, property(counted))
-    kernel_of = harness.flat_ideal_from_closed_set
+    kernel_of = harness.flat_ideal_from_closed_mask
 
-    def flagged(ring, points):
+    def flagged(ring, mask):
         in_kernel[0] = True
         try:
-            return kernel_of(ring, points)
+            return kernel_of(ring, mask)
         finally:
             in_kernel[0] = False
 
-    monkeypatch.setattr(harness, "flat_ideal_from_closed_set", flagged)
+    monkeypatch.setattr(harness, "flat_ideal_from_closed_mask", flagged)
     assert run_check("closure-operators", ring).verdict == "pass"
     points = len(enumerate_spectrum(ring))
     assert 0 < calls["down_closure"] <= points and 0 < calls["up_closure"] <= points
@@ -423,6 +424,74 @@ def test_flat_not_projective_fails_when_the_ideal_claims_projectivity(monkeypatc
     assert report.verdict == "fail"
     assert report.counterexample == {
         "problems": ["the finitely supported ideal claims to be projective"]}
+
+
+def test_flat_not_projective_fails_when_the_chain_stops_short(monkeypatch):
+    real = harness.growing_indicator_chain
+    monkeypatch.setattr(harness, "growing_indicator_chain",
+                        lambda ring, budget: real(ring, budget - 1))
+    report = run_check("flat-not-projective", parse_ring("EvBits"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {
+        "problems": ["the chain was not materialized to the budget"]}
+
+
+def test_flat_not_projective_fails_when_the_chain_stabilizes(monkeypatch):
+    # The last term repeats the one before it, so the chain stabilizes, and
+    # a stabilized report records no last index either.
+    def settling(ring, budget):
+        return MultiplicativeChain.build(
+            ring, ASCENDING, rule=lambda n: prefix_indicator(ring, min(n, budget - 1)),
+            budget=budget)
+
+    monkeypatch.setattr(harness, "growing_indicator_chain", settling)
+    report = run_check("flat-not-projective", parse_ring("EvBits"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {"problems": [
+        "the indicator chain stabilized", "the chain was not materialized to the budget"]}
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda cert: FlatnessCertificate(cert.ideal, False, failing=cert.witnesses[0][0]),
+    lambda cert: FlatnessCertificate(cert.ideal, True, cert.witnesses[:-1], note=cert.note),
+], ids=["refused", "unverifiable"])
+def test_flat_not_projective_fails_without_a_flatness_certificate(monkeypatch, tamper):
+    real = harness.is_cyclic_flat
+    monkeypatch.setattr(harness, "is_cyclic_flat", lambda ideal: tamper(real(ideal)))
+    report = run_check("flat-not-projective", parse_ring("EvBits"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {
+        "problems": ["the finitely supported ideal is not certified flat"]}
+
+
+def test_flat_ideal_bijection_fails_when_two_flat_ideals_share_a_locus(monkeypatch):
+    # On Z/6 the flat ideal (3) is sent to V(2), so V(3) is never reached;
+    # the colliding ideals are listed in enumeration order.
+    z6 = parse_ring("Z/6")
+    two, three = principal_ideal(z6, 2), principal_ideal(z6, 3)
+    real = harness.vanishing_locus
+    monkeypatch.setattr(harness, "vanishing_locus", lambda ring, ideal: real(
+        ring, two if ideal == three else ideal))
+    report = run_check("flat-ideal-bijection", z6)
+    assert report.verdict == "fail"
+    assert report.counterexample == {"problems": [
+        {"kind": "not-injective", "ideals": ["(3)", "(2)"], "set": ["(2)"]},
+        {"kind": "not-surjective", "set": ["(3)"]}]}
+
+
+def test_flat_ideal_bijection_fails_when_a_locus_is_not_generalization_stable(monkeypatch):
+    # On Zloc(2) the flat ideal (0) is sent to the closed point {(2)},
+    # which is Zariski closed but not stable under generalization.
+    zloc = parse_ring("Zloc(2)")
+    closed_point = frozenset(p for p in enumerate_spectrum(zloc).points if not p.is_zero())
+    real = harness.vanishing_locus
+    monkeypatch.setattr(harness, "vanishing_locus", lambda ring, ideal: (
+        closed_point if ideal.is_zero() else real(ring, ideal)))
+    report = run_check("flat-ideal-bijection", zloc)
+    assert report.verdict == "fail"
+    assert report.counterexample == {"problems": [
+        {"kind": "not-well-defined", "ideal": "(0)", "set": ["(2)"]},
+        {"kind": "not-surjective", "set": ["(0)", "(2)"]}]}
 
 
 @pytest.mark.parametrize("text, skipped", [

@@ -30,6 +30,7 @@ from spectop import (
     unit_ideal,
     zero_ideal,
 )
+from spectop import cli
 from spectop.dsl import parse_ideal_label
 from spectop.ideals import (
     BoolFiniteSupportIdeal,
@@ -425,3 +426,23 @@ def test_product_searches_and_meets_match_the_generic_ones(text, data):
     chosen = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=len(points)))
     assert intersect_all(ring, chosen) == reduce(ideal_intersection, chosen)
     assert intersect_all(ring, []) == unit_ideal(ring)
+
+
+def test_a_product_verify_hashes_no_fraction(monkeypatch, capsys):
+    # A structural guard, with no timing: the factor memos of a product's
+    # generated ideals are keyed by sort keys, tuples of ints, so no
+    # Fraction payload is hashed, which runs in Python, over a whole
+    # fresh `verify` of Zloc(2)^5.
+    hashed = [0]
+    real = Fraction.__hash__
+
+    def counted(value):
+        hashed[0] += 1
+        return real(value)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    assert hash(Fraction(1, 3)) == real(Fraction(1, 3)) and hashed == [1]
+    hashed[0] = 0
+    assert cli.main(["verify", "--ring", ZLOC_POWERS[4]]) == 0
+    assert '"verdict": "pass"' in capsys.readouterr().out
+    assert hashed == [0]

@@ -35,26 +35,57 @@ SRC = Path(spectop.__file__).resolve().parents[1]
 MODULES = sorted(p.stem for p in (SRC / "spectop").glob("*.py") if p.stem != "__init__")
 
 
-def _loaded_after(code: str) -> set[str]:
-    """The spectop modules, and dataclasses, that a fresh interpreter holds
-    after running code."""
-    report = ("import sys; print(*[m for m in sys.modules "
-              "if m.split('.')[0] in ('spectop', 'dataclasses')])")
+def _printed_by(code: str) -> set[str]:
+    """The words a fresh interpreter prints running code."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
+    proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, check=True)
     return set(proc.stdout.split())
 
 
+def _loaded_after(code: str) -> set[str]:
+    """The spectop modules, and dataclasses and fractions, that a fresh
+    interpreter holds after running code."""
+    return _printed_by(f"{code}\nimport sys; print(*[m for m in sys.modules "
+                       "if m.split('.')[0] in ('spectop', 'dataclasses', 'fractions')])")
+
+
+PARSING_MODULES = {"spectop", "spectop.errors", "spectop.rings", "spectop.dsl"}
+
+
 def test_parsing_a_ring_loads_only_the_parsing_modules():
     loaded = _loaded_after("import spectop; spectop.parse_ring('Z/30')")
-    assert loaded == {"spectop", "spectop.errors", "spectop.rings", "spectop.ideals",
-                      "spectop.dsl"}
+    assert loaded == PARSING_MODULES
+
+
+@pytest.mark.parametrize("text", ["Z/2[x]/(x^4)", "GF(16)", "Z/4 * Z/3", "EvBits"])
+def test_a_ring_without_fractions_loads_neither_fractions_nor_ideals(text):
+    assert _loaded_after(f"import spectop; spectop.parse_ring({text!r})") == PARSING_MODULES
+
+
+def test_a_localized_ring_loads_fractions_when_it_is_built():
+    code = ("import sys, spectop; spectop.parse_ring('Z/6')\n"
+            "assert 'fractions' not in sys.modules\n"
+            "spectop.parse_ring('Zloc(3) * Z/2')")
+    assert _loaded_after(code) == PARSING_MODULES | {"fractions"}
 
 
 def test_the_cli_loads_every_module():
     assert _loaded_after("import spectop.cli") == {"spectop"} | {
         f"spectop.{m}" for m in MODULES}
+
+
+def test_a_cli_op_loads_no_spectop_module_after_the_cli():
+    # perfbench/worker.py imports spectop.cli and then times cli.main, so no op
+    # may compile a spectop module inside its timed call.
+    code = ("import contextlib, io, sys\nimport spectop.cli\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    spectop.cli.main(['verify', '--ring', 'Zloc(2) * Z/3'])\n"
+            "    spectop.cli.main(['flat', '--ring', 'Zloc(2)', '--ideal', '1/3'])\n"
+            "    spectop.cli.main(['topology', '--ring', 'Z/12', '--which', 'patch'])\n"
+            "print(*[m for m in set(sys.modules) - before if m.startswith('spectop')])")
+    assert _printed_by(code) == set()
 
 
 def test_a_star_import_binds_each_public_name_to_its_defining_module():

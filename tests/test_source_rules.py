@@ -234,6 +234,71 @@ def test_the_dataclass_rule_flags_an_added_import(tmp_path):
     assert [f.split(":")[0] for f in found] == ["flatness.py", "sring.py"]
 
 
+# Modules that a program that only parses rings must not load, by the
+# module that may import them only inside a function: ``dsl`` reaches
+# ``ideals`` only to read ideal labels, and ``rings`` needs ``fractions``
+# only for a localized ring.
+DEFERRED_IMPORTS = {"dsl.py": {"ideals"}, "rings.py": {"fractions"}}
+
+
+def _imports_run_at_import(tree: ast.Module) -> list[ast.stmt]:
+    """The import statements that run when the module is imported, all
+    but those in the bodies of functions, in line order."""
+    found, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return sorted(found, key=lambda node: node.lineno)
+
+
+def deferred_imports(root: Path) -> list[str]:
+    """Where a module imports at module level what it must import late."""
+    found = []
+    for path, tree in _trees(root):
+        deferred = DEFERRED_IMPORTS.get(path.name, set())
+        for node in _imports_run_at_import(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                names = [node.module] if node.module else [a.name for a in node.names]
+            found += [f"{path.name}:{node.lineno} imports {name}" for name in names
+                      if name.removeprefix("spectop.").split(".")[0] in deferred]
+    return found
+
+
+def test_ring_parsing_modules_import_ideals_and_fractions_late():
+    assert deferred_imports(SOURCE) == []
+
+
+def test_the_deferred_import_rule_flags_an_added_import(tmp_path):
+    copy = tmp_path / "spectop"
+    shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert deferred_imports(copy) == []
+    with open(copy / "dsl.py", "a", encoding="utf-8") as handle:
+        handle.write("\nfrom .ideals import Ideal\n"
+                     "if True:\n    import spectop.ideals\n"
+                     "from . import errors, ideals\n"
+                     "\n\ndef _later():\n    from .ideals import LocalIdeal\n"
+                     "\n\nclass _Labels:\n    from spectop.ideals import ProductIdeal\n")
+    with open(copy / "rings.py", "a", encoding="utf-8") as handle:
+        handle.write("\nfrom fractions import Fraction\nimport math, fractions\n")
+    with open(copy / "spectrum.py", "a", encoding="utf-8") as handle:
+        handle.write("\nfrom fractions import Fraction\n")
+    found = deferred_imports(copy)
+    assert [f.split(" ", 1)[1] for f in found] == [
+        "imports ideals",
+        "imports spectop.ideals",
+        "imports ideals",
+        "imports spectop.ideals",
+        "imports fractions",
+        "imports fractions",
+    ]
+    assert [f.split(":")[0] for f in found] == ["dsl.py"] * 4 + ["rings.py"] * 2
+
+
 def json_writers(root: Path) -> list[str]:
     """Where a module other than ``cli.py`` produces JSON text.
 
