@@ -29,10 +29,10 @@ from .harness import (
     CHECK_NAMES,
     CorpusReport,
     TheoremReport,
-    applicable_checks,
     corpus_from_document,
     run_check,
     run_corpus,
+    run_ring_checks,
 )
 from .ideals import ideal_from_generators
 from .rings import IndexKernel, Ring
@@ -300,7 +300,7 @@ def _cmd_chaincond(args) -> int:
         "covering_ok": True,
         "X": sp._labels_of(sp._mask_of(trace.x_points)),
         "meet_ideal": trace.meet_ideal.label(),
-        "family": sp._family_labels(map(sp._mask_of, trace.family)),
+        "family": [sp._labels_of(sp._mask_of(s)) for s in trace.family],
         # The family {X & V(f)} is finite, so every chain in it is
         # eventually constant: both chain conditions hold.
         "acc": True,
@@ -312,8 +312,7 @@ def _cmd_chaincond(args) -> int:
 
 def _cmd_verify(args) -> int:
     ring = parse_ring(args.ring)
-    names = [args.theorem] if args.theorem else list(applicable_checks(ring))
-    reports = [run_check(name, ring) for name in names]
+    reports = [run_check(args.theorem, ring)] if args.theorem else run_ring_checks(ring)
     _emit([report_doc(r) for r in reports])
     return 1 if any(r.failed for r in reports) else 0
 

@@ -23,7 +23,7 @@ bits ring.
 
 from __future__ import annotations
 
-import re
+import sys
 
 from .errors import NotPrimePower, ParseError
 from .rings import (
@@ -35,7 +35,6 @@ from .rings import (
     PolyQuotientRing,
     ProductRing,
     Ring,
-    _ptrim,
     check_ring_size,
     factorization,
     product_ring,
@@ -81,7 +80,7 @@ class _Scanner:
         if end == start:
             raise ParseError("expected a number", start, ("digit",))
         self.pos = end
-        return int(self.text[start:end])
+        return _int_at(self.text[start:end], start)
 
     def read_until(self, closer: str) -> tuple[str, int]:
         """Consume text up to (not including) the closing literal."""
@@ -100,6 +99,17 @@ def _digits_end(text: str, pos: int) -> int:
     while end < len(text) and text[end].isdecimal():
         end += 1
     return end
+
+
+def _int_at(digits: str, position: int) -> int:
+    """Decimal digits, after an optional minus, as an int; a run longer than
+    Python's int-string limit, where ``int`` fails, is refused at its position."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"a number of {len(digits.lstrip('-'))} digits is longer than "
+                         f"the limit of {sys.get_int_max_str_digits()}", position,
+                         ("digit",)) from None
 
 
 def parse_ring(text: str) -> Ring:
@@ -121,11 +131,13 @@ def _parse_atom(sc: _Scanner) -> Ring:
         if sc.try_literal("[x]/("):
             require_prime(n)
             body, offset = sc.read_until(")")
-            coeffs = _parse_poly(body, n, offset)
-            if not coeffs or coeffs[-1] != 1 or len(coeffs) < 2:
+            terms = _parse_poly(body, n, offset)
+            degree = max(terms, default=0)
+            if terms.get(degree) != 1 or degree < 1:
                 raise ParseError("the quotient polynomial must be monic of degree >= 1",
                                  offset)
-            return PolyQuotientRing(n, coeffs)
+            check_ring_size(n, degree)  # before the coefficients are written out
+            return PolyQuotientRing(n, [terms.get(i, 0) for i in range(degree + 1)])
         return ModularRing(n)
     if sc.try_literal("GF("):
         q = sc.read_nat()
@@ -145,26 +157,28 @@ def _parse_atom(sc: _Scanner) -> Ring:
                      ("Z/", "GF(", "Zloc(", "EvBits"))
 
 
-def _parse_poly(body: str, p: int, offset: int) -> tuple[int, ...]:
+def _parse_poly(body: str, p: int, offset: int) -> dict[int, int]:
+    """The terms of a polynomial as {degree: coefficient mod p}, without
+    zero coefficients; nothing is written out up to the degree."""
     coeffs: dict[int, int] = {}
     pos = offset
     for chunk in body.split("+"):
         term = chunk.strip()
         if not term:
             raise ParseError("empty polynomial term", pos)
-        parsed = _parse_term(term)
+        parsed = _parse_term(term, pos + len(chunk) - len(chunk.lstrip()))
         if parsed is None:
             raise ParseError(f"bad polynomial term {term!r}", pos,
                              ("coefficient", "x", "x^k"))
         coeff, degree = parsed
         coeffs[degree] = (coeffs.get(degree, 0) + coeff) % p
         pos += len(chunk) + 1
-    return _ptrim(coeffs.get(i, 0) for i in range(max(coeffs) + 1))
+    return {d: c for d, c in coeffs.items() if c}
 
 
-def _parse_term(term: str) -> tuple[int, int] | None:
+def _parse_term(term: str, at: int = 0) -> tuple[int, int] | None:
     """The coefficient and degree of a term ``coeff[*]``, ``[coeff[*]]x`` or
-    ``[coeff[*]]x^exp``; None for any other text."""
+    ``[coeff[*]]x^exp`` at position ``at``; None for any other text."""
     split = _digits_end(term, 0)
     rest = term[split:]
     if split and rest.startswith("*"):
@@ -172,12 +186,12 @@ def _parse_term(term: str) -> tuple[int, int] | None:
     if rest == "x":
         degree = 1
     elif rest.startswith("x^") and rest[2:].isdecimal():
-        degree = int(rest[2:])
+        degree = _int_at(rest[2:], at + len(term) - len(rest) + 2)
     elif rest or not split:
         return None
     else:
         degree = 0
-    return (int(term[:split]) if split else 1), degree
+    return (_int_at(term[:split], at) if split else 1), degree
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +204,9 @@ def parse_element(ring: Ring, text: str) -> Element:
     if isinstance(ring, ModularRing):
         return ring.element(_parse_int(body))
     if isinstance(ring, PolyQuotientRing):
-        if body == "0":
-            return ring.zero
-        return ring.element(_parse_poly(body, ring.p, 0))
+        # Each term by square and multiply: x^k costs about log2(k) products.
+        x = ring.element((0, 1))
+        return sum((c * x ** d for d, c in _parse_poly(body, ring.p, 0).items()), ring.zero)
     if isinstance(ring, LocalizedIntegerRing):
         from fractions import Fraction
         if "/" in body:
@@ -212,20 +226,30 @@ def parse_element(ring: Ring, text: str) -> Element:
         comps = [parse_element(f, part) for f, part in zip(ring.factors, parts)]
         return ring.element(tuple(c.value for c in comps))
     if isinstance(ring, EventuallyConstantBitsRing):
-        m = re.match(r"^\{([\d,\s]*)\}\s*:\s*([01])$", body)
-        if not m:
-            raise ParseError("bits literal looks like {1,3}:0", 0, ("{",))
-        inner = m.group(1).strip()
-        positions = [int(s) for s in inner.split(",") if s.strip()] if inner else []
-        return ring.element((frozenset(positions), int(m.group(2))))
+        return ring.element(_parse_bits(body))
     raise ParseError(f"no element syntax for {ring.describe()}", 0)
+
+
+def _parse_bits(body: str) -> tuple[frozenset[int], int]:
+    """The support and tail of a bits literal ``{1,3}:0``: decimal positions
+    separated by commas, with free whitespace around every token."""
+    close = body.find("}")
+    head, colon, tail = body[close + 1:].partition(":")
+    parts = list(filter(None, (part.strip() for part in body[1:close].split(","))))
+    if (not body.startswith("{") or close < 0 or head.strip() or not colon
+            or tail.lstrip() not in ("0", "1") or not all(map(str.isdecimal, parts))):
+        raise ParseError("bits literal looks like {1,3}:0", 0, ("{",))
+    # A run too long to read is refused where it first occurs: an earlier run
+    # holding it is at least as long, and is refused first.
+    return frozenset(_int_at(d, body.index(d)) for d in parts), int(tail)
 
 
 def _parse_int(text: str) -> int:
     body = text.strip()
-    if not body.removeprefix("-").isdecimal():
+    digits = body.removeprefix("-")
+    if not digits.isdecimal():
         raise ParseError(f"expected an integer, got {body!r}", 0, ("integer",))
-    return int(body)
+    return _int_at(body, len(body) - len(digits))
 
 
 def split_top_level(text: str, separator: str) -> list[str]:
@@ -280,8 +304,8 @@ def parse_ideal_label(ring: Ring, label: str):
     if ideal_class(ring) is BoolPrincipalIdeal and inner == "fin":
         return BoolFiniteSupportIdeal(ring)
     if ideal_class(ring) is LocalIdeal:
-        m = re.match(rf"^{ring.p}\^(\d+)$", inner)
-        if m:
-            return LocalIdeal(ring, int(m.group(1)))
+        base, caret, exponent = inner.partition("^")
+        if caret and base == str(ring.p) and exponent.isdecimal():
+            return LocalIdeal(ring, _int_at(exponent, label.index(inner) + len(base) + 1))
     gens = parse_generators(ring, inner)
     return ideal_from_generators(ring, gens)

@@ -369,7 +369,7 @@ def check_chain_conditions(ring: Ring, entry=None) -> tuple[dict, dict | None]:
             return details, {"X": tag, "uncovered": exc.witness.label()}
         if not trace.conclusion.passed:
             return details, {"X": tag,
-                             "family": sp._family_labels(map(sp._mask_of, trace.family))}
+                             "family": [sp._labels_of(sp._mask_of(s)) for s in trace.family]}
         details[tag] = {"meet_ideal": trace.meet_ideal.label(),
                         "family_size": len(trace.family)}
     return details, None
@@ -480,21 +480,13 @@ class CorpusReport(Record):
 
     __slots__ = ("reports", "elapsed_seconds")
 
-    @property
-    def failures(self) -> int:
-        return sum(1 for r in self.reports if r.verdict == "fail")
+    def _count(self, verdict: str) -> int:
+        return sum(r.verdict == verdict for r in self.reports)
 
-    @property
-    def passed(self) -> int:
-        return sum(1 for r in self.reports if r.verdict == "pass")
-
-    @property
-    def skipped(self) -> int:
-        return sum(1 for r in self.reports if r.verdict == "skipped")
-
-    @property
-    def all_passed(self) -> bool:
-        return self.failures == 0
+    failures = property(lambda self: self._count("fail"))
+    passed = property(lambda self: self._count("pass"))
+    skipped = property(lambda self: self._count("skipped"))
+    all_passed = property(lambda self: self._count("fail") == 0)
 
 
 DEFAULT_CORPUS: tuple[CorpusEntry, ...] = (

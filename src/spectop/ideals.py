@@ -565,7 +565,6 @@ class ProductIdeal(Ideal):
         if count > 2 ** MAX_FAMILY_POINTS:
             raise RingTooLarge(f"{ring.describe()} has {count} ideals, more than "
                                f"the budget of {2 ** MAX_FAMILY_POINTS}")
-        per_factor = [list(map(_shared, ideals)) for ideals in per_factor]
         out = [ProductIdeal(ring, combo) for combo in itertools.product(*per_factor)]
         return tuple(sorted(out, key=lambda i: i.label()))
 

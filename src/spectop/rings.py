@@ -91,8 +91,13 @@ PRIMALITY_BOUND = 3317044064679887385961981
 FACTOR_SEARCH_BOUND = 10 ** 6
 
 
-def check_ring_size(size: int) -> None:
-    if size > MAX_RING_ELEMENTS:
+def check_ring_size(base: int, exponent: int = 1) -> None:
+    """Refuse a finite ring of base^exponent elements over the budget.  An
+    exponent past the budget's bit length is over it for every base >= 2,
+    so that size is named, never computed: 2^100000 has 30,103 digits."""
+    named = exponent > MAX_RING_ELEMENTS.bit_length()
+    if named or base ** exponent > MAX_RING_ELEMENTS:
+        size = f"{base}^{exponent}" if named else base ** exponent
         raise RingTooLarge(f"a finite ring with {size} elements exceeds "
                            f"the budget of {MAX_RING_ELEMENTS} elements")
 
@@ -639,7 +644,7 @@ class PolyQuotientRing(Ring):
             raise ValueError("the modulus polynomial must have degree >= 1")
         if mod[-1] != 1:
             raise ValueError("the modulus polynomial must be monic")
-        check_ring_size(p ** (len(mod) - 1))
+        check_ring_size(p, len(mod) - 1)
         self.p = p
         self.modulus = mod
         self.degree = len(mod) - 1
@@ -722,7 +727,7 @@ class GaloisFieldRing(PolyQuotientRing):
             if degree is None or degree < 1:
                 raise ValueError("a degree >= 1 is required when no modulus is given")
             require_prime(p)
-            check_ring_size(p ** degree)
+            check_ring_size(p, degree)
             modulus = least_irreducible_polynomial(p, degree)
         super().__init__(p, modulus)
         self.key = ("galois", p, self.modulus)

@@ -83,17 +83,6 @@ PATCH = "patch"
 TOPOLOGIES = (ZARISKI, FLAT, PATCH)
 
 
-def _union_of_cones(cones):
-    """The map from a mask to the union of the cones of its points.  The
-    checks close a few sets per family, one per point, so nothing is
-    tabulated up front."""
-
-    def union(mask: int) -> int:
-        return reduce(or_, map(cones.__getitem__, IndexKernel.members(mask)), 0)
-
-    return union
-
-
 # Each byte value with its eight bits in reverse order (the multiply,
 # mask and modulus byte reversal of Anderson's Bit Twiddling Hacks).
 _BYTE_REVERSED = bytes((b * 0x0202020202 & 0x010884422010) % 1023 for b in range(256))
@@ -249,15 +238,14 @@ class SpectrumPoset:
                     i for i, p in enumerate(self.points) if ideal.issubset(p))
         return memo["vanishing_mask"]
 
-    @cached_property
-    def down_closure(self):
-        """mask -> the union of the generalization cones of its points."""
-        return _union_of_cones(self.down)
+    def down_closure(self, mask: int) -> int:
+        """The union of the generalization cones of the mask's points.  The
+        checks close a few sets per family, so nothing is tabulated."""
+        return reduce(or_, map(self.down.__getitem__, IndexKernel.members(mask)), 0)
 
-    @cached_property
-    def up_closure(self):
-        """mask -> the union of the specialization cones of its points."""
-        return _union_of_cones(self.up)
+    def up_closure(self, mask: int) -> int:
+        """The union of the specialization cones of the mask's points."""
+        return reduce(or_, map(self.up.__getitem__, IndexKernel.members(mask)), 0)
 
     # -- tables over the power set -----------------------------------------
 
@@ -475,8 +463,7 @@ def ideal_vanishing_sets(ring: Ring) -> frozenset[frozenset[Ideal]]:
     return frozenset(map(sp._points_of, IndexKernel.members(_ideal_table(ring))))
 
 
-def closed_family(ring: Ring, topology: str,
-                  use_ideal_basis: bool = False) -> ClosedFamily:
+def closed_family(ring: Ring, topology: str) -> ClosedFamily:
     """Materialize the closed sets of the named topology as a table.
 
     A finite space is fixed by the least open neighbourhood U_x of each
@@ -488,15 +475,10 @@ def closed_family(ring: Ring, topology: str,
     specialization order (as ``topology-characterization`` does) stays a
     real check.
 
-    ``use_ideal_basis`` switches to the basis of V(I) over finitely
-    generated ideals, which generates the same family.  Families of the
-    V(f) are built once per spectrum; those of the V(I) on every call
-    (see :func:`ideal_basis_families`).
+    The families of the V(f) are built once per spectrum.  The basis of
+    the V(I) generates the same families; :func:`ideal_basis_families`
+    builds those afresh on every call.
     """
-    if topology not in TOPOLOGIES:
-        raise ValueError(f"unknown topology {topology!r}")
-    if use_ideal_basis:
-        return ideal_basis_families(ring, (topology,))[0]
     sp = enumerate_spectrum(ring)
     sp._check_family_bound()
     if topology not in sp._families:
@@ -518,8 +500,10 @@ def _generated_family(sp: SpectrumPoset, topology: str, vtable: int) -> ClosedFa
     """The family of the topology whose sub-basis the vanishing sets of
     ``vtable`` and their complements give, validated."""
     dtable = sp._complements(vtable)
-    subbasis = {ZARISKI: dtable, FLAT: vtable, PATCH: dtable | vtable}[topology]
-    opens = sp._saturated_table(sp._least_members(subbasis))
+    subbases = {ZARISKI: dtable, FLAT: vtable, PATCH: dtable | vtable}
+    if topology not in subbases:
+        raise ValueError(f"unknown topology {topology!r}")
+    opens = sp._saturated_table(sp._least_members(subbases[topology]))
     family = ClosedFamily(topology, sp._complements(opens), sp)
     family.validate()
     return family

@@ -71,17 +71,11 @@ class MultiplicativeChain(Record):
     __slots__ = ("ring", "mode", "terms")
 
     @staticmethod
-    def build(ring: Ring, mode: str, prefix=(), rule=None,
-              budget: int | None = None) -> "MultiplicativeChain":
-        """Materialize ``prefix`` extended by ``rule(n)`` up to ``budget`` terms."""
+    def build(ring: Ring, mode: str, terms) -> "MultiplicativeChain":
+        """Materialize the given terms as a validated chain."""
         if mode not in (ASCENDING, DESCENDING):
             raise ValueError(f"unknown chain mode {mode!r}")
-        terms = [ring.element(t) for t in prefix]
-        if rule is not None:
-            if budget is None or budget < 1:
-                raise ValueError("a rule-based chain needs a budget >= 1")
-            for n in range(len(terms) + 1, budget + 1):
-                terms.append(ring.element(rule(n)))
+        terms = [ring.element(t) for t in terms]
         if not terms:
             raise ValueError("a chain has at least one term")
         chain = MultiplicativeChain(ring, mode, tuple(terms))
@@ -183,10 +177,11 @@ def growing_indicator_chain(ring: EventuallyConstantBitsRing,
     """The ascending chain x_n = indicator of {1..n}.
 
     Each x_n equals x_n * x_{n+1} but no two terms agree, so the chain
-    never stabilizes at any budget; the supports grow strictly.
+    never stabilizes at any budget; the supports grow strictly.  A budget
+    below 1 gives no terms, which ``build`` refuses.
     """
     return MultiplicativeChain.build(
-        ring, ASCENDING, rule=lambda n: prefix_indicator(ring, n), budget=budget)
+        ring, ASCENDING, [prefix_indicator(ring, n) for n in range(1, budget + 1)])
 
 
 # ---------------------------------------------------------------------------

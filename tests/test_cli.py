@@ -7,6 +7,7 @@ import io
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -267,6 +268,47 @@ def test_oversized_ring_exits_two(capsys, argv, size):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: a finite ring with {size} elements exceeds the budget of 256 elements\n"
+
+
+def _timed_cli(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    return code, out, err, time.perf_counter() - start
+
+
+def test_a_huge_exponent_in_an_element_literal_is_read_by_squaring(capsys):
+    # x^k = 0 in Z/2[x]/(x^2) for every k >= 2; a dense expansion of x^k
+    # took seconds for k = 10^7 and did not finish for k near 10^11.
+    _, zero, _ = run_cli(capsys, "flat", "--ring", "Z/2[x]/(x^2)", "--ideal=0")
+    for literal in ("x^10000000", "x^99999999999"):
+        code, out, err, elapsed = _timed_cli(
+            capsys, "flat", "--ring", "Z/2[x]/(x^2)", f"--ideal={literal}")
+        assert (code, out, err) == (0, zero, "") and elapsed < 1.0
+
+
+_DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("spec", "--ring", "Z/2[x]/(x^99999999999)"),
+     "a finite ring with 2^99999999999 elements exceeds the budget of 256 elements"),
+    (("spec", "--ring", "Z/2[x]/(x^100000+1)"),
+     "a finite ring with 2^100000 elements exceeds the budget of 256 elements"),
+    (("spec", "--ring", "Z/2[x]/(x^13000)"),
+     "a finite ring with 2^13000 elements exceeds the budget of 256 elements"),
+    (("spec", "--ring", f"Z/{_DIGITS}"), "at position 2: a number of 5000 digits"),
+    (("spec", "--ring", f"Zloc({_DIGITS})"), "at position 5: a number of 5000 digits"),
+    (("flat", "--ring", "Z/6", f"--ideal={_DIGITS}"), "at position 0: a number of 5000 digits"),
+    (("flat", "--ring", "Z/2[x]/(x^2)", f"--ideal=x^{_DIGITS}"),
+     "at position 2: a number of 5000 digits"),
+    (("spec", "--ring", f"Z/2[x]/(x^{_DIGITS})"), "at position 10: a number of 5000 digits"),
+], ids=["x^99999999999", "x^100000+1", "x^13000", "Z/9...", "Zloc(9...)", "ideal 9...",
+        "ideal x^9...", "ring x^9..."])
+def test_an_oversized_exponent_or_digit_run_fails_fast_with_one_line(capsys, argv, message):
+    code, out, err, elapsed = _timed_cli(capsys, *argv)
+    assert code == 2 and out == "" and elapsed < 1.0
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err and "integer string conversion" not in err
 
 
 def test_large_prime_parameters_are_decided_before_any_budget(capsys):

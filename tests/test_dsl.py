@@ -24,7 +24,13 @@ from spectop import (
     parse_ideal_label,
     parse_ring,
 )
-from spectop.ideals import enumerate_ideals, finite_support_ideal, principal_ideal
+from spectop.ideals import (
+    LocalIdeal,
+    enumerate_ideals,
+    finite_support_ideal,
+    ideal_from_generators,
+    principal_ideal,
+)
 
 
 def test_parse_ring_atoms():
@@ -211,6 +217,117 @@ def test_an_integer_literal_reads_as_the_integer_regex_matched(text):
         with pytest.raises(ParseError) as err:
             dsl._parse_int(text)
         assert (err.value.position, err.value.expected) == (0, ("integer",))
+
+
+# The regexes that read bits literals and the p^k labels of the localized
+# integers before the grammar scanned them with str methods.
+_OLD_BITS = re.compile(r"^\{([\d,\s]*)\}\s*:\s*([01])$")
+_BITS_SPACE = st.text(st.sampled_from(" \t\n\u00a0\u2003"), max_size=2)
+
+
+def _mostly(valid: str, *others: str):
+    """The valid token half of the time, else one of the others."""
+    return st.one_of(st.just(valid), st.sampled_from(others))
+
+
+def _joined(*parts):
+    return st.tuples(*parts).map("".join)
+
+
+_BITS = st.one_of(
+    st.text(st.one_of(st.sampled_from("{},:01 \u0663\uff11\u00b2x"), st.characters()),
+            max_size=12),
+    _joined(_mostly("{", "", "{{", "("),
+            st.lists(_joined(_BITS_SPACE, _NUMBER, _BITS_SPACE), max_size=3).map(",".join),
+            _mostly("}", "", ")", "},"), _BITS_SPACE, _mostly(":", "", "::", ";"),
+            _BITS_SPACE, st.one_of(st.sampled_from("01"), st.sampled_from(["2", "01", "",
+                                                                          "\u0661"]))))
+
+
+def _old_bits(body: str):
+    """The support and tail the regex read, or None where it or the int
+    conversion after it failed."""
+    m = _OLD_BITS.match(body)
+    if not m:
+        return None
+    inner = m.group(1).strip()
+    try:
+        positions = [int(s) for s in inner.split(",") if s.strip()] if inner else []
+    except ValueError:  # "{1 2}:0" passed the regex and failed here
+        return None
+    return frozenset(positions), int(m.group(2))
+
+
+@given(_BITS)
+@example("{１}:0")
+@example("{1 2}:0")
+@example(" { 1 , , 3 }\t:\n1 ")
+@example("{}:1")
+@example("{0}:0")
+def test_a_bits_literal_reads_as_the_bits_regex_matched(text):
+    bits = EventuallyConstantBitsRing()
+    old = _old_bits(text.strip())
+    if old is None:
+        with pytest.raises(ParseError) as err:
+            parse_element(bits, text)
+        assert str(err.value) == "at position 0: bits literal looks like {1,3}:0 (expected {)"
+    else:  # a position 0 is read, then refused by the ring
+        assert _outcome(parse_element, bits, text) == _outcome(bits.element, old)
+
+
+def _outcome(f, *args):
+    """What a call returns, or the type and text of its ValueError (a
+    ParseError included)."""
+    try:
+        return f(*args)
+    except (ValueError, ParseError) as exc:
+        return type(exc), str(exc)
+
+
+_OLD_POWER = re.compile(r"^3\^(\d+)$")  # the p^k label regex for p = 3
+_LABEL = _joined(_BITS_SPACE, _mostly("(", "", "(("), _BITS_SPACE,
+                 _mostly("3", "03", "9", "", "x", "3 "), _mostly("^", "", "^^", "**"),
+                 st.text(st.sampled_from("0123456789\u0663\u00b2"), min_size=1, max_size=3),
+                 _BITS_SPACE, _mostly(")", "", "x)"), _BITS_SPACE)
+
+
+@given(st.one_of(_LABEL, st.text(_CHARS, max_size=8).map(lambda s: f"({s})")))
+@example("(3^\uff12)")
+@example(" ( 3^0 ) ")
+@example("(3^)")
+def test_a_power_label_reads_as_the_power_regex_matched(label):
+    # A label the regex did not match reads as its generators, as it did.
+    ring = LocalizedIntegerRing(3)
+    body = label.strip()
+    inner = body[1:-1].strip()
+    match = _OLD_POWER.match(inner)
+    if not (body.startswith("(") and body.endswith(")")):
+        expected = (ParseError, "at position 0: an ideal label is parenthesized (expected ()")
+    elif match:
+        expected = LocalIdeal(ring, int(match.group(1)))
+    else:
+        expected = _outcome(lambda: ideal_from_generators(ring, parse_generators(ring, inner)))
+    assert _outcome(parse_ideal_label, ring, label) == expected
+
+
+_POLY_RINGS = [PolyQuotientRing(2, (0, 0, 1)), PolyQuotientRing(2, (1, 1, 0, 1)),
+               PolyQuotientRing(3, (2, 0, 1)), PolyQuotientRing(5, (0, 1))]
+
+
+@given(st.sampled_from(_POLY_RINGS),
+       st.lists(st.tuples(st.integers(0, 12), st.integers(0, 63),
+                          st.sampled_from(["{c}x^{d}", "{c}*x^{d}", "x^{d}", "{c}", "x"])),
+                min_size=1, max_size=5))
+def test_a_polynomial_literal_equals_its_dense_expansion(ring, terms):
+    """Each term is built by square and multiply; the dense coefficient
+    list of the whole literal, reduced by the ring, gives the same element
+    for every exponent below 64."""
+    dense, texts = [0] * 64, []
+    for c, d, form in terms:
+        c, d = {"x^{d}": (1, d), "{c}": (c, 0), "x": (1, 1)}.get(form, (c, d))
+        dense[d] += c
+        texts.append(form.format(c=c, d=d))
+    assert parse_element(ring, " + ".join(texts)) == ring.element(dense)
 
 
 def test_parse_elements_per_presentation():

@@ -18,7 +18,7 @@ from spectop import (
 from spectop import enumerate_spectrum, harness
 from spectop.errors import CorpusError
 from spectop.ideals import Ideal
-from spectop.spectrum import SpectrumPoset
+from spectop.spectrum import PATCH, ClosedFamily, SpectrumPoset
 from spectop.sring import ASCENDING, MultiplicativeChain, prefix_indicator
 from spectop.harness import (
     CHECK_NAMES,
@@ -169,6 +169,41 @@ def test_topology_characterization_fails_on_a_wrong_stable_table(monkeypatch):
         "flat family differs from patch-closed gen-stable sets"]
 
 
+def test_topology_characterization_fails_on_a_wrong_spec_stable_table(monkeypatch):
+    import spectop.spectrum as spectrum
+    target = parse_ring("Zloc(2) * Zloc(2)")
+    sp = spectrum.enumerate_spectrum(target)
+    without_space = sp.up_table ^ 1 << sp.full
+    monkeypatch.setattr(spectrum.SpectrumPoset, "up_table",
+                        property(lambda self: without_space))
+    report = run_check("topology-characterization", target)
+    assert report.verdict == "fail"
+    assert report.counterexample["problems"] == [
+        "zariski family differs from patch-closed spec-stable sets"]
+
+
+def test_topology_characterization_fails_when_the_patch_family_loses_the_space(monkeypatch):
+    # The whole space is closed in every topology; without it the patch
+    # family is no power set, refines neither family, and its stable sets
+    # miss a member of each.
+    real = harness.closed_family
+
+    def no_space(ring, topology):
+        family = real(ring, topology)
+        if topology != PATCH:
+            return family
+        return ClosedFamily(PATCH, family.table ^ 1 << family.spectrum.full, family.spectrum)
+
+    monkeypatch.setattr(harness, "closed_family", no_space)
+    report = run_check("topology-characterization", parse_ring("Zloc(2) * Zloc(2)"))
+    assert report.verdict == "fail"
+    assert report.counterexample["problems"] == [
+        "flat family differs from patch-closed gen-stable sets",
+        "zariski family differs from patch-closed spec-stable sets",
+        "patch family does not refine the other two",
+        "patch family is not the full power set"]
+
+
 def test_flat_ideal_bijection_fails_on_a_flipped_verdict(monkeypatch):
     z6 = parse_ring("Z/6")
     target = principal_ideal(z6, 2)
@@ -222,6 +257,25 @@ def test_radical_rigidity_fails_when_radicals_are_whole(monkeypatch):
     assert report.counterexample == {"kind": "flat-radical", "ideal": "(3)", "radical": "(1)"}
 
 
+def test_radical_rigidity_fails_when_a_flat_ideal_is_not_radical(monkeypatch):
+    # Every nonzero ideal gets the whole ring as its radical, and the whole
+    # ring is no longer flat, so the first flat ideal below it is reported.
+    real_radical, real_flat = harness.radical, harness.is_cyclic_flat
+
+    def not_flat_when_whole(ideal):
+        cert = real_flat(ideal)
+        if not ideal.is_whole():
+            return cert
+        return FlatnessCertificate(cert.ideal, False, cert.witnesses, cert.failing, cert.note)
+
+    monkeypatch.setattr(harness, "radical", lambda ideal: real_radical(ideal)
+                        if ideal.is_zero() else unit_ideal(ideal.ring))
+    monkeypatch.setattr(harness, "is_cyclic_flat", not_flat_when_whole)
+    report = run_check("radical-rigidity", parse_ring("Z/6"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {"kind": "flat-not-radical", "ideal": "(3)"}
+
+
 def test_radical_rigidity_fails_when_vanishing_loci_collide(monkeypatch):
     # Z/6 is reduced and every ideal is flat, so the first flat ideal (0)
     # collides with the next ideal in enumeration order.
@@ -243,19 +297,19 @@ def _lose_a_point(patch, closure: str, cones: str) -> None:
     """Patch ``closure`` on every spectrum: the image of a mask that holds
     x, the last point whose cone (``down`` or ``up``) holds another
     point, loses the lowest other point of that cone."""
-    real = SpectrumPoset.__dict__[closure].func
+    union = getattr(SpectrumPoset, closure)
 
-    def patched(sp):
-        union, cone = real(sp), getattr(sp, cones)
+    def patched(sp, mask):
+        cone = getattr(sp, cones)
         proper = [x for x, c in enumerate(cone) if c != 1 << x]
         if not proper:
-            return union
+            return union(sp, mask)
         x = proper[-1]
         other = cone[x] & ~(1 << x)
         lost = other & -other
-        return lambda mask: union(mask) & ~lost if mask >> x & 1 else union(mask)
+        return union(sp, mask) & ~lost if mask >> x & 1 else union(sp, mask)
 
-    patch.setattr(SpectrumPoset, closure, property(patched))
+    patch.setattr(SpectrumPoset, closure, patched)
 
 
 @pytest.mark.parametrize("closure, cones, operator, point", [
@@ -299,17 +353,13 @@ def test_closure_images_close_each_point_closure_once(monkeypatch):
     calls = {"down_closure": 0, "up_closure": 0}
     in_kernel = [False]
     for name in calls:
-        real = SpectrumPoset.__dict__[name].func
+        real = getattr(SpectrumPoset, name)
 
-        def counted(sp, real=real, name=name):
-            union = real(sp)
+        def counted(sp, mask, real=real, name=name):
+            calls[name] += not in_kernel[0]
+            return real(sp, mask)
 
-            def closure(mask):
-                calls[name] += not in_kernel[0]
-                return union(mask)
-            return closure
-
-        monkeypatch.setattr(SpectrumPoset, name, property(counted))
+        monkeypatch.setattr(SpectrumPoset, name, counted)
     kernel_of = harness.flat_ideal_from_closed_mask
 
     def flagged(ring, mask):
@@ -397,6 +447,30 @@ def test_crt_decomposition_fails_when_summands_are_not_projective(monkeypatch):
                                                   "summand of 4 is not projective"]}
 
 
+def test_crt_decomposition_fails_on_a_wrong_factorization(monkeypatch):
+    # 12 = 5 * 7 is false: 12 // 5 = 2 gives 6, no idempotent, and
+    # 12 // 7 = 1 gives 1, the whole ring as a summand.
+    monkeypatch.setattr(harness, "factorization", lambda n: [(5, 1), (7, 1)])
+    report = run_check("crt-decomposition", parse_ring("Z/12"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {"problems": [
+        "6 is not idempotent",
+        "idempotents do not sum to 1",
+        "6 and 1 are not orthogonal",
+        "summand of 6 has 2 elements, expected 5",
+        "summand of 6 is not projective",
+        "summand of 1 has 12 elements, expected 7",
+        "summand of 1 is not smaller than the ring"]}
+
+
+def test_stabilization_graph_fails_on_a_reported_cycle(monkeypatch):
+    monkeypatch.setattr(harness, "stabilization_graph_check", lambda ring: (
+        False, (ring.element(2), ring.element(4), ring.element(2))))
+    report = run_check("stabilization-graph", parse_ring("Z/6"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {"cycle": ["2", "4", "2"]}
+
+
 def test_chain_conditions_fail_when_a_maximal_ideal_is_uncovered(monkeypatch):
     from spectop.spectrum import SpectrumPoset
     real = SpectrumPoset.minimal_points
@@ -441,8 +515,8 @@ def test_flat_not_projective_fails_when_the_chain_stabilizes(monkeypatch):
     # a stabilized report records no last index either.
     def settling(ring, budget):
         return MultiplicativeChain.build(
-            ring, ASCENDING, rule=lambda n: prefix_indicator(ring, min(n, budget - 1)),
-            budget=budget)
+            ring, ASCENDING,
+            [prefix_indicator(ring, min(n, budget - 1)) for n in range(1, budget + 1)])
 
     monkeypatch.setattr(harness, "growing_indicator_chain", settling)
     report = run_check("flat-not-projective", parse_ring("EvBits"))

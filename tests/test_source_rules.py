@@ -10,10 +10,6 @@ import spectop
 
 SOURCE = Path(spectop.__file__).resolve().parent
 
-# The one private name a module takes from a sibling: the polynomial
-# trimming helper of ``rings``, which ``dsl`` applies to parsed coefficients.
-ALLOWED_PRIVATE_IMPORTS = {("dsl.py", "_ptrim")}
-
 # Methods a base class defines once, by their definitions, for all of its
 # subclasses, each with the subclasses allowed to override it: every
 # element of the bits ring is idempotent, so no finite scan finds the
@@ -108,7 +104,7 @@ def private_imports(root: Path) -> list[str]:
     """Where a module imports a private name from a sibling module.
 
     A fact that another module needs belongs on the object it describes,
-    or under a public name; only the allowed imports are exempt.
+    or under a public name.
     """
     found = []
     for path, tree in _trees(root):
@@ -118,8 +114,7 @@ def private_imports(root: Path) -> list[str]:
             if node.level == 0 and not (node.module or "").startswith("spectop"):
                 continue
             found += [f"{path.name}:{node.lineno} imports {a.name}"
-                      for a in node.names if a.name.startswith("_")
-                      and (path.name, a.name) not in ALLOWED_PRIVATE_IMPORTS]
+                      for a in node.names if a.name.startswith("_")]
     return found
 
 
@@ -236,9 +231,10 @@ def test_the_dataclass_rule_flags_an_added_import(tmp_path):
 
 # Modules that a program that only parses rings must not load, by the
 # module that may import them only inside a function: ``dsl`` reaches
-# ``ideals`` only to read ideal labels, and ``rings`` needs ``fractions``
-# only for a localized ring.
-DEFERRED_IMPORTS = {"dsl.py": {"ideals"}, "rings.py": {"fractions"}}
+# ``ideals`` only to read ideal labels and scans its grammar with string
+# methods, not ``re``, and ``rings`` needs ``fractions`` only for a
+# localized ring.
+DEFERRED_IMPORTS = {"dsl.py": {"ideals", "re"}, "rings.py": {"fractions"}}
 
 
 def _imports_run_at_import(tree: ast.Module) -> list[ast.stmt]:
@@ -282,7 +278,8 @@ def test_the_deferred_import_rule_flags_an_added_import(tmp_path):
                      "if True:\n    import spectop.ideals\n"
                      "from . import errors, ideals\n"
                      "\n\ndef _later():\n    from .ideals import LocalIdeal\n"
-                     "\n\nclass _Labels:\n    from spectop.ideals import ProductIdeal\n")
+                     "\n\nclass _Labels:\n    from spectop.ideals import ProductIdeal\n"
+                     "import re\n")
     with open(copy / "rings.py", "a", encoding="utf-8") as handle:
         handle.write("\nfrom fractions import Fraction\nimport math, fractions\n")
     with open(copy / "spectrum.py", "a", encoding="utf-8") as handle:
@@ -293,10 +290,11 @@ def test_the_deferred_import_rule_flags_an_added_import(tmp_path):
         "imports spectop.ideals",
         "imports ideals",
         "imports spectop.ideals",
+        "imports re",
         "imports fractions",
         "imports fractions",
     ]
-    assert [f.split(":")[0] for f in found] == ["dsl.py"] * 4 + ["rings.py"] * 2
+    assert [f.split(":")[0] for f in found] == ["dsl.py"] * 5 + ["rings.py"] * 2
 
 
 def json_writers(root: Path) -> list[str]:

@@ -38,6 +38,7 @@ from spectop.ideals import LocalIdeal, ProductIdeal
 from spectop.spectrum import (
     TOPOLOGIES,
     ClosedFamily,
+    ideal_basis_families,
     ideal_vanishing_sets,
     principal_vanishing_sets,
 )
@@ -249,8 +250,8 @@ def test_cover_edges_match_the_definition(text):
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_principal_families_are_built_once_per_spectrum(corpus_ring, topology):
     assert closed_family(corpus_ring, topology) is closed_family(corpus_ring, topology)
-    first = closed_family(corpus_ring, topology, use_ideal_basis=True)
-    second = closed_family(corpus_ring, topology, use_ideal_basis=True)
+    first = ideal_basis_families(corpus_ring, (topology,))[0]
+    second = ideal_basis_families(corpus_ring, (topology,))[0]
     assert first is not second and first == second
 
 
@@ -302,10 +303,18 @@ def test_family_axioms_and_characterizations(corpus_ring):
     assert zfam.sets <= pfam.sets and ffam.sets <= pfam.sets
 
 
+def test_both_family_entries_refuse_an_unknown_topology():
+    z6 = parse_ring("Z/6")
+    for build in (lambda: closed_family(z6, "hausdorff"),
+                  lambda: ideal_basis_families(z6, (FLAT, "hausdorff"))):
+        with pytest.raises(ValueError, match="unknown topology 'hausdorff'"):
+            build()
+
+
 def test_subbasis_and_ideal_basis_agree(corpus_ring):
     for topology in (FLAT, ZARISKI):
         a = closed_family(corpus_ring, topology).sets
-        b = closed_family(corpus_ring, topology, use_ideal_basis=True).sets
+        b = ideal_basis_families(corpus_ring, (topology,))[0].sets
         assert a == b
 
 
@@ -416,7 +425,8 @@ def test_closed_family_matches_topology_oracle(text):
         subbases = {ZARISKI: dsets, FLAT: vsets,
                     PATCH: {d & v for d in dsets for v in vsets}}
         for topology, subbasis in subbases.items():
-            fam = closed_family(ring, topology, use_ideal_basis=use_ideal_basis)
+            fam = (ideal_basis_families(ring, (topology,))[0] if use_ideal_basis
+                   else closed_family(ring, topology))
             assert fam.sets == oracle_closed_sets(points, subbasis), (
                 topology, use_ideal_basis)
 

@@ -171,6 +171,9 @@ def test_growing_indicator_chain_never_stabilizes():
         assert a == prefix_indicator(bits, budget - 1)
         assert b == prefix_indicator(bits, budget)
         assert rep.verify()
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="a chain has at least one term"):
+            growing_indicator_chain(bits, budget)
 
 
 def test_stabilization_graph_no_nontrivial_cycles(finite_ring):
@@ -358,3 +361,43 @@ def test_chain_condition_sections():
         chain_condition_check(
             z12, sp.as_set(),
             chain=MultiplicativeChain.build(z12, DESCENDING, [9, 9]))
+
+
+def test_sring_certificate_fails_when_a_closed_stable_set_is_not_open(monkeypatch):
+    # With every set counted as generalization-stable, the Zariski closed
+    # point (2) of Zloc(2), which is not open, is reported.
+    import spectop.spectrum as spectrum
+    monkeypatch.setattr(spectrum.SpectrumPoset, "down_table",
+                        property(lambda sp: (1 << (1 << len(sp))) - 1))
+    cert = sring_certificate(parse_ring("Zloc(2)"))
+    assert not cert.passed and not cert.closed_genstable_open
+    assert cert.failures == (
+        "zariski closed generalization-stable set ['(2)'] is not zariski open",)
+
+
+def test_a_stabilization_report_fails_to_verify_with_a_wrong_last_index():
+    z6 = parse_ring("Z/6")
+    chain = MultiplicativeChain.build(z6, ASCENDING, [2, 4])
+    report = check_chain_stabilization(chain)
+    assert report.verify()
+    assert not StabilizationReport(chain, False, last_index=1,
+                                   last_distinct=report.last_distinct).verify()
+
+
+@pytest.mark.parametrize("loci, message", [
+    ([["(2)"], [], ["(2)", "(3)"], []], "E_n must shrink along an ascending chain"),
+    ([["(2)"], ["(3)"], ["(2)"], []], "F_n must grow along an ascending chain"),
+    ([["(2)"], [], ["(2)"], []], "X = E_n united with F_(n+1) failed"),
+], ids=["shrink", "grow", "cover"])
+def test_chain_condition_sections_fail_their_postconditions(monkeypatch, loci, message):
+    # The loci V(a_1), V(1-a_1), V(a_2), V(1-a_2) in the order they are read.
+    import spectop.sring as sring
+    z12 = parse_ring("Z/12")
+    sp = enumerate_spectrum(z12)
+    points = {p.label(): p for p in sp.points}
+    read = iter([frozenset(points[label] for label in locus) for locus in loci])
+    monkeypatch.setattr(sring, "vanishing_locus", lambda ring, ideal: next(read))
+    chain = MultiplicativeChain.build(z12, ASCENDING, [4, 4])
+    with pytest.raises(AssertionError) as err:
+        chain_condition_check(z12, sp.as_set(), chain=chain)
+    assert str(err.value) == message
