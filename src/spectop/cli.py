@@ -22,7 +22,7 @@ import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
-from .dsl import parse_generators, parse_ideal_label, parse_ring
+from .dsl import parse_generators, parse_ideal_label, parse_ideal_labels, parse_ring
 from .errors import HypothesisViolated, ParseError, SpectopError
 from .flatness import FlatnessCertificate, is_cyclic_flat, is_cyclic_projective
 from .harness import (
@@ -281,11 +281,10 @@ def _cmd_chaincond(args) -> int:
         points = sp.minimal_points()
     elif args.X == "max":
         points = sp.maximal_points()
+    elif not args.points:
+        raise ParseError("--points is required with --X custom", 0)
     else:
-        if not args.points:
-            raise ParseError("--points is required with --X custom", 0)
-        labels = [s.strip() for s in args.points.split(";") if s.strip()]
-        points = {sp.point_of(parse_ideal_label(ring, lb)) for lb in labels}
+        points = {sp.point_of(ideal) for ideal in parse_ideal_labels(ring, args.points)}
     try:
         trace = chain_condition_check(ring, points)
     except HypothesisViolated as exc:

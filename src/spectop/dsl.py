@@ -15,10 +15,22 @@ so printing a canonical ring and parsing the text round-trips.  GF(p^k)
 expands to the quotient by the deterministic least irreducible monic
 polynomial of degree k.
 
-Element literals are presentation specific: integers for Z/n, polynomial
-expressions for quotient rings, fractions a/b for the localized integers,
-"(e1, e2)" tuples for products and "{1,3}:0" support:tail pairs for the
-bits ring.
+Element literals, by presentation, and the lists that hold them:
+
+    Z/n                int  := [ "-" ] nat
+    Zloc(p)            int [ "/" int ]            a nonzero denominator
+    Z/p[x]/(m), GF(q)  poly                       of any degree
+    products           "(" lit ( "," lit )* ")"   one lit per factor
+    EvBits             "{" [ nat ( "," nat )* ] "}" ":" ( "0" | "1" )
+    gens   := lit ( "," lit )*
+    label  := "(" ( gens | p "^" nat | "fin" ) ")", one per factor of an
+              infinite product, joined by "x"
+    points := label ( ";" label )*
+
+Empty items of a list are skipped, and a number or polynomial ends at the
+next "," or ")" of the list around it, or at "/" in a numerator.  The ring
+grammar's scanner reads them all; an error position counts from the start
+of the whole text given.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ from .rings import (
     PolyQuotientRing,
     ProductRing,
     Ring,
+    brief,
     check_ring_size,
     factorization,
     product_ring,
@@ -45,6 +58,7 @@ __all__ = [
     "parse_element",
     "parse_generators",
     "parse_ideal_label",
+    "parse_ideal_labels",
     "parse_ring",
 ]
 
@@ -82,14 +96,13 @@ class _Scanner:
         self.pos = end
         return _int_at(self.text[start:end], start)
 
-    def read_until(self, closer: str) -> tuple[str, int]:
-        """Consume text up to (not including) the closing literal."""
+    def read_item(self, stops: str) -> tuple[str, int]:
+        """The text from here up to the next stop character or the end,
+        without trailing whitespace, and the position where it starts."""
         start = self.pos
-        idx = self.text.find(closer, self.pos)
-        if idx < 0:
-            raise ParseError(f"missing {closer!r}", len(self.text), (closer,))
-        self.pos = idx + len(closer)
-        return self.text[start:idx], start
+        while self.pos < len(self.text) and self.text[self.pos] not in stops:
+            self.pos += 1
+        return self.text[start:self.pos].rstrip(), start
 
 
 def _digits_end(text: str, pos: int) -> int:
@@ -130,7 +143,8 @@ def _parse_atom(sc: _Scanner) -> Ring:
         n = sc.read_nat()
         if sc.try_literal("[x]/("):
             require_prime(n)
-            body, offset = sc.read_until(")")
+            body, offset = sc.read_item(")")
+            sc.expect_literal(")")
             terms = _parse_poly(body, n, offset)
             degree = max(terms, default=0)
             if terms.get(degree) != 1 or degree < 1:
@@ -168,7 +182,7 @@ def _parse_poly(body: str, p: int, offset: int) -> dict[int, int]:
             raise ParseError("empty polynomial term", pos)
         parsed = _parse_term(term, pos + len(chunk) - len(chunk.lstrip()))
         if parsed is None:
-            raise ParseError(f"bad polynomial term {term!r}", pos,
+            raise ParseError(f"bad polynomial term {brief(repr(term), 'characters')}", pos,
                              ("coefficient", "x", "x^k"))
         coeff, degree = parsed
         coeffs[degree] = (coeffs.get(degree, 0) + coeff) % p
@@ -195,117 +209,150 @@ def _parse_term(term: str, at: int = 0) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# element literals
+# element literals and ideal labels
+
+
+def _read_all(text: str, read):
+    """What ``read`` finds on a scanner over the whole text."""
+    sc = _Scanner(text)
+    found = read(sc)
+    if not sc.eof():
+        raise ParseError("trailing input", sc.pos, ("end of input",))
+    return found
 
 
 def parse_element(ring: Ring, text: str) -> Element:
     """Parse one element literal in the syntax of the given presentation."""
-    body = text.strip()
-    if isinstance(ring, ModularRing):
-        return ring.element(_parse_int(body))
-    if isinstance(ring, PolyQuotientRing):
-        # Each term by square and multiply: x^k costs about log2(k) products.
-        x = ring.element((0, 1))
-        return sum((c * x ** d for d, c in _parse_poly(body, ring.p, 0).items()), ring.zero)
-    if isinstance(ring, LocalizedIntegerRing):
-        from fractions import Fraction
-        if "/" in body:
-            num, _, den = body.partition("/")
-            num, den = _parse_int(num), _parse_int(den)
-            if den == 0:
-                raise ParseError("a fraction needs a nonzero denominator", 0)
-            return ring.element(Fraction(num, den))
-        return ring.element(_parse_int(body))
-    if isinstance(ring, ProductRing):
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ParseError("a product element is a (…, …) tuple", 0, ("(",))
-        parts = split_top_level(body[1:-1], ",")
-        if len(parts) != len(ring.factors):
-            raise ParseError(
-                f"expected {len(ring.factors)} components, got {len(parts)}", 0)
-        comps = [parse_element(f, part) for f, part in zip(ring.factors, parts)]
-        return ring.element(tuple(c.value for c in comps))
-    if isinstance(ring, EventuallyConstantBitsRing):
-        return ring.element(_parse_bits(body))
-    raise ParseError(f"no element syntax for {ring.describe()}", 0)
-
-
-def _parse_bits(body: str) -> tuple[frozenset[int], int]:
-    """The support and tail of a bits literal ``{1,3}:0``: decimal positions
-    separated by commas, with free whitespace around every token."""
-    close = body.find("}")
-    head, colon, tail = body[close + 1:].partition(":")
-    parts = list(filter(None, (part.strip() for part in body[1:close].split(","))))
-    if (not body.startswith("{") or close < 0 or head.strip() or not colon
-            or tail.lstrip() not in ("0", "1") or not all(map(str.isdecimal, parts))):
-        raise ParseError("bits literal looks like {1,3}:0", 0, ("{",))
-    # A run too long to read is refused where it first occurs: an earlier run
-    # holding it is at least as long, and is refused first.
-    return frozenset(_int_at(d, body.index(d)) for d in parts), int(tail)
-
-
-def _parse_int(text: str) -> int:
-    body = text.strip()
-    digits = body.removeprefix("-")
-    if not digits.isdecimal():
-        raise ParseError(f"expected an integer, got {body!r}", 0, ("integer",))
-    return _int_at(body, len(body) - len(digits))
-
-
-def split_top_level(text: str, separator: str) -> list[str]:
-    """Split on a separator, ignoring separators nested in (), {} or []."""
-    parts, depth, current = [], 0, []
-    for ch in text:
-        if ch in "({[":
-            depth += 1
-        elif ch in ")}]":
-            depth -= 1
-        if ch == separator and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return [p for p in (s.strip() for s in parts) if p != ""]
+    return _read_all(text, lambda sc: _read_element(sc, ring, ""))
 
 
 def parse_generators(ring: Ring, text: str) -> list[Element]:
     """A comma separated list of element literals; empty text means none."""
-    if not text.strip():
-        return []
-    return [parse_element(ring, part) for part in split_top_level(text, ",")]
+    return _read_all(text, lambda sc: _read_list(sc, lambda: _read_element(sc, ring, ","), ","))
 
 
 def parse_ideal_label(ring: Ring, label: str):
-    """Reconstruct an ideal from its canonical label.
+    """Reconstruct an ideal from its canonical label."""
+    return _read_all(label, lambda sc: _read_label(sc, ring))
 
-    ``ideals`` is imported here, on first use, so that a program that only
-    parses rings does not load it."""
-    from .ideals import (
-        BoolFiniteSupportIdeal,
-        BoolPrincipalIdeal,
-        LocalIdeal,
-        ProductIdeal,
-        ideal_class,
-        ideal_from_generators,
-    )
 
-    body = label.strip()
-    if ideal_class(ring) is ProductIdeal:
-        parts = body.split(" x ")
-        if len(parts) != len(ring.factors):
-            raise ParseError(
-                f"expected {len(ring.factors)} ideal components", 0)
-        comps = [parse_ideal_label(f, part) for f, part in zip(ring.factors, parts)]
-        return ProductIdeal(ring, comps)
-    if not (body.startswith("(") and body.endswith(")")):
-        raise ParseError("an ideal label is parenthesized", 0, ("(",))
-    inner = body[1:-1].strip()
-    if ideal_class(ring) is BoolPrincipalIdeal and inner == "fin":
+def parse_ideal_labels(ring: Ring, text: str) -> list:
+    """The ideals of a semicolon separated list of labels."""
+    return _read_all(text, lambda sc: _read_list(sc, lambda: _read_label(sc, ring), ";"))
+
+
+def _read_list(sc: _Scanner, read, separator: str, closer: str = "") -> list:
+    """Items between separators up to the closer, or the end; empty ones are skipped."""
+    items: list = []
+    while not (sc.try_literal(closer) if closer else sc.eof()):
+        if sc.eof():
+            raise ParseError(f"missing {closer!r}", sc.pos, (closer,))
+        if not sc.try_literal(separator):
+            items.append(read())
+            if not (sc.eof() or sc.text.startswith((separator, closer or separator), sc.pos)):
+                raise ParseError(f"missing {separator!r}", sc.pos,
+                                 (separator, closer or "end of input"))
+    return items
+
+
+def _read_element(sc: _Scanner, ring: Ring, stops: str) -> Element:
+    return ring.element(_LITERALS[type(ring)](sc, ring, stops))
+
+
+def _read_integer(sc: _Scanner, ring: Ring, stops: str) -> int:
+    sc.skip_ws()
+    text, at = sc.read_item(stops)
+    digits = text.removeprefix("-")
+    if not digits.isdecimal():
+        raise ParseError(f"expected an integer, got {brief(repr(text), 'characters')}", at,
+                         ("integer",))
+    return _int_at(text, at + len(text) - len(digits))
+
+
+def _read_fraction(sc: _Scanner, ring: Ring, stops: str):
+    numerator = _read_integer(sc, ring, stops + "/")
+    if not sc.try_literal("/"):
+        return numerator
+    sc.skip_ws()
+    at = sc.pos
+    denominator = _read_integer(sc, ring, stops)
+    if denominator == 0:
+        raise ParseError("a fraction needs a nonzero denominator", at)
+    from fractions import Fraction
+    return Fraction(numerator, denominator)
+
+
+def _read_polynomial(sc: _Scanner, ring: Ring, stops: str) -> Element:
+    # Each term by square and multiply: x^k costs about log2(k) products.
+    text, at = sc.read_item(stops)
+    x = ring.element((0, 1))
+    return sum((c * x ** d for d, c in _parse_poly(text, ring.p, at).items()), ring.zero)
+
+
+def _read_tuple(sc: _Scanner, ring: Ring, stops: str) -> tuple:
+    sc.skip_ws()
+    start, factors = sc.pos, iter(ring.factors)
+    if not sc.try_literal("("):
+        raise ParseError("a product element is a (…, …) tuple", start, ("(",))
+    # A component past the factors is read as one of the last factor, and counted.
+    parts = _read_list(sc, lambda: _read_element(sc, next(factors, ring.factors[-1]), ",)"),
+                       ",", ")")
+    if len(parts) != len(ring.factors):
+        raise ParseError(f"expected {len(ring.factors)} components, got {len(parts)}", start)
+    return tuple(part.value for part in parts)
+
+
+def _read_bits(sc: _Scanner, ring: Ring, stops: str) -> tuple[frozenset[int], int]:
+    sc.skip_ws()
+    start, runs = sc.pos, []
+    valid = sc.try_literal("{")
+    while valid and not sc.try_literal("}"):
+        sc.skip_ws()
+        run = sc.read_item(",}")
+        runs.append(run)
+        valid = (not run[0] or run[0].isdecimal()) and (
+            sc.try_literal(",") or sc.text.startswith("}", sc.pos))
+    tail = valid and sc.try_literal(":") and sc.read_item(stops)[0].lstrip()
+    if tail not in ("0", "1"):
+        raise ParseError("bits literal looks like {1,3}:0", start, ("{",))
+    return frozenset(_int_at(*run) for run in runs if run[0]), int(tail)
+
+
+# The literal reader of each presentation, as ``ideals.ideal_class`` maps it to its ideals.
+_LITERALS = {
+    ModularRing: _read_integer,
+    PolyQuotientRing: _read_polynomial,
+    GaloisFieldRing: _read_polynomial,
+    LocalizedIntegerRing: _read_fraction,
+    ProductRing: _read_tuple,
+    EventuallyConstantBitsRing: _read_bits,
+}
+
+
+def _read_label(sc: _Scanner, ring: Ring):
+    # ideals is imported on first use, so that parsing rings does not load it.
+    from .ideals import (BoolFiniteSupportIdeal, BoolPrincipalIdeal, LocalIdeal, ProductIdeal,
+                         ideal_class, ideal_from_generators)
+
+    sc.skip_ws()
+    start, kind = sc.pos, ideal_class(ring)
+    if kind is ProductIdeal:
+        parts = [_read_label(sc, ring.factors[0])]
+        while len(parts) < len(ring.factors) and sc.try_literal("x"):
+            parts.append(_read_label(sc, ring.factors[len(parts)]))
+        if len(parts) < len(ring.factors) or sc.try_literal("x"):
+            raise ParseError(f"expected {len(ring.factors)} ideal components", start)
+        return ProductIdeal(ring, parts)
+    if not sc.try_literal("("):
+        raise ParseError("an ideal label is parenthesized", start, ("(",))
+    if kind is BoolPrincipalIdeal and sc.try_literal("fin"):
+        sc.expect_literal(")")
         return BoolFiniteSupportIdeal(ring)
-    if ideal_class(ring) is LocalIdeal:
-        base, caret, exponent = inner.partition("^")
-        if caret and base == str(ring.p) and exponent.isdecimal():
-            return LocalIdeal(ring, _int_at(exponent, label.index(inner) + len(base) + 1))
-    gens = parse_generators(ring, inner)
+    if kind is LocalIdeal and sc.try_literal(f"{ring.p}^"):
+        at = sc.pos
+        end = sc.pos = _digits_end(sc.text, at)
+        if end > at and sc.try_literal(")"):
+            return LocalIdeal(ring, _int_at(sc.text[at:end], at))
+        sc.pos = at - len(f"{ring.p}^")
+    gens = _read_list(sc, lambda: _read_element(sc, ring, ",)"), ",", ")")
     return ideal_from_generators(ring, gens)

@@ -58,6 +58,7 @@ __all__ = [
     "ProductRing",
     "Record",
     "Ring",
+    "brief",
     "canonical_sorted",
     "check_ring_size",
     "factorization",
@@ -91,13 +92,19 @@ PRIMALITY_BOUND = 3317044064679887385961981
 FACTOR_SEARCH_BOUND = 10 ** 6
 
 
+def brief(text: str, unit: str = "digits") -> str:
+    """The text itself up to 20 characters; a longer one by its first and
+    last eight and its length, so that no message repeats a long input."""
+    return text if len(text) <= 20 else f"{text[:8]}…{text[-8:]} ({len(text)} {unit})"
+
+
 def check_ring_size(base: int, exponent: int = 1) -> None:
     """Refuse a finite ring of base^exponent elements over the budget.  An
     exponent past the budget's bit length is over it for every base >= 2,
     so that size is named, never computed: 2^100000 has 30,103 digits."""
     named = exponent > MAX_RING_ELEMENTS.bit_length()
     if named or base ** exponent > MAX_RING_ELEMENTS:
-        size = f"{base}^{exponent}" if named else base ** exponent
+        size = f"{base}^{brief(str(exponent))}" if named else brief(str(base ** exponent))
         raise RingTooLarge(f"a finite ring with {size} elements exceeds "
                            f"the budget of {MAX_RING_ELEMENTS} elements")
 
@@ -122,7 +129,7 @@ def is_prime_int(n: int) -> bool:
     """Deterministic Miller-Rabin; refuses n >= PRIMALITY_BOUND with RingTooLarge."""
     if n >= PRIMALITY_BOUND:
         raise RingTooLarge(f"primality is decided only below {PRIMALITY_BOUND}; "
-                           f"{n} is too large")
+                           f"{brief(str(n))} is too large")
     if n < 2 or any(n % a == 0 for a in _MILLER_RABIN_BASES):
         return n in _MILLER_RABIN_BASES
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
@@ -855,7 +862,7 @@ class LocalizedIntegerRing(Ring):
             raise ValueError(f"expected an integer or Fraction, got {value!r}")
         if value.denominator % self.p == 0:
             raise ValueError(
-                f"{value} is not in the localization at {self.p}: "
+                f"{brief(str(value), 'characters')} is not in the localization at {self.p}: "
                 "its denominator is divisible by the prime")
         return value
 

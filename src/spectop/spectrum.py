@@ -53,6 +53,7 @@ from .rings import (
     IndexKernel,
     Record,
     Ring,
+    brief,
 )
 
 __all__ = [
@@ -143,7 +144,8 @@ class SpectrumPoset:
         try:
             return self.points[self._index[ideal]]
         except KeyError:
-            raise ValueError(f"{ideal.label()} is not a prime of {self.ring.describe()}")
+            raise ValueError(f"{brief(ideal.label(), 'characters')} is not a prime of "
+                             f"{self.ring.describe()}")
 
     def _mask_of(self, points) -> int:
         """The mask of a collection of this spectrum's points."""

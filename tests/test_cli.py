@@ -302,12 +302,18 @@ _DIGITS = "9" * 5000
     (("flat", "--ring", "Z/2[x]/(x^2)", f"--ideal=x^{_DIGITS}"),
      "at position 2: a number of 5000 digits"),
     (("spec", "--ring", f"Z/2[x]/(x^{_DIGITS})"), "at position 10: a number of 5000 digits"),
+    # A size of more than 20 digits is named by its ends and its digit count.
+    (("spec", "--ring", f"Z/{'9' * 4000}"),
+     "a finite ring with 99999999…99999999 (4000 digits) elements exceeds the budget"),
+    (("spec", "--ring", f"GF({'9' * 4000})"),
+     "a finite ring with 99999999…99999999 (4000 digits) elements exceeds the budget"),
 ], ids=["x^99999999999", "x^100000+1", "x^13000", "Z/9...", "Zloc(9...)", "ideal 9...",
-        "ideal x^9...", "ring x^9..."])
+        "ideal x^9...", "ring x^9...", "Z/<4000 nines>", "GF(<4000 nines>)"])
 def test_an_oversized_exponent_or_digit_run_fails_fast_with_one_line(capsys, argv, message):
     code, out, err, elapsed = _timed_cli(capsys, *argv)
     assert code == 2 and out == "" and elapsed < 1.0
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert len(err.encode()) < 160
     assert "Traceback" not in err and "integer string conversion" not in err
 
 
@@ -367,15 +373,30 @@ def test_value_errors_exit_two(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ("flat", "--ring", "Zloc(2)", "--ideal", "1/0"),
-    ("flat", "--ring", "Zloc(2) * Z/3", "--ideal", "(0/0, 1)"),
-    ("chaincond", "--ring", "Zloc(2)", "--X", "custom", "--points", "(1/0)"),
-])
-def test_zero_denominator_exits_two(capsys, argv):
+@pytest.mark.parametrize("argv, position", [
+    (("flat", "--ring", "Zloc(2)", "--ideal", "1/0"), 2),
+    (("flat", "--ring", "Zloc(2) * Z/3", "--ideal", "(0/0, 1)"), 3),
+    (("chaincond", "--ring", "Zloc(2)", "--X", "custom", "--points", "(1/0)"), 3),
+], ids=["argv0", "argv1", "argv2"])
+def test_zero_denominator_exits_two(capsys, argv, position):
+    # The position is the denominator's, counted from the start of the option value.
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == "error: at position 0: a fraction needs a nonzero denominator\n"
+    assert err == f"error: at position {position}: a fraction needs a nonzero denominator\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("flat", "--ring", "Zloc(3) * Z/2", f"--ideal=(1/{'1' * 8000}, 1)"),
+     "at position 3: a number of 8000 digits is longer than the limit of 4300"),
+    (("flat", "--ring", "Z/12 * Z/2", "--ideal=(1, 1), (2, x)"),
+     "at position 12: expected an integer, got 'x' (expected integer)"),
+    (("chaincond", "--ring", "Zloc(2) * Z/3", "--X", "custom", "--points=(0) x (1); (2) x (1/0)"),
+     "at position 18: expected an integer, got '1/0' (expected integer)"),
+], ids=["digit run in a tuple", "second generator", "second label"])
+def test_an_element_error_is_placed_in_the_whole_option_value(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 _SCALARS = st.one_of(

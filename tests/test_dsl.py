@@ -24,6 +24,7 @@ from spectop import (
     parse_ideal_label,
     parse_ring,
 )
+from spectop.dsl import parse_ideal_labels
 from spectop.ideals import (
     LocalIdeal,
     enumerate_ideals,
@@ -210,13 +211,16 @@ def test_a_term_reads_as_the_term_regex_matched(text):
 @example("-\u0663")
 @example("-")
 def test_an_integer_literal_reads_as_the_integer_regex_matched(text):
+    # The integer reader with no stop character reads the whole text, and
+    # names a refused one where it starts.
     body = text.strip()
     if _OLD_INT.match(body):
-        assert dsl._parse_int(text) == int(body)
+        assert dsl._read_integer(dsl._Scanner(text), None, "") == int(body)
     else:
         with pytest.raises(ParseError) as err:
-            dsl._parse_int(text)
-        assert (err.value.position, err.value.expected) == (0, ("integer",))
+            dsl._read_integer(dsl._Scanner(text), None, "")
+        assert (err.value.position, err.value.expected) == (
+            len(text) - len(text.lstrip()), ("integer",))
 
 
 # The regexes that read bits literals and the p^k labels of the localized
@@ -270,7 +274,9 @@ def test_a_bits_literal_reads_as_the_bits_regex_matched(text):
     if old is None:
         with pytest.raises(ParseError) as err:
             parse_element(bits, text)
-        assert str(err.value) == "at position 0: bits literal looks like {1,3}:0 (expected {)"
+        start = len(text) - len(text.lstrip())  # where the literal starts
+        assert str(err.value) == (
+            f"at position {start}: bits literal looks like {{1,3}}:0 (expected {{)")
     else:  # a position 0 is read, then refused by the ring
         assert _outcome(parse_element, bits, text) == _outcome(bits.element, old)
 
@@ -295,18 +301,34 @@ _LABEL = _joined(_BITS_SPACE, _mostly("(", "", "(("), _BITS_SPACE,
 @example("(3^\uff12)")
 @example(" ( 3^0 ) ")
 @example("(3^)")
+@example("(3^2")
+@example("(1")
+@example("(3^2)x)")
+@example("(1)2)")
 def test_a_power_label_reads_as_the_power_regex_matched(label):
     # A label the regex did not match reads as its generators, as it did.
+    # The label ends at its first ")", and positions count from its start,
+    # so the generators are read with everything up to the "(" blanked out.
     ring = LocalizedIntegerRing(3)
-    body = label.strip()
-    inner = body[1:-1].strip()
-    match = _OLD_POWER.match(inner)
-    if not (body.startswith("(") and body.endswith(")")):
-        expected = (ParseError, "at position 0: an ideal label is parenthesized (expected ()")
+    start = len(label) - len(label.lstrip())
+    opened, closed = label.find("("), label.find(")")
+    end = closed if closed >= 0 else len(label)
+    match = closed >= 0 and _OLD_POWER.match(label[opened + 1:end].strip())
+    rest = label[end + 1:]
+    if not label.lstrip().startswith("("):
+        expected = (ParseError,
+                    f"at position {start}: an ideal label is parenthesized (expected ()")
     elif match:
         expected = LocalIdeal(ring, int(match.group(1)))
     else:
-        expected = _outcome(lambda: ideal_from_generators(ring, parse_generators(ring, inner)))
+        blanked = " " * (opened + 1) + label[opened + 1:end]
+        expected = _outcome(lambda: ideal_from_generators(ring, parse_generators(ring, blanked)))
+    refused = isinstance(expected, tuple)  # before the end of the label
+    if not refused and closed < 0:
+        expected = (ParseError, f"at position {len(label)}: missing ')' (expected ))")
+    elif not refused and rest.strip():
+        expected = (ParseError, f"at position {len(label) - len(rest.lstrip())}: "
+                                "trailing input (expected end of input)")
     assert _outcome(parse_ideal_label, ring, label) == expected
 
 
@@ -382,6 +404,16 @@ def test_ideal_labels_round_trip(corpus_ring):
         return
     for ideal in ideals:
         assert parse_ideal_label(corpus_ring, ideal.label()) == ideal
+
+
+def test_a_label_list_reads_each_label_and_skips_empty_items():
+    ring = parse_ring("Zloc(2) * Z/3")
+    assert parse_ideal_labels(ring, " (0) x (1);; (2) x (0) ;") == [
+        parse_ideal_label(ring, "(0) x (1)"), parse_ideal_label(ring, "(2) x (0)")]
+    assert parse_ideal_labels(ring, "") == []
+    with pytest.raises(ParseError) as err:
+        parse_ideal_labels(ring, "(0) x (1) (2) x (0)")
+    assert str(err.value) == "at position 10: missing ';' (expected ; | end of input)"
 
 
 def test_bits_ideal_labels_round_trip():

@@ -30,6 +30,7 @@ from spectop.rings import (
     MAX_RING_ELEMENTS,
     PRIMALITY_BOUND,
     canonical_sorted,
+    check_ring_size,
     is_prime_int,
     least_irreducible_polynomial,
     polynomial_text,
@@ -180,6 +181,20 @@ def test_ring_size_budget():
         with pytest.raises(RingTooLarge, match="exceeds the budget of 256 elements"):
             build()
     assert issubclass(RingTooLarge, SpectopError)
+
+
+@pytest.mark.parametrize("base, exponent, size", [
+    (10 ** 19 + 7, 1, "10000000000000000007"),
+    (10 ** 20 + 7, 1, "10000000…00000007 (21 digits)"),
+    (2, 100000, "2^100000"),
+    (2, 10 ** 25, "2^10000000…00000000 (26 digits)"),
+    (3, 9, "19683"),
+])
+def test_a_refused_size_is_named_in_full_up_to_twenty_digits(base, exponent, size):
+    with pytest.raises(RingTooLarge) as err:
+        check_ring_size(base, exponent)
+    assert str(err.value) == (
+        f"a finite ring with {size} elements exceeds the budget of 256 elements")
 
 
 def test_product_ring_rejects_bits_factor():
@@ -394,6 +409,8 @@ def test_primality_is_deterministic_below_the_bound():
         is_prime_int(PRIMALITY_BOUND)
     with pytest.raises(RingTooLarge):
         LocalizedIntegerRing(PRIMALITY_BOUND + 2)
+    with pytest.raises(RingTooLarge, match="; 10000000…00000000 \\(41 digits\\) is too large$"):
+        is_prime_int(10 ** 40)
 
 
 def test_not_prime_searches_its_factor_under_a_bound():

@@ -381,10 +381,11 @@ def test_the_bin_rule_flags_an_added_call(tmp_path):
 
 
 # The ring presentations, and the modules that reach a ring's ideals
-# through ``ideals.ideal_class`` instead of testing its presentation.
+# through ``ideals.ideal_class``, and its element literals through the
+# reader table of ``dsl``, instead of testing its presentation.
 PRESENTATIONS = {"ModularRing", "PolyQuotientRing", "GaloisFieldRing", "ProductRing",
                  "LocalizedIntegerRing", "EventuallyConstantBitsRing"}
-MAPPED_MODULES = ("ideals.py", "spectrum.py", "flatness.py", "sring.py", "cli.py")
+MAPPED_MODULES = ("ideals.py", "spectrum.py", "flatness.py", "sring.py", "cli.py", "dsl.py")
 
 
 def presentation_tests(root: Path) -> list[str]:
@@ -420,12 +421,14 @@ def test_the_presentation_rule_flags_an_added_test(tmp_path):
                      "\n\ndef _kinds(ring, ideal):\n"
                      "    return isinstance(ring, (rings.LocalizedIntegerRing, Ring)), "
                      "isinstance(ideal, Ideal)\n")
-    # dsl parses each presentation's own syntax and is not a mapped module.
+    # dsl finds each presentation's literal syntax in a table, so a switch
+    # on the presentation is flagged there too.
     with open(copy / "dsl.py", "a", encoding="utf-8") as handle:
         handle.write("\n_BITS = isinstance(None, EventuallyConstantBitsRing)\n")
     found = presentation_tests(copy)
     assert [f.split(" ", 1)[1] for f in found] == [
+        "tests EventuallyConstantBitsRing",
         "tests ProductRing",
         "tests LocalizedIntegerRing",
     ]
-    assert {f.split(":")[0] for f in found} == {"spectrum.py"}
+    assert [f.split(":")[0] for f in found] == ["dsl.py", "spectrum.py", "spectrum.py"]
