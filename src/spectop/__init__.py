@@ -1,5 +1,7 @@
 """Prime spectra, spectral topologies, and flatness certificates for small
-commutative rings.
+commutative rings.  ``flat_ideal_from_closed_mask`` builds the flat kernel
+of a Zariski closed, generalization stable set E of points, given as a
+mask over ``enumerate_spectrum``: an ideal J with V(J) = E and R/J flat.
 
 Every public name below loads its module on first use (PEP 562), so a
 program pays only for the modules it touches: ``spectop.parse_ring``
@@ -15,7 +17,7 @@ __version__ = "0.1.0"
 
 # The public names, by the module that defines them.
 _EXPORTS = {
-    "errors": """CorpusError EmptyProduct HypothesisViolated InvalidChain NotFlat NotGenStable
+    "errors": """CorpusError EmptyProduct HypothesisViolated InvalidChain NotGenStable
         NotIrreducible NotPrime NotPrimePower NotZariskiClosed ParseError RingTooLarge
         SpectopError SpectrumTooLarge UnsupportedForPresentation""",
     "rings": """Bits Element EventuallyConstantBitsRing GaloisFieldRing LocalizedIntegerRing
@@ -24,12 +26,11 @@ _EXPORTS = {
         ideal_intersection ideal_sum is_prime_ideal principal_ideal radical saturation_kernel
         unit_ideal zero_ideal""",
     "spectrum": """FLAT PATCH ZARISKI ClosedFamily SpectrumPoset closed_family
-        enumerate_spectrum flat_point_closure generalization_closure is_stable_generalization
-        is_stable_specialization nonvanishing_locus specialization_closure vanishing_locus""",
-    "flatness": """FlatnessCertificate common_multiplier flat_ideal_from_closed_set
-        flat_witness idempotent_generator is_cyclic_flat is_cyclic_projective support_of_ideal""",
+        enumerate_spectrum vanishing_locus""",
+    "flatness": """FlatnessCertificate flat_ideal_from_closed_mask flat_witness
+        idempotent_generator is_cyclic_flat is_cyclic_projective support_of_ideal""",
     "sring": """ASCENDING DESCENDING ChainConditionTrace MultiplicativeChain SRingCertificate
-        StabilizationReport chain_condition_check check_chain_stabilization dual_chain
+        StabilizationReport chain_condition_check check_chain_stabilization
         growing_indicator_chain prefix_indicator sring_certificate stabilization_graph_check""",
     "harness": """DEFAULT_CORPUS CorpusEntry CorpusReport TheoremReport applicable_checks
         run_check run_corpus""",

@@ -22,7 +22,7 @@ import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
-from .dsl import parse_generators, parse_ideal_label, parse_ideal_labels, parse_ring
+from .dsl import parse_generators, parse_ideal_labels, parse_ring
 from .errors import HypothesisViolated, ParseError, SpectopError
 from .flatness import FlatnessCertificate, is_cyclic_flat, is_cyclic_projective
 from .harness import (
@@ -35,7 +35,7 @@ from .harness import (
     run_ring_checks,
 )
 from .ideals import ideal_from_generators
-from .rings import IndexKernel, Ring
+from .rings import IndexKernel, Ring, brief
 from .spectrum import (
     ClosedFamily,
     SpectrumPoset,
@@ -47,14 +47,12 @@ from .sring import chain_condition_check, sring_certificate
 
 __all__ = [
     "certificate_doc",
-    "certificate_from_doc",
     "dot_text",
     "family_json",
     "json_text",
     "main",
     "report_doc",
     "spectrum_doc",
-    "spectrum_from_doc",
 ]
 
 
@@ -75,14 +73,6 @@ def spectrum_doc(sp: SpectrumPoset) -> dict:
             if i != j and sp.down[j] >> i & 1
         ],
     }
-
-
-def spectrum_from_doc(doc: dict) -> SpectrumPoset:
-    """Rebuild the spectrum named by a document and check it matches."""
-    sp = enumerate_spectrum(parse_ring(doc["ring"]))
-    if spectrum_doc(sp) != doc:
-        raise ParseError("document does not describe this ring's spectrum", 0)
-    return sp
 
 
 # Sets written per chunk of a family document.
@@ -137,15 +127,6 @@ def certificate_doc(cert: FlatnessCertificate) -> dict:
         "failing": None if cert.failing is None else str(cert.failing),
         "note": cert.note,
     }
-
-
-def certificate_from_doc(doc: dict) -> FlatnessCertificate:
-    """Recompute the certificate named by a document and check it matches."""
-    ring = parse_ring(doc["ring"])
-    cert = is_cyclic_flat(parse_ideal_label(ring, doc["ideal"]))
-    if certificate_doc(cert) != doc:
-        raise ParseError("document does not match the recomputed certificate", 0)
-    return cert
 
 
 def report_doc(report: TheoremReport) -> dict:
@@ -337,8 +318,23 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, naming an invalid choice and the arguments left
+    over by ``rings.brief``; the usage printed above lists the choices."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {brief(repr(value))}")
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {brief(' '.join(extra))}")
+        return args
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectop",
         description="prime spectra, spectral topologies and flatness certificates")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -182,7 +182,7 @@ def _parse_poly(body: str, p: int, offset: int) -> dict[int, int]:
             raise ParseError("empty polynomial term", pos)
         parsed = _parse_term(term, pos + len(chunk) - len(chunk.lstrip()))
         if parsed is None:
-            raise ParseError(f"bad polynomial term {brief(repr(term), 'characters')}", pos,
+            raise ParseError(f"bad polynomial term {brief(repr(term))}", pos,
                              ("coefficient", "x", "x^k"))
         coeff, degree = parsed
         coeffs[degree] = (coeffs.get(degree, 0) + coeff) % p
@@ -264,7 +264,7 @@ def _read_integer(sc: _Scanner, ring: Ring, stops: str) -> int:
     text, at = sc.read_item(stops)
     digits = text.removeprefix("-")
     if not digits.isdecimal():
-        raise ParseError(f"expected an integer, got {brief(repr(text), 'characters')}", at,
+        raise ParseError(f"expected an integer, got {brief(repr(text))}", at,
                          ("integer",))
     return _int_at(text, at + len(text) - len(digits))
 

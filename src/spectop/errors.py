@@ -24,10 +24,6 @@ class SpectrumTooLarge(SpectopError):
     """Topology families are materialized only for small spectra."""
 
 
-class NotFlat(SpectopError):
-    """An operation required a flat cyclic quotient and the ideal is not flat."""
-
-
 class NotZariskiClosed(SpectopError):
     """The given point set is not closed in the Zariski topology."""
 

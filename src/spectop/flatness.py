@@ -26,7 +26,7 @@ or flat kernel share one search.
 
 from __future__ import annotations
 
-from .errors import NotFlat, NotGenStable, NotZariskiClosed
+from .errors import NotGenStable, NotZariskiClosed
 from .ideals import (
     Ideal,
     annihilator,
@@ -39,9 +39,7 @@ from .spectrum import enumerate_spectrum
 
 __all__ = [
     "FlatnessCertificate",
-    "common_multiplier",
     "flat_ideal_from_closed_mask",
-    "flat_ideal_from_closed_set",
     "flat_witness",
     "idempotent_generator",
     "is_cyclic_flat",
@@ -114,25 +112,6 @@ def _search(ideal: Ideal) -> FlatnessCertificate:
     return FlatnessCertificate(ideal, True, witnesses, note=ideal.flat_note(None))
 
 
-def common_multiplier(ideal: Ideal, elements) -> Element:
-    """Some g in I with f*g = f for every listed f; requires R/I flat.
-
-    Pairs are folded left to right through g, h -> g + h - g*h, so the
-    result is deterministic in the input order.
-    """
-    cert = is_cyclic_flat(ideal)
-    if not cert.verdict:
-        raise NotFlat(f"the quotient by {ideal.label()} is not flat")
-    ring = ideal.ring
-    g = ring.zero
-    for f in elements:
-        f = ring.element(f)
-        witness = flat_witness(ideal, f)
-        h = witness[1]  # f = f*(1-a) = f*h
-        g = g + h - g * h
-    return g
-
-
 def idempotent_generator(ideal: Ideal) -> Element | None:
     """An idempotent e with I = Re, or None when no single one generates I."""
     return ideal.idempotent_generator()
@@ -162,12 +141,6 @@ def support_of_ideal(ideal: Ideal) -> frozenset[Ideal]:
             p for p in sp.points if any(not a & ~p.mask for a in anns))
     anns = [annihilator(f) for f in ideal.witness_samples()]
     return frozenset(p for p in sp.points if any(a.issubset(p) for a in anns))
-
-
-def flat_ideal_from_closed_set(ring, points) -> Ideal:
-    """:func:`flat_ideal_from_closed_mask` of a collection of points; a
-    point of another spectrum raises ValueError."""
-    return flat_ideal_from_closed_mask(ring, enumerate_spectrum(ring)._mask_of(points))
 
 
 def flat_ideal_from_closed_mask(ring, mask: int) -> Ideal:

@@ -92,10 +92,22 @@ PRIMALITY_BOUND = 3317044064679887385961981
 FACTOR_SEARCH_BOUND = 10 ** 6
 
 
-def brief(text: str, unit: str = "digits") -> str:
+def brief(text: str) -> str:
     """The text itself up to 20 characters; a longer one by its first and
     last eight and its length, so that no message repeats a long input."""
-    return text if len(text) <= 20 else f"{text[:8]}…{text[-8:]} ({len(text)} {unit})"
+    return text if len(text) <= 20 else f"{text[:8]}…{text[-8:]} ({len(text)} characters)"
+
+
+def _brief_number(n: int) -> str:
+    """``brief`` of the decimal text of n >= 0, read off n by arithmetic:
+    Python refuses to write out an int of more than 4,300 digits, and a
+    product of 1,800 rings of 256 elements has 4,335."""
+    if n < 10 ** 20:
+        return str(n)
+    digits = int((n.bit_length() - 1) * math.log10(2))  # never more than n has
+    while 10 ** digits <= n:
+        digits += 1
+    return f"{n // 10 ** (digits - 8)}…{n % 10 ** 8:08d} ({digits} digits)"
 
 
 def check_ring_size(base: int, exponent: int = 1) -> None:
@@ -104,7 +116,7 @@ def check_ring_size(base: int, exponent: int = 1) -> None:
     so that size is named, never computed: 2^100000 has 30,103 digits."""
     named = exponent > MAX_RING_ELEMENTS.bit_length()
     if named or base ** exponent > MAX_RING_ELEMENTS:
-        size = f"{base}^{brief(str(exponent))}" if named else brief(str(base ** exponent))
+        size = f"{base}^{_brief_number(exponent)}" if named else _brief_number(base ** exponent)
         raise RingTooLarge(f"a finite ring with {size} elements exceeds "
                            f"the budget of {MAX_RING_ELEMENTS} elements")
 
@@ -129,7 +141,7 @@ def is_prime_int(n: int) -> bool:
     """Deterministic Miller-Rabin; refuses n >= PRIMALITY_BOUND with RingTooLarge."""
     if n >= PRIMALITY_BOUND:
         raise RingTooLarge(f"primality is decided only below {PRIMALITY_BOUND}; "
-                           f"{brief(str(n))} is too large")
+                           f"{_brief_number(n)} is too large")
     if n < 2 or any(n % a == 0 for a in _MILLER_RABIN_BASES):
         return n in _MILLER_RABIN_BASES
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
@@ -776,9 +788,9 @@ class ProductRing(Ring):
             if not (f.is_finite or isinstance(f, LocalizedIntegerRing)):
                 raise UnsupportedForPresentation(
                     "product factors must be finite rings or localized integers")
-        check_ring_size(math.prod(len(f.elements()) for f in flat if f.is_finite))
         instances: dict[Ring, Ring] = {}
         self.factors = tuple(instances.setdefault(f, f) for f in flat)
+        check_ring_size(math.prod(len(f.elements()) for f in self.factors if f.is_finite))
         self.is_finite = all(f.is_finite for f in self.factors)
         self.key = ("product", tuple(f.key for f in self.factors))
 
@@ -862,7 +874,7 @@ class LocalizedIntegerRing(Ring):
             raise ValueError(f"expected an integer or Fraction, got {value!r}")
         if value.denominator % self.p == 0:
             raise ValueError(
-                f"{brief(str(value), 'characters')} is not in the localization at {self.p}: "
+                f"{brief(str(value))} is not in the localization at {self.p}: "
                 "its denominator is divisible by the prime")
         return value
 

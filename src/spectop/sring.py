@@ -48,7 +48,6 @@ __all__ = [
     "StabilizationReport",
     "chain_condition_check",
     "check_chain_stabilization",
-    "dual_chain",
     "growing_indicator_chain",
     "prefix_indicator",
     "sring_certificate",
@@ -93,9 +92,6 @@ class MultiplicativeChain(Record):
                 raise InvalidChain(
                     f"term {n + 2} violates g_(n+1) = g_n*g_(n+1): {b} != {a}*{b}",
                     index=n + 2)
-
-    def term(self, n: int) -> Element:
-        return self.terms[n - 1]
 
     def __len__(self):
         return len(self.terms)
@@ -147,18 +143,6 @@ def check_chain_stabilization(chain: MultiplicativeChain) -> StabilizationReport
         return StabilizationReport(chain, True, index=k, value=last)
     distinct = (ts[k - 2], last) if k > 1 else None
     return StabilizationReport(chain, False, last_index=len(ts), last_distinct=distinct)
-
-
-def dual_chain(chain: MultiplicativeChain) -> MultiplicativeChain:
-    """Map every term through t -> 1-t and flip the mode.
-
-    f_n = f_n*f_{n+1} holds exactly when (1-f)_{n+1} = (1-f)_n*(1-f)_{n+1},
-    so validity is preserved and the construction is an involution.
-    """
-    one = chain.ring.one
-    flipped = DESCENDING if chain.mode == ASCENDING else ASCENDING
-    return MultiplicativeChain.build(
-        chain.ring, flipped, [one - t for t in chain.terms])
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,17 @@ from pathlib import Path
 import pytest
 
 from spectop import (
+    ASCENDING,
+    DESCENDING,
     FLAT,
     PATCH,
     ZARISKI,
+    LocalizedIntegerRing,
+    MultiplicativeChain,
     closed_family,
+    enumerate_ideals,
     enumerate_spectrum,
     ideal_intersection,
-    is_stable_generalization,
     parse_ring,
     saturation_kernel,
     unit_ideal,
@@ -189,6 +193,79 @@ def factorwise_unions(ring, factor_sets):
     return {frozenset().union(*combo) for combo in itertools.product(*per_factor)}
 
 
+def generalizations_of(points, subset) -> frozenset:
+    """The points contained in some point of the subset: its closure under
+    generalization, read off ideal inclusion."""
+    return frozenset(q for q in points if any(q.issubset(p) for p in subset))
+
+
+def specializations_of(points, subset) -> frozenset:
+    """The points that contain some point of the subset."""
+    return frozenset(q for q in points if any(p.issubset(q) for p in subset))
+
+
+def is_down_closed(points, subset) -> bool:
+    """Stable under generalization: down-closed under ideal inclusion."""
+    return generalizations_of(points, subset) == frozenset(subset)
+
+
+def is_up_closed(points, subset) -> bool:
+    """Stable under specialization: up-closed under ideal inclusion."""
+    return specializations_of(points, subset) == frozenset(subset)
+
+
+def loci_of_elements(ring, elements) -> set:
+    """V(f) = {p : f in p} for each given element."""
+    points = enumerate_spectrum(ring).points
+    return {frozenset(p for p in points if p.contains(f)) for f in elements}
+
+
+def loci_of_ideals(ring) -> set:
+    """V(I) for each ideal that ``enumerate_ideals`` lists, by inclusion.
+    The chain (p^k) of a localized ring is cut at k = 1, as V((p^k)) is
+    V((p)) for every k >= 1, so that Zloc(2)^6 lists 3^6 ideals."""
+    return {locus_by_inclusion(ring, ideal) for ideal in enumerate_ideals(ring, 1)}
+
+
+def sample_elements(ring) -> list:
+    """Every element of a finite ring.  Over Zloc(p), V(f) tells apart only
+    zero, the nonzero multiples of p and the units, so 0, p and 1 stand for
+    all; over an infinite product, every tuple of its factors' samples."""
+    if ring.is_finite:
+        return list(ring.elements())
+    if isinstance(ring, LocalizedIntegerRing):
+        return [ring.element(v) for v in (0, ring.p, 1)]
+    return [ring.element(tuple(e.value for e in combo))
+            for combo in itertools.product(*map(sample_elements, ring.factors))]
+
+
+def label_mask(ring, *labels) -> int:
+    """The mask of the points of the ring's spectrum with the given labels."""
+    return sum(1 << enumerate_spectrum(ring).labels.index(label) for label in labels)
+
+
+def table_point_sets(sp, table) -> set:
+    """The point sets of a table whose bit m stands for the mask m."""
+    return {frozenset(p for i, p in enumerate(sp.points) if m >> i & 1)
+            for m in range(1 << len(sp)) if table >> m & 1}
+
+
+def common_multiplier(ideal, elements):
+    """The first g of I, in the ring's element order, with f*g = f for every
+    listed f, or None: every element of I is tried."""
+    for g in ideal.ring.elements():
+        if ideal.contains(g) and all(f * g == f for f in elements):
+            return g
+    return None
+
+
+def dual_chain(chain):
+    """The chain of the terms 1 - t in the other mode, validated as built:
+    f = f*g holds exactly when (1-g) = (1-f)*(1-g)."""
+    mode = DESCENDING if chain.mode == ASCENDING else ASCENDING
+    return MultiplicativeChain.build(chain.ring, mode, [chain.ring.one - t for t in chain.terms])
+
+
 def fresh_copy(ideal):
     """The ideal as a new instance with an empty memo, so that nothing
     found on the original (a flatness search, a locus) is read back."""
@@ -209,7 +286,7 @@ def flat_kernel_by_pairwise_meets(ring, points):
     E = frozenset(points)
     realized = reduce(ideal_intersection, E) if E else unit_ideal(ring)
     assert locus_by_inclusion(ring, realized) == E
-    assert is_stable_generalization(ring, E)
+    assert is_down_closed(enumerate_spectrum(ring).points, E)
     return saturation_kernel(realized)
 
 

@@ -20,19 +20,19 @@ from spectop import (
     enumerate_ideals,
     enumerate_spectrum,
     finite_support_ideal,
-    flat_ideal_from_closed_set,
+    flat_ideal_from_closed_mask,
     growing_indicator_chain,
     idempotents,
     is_cyclic_flat,
     is_cyclic_projective,
-    is_stable_generalization,
-    is_stable_specialization,
     parse_ring,
     principal_ideal,
     run_corpus,
     sring_certificate,
     vanishing_locus,
 )
+
+from conftest import is_down_closed, is_up_closed
 
 TOPOLOGY_RINGS = ("Z/4", "Z/6", "Z/12", "GF(4)", "Z/2[x]/(x^2+x)",
                   "Zloc(2)", "Zloc(2) * Z/3")
@@ -59,13 +59,11 @@ def test_criterion_01_topology_characterization():
             zfam = closed_family(ring, ZARISKI)
             ffam = closed_family(ring, FLAT)
             pfam = closed_family(ring, PATCH)
-            spectrum = pfam.spectrum.as_set()
-            assert len(spectrum) <= 8
-            assert ffam.sets == frozenset(
-                s for s in pfam.sets if is_stable_generalization(ring, s))
-            assert zfam.sets == frozenset(
-                s for s in pfam.sets if is_stable_specialization(ring, s))
-            assert len(pfam.sets) == 2 ** len(spectrum)
+            points = pfam.spectrum.points
+            assert len(points) <= 8
+            assert ffam.sets == frozenset(s for s in pfam.sets if is_down_closed(points, s))
+            assert zfam.sets == frozenset(s for s in pfam.sets if is_up_closed(points, s))
+            assert len(pfam.sets) == 2 ** len(points)
             assert time.perf_counter() - started < 1.0, text
 
 
@@ -78,16 +76,18 @@ def test_criterion_02_closure_operator_theorem():
             assert report.verdict == "pass", (text, report.counterexample)
 
         z12 = parse_ring("Z/12")
-        pts = {p.label(): p for p in enumerate_spectrum(z12).points}
-        kernel = flat_ideal_from_closed_set(z12, {pts["(2)"]})
+        sp = enumerate_spectrum(z12)
+        pts = {p.label(): p for p in sp.points}
+        kernel = flat_ideal_from_closed_mask(z12, sp._mask_of({pts["(2)"]}))
         assert kernel == principal_ideal(z12, z12.element(4))
         assert vanishing_locus(z12, kernel) == frozenset({pts["(2)"]})
         assert is_cyclic_flat(kernel).verdict
 
         mixed = parse_ring("Zloc(2) * Z/3")
-        mpts = {p.label(): p for p in enumerate_spectrum(mixed).points}
+        spm = enumerate_spectrum(mixed)
+        mpts = {p.label(): p for p in spm.points}
         expected = {mpts["(0) x (1)"], mpts["(2) x (1)"]}
-        kernel2 = flat_ideal_from_closed_set(mixed, expected)
+        kernel2 = flat_ideal_from_closed_mask(mixed, spm._mask_of(expected))
         assert kernel2.label() == "(0) x (1)"  # the ideal 0 x Z/3
         assert kernel2.components[0].is_zero()
         assert kernel2.components[1].is_whole()
@@ -103,8 +103,7 @@ def test_criterion_03_flat_ideal_bijection_counts():
             flats = [i for i in ideals if is_cyclic_flat(i).verdict]
             image = {vanishing_locus(ring, i) for i in flats}
             zfam = closed_family(ring, ZARISKI)
-            codomain = {s for s in zfam.sets
-                        if is_stable_generalization(ring, s)}
+            codomain = {s for s in zfam.sets if is_down_closed(zfam.spectrum.points, s)}
             assert len(flats) == count, text
             assert len(image) == count, text
             assert image == codomain, text
@@ -171,7 +170,7 @@ def test_criterion_07_bits_ring_witness():
         bits = parse_ring("EvBits")
         chain = growing_indicator_chain(bits, 100)  # construction validates x_n = x_n*x_(n+1)
         for n in range(1, 100):
-            assert chain.term(n) == chain.term(n) * chain.term(n + 1)
+            assert chain.terms[n - 1] == chain.terms[n - 1] * chain.terms[n]
         report = check_chain_stabilization(chain)
         assert not report.stabilized
         assert report.last_index == 100

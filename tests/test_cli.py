@@ -16,20 +16,20 @@ from hypothesis import example, given, settings, strategies as st
 from spectop import (
     closed_family,
     enumerate_spectrum,
+    ideal_from_generators,
     is_cyclic_flat,
+    parse_generators,
+    parse_ideal_label,
     parse_ring,
     principal_ideal,
 )
-from spectop.errors import ParseError
 from spectop.cli import (
     certificate_doc,
-    certificate_from_doc,
     dot_text,
     family_json,
     json_text,
     main,
     spectrum_doc,
-    spectrum_from_doc,
 )
 from spectop.spectrum import TOPOLOGIES
 
@@ -307,8 +307,11 @@ _DIGITS = "9" * 5000
      "a finite ring with 99999999…99999999 (4000 digits) elements exceeds the budget"),
     (("spec", "--ring", f"GF({'9' * 4000})"),
      "a finite ring with 99999999…99999999 (4000 digits) elements exceeds the budget"),
+    # 256^1800 has more digits than Python writes out in decimal.
+    (("spec", "--ring", " * ".join(["Z/256"] * 1800)),
+     "a finite ring with 67910599…40933376 (4335 digits) elements exceeds the budget"),
 ], ids=["x^99999999999", "x^100000+1", "x^13000", "Z/9...", "Zloc(9...)", "ideal 9...",
-        "ideal x^9...", "ring x^9...", "Z/<4000 nines>", "GF(<4000 nines>)"])
+        "ideal x^9...", "ring x^9...", "Z/<4000 nines>", "GF(<4000 nines>)", "(Z/256)^1800"])
 def test_an_oversized_exponent_or_digit_run_fails_fast_with_one_line(capsys, argv, message):
     code, out, err, elapsed = _timed_cli(capsys, *argv)
     assert code == 2 and out == "" and elapsed < 1.0
@@ -331,6 +334,26 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["topology", "--ring", "Z/6", "--which", "hausdorff"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["verify", "--ring", "Z/2", "--theorem", "bogus"],
+     "spectop verify: error: argument --theorem: invalid choice: 'bogus'"),
+    (["topology", "--ring", "Z/2", "--which", "zariski" * 100],
+     "spectop topology: error: argument --which: invalid choice: "
+     "'zariski…zariski' (702 characters)"),
+    (["bogus"], "spectop: error: argument command: invalid choice: 'bogus'"),
+    (["spec", "--ring", "Z/2", "--", *["abcdefghij"] * 40],
+     "spectop: error: unrecognized arguments: -- abcde…cdefghij (442 characters)"),
+    (["spec", "--ring", "Z/2", "--bogus"], "spectop: error: unrecognized arguments: --bogus"),
+], ids=["theorem", "long-which", "command", "tail", "flag"])
+def test_a_usage_error_names_the_bad_value_briefly(capsys, argv, line):
+    # The usage above the error lists the choices.
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: spectop") and lines[-1] == line
 
 
 def test_a_literal_starting_with_a_minus_needs_the_equals_form(capsys):
@@ -448,26 +471,25 @@ def test_dot_single_point_no_edges():
 
 
 def test_spectrum_json_round_trip():
+    # A document names its ring, and that ring's spectrum gives the document back.
     for text in ("Z/12", "Zloc(2)", "Zloc(2) * Z/3", "GF(4)"):
-        sp = enumerate_spectrum(parse_ring(text))
-        doc = json.loads(json.dumps(spectrum_doc(sp)))
-        assert spectrum_from_doc(doc) == sp
+        doc = json.loads(json.dumps(spectrum_doc(enumerate_spectrum(parse_ring(text)))))
+        assert spectrum_doc(enumerate_spectrum(parse_ring(doc["ring"]))) == doc
         doc["order"].append(doc["order"][0] if doc["order"] else ["(x)", "(y)"])
-        with pytest.raises(ParseError, match="does not describe this ring's spectrum"):
-            spectrum_from_doc(doc)
+        assert spectrum_doc(enumerate_spectrum(parse_ring(doc["ring"]))) != doc
 
 
 def test_certificate_json_round_trip():
+    # A document names its ring and ideal, and their certificate gives it back.
     for text, gens in (("Z/6", "2"), ("Z/4", "2"), ("Zloc(2)", "4/3")):
         ring = parse_ring(text)
-        from spectop import ideal_from_generators, parse_generators
         ideal = ideal_from_generators(ring, parse_generators(ring, gens))
-        cert = is_cyclic_flat(ideal)
-        doc = json.loads(json.dumps(certificate_doc(cert)))
-        assert certificate_from_doc(doc) == cert
+        doc = json.loads(json.dumps(certificate_doc(is_cyclic_flat(ideal))))
+        ring = parse_ring(doc["ring"])
+        cert = is_cyclic_flat(parse_ideal_label(ring, doc["ideal"]))
+        assert cert == is_cyclic_flat(ideal) and certificate_doc(cert) == doc
         doc["flat"] = not doc["flat"]
-        with pytest.raises(ParseError, match="does not match the recomputed certificate"):
-            certificate_from_doc(doc)
+        assert certificate_doc(cert) != doc
 
 
 def test_json_output_is_byte_stable(capsys):

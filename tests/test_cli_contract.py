@@ -5,8 +5,8 @@ Whatever the argv, ``cli.main`` answers within a second with exit 0, 1 or
 "error:", under 160 bytes; exit 1 comes only from ``verify`` or
 ``corpus`` with a failed row.  The argvs are built from the corpus rings,
 ideal labels and element literals, mutated by edits that insert grammar
-tokens, long digit runs and other characters, with an unknown flag now
-and then.
+tokens, long digit runs and other characters, with an unknown flag, an
+invalid choice or arguments after a "--" now and then.
 """
 
 from __future__ import annotations
@@ -35,6 +35,13 @@ FOUND_ARGVS = [
     ["spec", "--ring", f"Z/{NINES}"],
     ["flat", "--ring", "Zloc(3) * Z/2", f"--ideal=(1/{'1' * 8000}, 1)"],
     ["flat", "--ring", "GF(4)", "--ideal", "-x"],
+    # A size of 4,335 digits, past what Python writes out in decimal.
+    ["spec", "--ring", " * ".join(["Z/256"] * 1800)],
+    # argparse named every choice, and repeated the value or the arguments
+    # after a "--" in full.
+    ["verify", "--ring", "Z/2", "--theorem", "bogus"],
+    ["topology", "--ring", "Z/2", "--which", "zariski" * 100],
+    ["spec", "--ring", "Z/2", "--", *["abcdefghij"] * 40],
 ]
 
 _RINGS = [entry.ring_text for entry in DEFAULT_CORPUS] + ["Z/2[x]/(x^4)", "GF(16)"]
@@ -47,8 +54,6 @@ _PIECES = st.one_of(
     st.sampled_from(list("()*/^,;:{}x+- 0123456789")),
     st.sampled_from([NINES, "1" + "0" * 4400, "Z/", "GF(", "Zloc(", " x ", " * Z/2", "fin"]),
     st.characters())
-# argparse repeats an invalid choice, or every argument after a "--", in
-# full, so neither is drawn.
 _UNKNOWN_FLAGS = ["--bogus", "-q", "--ring2", "--ideal=2", "--which=flat", "-h"]
 
 
@@ -64,6 +69,11 @@ def _mutated(draw, texts):
     return text
 
 
+def _choice(names):
+    """One of the names, or now and then one mutated into an invalid choice."""
+    return st.one_of(st.sampled_from(names), _mutated(list(names)))
+
+
 @st.composite
 def _argvs(draw):
     ring = draw(_mutated(_RINGS))
@@ -71,16 +81,16 @@ def _argvs(draw):
         ["spec", "topology", "flat", "sring", "chaincond", "verify", "corpus", "export-dot"]))
     argv = [command, "--ring", ring]
     if command == "topology":
-        argv += ["--which", draw(st.sampled_from(["zariski", "flat", "patch"]))]
+        argv += ["--which", draw(_choice(["zariski", "flat", "patch"]))]
     elif command == "flat":
         argv.append("--ideal=" + draw(_mutated(_LITERALS)))
     elif command == "chaincond":
-        argv += ["--X", draw(st.sampled_from(["min", "max", "custom"]))]
+        argv += ["--X", draw(_choice(["min", "max", "custom"]))]
         if draw(st.booleans()):
             labels = draw(st.lists(_mutated(_LABELS), min_size=1, max_size=3))
             argv.append("--points=" + ";".join(labels))
     elif command == "verify" and draw(st.booleans()):
-        argv += ["--theorem", draw(st.sampled_from(CHECK_NAMES))]
+        argv += ["--theorem", draw(_choice(CHECK_NAMES))]
     elif command == "corpus":
         # A corpus file holding the mutated ring, expecting what its source
         # ring has, so that a changed ring can fail a row.
@@ -88,6 +98,8 @@ def _argvs(draw):
         argv = [command, json.dumps({"entries": [{"ring": ring, "expect": source.expect}]})]
     if draw(st.integers(0, 4)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_UNKNOWN_FLAGS)))
+    if draw(st.integers(0, 4)) == 0:
+        argv += ["--", *draw(st.lists(_mutated(_RINGS + _LITERALS), min_size=1, max_size=40))]
     return argv
 
 
@@ -133,6 +145,10 @@ def check_contract(argv):
 @example(FOUND_ARGVS[1])
 @example(FOUND_ARGVS[2])
 @example(FOUND_ARGVS[3])
+@example(FOUND_ARGVS[4])
+@example(FOUND_ARGVS[5])
+@example(FOUND_ARGVS[6])
+@example(FOUND_ARGVS[7])
 @example(["spec", "--ring", f"Zloc({NINES})"])
 @example(["spec", "--ring", f"Z/2[x]/(x^{NINES}+x)"])
 @example(["flat", "--ring", "Zloc(3)", f"--ideal=1/{NINES}"])

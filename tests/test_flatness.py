@@ -14,21 +14,18 @@ import pytest
 from spectop import (
     EventuallyConstantBitsRing,
     FlatnessCertificate,
-    NotFlat,
     NotGenStable,
     NotZariskiClosed,
-    common_multiplier,
     enumerate_ideals,
     enumerate_spectrum,
     finite_support_ideal,
-    flat_ideal_from_closed_set,
+    flat_ideal_from_closed_mask,
     flat_witness,
     idempotent_generator,
     ideal_from_generators,
     idempotents,
     is_cyclic_flat,
     is_cyclic_projective,
-    is_stable_generalization,
     parse_ring,
     principal_ideal,
     radical,
@@ -42,7 +39,14 @@ from spectop.cli import certificate_doc
 from spectop.ideals import LocalIdeal, annihilator
 from spectop.rings import canonical_sorted
 
-from conftest import CORPUS_TEXTS, FINITE_CORPUS_TEXTS, SMALL_FINITE_TEXTS
+from conftest import (
+    CORPUS_TEXTS,
+    FINITE_CORPUS_TEXTS,
+    SMALL_FINITE_TEXTS,
+    common_multiplier,
+    is_down_closed,
+    label_mask,
+)
 
 
 @pytest.fixture(params=FINITE_CORPUS_TEXTS + SMALL_FINITE_TEXTS)
@@ -256,30 +260,34 @@ def test_flat_witness_requires_membership():
 
 
 def test_common_multiplier_frozen_examples():
+    # A flat witness (a, b) of f gives f*b = f*(1 - a) = f; a common
+    # multiplier of all of I is an idempotent generator of I.
     z6 = parse_ring("Z/6")
-    g = common_multiplier(principal_ideal(z6, z6.element(2)),
-                          [z6.element(2), z6.element(4)])
-    assert g == z6.element(4)
+    two = principal_ideal(z6, z6.element(2))
+    assert common_multiplier(two, [z6.element(2), z6.element(4)]) == z6.element(4)
+    assert flat_witness(two, z6.element(2)) == (z6.element(3), z6.element(4))
+    assert idempotent_generator(two) == z6.element(4)
 
     z12 = parse_ring("Z/12")
-    g12 = common_multiplier(principal_ideal(z12, z12.element(4)),
-                            [z12.element(4), z12.element(8)])
-    assert g12 == z12.element(4)
-
+    four = principal_ideal(z12, z12.element(4))
+    assert common_multiplier(four, [z12.element(4), z12.element(8)]) == z12.element(4)
     assert common_multiplier(zero_ideal(z12), [z12.zero]) == z12.zero
+    z4 = parse_ring("Z/4")
+    assert common_multiplier(principal_ideal(z4, z4.element(2)), [z4.element(2)]) is None
 
 
 def test_common_multiplier_property(finite_ring):
+    # Over a finite ring, R/I is flat iff I = Re for an idempotent e, iff
+    # some g in I has f*g = f for every f in I.
     for ideal in enumerate_ideals(finite_ring):
-        if not is_cyclic_flat(ideal).verdict:
-            with pytest.raises(NotFlat):
-                common_multiplier(ideal, list(ideal.elements)[:2])
-            continue
         fs = ideal.sorted_elements()
         g = common_multiplier(ideal, fs)
-        assert ideal.contains(g)
+        assert (g is not None) == is_cyclic_flat(ideal).verdict, ideal.label()
+        if g is None:
+            continue
         for f in fs:
-            assert f * g == f
+            _, b = flat_witness(ideal, f)
+            assert ideal.contains(b) and f * b == f
 
 
 def test_idempotent_generator_frozen_examples():
@@ -323,8 +331,8 @@ def test_support_contains_complement_of_locus(support_ring):
 def test_flat_loci_are_generalization_stable(finite_ring):
     for ideal in enumerate_ideals(finite_ring):
         if is_cyclic_flat(ideal).verdict:
-            assert is_stable_generalization(
-                finite_ring, vanishing_locus(finite_ring, ideal))
+            assert is_down_closed(enumerate_spectrum(finite_ring).points,
+                                  vanishing_locus(finite_ring, ideal))
 
 
 def test_flat_radical_forces_equality(finite_ring):
@@ -338,17 +346,15 @@ def test_flat_radical_forces_equality(finite_ring):
 def test_flat_ideal_from_closed_set_examples():
     z12 = parse_ring("Z/12")
     sp = enumerate_spectrum(z12)
-    pts = {p.label(): p for p in sp.points}
-    kernel = flat_ideal_from_closed_set(z12, {pts["(2)"]})
+    kernel = flat_ideal_from_closed_mask(z12, label_mask(z12, "(2)"))
     assert kernel.label() == "(4)"
-    assert flat_ideal_from_closed_set(z12, sp.as_set()).is_zero()
-    assert flat_ideal_from_closed_set(z12, frozenset()).is_whole()
+    assert flat_ideal_from_closed_mask(z12, sp.full).is_zero()
+    assert flat_ideal_from_closed_mask(z12, 0).is_whole()
 
     mixed = parse_ring("Zloc(2) * Z/3")
     spm = enumerate_spectrum(mixed)
     mpts = {p.label(): p for p in spm.points}
-    kernel2 = flat_ideal_from_closed_set(
-        mixed, {mpts["(0) x (1)"], mpts["(2) x (1)"]})
+    kernel2 = flat_ideal_from_closed_mask(mixed, label_mask(mixed, "(0) x (1)", "(2) x (1)"))
     assert kernel2.label() == "(0) x (1)"
     assert vanishing_locus(mixed, kernel2) == frozenset(
         {mpts["(0) x (1)"], mpts["(2) x (1)"]})
@@ -357,23 +363,21 @@ def test_flat_ideal_from_closed_set_examples():
 def test_flat_ideal_from_closed_set_checks_its_postconditions(monkeypatch):
     # a broken kernel is caught, also under python -O
     z6 = parse_ring("Z/6")
-    pts = {p.label(): p for p in enumerate_spectrum(z6).points}
     monkeypatch.setattr(flatness, "saturation_kernel", lambda ideal: zero_ideal(ideal.ring))
     with pytest.raises(AssertionError, match="does not vanish exactly"):
-        flat_ideal_from_closed_set(z6, {pts["(2)"]})
+        flat_ideal_from_closed_mask(z6, label_mask(z6, "(2)"))
     z12 = parse_ring("Z/12")
-    pts12 = {p.label(): p for p in enumerate_spectrum(z12).points}
     monkeypatch.setattr(flatness, "saturation_kernel", lambda ideal: ideal)
     with pytest.raises(AssertionError, match="is not flat"):
-        flat_ideal_from_closed_set(z12, {pts12["(2)"]})
+        flat_ideal_from_closed_mask(z12, label_mask(z12, "(2)"))
 
     code = textwrap.dedent("""
         from spectop import enumerate_spectrum, flatness, parse_ring, zero_ideal
         z6 = parse_ring("Z/6")
-        point = next(p for p in enumerate_spectrum(z6).points if p.label() == "(2)")
+        mask = 1 << enumerate_spectrum(z6).labels.index("(2)")
         flatness.saturation_kernel = lambda ideal: zero_ideal(ideal.ring)
         try:
-            flatness.flat_ideal_from_closed_set(z6, {point})
+            flatness.flat_ideal_from_closed_mask(z6, mask)
         except AssertionError:
             raise SystemExit(0)
         raise SystemExit(3)
@@ -386,12 +390,7 @@ def test_flat_ideal_from_closed_set_checks_its_postconditions(monkeypatch):
 
 def test_flat_ideal_from_closed_set_rejections():
     zl = parse_ring("Zloc(2)")
-    sp = enumerate_spectrum(zl)
-    zero, two = sp.points
     with pytest.raises(NotGenStable):
-        flat_ideal_from_closed_set(zl, {two})
+        flat_ideal_from_closed_mask(zl, label_mask(zl, "(2)"))
     with pytest.raises(NotZariskiClosed):
-        flat_ideal_from_closed_set(zl, {zero})
-    with pytest.raises(ValueError):
-        z12 = parse_ring("Z/12")
-        flat_ideal_from_closed_set(z12, {zero})
+        flat_ideal_from_closed_mask(zl, label_mask(zl, "(0)"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -189,12 +190,29 @@ def test_ring_size_budget():
     (2, 100000, "2^100000"),
     (2, 10 ** 25, "2^10000000…00000000 (26 digits)"),
     (3, 9, "19683"),
+    # The size of a product of 1,800 rings Z/256 has more digits than
+    # Python writes out in decimal.
+    pytest.param(256 ** 1800, 1, "67910599…40933376 (4335 digits)", id="256**1800"),
 ])
 def test_a_refused_size_is_named_in_full_up_to_twenty_digits(base, exponent, size):
     with pytest.raises(RingTooLarge) as err:
         check_ring_size(base, exponent)
     assert str(err.value) == (
         f"a finite ring with {size} elements exceeds the budget of 256 elements")
+
+
+@given(st.integers(min_value=MAX_RING_ELEMENTS + 1, max_value=10 ** 6000))
+def test_a_refused_size_is_named_by_the_ends_of_its_digits(size):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(size)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    named = digits if len(digits) <= 20 else f"{digits[:8]}…{digits[-8:]} ({len(digits)} digits)"
+    with pytest.raises(RingTooLarge) as err:
+        check_ring_size(size)
+    assert str(err.value).startswith(f"a finite ring with {named} elements ")
 
 
 def test_product_ring_rejects_bits_factor():

@@ -432,3 +432,80 @@ def test_the_presentation_rule_flags_an_added_test(tmp_path):
         "tests LocalizedIntegerRing",
     ]
     assert [f.split(":")[0] for f in found] == ["dsl.py", "spectrum.py", "spectrum.py"]
+
+
+# The public functions and methods that nothing in the package calls, each
+# with the reason it stays.
+UNCALLED_PUBLIC = {
+    # The benchmark's per-layer metric flatness.flat_witness.calls names it.
+    "flatness.flat_witness",
+    # perfbench/tracing.py reads the sets of a family.
+    "spectrum.ClosedFamily.sets",
+    # The library's entry for one element literal.
+    "dsl.parse_element",
+    # The library's entry for one ideal label, the inverse of Ideal.label().
+    "dsl.parse_ideal_label",
+}
+
+
+def _names(ref: ast.AST, module: str, is_method: bool) -> bool:
+    """Whether a Name or Attribute node of the right name names the
+    definition: a bare name names a function, an attribute a method of
+    anything or a function of its module."""
+    if isinstance(ref, ast.Name):
+        return not is_method
+    return is_method or isinstance(ref.value, ast.Name) and ref.value.id == module
+
+
+def uncalled_public(root: Path) -> list[str]:
+    """The public top-level functions and public methods that no code in
+    the package names outside their own definitions.
+
+    A function is named by its name, or as an attribute of its module's
+    name, and a method as an attribute of anything.  The names in
+    ``__all__`` and ``_EXPORTS`` are strings, so they name nothing.
+    """
+    trees = list(_trees(root))
+    references: dict[str, list[ast.AST]] = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                references.setdefault(node.attr, []).append(node)
+    found = []
+    for path, tree in trees:
+        module = path.stem
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for item in members:
+                if not isinstance(item, ast.FunctionDef) or item.name.startswith("_"):
+                    continue
+                is_method = item is not node
+                own = set(map(id, ast.walk(item)))
+                if not any(id(ref) not in own and _names(ref, module, is_method)
+                           for ref in references.get(item.name, ())):
+                    label = f"{node.name}.{item.name}" if is_method else item.name
+                    found.append(f"{path.name}:{item.lineno} {module}.{label}")
+    return found
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    assert sorted(f.split(" ")[1] for f in uncalled_public(SOURCE)) == sorted(UNCALLED_PUBLIC)
+
+
+def test_the_caller_rule_flags_an_added_function(tmp_path):
+    copy = tmp_path / "spectop"
+    shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "sring.py", "a", encoding="utf-8") as handle:
+        handle.write('\n__all__ += ["dual_chain"]\n\n\ndef dual_chain(chain):\n'
+                     "    return dual_chain(chain)\n\n\nclass _Poset:\n"
+                     "    def leq(self, other):\n        return self is other\n\n"
+                     "    def _rank(self):\n        return 0\n")
+    # A new caller takes flat_witness off the list.
+    with open(copy / "flatness.py", "a", encoding="utf-8") as handle:
+        handle.write("\n\ndef common_multiplier(ideal, f):\n"
+                     "    return flat_witness(ideal, f)[1]\n")
+    found = [f.split(" ")[1] for f in uncalled_public(copy)]
+    assert sorted(found) == sorted(UNCALLED_PUBLIC - {"flatness.flat_witness"} | {
+        "flatness.common_multiplier", "sring.dual_chain", "sring._Poset.leq"})

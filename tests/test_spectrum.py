@@ -1,4 +1,4 @@
-"""Spectra, the three topologies, stability predicates and closures."""
+"""Spectra, the three topologies, stable sets and closures."""
 
 from __future__ import annotations
 
@@ -21,26 +21,20 @@ from spectop import (
     closed_family,
     enumerate_ideals,
     enumerate_spectrum,
-    flat_point_closure,
-    generalization_closure,
     ideal_from_generators,
     is_prime_ideal,
-    is_stable_generalization,
-    is_stable_specialization,
     parse_ideal_label,
     parse_ring,
     principal_ideal,
     product_ring,
-    specialization_closure,
     vanishing_locus,
 )
 from spectop.ideals import LocalIdeal, ProductIdeal
 from spectop.spectrum import (
     TOPOLOGIES,
     ClosedFamily,
+    _ideal_table,
     ideal_basis_families,
-    ideal_vanishing_sets,
-    principal_vanishing_sets,
 )
 
 from conftest import (
@@ -51,12 +45,32 @@ from conftest import (
     brute_force_ideals,
     brute_force_is_prime,
     factorwise_unions,
+    generalizations_of,
+    is_down_closed,
+    is_up_closed,
+    label_mask,
+    loci_of_elements,
+    loci_of_ideals,
     oracle_closed_sets,
+    sample_elements,
+    specializations_of,
+    table_point_sets,
 )
 
 
 def _locus_labels(points):
     return sorted(p.label() for p in points)
+
+
+def _principal_sets(ring):
+    """The V(f) that the spectrum's table holds."""
+    sp = enumerate_spectrum(ring)
+    return table_point_sets(sp, sp._principal_table)
+
+
+def _ideal_sets(ring):
+    """The V(I) that a table built afresh holds."""
+    return table_point_sets(enumerate_spectrum(ring), _ideal_table(ring))
 
 
 def test_spectrum_frozen_examples():
@@ -70,7 +84,9 @@ def test_spectrum_frozen_examples():
     spl = enumerate_spectrum(parse_ring("Zloc(2)"))
     assert [p.label() for p in spl.points] == ["(0)", "(2)"]
     zero, two = spl.points
-    assert spl.leq(zero, two) and not spl.leq(two, zero)
+    # (0) lies below (2): each cone holds the point itself and the other
+    # point on its side.
+    assert spl.down == (0b01, 0b11) and spl.up == (0b11, 0b10)
     assert zero in spl.minimal_points() and zero not in spl.maximal_points()
     assert two in spl.maximal_points() and two not in spl.minimal_points()
 
@@ -117,12 +133,13 @@ def test_product_spectrum_matches_brute_force():
 
 
 def test_mixed_product_spectrum_shape():
-    sp = enumerate_spectrum(parse_ring("Zloc(2) * Z/3"))
+    ring = parse_ring("Zloc(2) * Z/3")
+    sp = enumerate_spectrum(ring)
     labels = [p.label() for p in sp.points]
     assert labels == ["(0) x (1)", "(1) x (0)", "(2) x (1)"]
     pts = {p.label(): p for p in sp.points}
-    assert sp.leq(pts["(0) x (1)"], pts["(2) x (1)"])
-    assert not sp.leq(pts["(0) x (1)"], pts["(1) x (0)"])
+    assert sp.down[labels.index("(2) x (1)")] == label_mask(ring, "(0) x (1)", "(2) x (1)")
+    assert sp.up[labels.index("(0) x (1)")] == label_mask(ring, "(0) x (1)", "(2) x (1)")
     assert pts["(1) x (0)"] in sp.minimal_points() & sp.maximal_points()
 
 
@@ -134,73 +151,54 @@ def test_vanishing_locus_frozen_examples():
     assert vanishing_locus(z12, principal_ideal(z12, z12.one)) == frozenset()
 
 
-def test_nonvanishing_locus_is_complement():
-    from spectop import nonvanishing_locus
-    z12 = parse_ring("Z/12")
-    sp = enumerate_spectrum(z12)
-    for f in z12.elements():
-        d = nonvanishing_locus(z12, f)
-        v = vanishing_locus(z12, principal_ideal(z12, f))
-        assert d == sp.as_set() - v
-
-
 def test_flat_point_closure():
-    zl = parse_ring("Zloc(2)")
-    sp = enumerate_spectrum(zl)
-    zero, two = sp.points
-    assert flat_point_closure(zl, two) == frozenset({zero, two})
-    assert flat_point_closure(zl, zero) == frozenset({zero})
-    z12 = parse_ring("Z/12")
-    for p in enumerate_spectrum(z12).points:
-        assert flat_point_closure(z12, p) == frozenset({p})
+    # The flat closure of a point is its generalization cone.
+    sp = enumerate_spectrum(parse_ring("Zloc(2)"))
+    assert sp.down_closure(0b10) == 0b11
+    assert sp.down_closure(0b01) == 0b01
+    sp12 = enumerate_spectrum(parse_ring("Z/12"))
+    for i in range(len(sp12)):
+        assert sp12.down_closure(1 << i) == sp12.down[i] == 1 << i
 
 
 def test_stability_predicates():
-    zl = parse_ring("Zloc(2)")
-    sp = enumerate_spectrum(zl)
-    zero, two = sp.points
-    assert is_stable_generalization(zl, {zero})
-    assert not is_stable_generalization(zl, {two})
-    assert is_stable_specialization(zl, {two})
-    assert not is_stable_specialization(zl, {zero})
-    assert is_stable_generalization(zl, frozenset())
-    assert is_stable_specialization(zl, frozenset())
+    # Bit m of a stable table is set when the mask m is stable.
+    sp = enumerate_spectrum(parse_ring("Zloc(2)"))
+    zero, two = 0b01, 0b10
+    assert sp.down_table >> zero & 1 and not sp.down_table >> two & 1
+    assert sp.up_table >> two & 1 and not sp.up_table >> zero & 1
+    assert sp.down_table & 1 and sp.up_table & 1
 
 
 def test_closure_operators_on_local_ring():
-    zl = parse_ring("Zloc(2)")
-    sp = enumerate_spectrum(zl)
-    zero, two = sp.points
-    assert generalization_closure(zl, {two}) == frozenset({zero, two})
-    assert specialization_closure(zl, {zero}) == frozenset({zero, two})
-    assert generalization_closure(zl, ()) == frozenset()
-    assert specialization_closure(zl, ()) == frozenset()
+    sp = enumerate_spectrum(parse_ring("Zloc(2)"))
+    assert sp.down_closure(0b10) == 0b11
+    assert sp.up_closure(0b01) == 0b11
+    assert sp.down_closure(0) == sp.up_closure(0) == 0
 
 
 def test_closure_operators_on_mixed_product():
-    mixed = parse_ring("Zloc(2) * Z/3")
-    sp = enumerate_spectrum(mixed)
-    pts = {p.label(): p for p in sp.points}
-    g, m = pts["(0) x (1)"], pts["(2) x (1)"]
-    assert generalization_closure(mixed, {m}) == frozenset({g, m})
-    assert specialization_closure(mixed, {g}) == frozenset({g, m})
+    ring = parse_ring("Zloc(2) * Z/3")
+    sp = enumerate_spectrum(ring)
+    both = label_mask(ring, "(0) x (1)", "(2) x (1)")
+    assert sp.down_closure(label_mask(ring, "(2) x (1)")) == both
+    assert sp.up_closure(label_mask(ring, "(0) x (1)")) == both
 
 
 @given(st.sampled_from(CORPUS_TEXTS + ZLOC_POWERS), st.data())
 def test_mask_predicates_match_cone_unions(text, data):
-    """The mask closures and stability tests agree with the unions of the
-    cones, and the cones with ideal inclusion."""
+    """The mask closures and stable tables agree with the closures under
+    ideal inclusion."""
     ring = parse_ring(text)
     sp = enumerate_spectrum(ring)
     points = data.draw(st.frozensets(st.sampled_from(sp.points)))
-    gen = frozenset().union(*(sp.generalizations(p) for p in points))
-    spec = frozenset().union(*(sp.specializations(p) for p in points))
-    assert gen == {q for q in sp.points if any(q.issubset(p) for p in points)}
-    assert spec == {q for q in sp.points if any(p.issubset(q) for p in points)}
-    assert generalization_closure(ring, points) == gen
-    assert specialization_closure(ring, points) == spec
-    assert is_stable_generalization(ring, points) == (gen == points)
-    assert is_stable_specialization(ring, points) == (spec == points)
+    mask = sp._mask_of(points)
+    gen = generalizations_of(sp.points, points)
+    spec = specializations_of(sp.points, points)
+    assert sp._points_of(sp.down_closure(mask)) == gen
+    assert sp._points_of(sp.up_closure(mask)) == spec
+    assert bool(sp.down_table >> mask & 1) == (gen == points)
+    assert bool(sp.up_table >> mask & 1) == (spec == points)
 
 
 @pytest.mark.parametrize("text", ["Zloc(2) * Z/3", "Zloc(3) * Z/4 * Zloc(2)", ZLOC_POWERS[5]])
@@ -250,9 +248,8 @@ def test_cover_edges_match_the_definition(text):
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_principal_families_are_built_once_per_spectrum(corpus_ring, topology):
     assert closed_family(corpus_ring, topology) is closed_family(corpus_ring, topology)
-    first = ideal_basis_families(corpus_ring, (topology,))[0]
-    second = ideal_basis_families(corpus_ring, (topology,))[0]
-    assert first is not second and first == second
+    first, second = ideal_basis_families(corpus_ring), ideal_basis_families(corpus_ring)
+    assert all(a is not b and a == b for a, b in zip(first, second))
 
 
 def test_closed_family_rejects_foreign_points():
@@ -290,37 +287,32 @@ def test_family_axioms_and_characterizations(corpus_ring):
     pfam = closed_family(corpus_ring, PATCH)
     for fam in (zfam, ffam, pfam):
         fam.validate()
-    full = pfam.spectrum.as_set()
+    points = pfam.spectrum.points
     # patch closed family is the full power set on a finite spectrum
-    assert len(pfam.sets) == 2 ** len(full)
+    assert len(pfam.sets) == 2 ** len(points)
     # flat closed = patch closed and stable under generalization
-    assert ffam.sets == frozenset(
-        s for s in pfam.sets if is_stable_generalization(corpus_ring, s))
+    assert ffam.sets == frozenset(s for s in pfam.sets if is_down_closed(points, s))
     # zariski closed = patch closed and stable under specialization
-    assert zfam.sets == frozenset(
-        s for s in pfam.sets if is_stable_specialization(corpus_ring, s))
+    assert zfam.sets == frozenset(s for s in pfam.sets if is_up_closed(points, s))
     # patch refines both
     assert zfam.sets <= pfam.sets and ffam.sets <= pfam.sets
 
 
-def test_both_family_entries_refuse_an_unknown_topology():
-    z6 = parse_ring("Z/6")
-    for build in (lambda: closed_family(z6, "hausdorff"),
-                  lambda: ideal_basis_families(z6, (FLAT, "hausdorff"))):
-        with pytest.raises(ValueError, match="unknown topology 'hausdorff'"):
-            build()
+def test_closed_family_refuses_an_unknown_topology():
+    with pytest.raises(ValueError, match="unknown topology 'hausdorff'"):
+        closed_family(parse_ring("Z/6"), "hausdorff")
 
 
 def test_subbasis_and_ideal_basis_agree(corpus_ring):
-    for topology in (FLAT, ZARISKI):
-        a = closed_family(corpus_ring, topology).sets
-        b = ideal_basis_families(corpus_ring, (topology,))[0].sets
-        assert a == b
+    ideal_zfam, ideal_ffam = ideal_basis_families(corpus_ring)
+    assert ideal_zfam.topology == ZARISKI and ideal_ffam.topology == FLAT
+    assert ideal_zfam.sets == closed_family(corpus_ring, ZARISKI).sets
+    assert ideal_ffam.sets == closed_family(corpus_ring, FLAT).sets
 
 
 def test_zariski_closed_sets_are_vanishing_loci(corpus_ring):
     fam = closed_family(corpus_ring, ZARISKI)
-    assert fam.sets == ideal_vanishing_sets(corpus_ring)
+    assert fam.sets == loci_of_ideals(corpus_ring)
 
 
 def _sample_elements(factor):
@@ -342,20 +334,17 @@ def test_product_vanishing_sets_match_definition(text):
     """The factor-wise V(I) and V(f) of infinite products equal the sets
     {p : I in p} over every enumerated ideal and {p : f in p} over tuples."""
     ring = parse_ring(text)
-    points = enumerate_spectrum(ring).points
-    assert ideal_vanishing_sets(ring) == {
-        vanishing_locus(ring, i) for i in enumerate_ideals(ring)}
+    assert _ideal_sets(ring) == {vanishing_locus(ring, i) for i in enumerate_ideals(ring)}
     tuples = [ring.element(combo) for combo in
               itertools.product(*(_sample_elements(f) for f in ring.factors))]
-    assert principal_vanishing_sets(ring) == {
-        frozenset(p for p in points if p.contains(f)) for f in tuples}
+    assert _principal_sets(ring) == loci_of_elements(ring, tuples)
 
 
 @pytest.mark.parametrize("text", ["Zloc(2) * Z/3", "Zloc(3) * Z/4 * Zloc(2)", ZLOC_POWERS[5]])
 def test_shifted_tables_hold_the_unions_over_factor_products(text):
     ring = parse_ring(text)
-    assert principal_vanishing_sets(ring) == factorwise_unions(ring, principal_vanishing_sets)
-    assert ideal_vanishing_sets(ring) == factorwise_unions(ring, ideal_vanishing_sets)
+    assert _principal_sets(ring) == factorwise_unions(ring, _principal_sets)
+    assert _ideal_sets(ring) == factorwise_unions(ring, _ideal_sets)
 
 
 def test_an_infinite_product_lists_each_factors_primes_once(monkeypatch):
@@ -377,8 +366,7 @@ def test_an_infinite_product_lists_each_factors_primes_once(monkeypatch):
 
 def test_principal_vanishing_sets_cover_mixed_product():
     mixed = parse_ring("Zloc(2) * Z/3")
-    got = {frozenset(p.label() for p in s)
-           for s in principal_vanishing_sets(mixed)}
+    got = {frozenset(p.label() for p in s) for s in _principal_sets(mixed)}
     assert len(got) == 6  # 3 shapes from Zloc(2) times 2 from Z/3
 
 
@@ -396,10 +384,11 @@ def test_closure_operator_theorems(corpus_ring):
     zfam = closed_family(corpus_ring, ZARISKI)
     ffam = closed_family(corpus_ring, FLAT)
     pfam = closed_family(corpus_ring, PATCH)
+    points = pfam.spectrum.points
     for E in zfam.sets:
-        assert generalization_closure(corpus_ring, E) in ffam.sets
+        assert generalizations_of(points, E) in ffam.sets
     for E in pfam.sets:
-        assert specialization_closure(corpus_ring, E) in zfam.sets
+        assert specializations_of(points, E) in zfam.sets
 
 
 # Up to 12 points, in products of localized and finite factors.
@@ -413,22 +402,23 @@ ORACLE_TEXTS = CORPUS_TEXTS + SMALL_FINITE_TEXTS + (
 
 @pytest.mark.parametrize("text", ORACLE_TEXTS)
 def test_closed_family_matches_topology_oracle(text):
-    """Each family equals the one its sub-basis generates by definition;
-    for patch the oracle takes every D(f) & V(g), not the D(f) and V(g)."""
+    """Each family equals the one its sub-basis generates by definition,
+    from the V(f) or from the V(I); for patch the oracle takes every
+    D(f) & V(g), not the D(f) and V(g)."""
     ring = parse_ring(text)
     points = enumerate_spectrum(ring).points
     full = frozenset(points)
-    for use_ideal_basis in (False, True):
-        vsets = (ideal_vanishing_sets(ring) if use_ideal_basis
-                 else principal_vanishing_sets(ring))
-        dsets = {full - v for v in vsets}
-        subbases = {ZARISKI: dsets, FLAT: vsets,
-                    PATCH: {d & v for d in dsets for v in vsets}}
-        for topology, subbasis in subbases.items():
-            fam = (ideal_basis_families(ring, (topology,))[0] if use_ideal_basis
-                   else closed_family(ring, topology))
-            assert fam.sets == oracle_closed_sets(points, subbasis), (
-                topology, use_ideal_basis)
+    vsets = loci_of_elements(ring, sample_elements(ring))
+    dsets = {full - v for v in vsets}
+    subbases = {ZARISKI: dsets, FLAT: vsets, PATCH: {d & v for d in dsets for v in vsets}}
+    for topology, subbasis in subbases.items():
+        assert closed_family(ring, topology).sets == oracle_closed_sets(points, subbasis), (
+            topology)
+    vsets = loci_of_ideals(ring)
+    ideal_families = dict(zip((ZARISKI, FLAT), ideal_basis_families(ring)))
+    for topology, subbasis in ((ZARISKI, {full - v for v in vsets}), (FLAT, vsets)):
+        assert ideal_families[topology].sets == oracle_closed_sets(points, subbasis), (
+            topology, "V(I)")
 
 
 def _z30_family(*point_sets):

@@ -22,7 +22,6 @@ from spectop import (
     MultiplicativeChain,
     chain_condition_check,
     check_chain_stabilization,
-    dual_chain,
     enumerate_spectrum,
     growing_indicator_chain,
     parse_ring,
@@ -32,6 +31,8 @@ from spectop import (
     stabilization_graph_check,
 )
 from spectop.sring import StabilizationReport
+
+from conftest import dual_chain
 
 
 def test_chain_validation():
