@@ -29,7 +29,7 @@ _EXPORTS = {
         enumerate_spectrum vanishing_locus""",
     "flatness": """FlatnessCertificate flat_ideal_from_closed_mask flat_witness
         idempotent_generator is_cyclic_flat is_cyclic_projective support_of_ideal""",
-    "sring": """ASCENDING DESCENDING ChainConditionTrace MultiplicativeChain SRingCertificate
+    "sring": """ChainConditionTrace MultiplicativeChain SRingCertificate
         StabilizationReport chain_condition_check check_chain_stabilization
         growing_indicator_chain prefix_indicator sring_certificate stabilization_graph_check""",
     "harness": """DEFAULT_CORPUS CorpusEntry CorpusReport TheoremReport applicable_checks

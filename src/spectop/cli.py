@@ -64,7 +64,8 @@ def spectrum_doc(sp: SpectrumPoset) -> dict:
     return {
         "ring": sp.ring.describe(),
         "points": [
-            {"ideal": label, "minimal": sp.down[j] == 1 << j, "maximal": sp.up[j] == 1 << j}
+            {"ideal": label, "minimal": sp.minimal >> j & 1 == 1,
+             "maximal": sp.maximal >> j & 1 == 1}
             for j, label in enumerate(sp.labels)
         ],
         "order": [
@@ -107,7 +108,7 @@ def family_json(family: ClosedFamily) -> Iterator[str]:
     tails = ["\n    ]"] + [",\n      " + run + "\n    ]" for run in high[1:]]
     alone = [",\n    [\n      " + run + "\n    ]" for run in high]
     # Every closed family holds the empty set, and it sorts first.
-    order = sorted(IndexKernel.members(family.table), key=sp._mask_key)
+    order = sorted(IndexKernel.members(family.table), key=sp.mask_key)
     yield '{\n  "closed_sets": [\n    []'
     for start in range(1, len(order), _FAMILY_CHUNK):
         yield "".join([heads[m & 255] + tails[m >> 8] if m & 255 else alone[m >> 8]
@@ -247,7 +248,7 @@ def _cmd_sring(args) -> int:
         "closed_genstable_open": cert.closed_genstable_open,
         "flatclosed_specstable_open": cert.flatclosed_specstable_open,
         "double_closed": [
-            {"set": sp._labels_of(sp._mask_of(s)), "idempotent": str(e)}
+            {"set": sp.labels_of(s), "idempotent": str(e)}
             for s, e in cert.double_closed_matches
         ],
         "failures": list(cert.failures),
@@ -259,15 +260,15 @@ def _cmd_chaincond(args) -> int:
     ring = parse_ring(args.ring)
     sp = enumerate_spectrum(ring)
     if args.X == "min":
-        points = sp.minimal_points()
+        x = sp.minimal
     elif args.X == "max":
-        points = sp.maximal_points()
+        x = sp.maximal
     elif not args.points:
         raise ParseError("--points is required with --X custom", 0)
     else:
-        points = {sp.point_of(ideal) for ideal in parse_ideal_labels(ring, args.points)}
+        x = sp.mask_of(parse_ideal_labels(ring, args.points))
     try:
-        trace = chain_condition_check(ring, points)
+        trace = chain_condition_check(ring, x)
     except HypothesisViolated as exc:
         _emit({
             "ring": ring.describe(),
@@ -278,9 +279,9 @@ def _cmd_chaincond(args) -> int:
     _emit({
         "ring": ring.describe(),
         "covering_ok": True,
-        "X": sp._labels_of(sp._mask_of(trace.x_points)),
+        "X": sp.labels_of(trace.x_points),
         "meet_ideal": trace.meet_ideal.label(),
-        "family": [sp._labels_of(sp._mask_of(s)) for s in trace.family],
+        "family": [sp.labels_of(s) for s in trace.family],
         # The family {X & V(f)} is finite, so every chain in it is
         # eventually constant: both chain conditions hold.
         "acc": True,

@@ -35,7 +35,7 @@ from .ideals import (
     saturation_kernel,
 )
 from .rings import Element, IndexKernel, Record
-from .spectrum import enumerate_spectrum
+from .spectrum import enumerate_spectrum, vanishing_locus
 
 __all__ = [
     "FlatnessCertificate",
@@ -121,8 +121,9 @@ def is_cyclic_projective(ideal: Ideal) -> bool:
     return idempotent_generator(ideal) is not None
 
 
-def support_of_ideal(ideal: Ideal) -> frozenset[Ideal]:
-    """Supp(I) = {p : the localization of I at p is nonzero}.
+def support_of_ideal(ideal: Ideal) -> int:
+    """Supp(I) = {p : the localization of I at p is nonzero}, as a mask
+    over the spectrum's points.
 
     Computed as the primes containing Ann(f) for some f in I; it always
     contains the complement of V(I) and equals it when R/I is flat.  Over
@@ -137,10 +138,11 @@ def support_of_ideal(ideal: Ideal) -> frozenset[Ideal]:
     if ring.is_finite:
         k = ring.index_kernel
         anns = {k.anns[f] for f in k.members(ideal.mask)}
-        return frozenset(
-            p for p in sp.points if any(not a & ~p.mask for a in anns))
+        return IndexKernel.mask(
+            i for i, p in enumerate(sp.points) if any(not a & ~p.mask for a in anns))
     anns = [annihilator(f) for f in ideal.witness_samples()]
-    return frozenset(p for p in sp.points if any(a.issubset(p) for a in anns))
+    return IndexKernel.mask(
+        i for i, p in enumerate(sp.points) if any(a.issubset(p) for a in anns))
 
 
 def flat_ideal_from_closed_mask(ring, mask: int) -> Ideal:
@@ -150,17 +152,18 @@ def flat_ideal_from_closed_mask(ring, mask: int) -> Ideal:
     E is realized as V of the intersection of its primes; J is the kernel
     of localization at 1 plus that intersection.  Both postconditions are
     re-checked before returning, and a violation raises AssertionError.
-    The vanishing loci are compared as masks over the spectrum.
+    An int that is no mask over the spectrum raises ValueError.
     """
     sp = enumerate_spectrum(ring)
+    sp.check_mask(mask)
     realized = intersect_all(ring, map(sp.points.__getitem__, IndexKernel.members(mask)))
-    if sp._vanishing_mask(realized) != mask:
+    if vanishing_locus(ring, realized) != mask:
         raise NotZariskiClosed(
             "the set is not the vanishing locus of any ideal")
     if sp.down_closure(mask) != mask:
         raise NotGenStable("the set is not stable under generalization")
     kernel = saturation_kernel(realized)
-    if sp._vanishing_mask(kernel) != mask:
+    if vanishing_locus(ring, kernel) != mask:
         raise AssertionError(f"the flat kernel {kernel.label()} does not vanish exactly on E")
     if not is_cyclic_flat(kernel).verdict:
         raise AssertionError(f"the quotient by the flat kernel {kernel.label()} is not flat")

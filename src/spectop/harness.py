@@ -180,15 +180,15 @@ def check_closure_operators(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     for operator, closure, source, target in (
             ("generalization", sp.down_closure, zfam, ffam),
             ("specialization", sp.up_closure, pfam, zfam)):
-        for E in sorted(set(source.point_closures), key=sp._mask_key):
+        for E in sorted(set(source.point_closures), key=sp.mask_key):
             if not target.table >> closure(E) & 1:
-                return {}, {"operator": operator, "set": sp._labels_of(E)}
+                return {}, {"operator": operator, "set": sp.labels_of(E)}
 
     kernels = []
-    for E in sorted(IndexKernel.members(zfam.table & sp.down_table), key=sp._mask_key):
+    for E in sorted(IndexKernel.members(zfam.table & sp.down_table), key=sp.mask_key):
         kernel = flat_ideal_from_closed_mask(ring, E)
-        found = {"set": sp._labels_of(E), "kernel": kernel.label()}
-        if sp._vanishing_mask(kernel) != E or not is_cyclic_flat(kernel).verdict:
+        found = {"set": sp.labels_of(E), "kernel": kernel.label()}
+        if vanishing_locus(ring, kernel) != E or not is_cyclic_flat(kernel).verdict:
             return {}, {"operator": "flat-kernel", **found}
         kernels.append(found)
 
@@ -206,7 +206,7 @@ def check_flat_ideal_bijection(ring: Ring, entry=None) -> tuple[dict, dict | Non
     sp = zfam.spectrum
     image = {}
     for i in flats:
-        image.setdefault(sp._mask_of(vanishing_locus(ring, i)), []).append(i)
+        image.setdefault(vanishing_locus(ring, i), []).append(i)
     codomain = zfam.table & sp.down_table
 
     problems = []
@@ -214,20 +214,20 @@ def check_flat_ideal_bijection(ring: Ring, entry=None) -> tuple[dict, dict | Non
         if len(sources) > 1:
             problems.append({"kind": "not-injective",
                              "ideals": [i.label() for i in sources],
-                             "set": sp._labels_of(locus)})
+                             "set": sp.labels_of(locus)})
         if not codomain >> locus & 1:
             problems.append({"kind": "not-well-defined",
-                             "ideal": sources[0].label(), "set": sp._labels_of(locus)})
+                             "ideal": sources[0].label(), "set": sp.labels_of(locus)})
     for s in IndexKernel.members(codomain):
         if s not in image:
-            problems.append({"kind": "not-surjective", "set": sp._labels_of(s)})
+            problems.append({"kind": "not-surjective", "set": sp.labels_of(s)})
 
     details = {
         "ideals": len(ideals),
         "flat_ideals": len(flats),
         "flat_ideal_labels": sorted(i.label() for i in flats),
         "closed_genstable_sets": codomain.bit_count(),
-        "image": sp._family_labels(image),
+        "image": sp.family_labels(image),
     }
     return details, ({"problems": problems} if problems else None)
 
@@ -267,14 +267,14 @@ def check_sring_equivalences(ring: Ring, entry=None) -> tuple[dict, dict | None]
     sp = pfam.spectrum
     # Every patch closed set that is stable both ways is patch open.
     stable = pfam.table & sp.down_table & sp.up_table
-    patch_ok = not stable & ~sp._complements(pfam.table)
+    patch_ok = not stable & ~sp.complements(pfam.table)
     # Format each idempotent once; the matches hold the ring's memoized objects.
     idems = idempotents(ring)
     texts = [str(e) for e in idems]
     text_of = dict(zip(map(id, idems), texts))
     details = {
         "double_closed": [
-            {"set": sp._labels_of(sp._mask_of(s)), "idempotent": text_of.get(id(e)) or str(e)}
+            {"set": sp.labels_of(s), "idempotent": text_of.get(id(e)) or str(e)}
             for s, e in cert.double_closed_matches
         ],
         "idempotents": texts,
@@ -362,14 +362,13 @@ def check_chain_conditions(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     maximal ideals; both families are finite, so both conditions hold."""
     sp = enumerate_spectrum(ring)
     details = {}
-    for tag, X in (("min", sp.minimal_points()), ("max", sp.maximal_points())):
+    for tag, x in (("min", sp.minimal), ("max", sp.maximal)):
         try:
-            trace = chain_condition_check(ring, X)
+            trace = chain_condition_check(ring, x)
         except HypothesisViolated as exc:
             return details, {"X": tag, "uncovered": exc.witness.label()}
         if not trace.conclusion.passed:
-            return details, {"X": tag,
-                             "family": [sp._labels_of(sp._mask_of(s)) for s in trace.family]}
+            return details, {"X": tag, "family": sp.family_labels(trace.family)}
         details[tag] = {"meet_ideal": trace.meet_ideal.label(),
                         "family_size": len(trace.family)}
     return details, None
@@ -392,8 +391,8 @@ def check_support_consistency(ring: Ring, entry=None) -> tuple[dict, dict | None
     sp = enumerate_spectrum(ring)
     for ideal in enumerate_ideals(ring):
         supp = support_of_ideal(ideal)
-        outside = sp.as_set() - vanishing_locus(ring, ideal)
-        if not outside <= supp:
+        outside = sp.full ^ vanishing_locus(ring, ideal)
+        if outside & ~supp:
             return {}, {"ideal": ideal.label(), "kind": "containment"}
         if is_cyclic_flat(ideal).verdict and supp != outside:
             return {}, {"ideal": ideal.label(), "kind": "flat-equality"}

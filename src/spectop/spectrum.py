@@ -13,7 +13,9 @@ The points of a spectrum are numbered 0..n-1 in label order.  A point set
 is an int mask with bit i set for point i, and a family of point sets an
 int table with bit m set for each member mask m, so closures, stability
 tests and tests over a whole family are bit operations.  A point is its
-prime :class:`Ideal`; frozensets of those ideals are the public form.
+prime :class:`Ideal`, and the mask is the one form of a point set that
+the public functions take and return; ``SpectrumPoset.mask_of`` and
+``labels_of`` convert from primes and to labels.
 
 Families of closed sets are materialized in full, which keeps every "for
 all closed E" statement finitely checkable, for at most
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from itertools import compress
-from operator import and_, or_
+from operator import and_, eq, or_
 
 from .errors import SpectrumTooLarge
 from .ideals import (
@@ -79,7 +81,7 @@ TOPOLOGIES = (ZARISKI, FLAT, PATCH)
 # mask and modulus byte reversal of Anderson's Bit Twiddling Hacks).
 _BYTE_REVERSED = bytes((b * 0x0202020202 & 0x010884422010) % 1023 for b in range(256))
 
-# The parts of ``SpectrumPoset._mask_key`` that each byte of a 16-bit mask
+# The parts of ``SpectrumPoset.mask_key`` that each byte of a 16-bit mask
 # gives: its size, and its complement reversed into the other byte.
 _LOW_BYTE_KEYS = [b.bit_count() << 16 | (255 ^ _BYTE_REVERSED[b]) << 8 for b in range(256)]
 _HIGH_BYTE_KEYS = [b.bit_count() << 16 | 255 ^ _BYTE_REVERSED[b] for b in range(256)]
@@ -91,7 +93,9 @@ class SpectrumPoset:
     Point i is the prime ideal ``points[i]``, in label order, and a point
     set is the int with bit i set for each member.  ``down[i]`` is the
     generalization cone of point i (the primes it contains) and ``up[i]``
-    its specialization cone, both read off ideal inclusion.  ``_parts``
+    its specialization cone, both read off ideal inclusion, and
+    ``minimal`` and ``maximal`` are the masks of the points with nothing
+    below and nothing above them.  ``_parts``
     holds each point of an infinite product (``slotwise``) as (the slot
     where it is proper, its component there), and compares points of one
     slot only; any other point is (None, the point).
@@ -113,6 +117,9 @@ class SpectrumPoset:
                     up[i] |= 1 << j
         self.down, self.up = tuple(down), tuple(up)
         self.full = (1 << n) - 1
+        bits = [1 << i for i in range(n)]
+        self.minimal = sum(compress(bits, map(eq, down, bits)))
+        self.maximal = sum(compress(bits, map(eq, up, bits)))
         self.labels = tuple(p.label() for p in self.points)
         self._index = {p: i for i, p in enumerate(self.points)}
         self._families: dict[str, ClosedFamily] = {}  # the V(f) families
@@ -128,36 +135,31 @@ class SpectrumPoset:
                 and self.ring == other.ring
                 and self.points == other.points)
 
-    def as_set(self) -> frozenset[Ideal]:
-        return frozenset(self.points)
-
-    def point_of(self, ideal: Ideal) -> Ideal:
-        try:
-            return self.points[self._index[ideal]]
-        except KeyError:
-            raise ValueError(f"{brief(ideal.label())} is not a prime of "
-                             f"{self.ring.describe()}")
-
-    def _mask_of(self, points) -> int:
-        """The mask of a collection of this spectrum's points."""
+    def mask_of(self, ideals) -> int:
+        """The mask of the given primes of this spectrum; any other ideal
+        raises ValueError."""
         mask = 0
-        try:
-            for p in points:
-                mask |= 1 << self._index[p]
-        except KeyError:
-            raise ValueError("the given points do not belong to this spectrum") from None
+        for ideal in ideals:
+            if ideal not in self._index:
+                raise ValueError(f"{brief(ideal.label())} is not a prime of "
+                                 f"{self.ring.describe()}")
+            mask |= 1 << self._index[ideal]
         return mask
 
-    def _points_of(self, mask: int) -> frozenset[Ideal]:
-        return frozenset(self.points[i] for i in IndexKernel.members(mask))
+    def check_mask(self, mask: int) -> None:
+        """Refuse an int that is no point set of this spectrum: a negative
+        one, or one with a bit at or past ``len(self)``."""
+        if not 0 <= mask <= self.full:
+            raise ValueError(f"the mask {brief(hex(mask))} is not a set of the "
+                             f"{len(self)} points of {self.ring.describe()}")
 
-    def _labels_of(self, mask: int) -> list[str]:
+    def labels_of(self, mask: int) -> list[str]:
         """A point set as its sorted labels, the form every document uses;
         bit order is label order."""
         return [self.labels[i] for i in IndexKernel.members(mask)]
 
     @staticmethod
-    def _mask_key(mask: int) -> int:
+    def mask_key(mask: int) -> int:
         """The canonical order of point sets: smaller sets first, and of two
         sets of one size, the one holding the lowest point where they differ.
         The key is the size above the complement of the mask's 16 bits in
@@ -166,21 +168,21 @@ class SpectrumPoset:
         more than ``MAX_FAMILY_POINTS`` bits has no key."""
         return _LOW_BYTE_KEYS[mask & 255] + _HIGH_BYTE_KEYS[mask >> 8]
 
-    def _family_labels(self, masks) -> list[list[str]]:
+    def family_labels(self, masks) -> list[list[str]]:
         """A family of point sets as label lists, in the canonical order."""
-        return [self._labels_of(m) for m in sorted(masks, key=self._mask_key)]
+        return [self.labels_of(m) for m in sorted(masks, key=self.mask_key)]
 
     @cached_property
-    def _principal_table(self) -> int:
+    def principal_table(self) -> int:
         """The table of every V(f), built once per spectrum.  A finite ring
         tries every f; over the localized integers V(f) only depends on
         whether f is zero, a prime multiple or a unit."""
         ring = self.ring
         if self.slotwise:
             return self._product_table(
-                [enumerate_spectrum(factor)._principal_table for factor in ring.factors])
+                [enumerate_spectrum(factor).principal_table for factor in ring.factors])
         samples = ring.elements() if ring.is_finite else (0, ring.p, 1)
-        return self._table_of(
+        return self.table_of(
             IndexKernel.mask(i for i, p in enumerate(self.points) if p.contains(f))
             for f in samples)
 
@@ -216,21 +218,6 @@ class SpectrumPoset:
             table = shifted
         return table
 
-    def _vanishing_mask(self, ideal: Ideal) -> int:
-        """V(I) as a mask, kept on the ideal's memo.  Over an infinite
-        product it is the union of the components' loci, each in its slot,
-        so each shared component's locus is found once."""
-        memo = ideal.memo
-        if "vanishing_mask" not in memo:
-            if self.slotwise:
-                memo["vanishing_mask"] = sum(
-                    embed[fsp._vanishing_mask(c)]
-                    for (fsp, embed), c in zip(self._slots, ideal.components))
-            else:
-                memo["vanishing_mask"] = IndexKernel.mask(
-                    i for i, p in enumerate(self.points) if ideal.issubset(p))
-        return memo["vanishing_mask"]
-
     def down_closure(self, mask: int) -> int:
         """The union of the generalization cones of the mask's points.  The
         checks close a few sets per family, so nothing is tabulated."""
@@ -246,19 +233,19 @@ class SpectrumPoset:
     def _patterns(self) -> tuple[int, ...]:
         """P_x for each point x, the table of the masks that hold x: runs
         of 2^x clear and 2^x set bits, alternating."""
-        self._check_family_bound()
+        self.check_family_bound()
         every = (1 << (1 << len(self.points))) - 1
         return tuple(every // ((1 << (2 << x)) - 1) * (((1 << (1 << x)) - 1) << (1 << x))
                      for x in range(len(self.points)))
 
-    def _table_of(self, masks) -> int:
+    def table_of(self, masks) -> int:
         """The table holding the given masks."""
         table = bytearray(((1 << len(self.points)) + 7) >> 3)
         for m in masks:
             table[m >> 3] |= 1 << (m & 7)
         return int.from_bytes(table, "little")
 
-    def _complements(self, table: int) -> int:
+    def complements(self, table: int) -> int:
         """The table of the complements of the members: bit m moves to bit
         full ^ m, which reverses the table's 2^n bits."""
         size = 1 << len(self.points)
@@ -294,17 +281,11 @@ class SpectrumPoset:
         """The specialization-stable masks, read off the cones alone."""
         return self._saturated_table(self.up)
 
-    def _check_family_bound(self) -> None:
+    def check_family_bound(self) -> None:
         """Refuse a spectrum whose closed families are too large to generate."""
         if len(self) > MAX_FAMILY_POINTS:
             raise SpectrumTooLarge(
                 f"{len(self)} spectrum points exceed the bound {MAX_FAMILY_POINTS}")
-
-    def minimal_points(self) -> frozenset[Ideal]:
-        return frozenset(p for j, p in enumerate(self.points) if self.down[j] == 1 << j)
-
-    def maximal_points(self) -> frozenset[Ideal]:
-        return frozenset(p for j, p in enumerate(self.points) if self.up[j] == 1 << j)
 
     def cover_edges(self) -> tuple[tuple[Ideal, Ideal], ...]:
         """Strict containments with nothing in between, sorted by label.
@@ -333,15 +314,23 @@ def enumerate_spectrum(ring: Ring) -> SpectrumPoset:
     return memo["spectrum"]
 
 
-def vanishing_locus(ring: Ring, ideal: Ideal) -> frozenset[Ideal]:
-    """V(I): the primes containing the ideal, computed once per ideal
-    object and kept on it."""
+def vanishing_locus(ring: Ring, ideal: Ideal) -> int:
+    """V(I), the primes containing the ideal, as a mask over the spectrum,
+    computed once per ideal object and kept on it.  Over an infinite
+    product it is the union of the components' loci, each in its slot, so
+    each shared component's locus is found once."""
     if ideal.ring is not ring and ideal.ring != ring:
         raise ValueError("the ideal belongs to a different ring")
     memo = ideal.memo
     if "vanishing_locus" not in memo:
         sp = enumerate_spectrum(ring)
-        memo["vanishing_locus"] = sp._points_of(sp._vanishing_mask(ideal))
+        if sp.slotwise:
+            memo["vanishing_locus"] = sum(
+                embed[vanishing_locus(fsp.ring, c)]
+                for (fsp, embed), c in zip(sp._slots, ideal.components))
+        else:
+            memo["vanishing_locus"] = IndexKernel.mask(
+                i for i, p in enumerate(sp.points) if ideal.issubset(p))
     return memo["vanishing_locus"]
 
 
@@ -366,19 +355,16 @@ class ClosedFamily(Record):
 
     @cached_property
     def sets(self) -> frozenset[frozenset[Ideal]]:
-        return frozenset(map(self.spectrum._points_of, self.masks))
+        """The members as sets of prime ideals."""
+        points = self.spectrum.points
+        return frozenset(frozenset(map(points.__getitem__, IndexKernel.members(m)))
+                         for m in self.masks)
 
     @cached_property
     def point_closures(self) -> list[int]:
         """cl(x) for each point x, the intersection of the members holding
         x: in a valid family the least member holding x."""
         return self.spectrum._least_members(self.table)
-
-    def __contains__(self, subset) -> bool:
-        try:
-            return bool(self.table >> self.spectrum._mask_of(subset) & 1)
-        except ValueError:
-            return False
 
     def validate(self) -> None:
         """Check for the empty set, the space and closure under union and
@@ -396,7 +382,7 @@ def _ideal_table(ring: Ring) -> int:
     sp = enumerate_spectrum(ring)
     if sp.slotwise:
         return sp._product_table([_ideal_table(factor) for factor in ring.factors])
-    return sp._table_of(map(sp._vanishing_mask, enumerate_ideals(ring)))
+    return sp.table_of(vanishing_locus(ring, i) for i in enumerate_ideals(ring))
 
 
 def closed_family(ring: Ring, topology: str) -> ClosedFamily:
@@ -416,9 +402,9 @@ def closed_family(ring: Ring, topology: str) -> ClosedFamily:
     builds those afresh on every call.
     """
     sp = enumerate_spectrum(ring)
-    sp._check_family_bound()
+    sp.check_family_bound()
     if topology not in sp._families:
-        sp._families[topology] = _generated_family(sp, topology, sp._principal_table)
+        sp._families[topology] = _generated_family(sp, topology, sp.principal_table)
     return sp._families[topology]
 
 
@@ -427,7 +413,7 @@ def ideal_basis_families(ring: Ring) -> tuple[ClosedFamily, ClosedFamily]:
     both from one table of the V(I) made afresh on each call, so that the
     harness compares two independent computations."""
     sp = enumerate_spectrum(ring)
-    sp._check_family_bound()
+    sp.check_family_bound()
     vtable = _ideal_table(ring)
     return _generated_family(sp, ZARISKI, vtable), _generated_family(sp, FLAT, vtable)
 
@@ -435,11 +421,11 @@ def ideal_basis_families(ring: Ring) -> tuple[ClosedFamily, ClosedFamily]:
 def _generated_family(sp: SpectrumPoset, topology: str, vtable: int) -> ClosedFamily:
     """The family of the topology whose sub-basis the vanishing sets of
     ``vtable`` and their complements give, validated."""
-    dtable = sp._complements(vtable)
+    dtable = sp.complements(vtable)
     subbases = {ZARISKI: dtable, FLAT: vtable, PATCH: dtable | vtable}
     if topology not in subbases:
         raise ValueError(f"unknown topology {topology!r}")
     opens = sp._saturated_table(sp._least_members(subbases[topology]))
-    family = ClosedFamily(topology, sp._complements(opens), sp)
+    family = ClosedFamily(topology, sp.complements(opens), sp)
     family.validate()
     return family

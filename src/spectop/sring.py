@@ -4,9 +4,8 @@ A ring is an S-ring when every finitely generated flat module over it is
 projective.  For the rings here that property is exercised through three
 computable surfaces:
 
-* chains f1, f2, ... with f_n = f_n * f_{n+1} (or the dual discipline
-  g_{n+1} = g_n * g_{n+1}) and the question whether they become a
-  constant idempotent,
+* chains f1, f2, ... with f_n = f_n * f_{n+1} and the question whether
+  they become a constant idempotent,
 * topological certificates: closed generalization-stable sets are open,
   and double-closed sets are exactly the V(e) for idempotents e,
 * chain conditions on the families X & V(f) for a point set X covering
@@ -40,8 +39,6 @@ from .spectrum import (
 )
 
 __all__ = [
-    "ASCENDING",
-    "DESCENDING",
     "ChainConditionTrace",
     "MultiplicativeChain",
     "SRingCertificate",
@@ -54,44 +51,30 @@ __all__ = [
     "stabilization_graph_check",
 ]
 
-ASCENDING = "ascending"
-DESCENDING = "descending"
-
-
 class MultiplicativeChain(Record):
-    """A finite materialization of a chain under one mode equation.
-
-    Ascending mode requires f_n = f_n * f_{n+1}, descending mode requires
-    g_{n+1} = g_n * g_{n+1}; every consecutive pair is validated eagerly,
-    so holding a chain object means the discipline holds on all of it.
-    Indices are 1-based throughout.
+    """A finite materialization of an ascending chain, f_n = f_n * f_{n+1}
+    for every n; every consecutive pair is validated eagerly, so holding a
+    chain object means the discipline holds on all of it.  Indices are
+    1-based throughout.
     """
 
-    __slots__ = ("ring", "mode", "terms")
+    __slots__ = ("ring", "terms")
 
     @staticmethod
-    def build(ring: Ring, mode: str, terms) -> "MultiplicativeChain":
+    def build(ring: Ring, terms) -> "MultiplicativeChain":
         """Materialize the given terms as a validated chain."""
-        if mode not in (ASCENDING, DESCENDING):
-            raise ValueError(f"unknown chain mode {mode!r}")
         terms = [ring.element(t) for t in terms]
         if not terms:
             raise ValueError("a chain has at least one term")
-        chain = MultiplicativeChain(ring, mode, tuple(terms))
+        chain = MultiplicativeChain(ring, tuple(terms))
         chain._validate()
         return chain
 
     def _validate(self):
-        for n in range(len(self.terms) - 1):
-            a, b = self.terms[n], self.terms[n + 1]
-            if self.mode == ASCENDING and a != a * b:
+        for n, (a, b) in enumerate(zip(self.terms, self.terms[1:]), 1):
+            if a != a * b:
                 raise InvalidChain(
-                    f"term {n + 1} violates f_n = f_n*f_(n+1): {a} != {a}*{b}",
-                    index=n + 1)
-            if self.mode == DESCENDING and b != a * b:
-                raise InvalidChain(
-                    f"term {n + 2} violates g_(n+1) = g_n*g_(n+1): {b} != {a}*{b}",
-                    index=n + 2)
+                    f"term {n} violates f_n = f_n*f_(n+1): {a} != {a}*{b}", index=n)
 
     def __len__(self):
         return len(self.terms)
@@ -165,7 +148,7 @@ def growing_indicator_chain(ring: EventuallyConstantBitsRing,
     below 1 gives no terms, which ``build`` refuses.
     """
     return MultiplicativeChain.build(
-        ring, ASCENDING, [prefix_indicator(ring, n) for n in range(1, budget + 1)])
+        ring, [prefix_indicator(ring, n) for n in range(1, budget + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +159,8 @@ class SRingCertificate(Record):
     """Exhaustive check of the open/closed characterizations on one ring.
 
     ``double_closed_matches`` pairs every set closed in both the Zariski
-    and flat topologies with the unique idempotent e such that the set is
-    V(e).
+    and flat topologies, as a mask, with the unique idempotent e such that
+    the set is V(e), in the canonical order of the sets.
     """
 
     __slots__ = ("ring", "passed", "closed_genstable_open", "flatclosed_specstable_open",
@@ -207,10 +190,10 @@ def _certify(ring: Ring) -> SRingCertificate:
     failures = []
 
     def stable_sets_open(fam: ClosedFamily, stable: int, stability: str) -> bool:
-        not_open = fam.table & stable & ~sp._complements(fam.table)
+        not_open = fam.table & stable & ~sp.complements(fam.table)
         for E in IndexKernel.members(not_open):
             failures.append(
-                f"{fam.topology} closed {stability}-stable set {sp._labels_of(E)} "
+                f"{fam.topology} closed {stability}-stable set {sp.labels_of(E)} "
                 f"is not {fam.topology} open")
         return not not_open
 
@@ -221,18 +204,18 @@ def _certify(ring: Ring) -> SRingCertificate:
     matches = []
     seen = {}
     for e in idempotents(ring):
-        locus = sp._vanishing_mask(principal_ideal(ring, e))
+        locus = vanishing_locus(ring, principal_ideal(ring, e))
         if locus in seen:
             failures.append(f"idempotents {seen[locus]} and {e} share a vanishing set")
         seen[locus] = e
-    double_ok = sp._table_of(seen) == double
+    double_ok = sp.table_of(seen) == double
     if not double_ok:
         failures.append(
             f"double-closed family has {double.bit_count()} members but idempotents "
             f"realize {len(seen)} vanishing sets")
-    for E in sorted(IndexKernel.members(double), key=sp._mask_key):
+    for E in sorted(IndexKernel.members(double), key=sp.mask_key):
         if E in seen:
-            matches.append((sp._points_of(E), seen[E]))
+            matches.append((E, seen[E]))
 
     passed = genstable_open and specstable_open and double_ok and not failures
     return SRingCertificate(
@@ -247,66 +230,40 @@ def _certify(ring: Ring) -> SRingCertificate:
 class ChainConditionTrace(Record):
     """Evidence collected while checking the covering chain condition.
 
-    ``family`` is the full finite family {X & V(f) : f in R}; finiteness
-    gives both chain conditions at once.  When a chain (a_n) is supplied
-    the per-term sections E_n = X & V(a_n) and F_n = X & V(1-a_n) are
-    materialized and their inclusions checked.
+    ``x_points`` is the mask of X, and ``family`` the full finite family
+    {X & V(f) : f in R} as masks in the canonical order; finiteness gives
+    both chain conditions at once.
     """
 
-    __slots__ = ("x_points", "meet_ideal", "family", "sections", "conclusion")
+    __slots__ = ("x_points", "meet_ideal", "family", "conclusion")
 
 
-def chain_condition_check(ring: Ring, points,
-                          chain: MultiplicativeChain | None = None) -> ChainConditionTrace:
-    """Check the covering hypothesis and the chain conditions for X.
+def chain_condition_check(ring: Ring, x: int) -> ChainConditionTrace:
+    """Check the covering hypothesis and the chain conditions for the set X
+    of the points in the mask x.
 
-    Raises :class:`HypothesisViolated` with the uncovered maximal point
+    Raises ValueError when x is no mask over the spectrum, and
+    :class:`HypothesisViolated` with the first uncovered maximal point
     when some maximal ideal has no member of X below it.  The family
     {X & V(f)} is materialized from the finitely many realizable V(f), so
     both the ascending and the descending chain condition hold; the trace
     carries that family and the S-ring certificate of the ring itself.
     """
     sp = enumerate_spectrum(ring)
-    x = sp._mask_of(points)
-    X = sp._points_of(x)
-    for j, m in enumerate(sp.points):
-        if sp.up[j] == 1 << j and not x & sp.down[j]:
-            raise HypothesisViolated(
-                f"maximal ideal {m.label()} has no member of X below it",
-                witness=m)
+    sp.check_mask(x)
+    uncovered = sp.maximal & ~sp.up_closure(x)
+    if uncovered:
+        m = sp.points[IndexKernel.members(uncovered)[0]]
+        raise HypothesisViolated(
+            f"maximal ideal {m.label()} has no member of X below it", witness=m)
     # The certificate needs closed families; refuse a spectrum too large
     # for them before the family, which can grow like 3^k, is built.
-    sp._check_family_bound()
-
-    meet = intersect_all(ring, X)
-
-    family = {x & v for v in IndexKernel.members(sp._principal_table)}
-    ordered = tuple(sp._points_of(s) for s in sorted(family, key=sp._mask_key))
-
-    sections = None
-    if chain is not None:
-        if chain.mode != ASCENDING:
-            raise ValueError("sections are defined for ascending chains")
-        one = ring.one
-        rows = []
-        for t in chain.terms:
-            e_n = X & vanishing_locus(ring, principal_ideal(ring, t))
-            f_n = X & vanishing_locus(ring, principal_ideal(ring, one - t))
-            rows.append((e_n, f_n))
-        for n in range(len(rows) - 1):
-            if not rows[n + 1][0] <= rows[n][0]:
-                raise AssertionError("E_n must shrink along an ascending chain")
-            if not rows[n][1] <= rows[n + 1][1]:
-                raise AssertionError("F_n must grow along an ascending chain")
-            if X != rows[n][0] | rows[n + 1][1]:
-                raise AssertionError("X = E_n united with F_(n+1) failed")
-        sections = tuple(rows)
-
+    sp.check_family_bound()
+    family = {x & v for v in IndexKernel.members(sp.principal_table)}
     return ChainConditionTrace(
-        x_points=X,
-        meet_ideal=meet,
-        family=ordered,
-        sections=sections,
+        x_points=x,
+        meet_ideal=intersect_all(ring, map(sp.points.__getitem__, IndexKernel.members(x))),
+        family=tuple(sorted(family, key=sp.mask_key)),
         conclusion=sring_certificate(ring),
     )
 

@@ -19,13 +19,10 @@ from pathlib import Path
 import pytest
 
 from spectop import (
-    ASCENDING,
-    DESCENDING,
     FLAT,
     PATCH,
     ZARISKI,
     LocalizedIntegerRing,
-    MultiplicativeChain,
     closed_family,
     enumerate_ideals,
     enumerate_spectrum,
@@ -244,6 +241,18 @@ def label_mask(ring, *labels) -> int:
     return sum(1 << enumerate_spectrum(ring).labels.index(label) for label in labels)
 
 
+def mask_points(ring, mask) -> frozenset:
+    """The points of the ring's spectrum whose bits the mask sets."""
+    return frozenset(p for i, p in enumerate(enumerate_spectrum(ring).points) if mask >> i & 1)
+
+
+def point_mask(ring, points) -> int:
+    """The mask of the given points of the ring's spectrum, bit i for the
+    i-th point."""
+    pts = enumerate_spectrum(ring).points
+    return sum(1 << pts.index(p) for p in set(points))
+
+
 def table_point_sets(sp, table) -> set:
     """The point sets of a table whose bit m stands for the mask m."""
     return {frozenset(p for i, p in enumerate(sp.points) if m >> i & 1)
@@ -257,13 +266,6 @@ def common_multiplier(ideal, elements):
         if ideal.contains(g) and all(f * g == f for f in elements):
             return g
     return None
-
-
-def dual_chain(chain):
-    """The chain of the terms 1 - t in the other mode, validated as built:
-    f = f*g holds exactly when (1-g) = (1-f)*(1-g)."""
-    mode = DESCENDING if chain.mode == ASCENDING else ASCENDING
-    return MultiplicativeChain.build(chain.ring, mode, [chain.ring.one - t for t in chain.terms])
 
 
 def fresh_copy(ideal):
@@ -304,19 +306,19 @@ def closure_operators_by_members(ring):
     sp = pfam.spectrum
     for E in IndexKernel.members(zfam.table):
         if sp.down_closure(E) not in ffam.masks:
-            return {}, {"operator": "generalization", "set": sp._labels_of(E)}
+            return {}, {"operator": "generalization", "set": sp.labels_of(E)}
     for E in IndexKernel.members(pfam.table):
         if sp.up_closure(E) not in zfam.masks:
-            return {}, {"operator": "specialization", "set": sp._labels_of(E)}
+            return {}, {"operator": "specialization", "set": sp.labels_of(E)}
     kernels = []
-    for E in sorted(IndexKernel.members(zfam.table & sp.down_table), key=sp._mask_key):
-        points = sp._points_of(E)
+    for E in sorted(IndexKernel.members(zfam.table & sp.down_table), key=sp.mask_key):
+        points = frozenset(p for i, p in enumerate(sp.points) if E >> i & 1)
         kernel = flat_kernel_by_pairwise_meets(ring, points)
         _, failing = Ideal.flat_search(fresh_copy(kernel))
         if locus_by_inclusion(ring, kernel) != points or failing is not None:
-            return {}, {"operator": "flat-kernel", "set": sp._labels_of(E),
+            return {}, {"operator": "flat-kernel", "set": sp.labels_of(E),
                         "kernel": kernel.label()}
-        kernels.append({"set": sp._labels_of(E), "kernel": kernel.label()})
+        kernels.append({"set": sp.labels_of(E), "kernel": kernel.label()})
     return {"flat_kernels": kernels,
             "zariski_closed": len(zfam),
             "patch_closed": len(pfam)}, None

@@ -78,20 +78,20 @@ def test_criterion_02_closure_operator_theorem():
         z12 = parse_ring("Z/12")
         sp = enumerate_spectrum(z12)
         pts = {p.label(): p for p in sp.points}
-        kernel = flat_ideal_from_closed_mask(z12, sp._mask_of({pts["(2)"]}))
+        kernel = flat_ideal_from_closed_mask(z12, sp.mask_of([pts["(2)"]]))
         assert kernel == principal_ideal(z12, z12.element(4))
-        assert vanishing_locus(z12, kernel) == frozenset({pts["(2)"]})
+        assert sp.labels_of(vanishing_locus(z12, kernel)) == ["(2)"]
         assert is_cyclic_flat(kernel).verdict
 
         mixed = parse_ring("Zloc(2) * Z/3")
         spm = enumerate_spectrum(mixed)
         mpts = {p.label(): p for p in spm.points}
-        expected = {mpts["(0) x (1)"], mpts["(2) x (1)"]}
-        kernel2 = flat_ideal_from_closed_mask(mixed, spm._mask_of(expected))
+        expected = [mpts["(0) x (1)"], mpts["(2) x (1)"]]
+        kernel2 = flat_ideal_from_closed_mask(mixed, spm.mask_of(expected))
         assert kernel2.label() == "(0) x (1)"  # the ideal 0 x Z/3
         assert kernel2.components[0].is_zero()
         assert kernel2.components[1].is_whole()
-        assert vanishing_locus(mixed, kernel2) == frozenset(expected)
+        assert spm.labels_of(vanishing_locus(mixed, kernel2)) == ["(0) x (1)", "(2) x (1)"]
 
 
 def test_criterion_03_flat_ideal_bijection_counts():
@@ -103,18 +103,17 @@ def test_criterion_03_flat_ideal_bijection_counts():
             flats = [i for i in ideals if is_cyclic_flat(i).verdict]
             image = {vanishing_locus(ring, i) for i in flats}
             zfam = closed_family(ring, ZARISKI)
-            codomain = {s for s in zfam.sets if is_down_closed(zfam.spectrum.points, s)}
+            sp = zfam.spectrum
+            codomain = {sp.mask_of(s) for s in zfam.sets if is_down_closed(sp.points, s)}
             assert len(flats) == count, text
             assert len(image) == count, text
             assert image == codomain, text
 
         z12 = parse_ring("Z/12")
         sp = enumerate_spectrum(z12)
-        pts = {p.label(): p for p in sp.points}
         flats = [i for i in enumerate_ideals(z12) if is_cyclic_flat(i).verdict]
         image = {vanishing_locus(z12, i) for i in flats}
-        assert image == {frozenset(), frozenset({pts["(2)"]}),
-                         frozenset({pts["(3)"]}), sp.as_set()}
+        assert sp.family_labels(image) == [[], ["(2)"], ["(3)"], ["(2)", "(3)"]]
 
 
 def test_criterion_04_flatness_vs_idempotent_oracle():
@@ -207,14 +206,15 @@ def test_criterion_09_chain_condition_instances():
         for text in ("Z/12", "Z/6"):
             ring = parse_ring(text)
             sp = enumerate_spectrum(ring)
-            for points in (sp.minimal_points(), sp.maximal_points()):
-                trace = chain_condition_check(ring, points)
+            for x in (sp.minimal, sp.maximal):
+                trace = chain_condition_check(ring, x)
                 assert trace.conclusion.passed
 
         mixed = parse_ring("Zloc(2) * Z/3")
-        pts = {p.label(): p for p in enumerate_spectrum(mixed).points}
+        spm = enumerate_spectrum(mixed)
+        pts = {p.label(): p for p in spm.points}
         try:
-            chain_condition_check(mixed, {pts["(0) x (1)"]})
+            chain_condition_check(mixed, spm.mask_of([pts["(0) x (1)"]]))
         except HypothesisViolated as exc:
             assert exc.witness.label() == "(1) x (0)"
         else:

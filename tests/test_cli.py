@@ -76,7 +76,7 @@ def test_family_json_prints_the_dumped_document(text):
     ring = parse_ring(text)
     for topology in TOPOLOGIES:
         family = closed_family(ring, topology)
-        reference = {"closed_sets": family.spectrum._family_labels(family.masks),
+        reference = {"closed_sets": family.spectrum.family_labels(family.masks),
                      "ring": ring.describe(), "topology": topology}
         got = "".join(family_json(family))
         want = json.dumps(reference, indent=2, sort_keys=True) + "\n"

@@ -3,15 +3,15 @@ control.
 
 The negative controls of ``harness`` and ``sring`` (the tests of
 ``test_harness.py`` and ``test_sring.py`` whose names hold "fail") run in
-a fresh interpreter under a line collector restricted to ``harness.py``
-and ``sring.py``.  The target lines are found in the source by AST: every
-``problems.append(`` and ``failures.append(``, every ``return`` of a check
-whose second element is a dict (a counterexample), and every ``raise
-AssertionError`` of ``sring.py``.  A target that no control reaches fails
-the guard, unless it is listed in ``UNREACHABLE`` with the reason that
-its function's docstring gives.  Only these controls are traced, not all
-of tier-1: the tracer slows every line of the two files, and some tests
-hold time bounds.
+a fresh interpreter under a line collector restricted to ``harness.py``,
+``sring.py`` and ``spectrum.py``.  The target lines are found in the
+source by AST: every ``problems.append(`` and ``failures.append(``, every
+``return`` of a check whose second element is a dict (a counterexample),
+and every ``raise`` of a function in ``REFUSALS``.  A target that no
+control reaches fails the guard, unless it is listed in ``UNREACHABLE``
+with the reason that its function's docstring gives.  Only these controls
+are traced, not all of tier-1: the tracer slows every line of the traced
+files, and some tests hold time bounds.
 """
 
 from __future__ import annotations
@@ -30,7 +30,11 @@ import spectop
 
 SOURCE = Path(spectop.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
-FILES = ("harness.py", "sring.py")
+FILES = ("harness.py", "sring.py", "spectrum.py")
+
+# The functions, by file, whose every raise is a target: the refusal of an
+# int that is no point set, which the checks' public entries call.
+REFUSALS = {("spectrum.py", "check_mask")}
 
 # Target lines that no patch can reach, as (file, function, line text), each
 # with the reason its function's docstring states.  A control reaches every
@@ -83,7 +87,7 @@ def reached() -> dict[str, set[int]]:
     return _reached(SOURCE)
 
 
-def _is_target(node: ast.AST, path: Path) -> bool:
+def _is_target(node: ast.AST, path: Path, func: str) -> bool:
     if isinstance(node, ast.Call):
         func = node.func
         return (isinstance(func, ast.Attribute) and func.attr == "append"
@@ -93,10 +97,7 @@ def _is_target(node: ast.AST, path: Path) -> bool:
         value = node.value
         return (isinstance(value, ast.Tuple) and len(value.elts) == 2
                 and isinstance(value.elts[1], ast.Dict))
-    if isinstance(node, ast.Raise) and path.name == "sring.py":
-        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-        return isinstance(exc, ast.Name) and exc.id == "AssertionError"
-    return False
+    return isinstance(node, ast.Raise) and (path.name, func) in REFUSALS
 
 
 def targets(root: Path) -> list[tuple[str, str, int, str, str]]:
@@ -115,7 +116,7 @@ def targets(root: Path) -> list[tuple[str, str, int, str, str]]:
             nested = {id(n) for inner in ast.walk(func) if inner is not func
                       and isinstance(inner, ast.FunctionDef) for n in ast.walk(inner)}
             for node in ast.walk(func):
-                if id(node) not in nested and _is_target(node, path):
+                if id(node) not in nested and _is_target(node, path, func.name):
                     found.append((name, func.name, node.lineno,
                                   lines[node.lineno - 1].strip(), doc))
     return sorted(set(found), key=lambda t: (t[0], t[2]))
@@ -151,7 +152,7 @@ def test_the_selected_controls_reach_both_files(reached):
     reached_in = {func for name, func, line, _, _ in targets(SOURCE)
                   if line in reached.get(name, ())}
     assert {"check_topology_characterization", "check_crt_decomposition",
-            "stable_sets_open", "chain_condition_check"} <= reached_in
+            "stable_sets_open", "check_mask"} <= reached_in
 
 
 def test_the_reach_guard_flags_an_added_unreached_branch(tmp_path, reached):
@@ -170,11 +171,17 @@ def test_the_reach_guard_flags_an_added_unreached_branch(tmp_path, reached):
                      '    if x:\n'
                      '        raise AssertionError("never")\n'
                      '    return {}, {"x": x}\n')
+    with open(copy / "spectrum.py", "a", encoding="utf-8") as handle:
+        handle.write('\n\nclass _Poset(SpectrumPoset):\n'
+                     '    def check_mask(self, mask):\n'
+                     '        if mask is None:\n'
+                     '            raise ValueError("no mask")\n')
     lines = (copy / "harness.py").read_text(encoding="utf-8").count("\n")
     srlines = (copy / "sring.py").read_text(encoding="utf-8").count("\n")
+    splines = (copy / "spectrum.py").read_text(encoding="utf-8").count("\n")
     assert unreached(copy, reached) == [
         f'harness.py:{lines - 1} problems.append("no ring")',
-        f'sring.py:{srlines - 1} raise AssertionError("never")',
+        f'spectrum.py:{splines} raise ValueError("no mask")',
         f'sring.py:{srlines} return {{}}, {{"x": x}}',
     ]
     # Listing a line exempts it only once its function's docstring gives
@@ -186,6 +193,6 @@ def test_the_reach_guard_flags_an_added_unreached_branch(tmp_path, reached):
         "    problems = []\n    if ring is None",
         '    """No ring is None."""\n    problems = []\n    if ring is None'), encoding="utf-8")
     assert unreached(copy, reached, listed) == [
-        f'sring.py:{srlines - 1} raise AssertionError("never")',
+        f'spectrum.py:{splines} raise ValueError("no mask")',
         f'sring.py:{srlines} return {{}}, {{"x": x}}',
     ]

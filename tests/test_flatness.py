@@ -46,6 +46,8 @@ from conftest import (
     common_multiplier,
     is_down_closed,
     label_mask,
+    mask_points,
+    point_mask,
 )
 
 
@@ -223,11 +225,12 @@ def test_certificate_documents_are_pinned(build, expected):
 
 def test_product_generators_and_supports_are_pinned():
     ring = parse_ring("Zloc(2) * Z/6")
+    sp = enumerate_spectrum(ring)
     computed = {}
     for ideal in enumerate_ideals(ring, local_level_bound=2):
         e = idempotent_generator(ideal)
         computed[ideal.label()] = (None if e is None else str(e),
-                                   sorted(p.label() for p in support_of_ideal(ideal)))
+                                   sp.labels_of(support_of_ideal(ideal)))
     everywhere = ["(0) x (1)", "(1) x (2)", "(1) x (3)", "(2) x (1)"]
     off_2 = ["(0) x (1)", "(1) x (3)", "(2) x (1)"]
     off_3 = ["(0) x (1)", "(1) x (2)", "(2) x (1)"]
@@ -302,12 +305,12 @@ def test_idempotent_generator_frozen_examples():
 def test_support_frozen_examples():
     z6 = parse_ring("Z/6")
     supp = support_of_ideal(principal_ideal(z6, z6.element(2)))
-    assert sorted(p.label() for p in supp) == ["(3)"]
+    assert supp == label_mask(z6, "(3)")
     z12 = parse_ring("Z/12")
-    assert support_of_ideal(zero_ideal(z12)) == frozenset()
+    assert support_of_ideal(zero_ideal(z12)) == 0
     z4 = parse_ring("Z/4")
     supp4 = support_of_ideal(principal_ideal(z4, z4.element(2)))
-    assert sorted(p.label() for p in supp4) == ["(2)"]
+    assert supp4 == label_mask(z4, "(2)")
 
 
 def test_support_contains_complement_of_locus(support_ring):
@@ -320,10 +323,10 @@ def test_support_contains_complement_of_locus(support_ring):
         supp = support_of_ideal(ideal)
         if support_ring.is_finite:
             anns = [annihilator(f) for f in ideal.elements]
-            assert supp == frozenset(
-                p for p in sp.points if any(a.issubset(p) for a in anns))
-        outside = sp.as_set() - vanishing_locus(support_ring, ideal)
-        assert outside <= supp
+            assert supp == point_mask(support_ring, (
+                p for p in sp.points if any(a.issubset(p) for a in anns)))
+        outside = sp.full ^ vanishing_locus(support_ring, ideal)
+        assert not outside & ~supp
         if is_cyclic_flat(ideal).verdict:
             assert supp == outside
 
@@ -332,7 +335,7 @@ def test_flat_loci_are_generalization_stable(finite_ring):
     for ideal in enumerate_ideals(finite_ring):
         if is_cyclic_flat(ideal).verdict:
             assert is_down_closed(enumerate_spectrum(finite_ring).points,
-                                  vanishing_locus(finite_ring, ideal))
+                                  mask_points(finite_ring, vanishing_locus(finite_ring, ideal)))
 
 
 def test_flat_radical_forces_equality(finite_ring):
@@ -353,11 +356,16 @@ def test_flat_ideal_from_closed_set_examples():
 
     mixed = parse_ring("Zloc(2) * Z/3")
     spm = enumerate_spectrum(mixed)
-    mpts = {p.label(): p for p in spm.points}
     kernel2 = flat_ideal_from_closed_mask(mixed, label_mask(mixed, "(0) x (1)", "(2) x (1)"))
     assert kernel2.label() == "(0) x (1)"
-    assert vanishing_locus(mixed, kernel2) == frozenset(
-        {mpts["(0) x (1)"], mpts["(2) x (1)"]})
+    assert spm.labels_of(vanishing_locus(mixed, kernel2)) == ["(0) x (1)", "(2) x (1)"]
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 2, 1 << 5, 1 << 70])
+def test_flat_ideal_from_closed_mask_refuses_a_mask_past_the_spectrum(mask):
+    # Z/12 has two points, so a point set is a mask of two bits.
+    with pytest.raises(ValueError, match="is not a set of the 2 points of Z/12"):
+        flat_ideal_from_closed_mask(parse_ring("Z/12"), mask)
 
 
 def test_flat_ideal_from_closed_set_checks_its_postconditions(monkeypatch):

@@ -19,7 +19,7 @@ from spectop import enumerate_spectrum, harness
 from spectop.errors import CorpusError
 from spectop.ideals import Ideal
 from spectop.spectrum import PATCH, ClosedFamily, SpectrumPoset
-from spectop.sring import ASCENDING, MultiplicativeChain, prefix_indicator
+from spectop.sring import MultiplicativeChain, prefix_indicator
 from spectop.harness import (
     CHECK_NAMES,
     DEFAULT_CORPUS,
@@ -28,7 +28,7 @@ from spectop.harness import (
     run_ring_checks,
 )
 
-from conftest import CORPUS_TEXTS, ZLOC_POWERS, closure_operators_by_members
+from conftest import CORPUS_TEXTS, ZLOC_POWERS, closure_operators_by_members, label_mask
 
 
 def test_default_corpus_all_pass():
@@ -226,8 +226,9 @@ def test_support_consistency_fails_when_supports_lose_a_point(monkeypatch):
     real = harness.support_of_ideal
 
     def short(ideal):
+        # Bit order is label order: drop the support's first point.
         supp = real(ideal)
-        return supp - {min(supp, key=lambda p: p.label())} if supp else supp
+        return supp & supp - 1
 
     monkeypatch.setattr(harness, "support_of_ideal", short)
     report = run_check("support-consistency", parse_ring("Z/6"))
@@ -240,7 +241,7 @@ def test_support_consistency_fails_when_a_flat_ideal_has_extra_support(monkeypat
     # V(I), so only the equality owed by flat quotients can fail: first on
     # (0), whose support is empty.
     monkeypatch.setattr(harness, "support_of_ideal",
-                        lambda ideal: enumerate_spectrum(ideal.ring).as_set())
+                        lambda ideal: enumerate_spectrum(ideal.ring).full)
     report = run_check("support-consistency", parse_ring("Z/6"))
     assert report.verdict == "fail"
     assert report.counterexample == {"ideal": "(0)", "kind": "flat-equality"}
@@ -279,7 +280,7 @@ def test_radical_rigidity_fails_when_a_flat_ideal_is_not_radical(monkeypatch):
 def test_radical_rigidity_fails_when_vanishing_loci_collide(monkeypatch):
     # Z/6 is reduced and every ideal is flat, so the first flat ideal (0)
     # collides with the next ideal in enumeration order.
-    monkeypatch.setattr(harness, "vanishing_locus", lambda ring, ideal: frozenset())
+    monkeypatch.setattr(harness, "vanishing_locus", lambda ring, ideal: 0)
     report = run_check("radical-rigidity", parse_ring("Z/6"))
     assert report.verdict == "fail"
     assert report.counterexample == {"kind": "locus-collision", "ideals": ["(0)", "(3)"]}
@@ -472,10 +473,9 @@ def test_stabilization_graph_fails_on_a_reported_cycle(monkeypatch):
 
 
 def test_chain_conditions_fail_when_a_maximal_ideal_is_uncovered(monkeypatch):
-    from spectop.spectrum import SpectrumPoset
-    real = SpectrumPoset.minimal_points
-    monkeypatch.setattr(SpectrumPoset, "minimal_points",
-                        lambda sp: frozenset([min(real(sp), key=lambda p: p.label())]))
+    # X keeps only its first point, (2), of the minimal points of Z/6.
+    real = harness.chain_condition_check
+    monkeypatch.setattr(harness, "chain_condition_check", lambda ring, x: real(ring, x & -x))
     report = run_check("chain-conditions", parse_ring("Z/6"))
     assert report.verdict == "fail"
     assert report.counterexample == {"X": "min", "uncovered": "(3)"}
@@ -515,7 +515,7 @@ def test_flat_not_projective_fails_when_the_chain_stabilizes(monkeypatch):
     # a stabilized report records no last index either.
     def settling(ring, budget):
         return MultiplicativeChain.build(
-            ring, ASCENDING,
+            ring,
             [prefix_indicator(ring, min(n, budget - 1)) for n in range(1, budget + 1)])
 
     monkeypatch.setattr(harness, "growing_indicator_chain", settling)
@@ -557,7 +557,7 @@ def test_flat_ideal_bijection_fails_when_a_locus_is_not_generalization_stable(mo
     # On Zloc(2) the flat ideal (0) is sent to the closed point {(2)},
     # which is Zariski closed but not stable under generalization.
     zloc = parse_ring("Zloc(2)")
-    closed_point = frozenset(p for p in enumerate_spectrum(zloc).points if not p.is_zero())
+    closed_point = label_mask(zloc, "(2)")
     real = harness.vanishing_locus
     monkeypatch.setattr(harness, "vanishing_locus", lambda ring, ideal: (
         closed_point if ideal.is_zero() else real(ring, ideal)))

@@ -118,7 +118,7 @@ def test_an_unknown_name_is_an_attribute_error():
 def _one_of_each() -> list[Record]:
     """An instance of every record class."""
     z6 = parse_ring("Z/6")
-    chain = MultiplicativeChain.build(z6, "ascending", [3, 3])
+    chain = MultiplicativeChain.build(z6, [3, 3])
     return [
         z6.element(2),
         Bits(frozenset({1, 3}), 0),
@@ -130,7 +130,7 @@ def _one_of_each() -> list[Record]:
         chain,
         check_chain_stabilization(chain),
         sring_certificate(z6),
-        chain_condition_check(z6, enumerate_spectrum(z6).minimal_points()),
+        chain_condition_check(z6, enumerate_spectrum(z6).minimal),
     ]
 
 

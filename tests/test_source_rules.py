@@ -136,6 +136,76 @@ def test_the_private_import_rule_flags_an_added_import(tmp_path):
     ]
 
 
+# Private attributes that a module reads off objects whose classes another
+# module defines, by the reading module, each with the reason it stays.
+PRIVATE_READS = {
+    # The payload protocol: a factor's generated ideals are keyed by the
+    # sort keys of their payloads, which each ring presentation defines.
+    ("ideals.py", "_sort_key"),
+}
+
+
+def _class_privates(tree: ast.Module) -> set[str]:
+    """The private names a module's classes define: the methods and class
+    attributes of their bodies, and what their methods set on self."""
+    names = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef):
+                names.add(item.name)
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        names |= {node.attr for node in ast.walk(cls)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def private_reads(root: Path) -> list[str]:
+    """Where a module reads ``x._name``, x not ``self`` or ``cls``, for a
+    private name that only another module's classes define.
+
+    The attribute-level twin of ``private_imports``: what another module
+    needs of an object is a public name of its class.
+    """
+    trees = list(_trees(root))
+    defined = {path.name: _class_privates(tree) for path, tree in trees}
+    found = []
+    for path, tree in trees:
+        foreign = set().union(*(names for name, names in defined.items() if name != path.name))
+        foreign -= defined[path.name]
+        found += [f"{path.name}:{node.lineno} reads {node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in foreign
+                  and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+                  and (path.name, node.attr) not in PRIVATE_READS]
+    return found
+
+
+def test_no_module_reads_a_private_attribute_of_another_modules_class():
+    assert private_reads(SOURCE) == []
+
+
+def test_the_private_read_rule_flags_an_added_read(tmp_path):
+    copy = tmp_path / "spectop"
+    shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert private_reads(copy) == []
+    # The label helper made private again, and read so in harness.py.
+    spectrum = (copy / "spectrum.py").read_text(encoding="utf-8")
+    assert spectrum.count("    def labels_of(") == 1
+    (copy / "spectrum.py").write_text(
+        spectrum.replace("    def labels_of(", "    def _labels_of("), encoding="utf-8")
+    harness = (copy / "harness.py").read_text(encoding="utf-8")
+    assert "sp.labels_of(E)" in harness
+    (copy / "harness.py").write_text(
+        harness.replace("sp.labels_of(E)", "sp._labels_of(E)"), encoding="utf-8")
+    found = private_reads(copy)
+    assert found and {f.split(" ", 1)[1] for f in found} == {"reads _labels_of"}
+    assert {f.split(":")[0] for f in found} == {"harness.py"}
+
+
 def base_overrides(root: Path) -> list[str]:
     """Where a subclass redefines a method that its base defines once."""
     bases, classes = {}, []

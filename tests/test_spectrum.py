@@ -51,21 +51,19 @@ from conftest import (
     label_mask,
     loci_of_elements,
     loci_of_ideals,
+    mask_points,
     oracle_closed_sets,
+    point_mask,
     sample_elements,
     specializations_of,
     table_point_sets,
 )
 
 
-def _locus_labels(points):
-    return sorted(p.label() for p in points)
-
-
 def _principal_sets(ring):
     """The V(f) that the spectrum's table holds."""
     sp = enumerate_spectrum(ring)
-    return table_point_sets(sp, sp._principal_table)
+    return table_point_sets(sp, sp.principal_table)
 
 
 def _ideal_sets(ring):
@@ -76,7 +74,7 @@ def _ideal_sets(ring):
 def test_spectrum_frozen_examples():
     sp = enumerate_spectrum(parse_ring("Z/12"))
     assert [p.label() for p in sp.points] == ["(2)", "(3)"]
-    assert sp.minimal_points() == sp.maximal_points() == sp.as_set()
+    assert sp.minimal == sp.maximal == sp.full == 0b11
 
     sp4 = enumerate_spectrum(parse_ring("GF(4)"))
     assert [p.label() for p in sp4.points] == ["(0)"]
@@ -87,8 +85,8 @@ def test_spectrum_frozen_examples():
     # (0) lies below (2): each cone holds the point itself and the other
     # point on its side.
     assert spl.down == (0b01, 0b11) and spl.up == (0b11, 0b10)
-    assert zero in spl.minimal_points() and zero not in spl.maximal_points()
-    assert two in spl.maximal_points() and two not in spl.minimal_points()
+    assert spl.minimal == 0b01 and spl.maximal == 0b10
+    assert spl.mask_of([zero]) == spl.minimal and spl.mask_of([two]) == spl.maximal
 
 
 @pytest.mark.parametrize("text", ["Z/12", "GF(4)", "Zloc(2)", "Z/2 * Z/2 * Z/2"])
@@ -140,15 +138,23 @@ def test_mixed_product_spectrum_shape():
     pts = {p.label(): p for p in sp.points}
     assert sp.down[labels.index("(2) x (1)")] == label_mask(ring, "(0) x (1)", "(2) x (1)")
     assert sp.up[labels.index("(0) x (1)")] == label_mask(ring, "(0) x (1)", "(2) x (1)")
-    assert pts["(1) x (0)"] in sp.minimal_points() & sp.maximal_points()
+    assert sp.minimal & sp.maximal == sp.mask_of([pts["(1) x (0)"]])
 
 
 def test_vanishing_locus_frozen_examples():
     z12 = parse_ring("Z/12")
     four = principal_ideal(z12, z12.element(4))
-    assert _locus_labels(vanishing_locus(z12, four)) == ["(2)"]
-    assert len(vanishing_locus(z12, ideal_from_generators(z12, []))) == 2
-    assert vanishing_locus(z12, principal_ideal(z12, z12.one)) == frozenset()
+    sp = enumerate_spectrum(z12)
+    assert sp.labels_of(vanishing_locus(z12, four)) == ["(2)"]
+    assert vanishing_locus(z12, ideal_from_generators(z12, [])) == sp.full == 0b11
+    assert vanishing_locus(z12, principal_ideal(z12, z12.one)) == 0
+
+
+def test_vanishing_locus_refuses_an_ideal_of_another_ring():
+    z6, z10 = parse_ring("Z/6"), parse_ring("Z/10")
+    with pytest.raises(ValueError, match="the ideal belongs to a different ring"):
+        vanishing_locus(z6, principal_ideal(z10, z10.element(2)))
+
 
 
 def test_flat_point_closure():
@@ -192,11 +198,11 @@ def test_mask_predicates_match_cone_unions(text, data):
     ring = parse_ring(text)
     sp = enumerate_spectrum(ring)
     points = data.draw(st.frozensets(st.sampled_from(sp.points)))
-    mask = sp._mask_of(points)
+    mask = sp.mask_of(points)
     gen = generalizations_of(sp.points, points)
     spec = specializations_of(sp.points, points)
-    assert sp._points_of(sp.down_closure(mask)) == gen
-    assert sp._points_of(sp.up_closure(mask)) == spec
+    assert mask_points(ring, sp.down_closure(mask)) == gen
+    assert mask_points(ring, sp.up_closure(mask)) == spec
     assert bool(sp.down_table >> mask & 1) == (gen == points)
     assert bool(sp.up_table >> mask & 1) == (spec == points)
 
@@ -218,15 +224,16 @@ def test_slotwise_order_and_loci_match_ideal_inclusion(text):
         combos = random.Random(len(combos)).sample(combos, 400)
     for components in combos:
         ideal = ProductIdeal(ring, components)
-        assert vanishing_locus(ring, ideal) == {p for p in pts if ideal.issubset(p)}
+        assert vanishing_locus(ring, ideal) == point_mask(
+            ring, (p for p in pts if ideal.issubset(p)))
 
 
 @given(st.sampled_from(CORPUS_TEXTS + SMALL_FINITE_TEXTS + ZLOC_POWERS + ("Z/1",)))
 def test_stable_tables_hold_the_fixed_points_of_the_closures(text):
     sp = enumerate_spectrum(parse_ring(text))
     masks = range(1 << len(sp))
-    assert sp.down_table == sp._table_of(m for m in masks if sp.down_closure(m) == m)
-    assert sp.up_table == sp._table_of(m for m in masks if sp.up_closure(m) == m)
+    assert sp.down_table == sp.table_of(m for m in masks if sp.down_closure(m) == m)
+    assert sp.up_table == sp.table_of(m for m in masks if sp.up_closure(m) == m)
 
 
 @pytest.mark.parametrize("text", CORPUS_TEXTS + SMALL_FINITE_TEXTS + ZLOC_POWERS[2:4])
@@ -253,11 +260,15 @@ def test_principal_families_are_built_once_per_spectrum(corpus_ring, topology):
 
 
 def test_closed_family_rejects_foreign_points():
+    # A family holds the empty set and the space; a set with a point of
+    # another spectrum has no mask over this one to look up.
     fam = closed_family(parse_ring("Z/6"), ZARISKI)
+    sp = fam.spectrum
     foreign = enumerate_spectrum(parse_ring("Z/10")).points[1]
-    assert frozenset() in fam and fam.spectrum.points in fam
-    assert {foreign} not in fam
-    assert (*fam.spectrum.points, foreign) not in fam
+    assert fam.table >> sp.mask_of([]) & 1 and fam.table >> sp.mask_of(sp.points) & 1
+    for points in ([foreign], [*sp.points, foreign]):
+        with pytest.raises(ValueError, match=r"^\(5\) is not a prime of Z/6$"):
+            sp.mask_of(points)
 
 
 def _family_sets(ring, topology):
@@ -334,7 +345,8 @@ def test_product_vanishing_sets_match_definition(text):
     """The factor-wise V(I) and V(f) of infinite products equal the sets
     {p : I in p} over every enumerated ideal and {p : f in p} over tuples."""
     ring = parse_ring(text)
-    assert _ideal_sets(ring) == {vanishing_locus(ring, i) for i in enumerate_ideals(ring)}
+    assert _ideal_sets(ring) == {mask_points(ring, vanishing_locus(ring, i))
+                                 for i in enumerate_ideals(ring)}
     tuples = [ring.element(combo) for combo in
               itertools.product(*(_sample_elements(f) for f in ring.factors))]
     assert _principal_sets(ring) == loci_of_elements(ring, tuples)
@@ -424,8 +436,8 @@ def test_closed_family_matches_topology_oracle(text):
 def _z30_family(*point_sets):
     sp = enumerate_spectrum(parse_ring("Z/30"))
     pts = {p.label(): p for p in sp.points}
-    masks = {sp._mask_of(pts[label] for label in s) for s in point_sets}
-    return ClosedFamily(ZARISKI, sp._table_of(masks), sp)
+    masks = {sp.mask_of(pts[label] for label in s) for s in point_sets}
+    return ClosedFamily(ZARISKI, sp.table_of(masks), sp)
 
 
 @pytest.mark.parametrize("point_sets, message", [
@@ -464,7 +476,7 @@ def test_a_spectrum_lives_on_its_ring_and_dies_with_it(text):
 
 
 def _label_key(sp, mask):
-    labels = sp._labels_of(mask)
+    labels = sp.labels_of(mask)
     return len(labels), labels
 
 
@@ -478,5 +490,5 @@ def test_mask_key_sorts_point_sets_by_size_then_labels(text):
     masks = range(1 << len(sp))
     if len(sp) > 10:
         masks = random.Random(len(sp)).sample(masks, 2000) + [0, sp.full]
-    assert (sorted(masks, key=sp._mask_key)
+    assert (sorted(masks, key=sp.mask_key)
             == sorted(masks, key=lambda m: _label_key(sp, m)))

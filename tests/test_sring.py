@@ -15,8 +15,6 @@ from hypothesis import given, strategies as st
 
 import spectop
 from spectop import (
-    ASCENDING,
-    DESCENDING,
     HypothesisViolated,
     InvalidChain,
     MultiplicativeChain,
@@ -32,35 +30,33 @@ from spectop import (
 )
 from spectop.sring import StabilizationReport
 
-from conftest import dual_chain
+from conftest import label_mask
 
 
 def test_chain_validation():
     z6 = parse_ring("Z/6")
-    MultiplicativeChain.build(z6, ASCENDING, [2, 4, 4])
+    MultiplicativeChain.build(z6, [2, 4, 4])
     with pytest.raises(InvalidChain) as err:
-        MultiplicativeChain.build(z6, ASCENDING, [2, 5])  # 2*5 = 4 != 2
+        MultiplicativeChain.build(z6, [2, 5])  # 2*5 = 4 != 2
     assert err.value.index == 1
-    with pytest.raises(InvalidChain):
-        MultiplicativeChain.build(z6, DESCENDING, [2, 4])  # 4 != 2*4
-    MultiplicativeChain.build(z6, DESCENDING, [5, 3, 3])
+    with pytest.raises(InvalidChain) as err:
+        MultiplicativeChain.build(z6, [4, 4, 2])  # 4*2 = 2 != 4
+    assert err.value.index == 2
     with pytest.raises(ValueError):
-        MultiplicativeChain.build(z6, ASCENDING, [])
-    with pytest.raises(ValueError):
-        MultiplicativeChain.build(z6, "sideways", [1])
+        MultiplicativeChain.build(z6, [])
 
 
 def test_stabilization_frozen_examples():
     z6 = parse_ring("Z/6")
-    rep = check_chain_stabilization(MultiplicativeChain.build(z6, ASCENDING, [2, 4, 4, 4]))
+    rep = check_chain_stabilization(MultiplicativeChain.build(z6, [2, 4, 4, 4]))
     assert rep.stabilized and rep.index == 2 and rep.value == z6.element(4)
     assert rep.verify()
 
-    const = check_chain_stabilization(MultiplicativeChain.build(z6, ASCENDING, [3, 3, 3]))
+    const = check_chain_stabilization(MultiplicativeChain.build(z6, [3, 3, 3]))
     assert const.stabilized and const.index == 1 and const.value == z6.element(3)
 
     # a chain that moves on to a final idempotent has not shown constancy
-    moved = check_chain_stabilization(MultiplicativeChain.build(z6, ASCENDING, [2, 4]))
+    moved = check_chain_stabilization(MultiplicativeChain.build(z6, [2, 4]))
     assert not moved.stabilized
     assert moved.last_index == 2
     assert moved.last_distinct == (z6.element(2), z6.element(4))
@@ -70,7 +66,7 @@ def test_stabilization_frozen_examples():
 def test_stabilization_needs_idempotent_witness():
     z12 = parse_ring("Z/12")
     # 2 = 2*7 mod 12 makes [2, 7] valid, but 7*7 = 1 so 7 is not idempotent
-    rep = check_chain_stabilization(MultiplicativeChain.build(z12, ASCENDING, [2, 7]))
+    rep = check_chain_stabilization(MultiplicativeChain.build(z12, [2, 7]))
     assert not rep.stabilized
     assert rep.last_distinct == (z12.element(2), z12.element(7))
 
@@ -99,26 +95,23 @@ def test_backward_scan_matches_the_rescanning_loop():
             for terms in itertools.product(ring.elements(), repeat=n):
                 # Built without validation, so every sequence is compared,
                 # not only those that keep the chain discipline.
-                chain = MultiplicativeChain(ring, ASCENDING, terms)
+                chain = MultiplicativeChain(ring, terms)
                 assert check_chain_stabilization(chain) == _stabilization_by_rescanning(chain)
                 compared += 1
     assert compared == 12_058
 
 
-def test_dual_chain_frozen_example():
-    z6 = parse_ring("Z/6")
-    chain = MultiplicativeChain.build(z6, ASCENDING, [2, 4, 4])
-    dual = dual_chain(chain)
-    assert dual.mode == DESCENDING
-    assert [t.value for t in dual.terms] == [5, 3, 3]
-    assert dual_chain(dual) == chain
+def _complement_chain(chain):
+    """The terms 1 - t, unvalidated: they keep g_(n+1) = g_n*g_(n+1), not
+    the ascending discipline."""
+    return MultiplicativeChain(chain.ring, tuple(chain.ring.one - t for t in chain.terms))
 
 
 def test_dual_chain_conjugates_stabilization():
     z12 = parse_ring("Z/12")
-    chain = MultiplicativeChain.build(z12, ASCENDING, [4, 4, 4])
+    chain = MultiplicativeChain.build(z12, [4, 4, 4])
     rep = check_chain_stabilization(chain)
-    drep = check_chain_stabilization(dual_chain(chain))
+    drep = check_chain_stabilization(_complement_chain(chain))
     assert rep.stabilized and drep.stabilized
     assert drep.value == z12.one - rep.value
 
@@ -130,7 +123,7 @@ def _valid_ascending_chain(ring, draw_index, length):
     for _ in range(length - 1):
         fixed = [f for f in elements if f == f * terms[0]]
         terms.insert(0, fixed[draw_index(len(fixed))])
-    return MultiplicativeChain(ring, ASCENDING, tuple(terms))
+    return MultiplicativeChain(ring, tuple(terms))
 
 
 @given(st.data())
@@ -142,9 +135,7 @@ def test_random_valid_chains_self_certify(data):
     chain._validate()
     rep = check_chain_stabilization(chain)
     assert rep.verify()
-    dual = dual_chain(chain)
-    assert dual_chain(dual) == chain
-    drep = check_chain_stabilization(dual)
+    drep = check_chain_stabilization(_complement_chain(chain))
     assert drep.stabilized == rep.stabilized
     if rep.stabilized:
         assert drep.value == ring.one - rep.value
@@ -239,20 +230,17 @@ def test_sring_certificates_pass(corpus_ring):
     # the correspondence is a bijection onto the double-closed family
     sets = [s for s, _ in cert.double_closed_matches]
     assert len(sets) == len(set(sets))
+    sp = enumerate_spectrum(corpus_ring)
+    assert sets == sorted(sets, key=sp.mask_key)
     for s, e in cert.double_closed_matches:
-        assert e * e == e
+        assert e * e == e and 0 <= s <= sp.full
 
 
 def test_sring_certificate_examples():
     cert = sring_certificate(parse_ring("Z/12"))
-    by_idem = {e.value: frozenset(p.label() for p in s)
-               for s, e in cert.double_closed_matches}
-    assert by_idem == {
-        1: frozenset(),
-        4: frozenset({"(2)"}),
-        9: frozenset({"(3)"}),
-        0: frozenset({"(2)", "(3)"}),
-    }
+    # The points of Z/12 are (2) and (3), bits 0 and 1.
+    assert [(s, e.value) for s, e in cert.double_closed_matches] == [
+        (0b00, 1), (0b01, 4), (0b10, 9), (0b11, 0)]
     quad = sring_certificate(parse_ring("Z/2[x]/(x^2+x)"))
     assert len(quad.double_closed_matches) == 4
     assert sorted(str(e) for _, e in quad.double_closed_matches) == ["0", "1", "x", "x+1"]
@@ -273,24 +261,26 @@ def test_sring_certificate_fails_when_idempotents_share_a_vanishing_set(monkeypa
 def test_chain_condition_check_frozen_examples():
     z12 = parse_ring("Z/12")
     sp = enumerate_spectrum(z12)
-    trace = chain_condition_check(z12, sp.minimal_points())
+    assert sp.minimal == sp.maximal == sp.full == 0b11
+    trace = chain_condition_check(z12, sp.minimal)
+    assert trace.x_points == 0b11
     assert trace.meet_ideal.label() == "(6)"
     assert trace.conclusion.passed
-    assert len(trace.family) == 4
+    assert trace.family == (0b00, 0b01, 0b10, 0b11)
 
-    tmax = chain_condition_check(z12, sp.maximal_points())
+    tmax = chain_condition_check(z12, sp.maximal)
     assert tmax.meet_ideal.label() == "(6)"
 
     z6 = parse_ring("Z/6")
     sp6 = enumerate_spectrum(z6)
-    t6 = chain_condition_check(z6, sp6.minimal_points())
+    t6 = chain_condition_check(z6, sp6.minimal)
     assert t6.meet_ideal.is_zero()
     assert t6.conclusion.passed
 
 
 def test_covering_test_work_does_not_depend_on_hash_order():
-    # X is a frozenset; scanning it in hash order would stop the covering
-    # test at a different member, and so at a different call count, per seed.
+    # Scanning X in hash order would stop the covering test at a different
+    # member, and so at a different call count, per seed.
     code = textwrap.dedent("""
         from spectop import enumerate_spectrum, ideals, parse_ring
         from spectop.sring import chain_condition_check
@@ -310,7 +300,7 @@ def test_covering_test_work_does_not_depend_on_hash_order():
             if "issubset" in vars(cls):
                 cls.issubset = counted(vars(cls)["issubset"])
         ring = parse_ring("Zloc(2) * Z/3")
-        chain_condition_check(ring, enumerate_spectrum(ring).maximal_points())
+        chain_condition_check(ring, enumerate_spectrum(ring).maximal)
         print(calls)
     """)
     src = str(Path(spectop.__file__).resolve().parents[1])
@@ -337,31 +327,20 @@ def test_chaincond_refuses_a_large_spectrum_before_building_its_family():
 def test_chain_condition_hypothesis_violation():
     mixed = parse_ring("Zloc(2) * Z/3")
     sp = enumerate_spectrum(mixed)
-    pts = {p.label(): p for p in sp.points}
     with pytest.raises(HypothesisViolated) as err:
-        chain_condition_check(mixed, {pts["(0) x (1)"]})
+        chain_condition_check(mixed, label_mask(mixed, "(0) x (1)"))
     assert err.value.witness.label() == "(1) x (0)"
     # the full minimal set covers everything
-    trace = chain_condition_check(mixed, sp.minimal_points())
+    assert sp.minimal == label_mask(mixed, "(0) x (1)", "(1) x (0)")
+    trace = chain_condition_check(mixed, sp.minimal)
     assert trace.conclusion.passed
 
 
-def test_chain_condition_sections():
-    z12 = parse_ring("Z/12")
-    sp = enumerate_spectrum(z12)
-    chain = MultiplicativeChain.build(z12, ASCENDING, [4, 4, 4])
-    trace = chain_condition_check(z12, sp.as_set(), chain=chain)
-    assert trace.sections is not None
-    for e_n, f_n in trace.sections:
-        assert e_n | f_n <= sp.as_set()
-    # E_n = X & V(4) = {(2)}, F_n = X & V(-3) = X & V(9)... = {(3)}
-    labels = [(sorted(p.label() for p in e), sorted(p.label() for p in f))
-              for e, f in trace.sections]
-    assert labels == [(["(2)"], ["(3)"])] * 3
-    with pytest.raises(ValueError):
-        chain_condition_check(
-            z12, sp.as_set(),
-            chain=MultiplicativeChain.build(z12, DESCENDING, [9, 9]))
+@pytest.mark.parametrize("mask", [-1, 1 << 2, 1 << 70])
+def test_chain_condition_check_fails_on_a_mask_past_the_spectrum(mask):
+    # Z/12 has two points, so a point set is a mask of two bits.
+    with pytest.raises(ValueError, match="is not a set of the 2 points of Z/12"):
+        chain_condition_check(parse_ring("Z/12"), mask)
 
 
 def test_sring_certificate_fails_when_a_closed_stable_set_is_not_open(monkeypatch):
@@ -378,27 +357,8 @@ def test_sring_certificate_fails_when_a_closed_stable_set_is_not_open(monkeypatc
 
 def test_a_stabilization_report_fails_to_verify_with_a_wrong_last_index():
     z6 = parse_ring("Z/6")
-    chain = MultiplicativeChain.build(z6, ASCENDING, [2, 4])
+    chain = MultiplicativeChain.build(z6, [2, 4])
     report = check_chain_stabilization(chain)
     assert report.verify()
     assert not StabilizationReport(chain, False, last_index=1,
                                    last_distinct=report.last_distinct).verify()
-
-
-@pytest.mark.parametrize("loci, message", [
-    ([["(2)"], [], ["(2)", "(3)"], []], "E_n must shrink along an ascending chain"),
-    ([["(2)"], ["(3)"], ["(2)"], []], "F_n must grow along an ascending chain"),
-    ([["(2)"], [], ["(2)"], []], "X = E_n united with F_(n+1) failed"),
-], ids=["shrink", "grow", "cover"])
-def test_chain_condition_sections_fail_their_postconditions(monkeypatch, loci, message):
-    # The loci V(a_1), V(1-a_1), V(a_2), V(1-a_2) in the order they are read.
-    import spectop.sring as sring
-    z12 = parse_ring("Z/12")
-    sp = enumerate_spectrum(z12)
-    points = {p.label(): p for p in sp.points}
-    read = iter([frozenset(points[label] for label in locus) for locus in loci])
-    monkeypatch.setattr(sring, "vanishing_locus", lambda ring, ideal: next(read))
-    chain = MultiplicativeChain.build(z12, ASCENDING, [4, 4])
-    with pytest.raises(AssertionError) as err:
-        chain_condition_check(z12, sp.as_set(), chain=chain)
-    assert str(err.value) == message
