@@ -18,20 +18,20 @@ __version__ = "0.1.0"
 # The public names, by the module that defines them.
 _EXPORTS = {
     "errors": """CorpusError EmptyProduct HypothesisViolated InvalidChain NotGenStable
-        NotIrreducible NotPrime NotPrimePower NotZariskiClosed ParseError RingTooLarge
-        SpectopError SpectrumTooLarge UnsupportedForPresentation""",
+        NotPrime NotPrimePower NotZariskiClosed ParseError RingTooLarge SpectopError
+        SpectrumTooLarge UnsupportedForPresentation""",
     "rings": """Bits Element EventuallyConstantBitsRing GaloisFieldRing LocalizedIntegerRing
         ModularRing PolyQuotientRing ProductRing Ring idempotents product_ring""",
-    "ideals": """Ideal annihilator enumerate_ideals finite_support_ideal ideal_from_generators
+    "ideals": """Ideal annihilator enumerate_ideals ideal_from_generators
         ideal_intersection ideal_sum is_prime_ideal principal_ideal radical saturation_kernel
         unit_ideal zero_ideal""",
     "spectrum": """FLAT PATCH ZARISKI ClosedFamily SpectrumPoset closed_family
         enumerate_spectrum vanishing_locus""",
     "flatness": """FlatnessCertificate flat_ideal_from_closed_mask flat_witness
-        idempotent_generator is_cyclic_flat is_cyclic_projective support_of_ideal""",
+        is_cyclic_flat is_cyclic_projective support_of_ideal""",
     "sring": """ChainConditionTrace MultiplicativeChain SRingCertificate
         StabilizationReport chain_condition_check check_chain_stabilization
-        growing_indicator_chain prefix_indicator sring_certificate stabilization_graph_check""",
+        growing_indicator_chain sring_certificate stabilization_graph_check""",
     "harness": """DEFAULT_CORPUS CorpusEntry CorpusReport TheoremReport applicable_checks
         run_check run_corpus""",
     "dsl": "parse_element parse_generators parse_ideal_label parse_ring",

@@ -305,6 +305,8 @@ def _cmd_corpus(args) -> int:
                 document = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"corpus file is not valid JSON: {exc}", exc.pos)
+            except RecursionError:
+                raise ParseError("corpus file nests too deeply to read", 0)
         entries = corpus_from_document(document)
         result = run_corpus(entries)
     else:

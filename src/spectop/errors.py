@@ -33,7 +33,8 @@ class NotGenStable(SpectopError):
 
 
 class InvalidChain(SpectopError):
-    """A multiplicative chain violates its mode equation.
+    """A multiplicative chain is not ascending: some f_n differs from
+    f_n * f_{n+1}.
 
     ``index`` is the 1-based position of the first offending pair.
     """
@@ -66,15 +67,6 @@ class NotPrime(SpectopError):
 
 class NotPrimePower(SpectopError):
     """A Galois field size must be a prime power."""
-
-
-class NotIrreducible(SpectopError):
-    """A polynomial that had to be irreducible factors; ``factor`` is a witness."""
-
-    def __init__(self, poly: str, factor: str):
-        super().__init__(f"{poly} is reducible (divisible by {factor})")
-        self.poly = poly
-        self.factor = factor
 
 
 class ParseError(SpectopError):

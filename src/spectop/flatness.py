@@ -41,7 +41,6 @@ __all__ = [
     "FlatnessCertificate",
     "flat_ideal_from_closed_mask",
     "flat_witness",
-    "idempotent_generator",
     "is_cyclic_flat",
     "is_cyclic_projective",
     "support_of_ideal",
@@ -112,13 +111,8 @@ def _search(ideal: Ideal) -> FlatnessCertificate:
     return FlatnessCertificate(ideal, True, witnesses, note=ideal.flat_note(None))
 
 
-def idempotent_generator(ideal: Ideal) -> Element | None:
-    """An idempotent e with I = Re, or None when no single one generates I."""
-    return ideal.idempotent_generator()
-
-
 def is_cyclic_projective(ideal: Ideal) -> bool:
-    return idempotent_generator(ideal) is not None
+    return ideal.idempotent_generator() is not None
 
 
 def support_of_ideal(ideal: Ideal) -> int:

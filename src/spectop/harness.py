@@ -40,9 +40,9 @@ from .flatness import (
     support_of_ideal,
 )
 from .ideals import (
+    BoolFiniteSupportIdeal,
     ProductIdeal,
     enumerate_ideals,
-    finite_support_ideal,
     ideal_class,
     principal_ideal,
     radical,
@@ -123,7 +123,7 @@ class _Skip(Exception):
 # individual checks
 
 
-def check_topology_characterization(ring: Ring, entry=None) -> tuple[dict, dict | None]:
+def check_topology_characterization(ring: Ring, entry) -> tuple[dict, dict | None]:
     """Flat closed = patch closed + generalization stable, and dually.
 
     Also asserts that the patch family is the full power set of the
@@ -159,7 +159,7 @@ def check_topology_characterization(ring: Ring, entry=None) -> tuple[dict, dict 
     return details, ({"problems": problems} if problems else None)
 
 
-def check_closure_operators(ring: Ring, entry=None) -> tuple[dict, dict | None]:
+def check_closure_operators(ring: Ring, entry) -> tuple[dict, dict | None]:
     """Generalization closures of Zariski closed sets are flat closed,
     specialization closures of patch closed sets are Zariski closed, and
     every closed generalization-stable set is V(J) for a flat kernel J.
@@ -197,7 +197,7 @@ def check_closure_operators(ring: Ring, entry=None) -> tuple[dict, dict | None]:
             "patch_closed": len(pfam)}, None
 
 
-def check_flat_ideal_bijection(ring: Ring, entry=None) -> tuple[dict, dict | None]:
+def check_flat_ideal_bijection(ring: Ring, entry) -> tuple[dict, dict | None]:
     """I -> V(I) is a bijection from flat-quotient ideals onto the Zariski
     closed generalization-stable sets, verified against full enumeration."""
     ideals = enumerate_ideals(ring)
@@ -232,7 +232,7 @@ def check_flat_ideal_bijection(ring: Ring, entry=None) -> tuple[dict, dict | Non
     return details, ({"problems": problems} if problems else None)
 
 
-def check_radical_rigidity(ring: Ring, entry=None) -> tuple[dict, dict | None]:
+def check_radical_rigidity(ring: Ring, entry) -> tuple[dict, dict | None]:
     """On a reduced ring: flat radicals force equality (I = sqrt I when the
     quotient by sqrt I is flat), flat-quotient ideals are radical, and a
     flat-quotient ideal is determined by its vanishing locus."""
@@ -259,7 +259,7 @@ def check_radical_rigidity(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     return {"ideals": len(ideals)}, None
 
 
-def check_sring_equivalences(ring: Ring, entry=None) -> tuple[dict, dict | None]:
+def check_sring_equivalences(ring: Ring, entry) -> tuple[dict, dict | None]:
     """The open/closed S-ring characterizations, including the double-closed
     to idempotent correspondence and the patch clopen condition."""
     cert = sring_certificate(ring)
@@ -284,7 +284,7 @@ def check_sring_equivalences(ring: Ring, entry=None) -> tuple[dict, dict | None]
     return details, None
 
 
-def check_crt_decomposition(ring: Ring, entry=None) -> tuple[dict, dict | None]:
+def check_crt_decomposition(ring: Ring, entry) -> tuple[dict, dict | None]:
     """Z/n with several prime power factors splits through orthogonal
     idempotents into projective summands that are all too small to be free."""
     if not isinstance(ring, ModularRing):
@@ -315,7 +315,7 @@ def check_crt_decomposition(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     summands = []
     for q, e in zip(factors, idems):
         summand = principal_ideal(ring, e)
-        card = len(summand.elements)
+        card = summand.mask.bit_count()
         summands.append({"idempotent": str(e), "cardinality": card})
         if card != q:
             problems.append(f"summand of {e} has {card} elements, expected {q}")
@@ -330,7 +330,7 @@ def check_crt_decomposition(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     return details, ({"problems": problems} if problems else None)
 
 
-def check_flat_not_projective(ring: Ring, entry=None) -> tuple[dict, dict | None]:
+def check_flat_not_projective(ring: Ring, entry) -> tuple[dict, dict | None]:
     """The bits-ring witness: the indicator chain never stabilizes and the
     finitely supported ideal is cyclic-flat but not cyclic-projective."""
     if not isinstance(ring, EventuallyConstantBitsRing):
@@ -338,7 +338,7 @@ def check_flat_not_projective(ring: Ring, entry=None) -> tuple[dict, dict | None
     budget = 100
     chain = growing_indicator_chain(ring, budget)
     report = check_chain_stabilization(chain)
-    ideal = finite_support_ideal(ring)
+    ideal = BoolFiniteSupportIdeal(ring)
     cert = is_cyclic_flat(ideal)
     problems = []
     if report.stabilized:
@@ -357,7 +357,7 @@ def check_flat_not_projective(ring: Ring, entry=None) -> tuple[dict, dict | None
     return details, ({"problems": problems} if problems else None)
 
 
-def check_chain_conditions(ring: Ring, entry=None) -> tuple[dict, dict | None]:
+def check_chain_conditions(ring: Ring, entry) -> tuple[dict, dict | None]:
     """The covering chain condition with X the minimal primes and X the
     maximal ideals; both families are finite, so both conditions hold."""
     sp = enumerate_spectrum(ring)
@@ -374,7 +374,7 @@ def check_chain_conditions(ring: Ring, entry=None) -> tuple[dict, dict | None]:
     return details, None
 
 
-def check_stabilization_graph(ring: Ring, entry=None) -> tuple[dict, dict | None]:
+def check_stabilization_graph(ring: Ring, entry) -> tuple[dict, dict | None]:
     """On a finite ring, the relation f -> f' iff f = f*f' has no cycles
     besides self-loops at idempotents."""
     if not ring.is_finite or len(ring.elements()) > 64:
@@ -385,7 +385,7 @@ def check_stabilization_graph(ring: Ring, entry=None) -> tuple[dict, dict | None
     return {"elements": len(ring.elements())}, None
 
 
-def check_support_consistency(ring: Ring, entry=None) -> tuple[dict, dict | None]:
+def check_support_consistency(ring: Ring, entry) -> tuple[dict, dict | None]:
     """Supp(I) always contains the complement of V(I), with equality for
     flat quotients."""
     sp = enumerate_spectrum(ring)
@@ -399,8 +399,7 @@ def check_support_consistency(ring: Ring, entry=None) -> tuple[dict, dict | None
     return {}, None
 
 
-def check_expected_facts(ring: Ring,
-                         entry: CorpusEntry | None = None) -> tuple[dict, dict | None]:
+def check_expected_facts(ring: Ring, entry: CorpusEntry | None) -> tuple[dict, dict | None]:
     """Compare computed spectrum size, flat ideal count and reducedness with
     the expectations recorded in the corpus entry."""
     expect = dict(entry.expect) if entry is not None else {}

@@ -57,7 +57,6 @@ __all__ = [
     "ProductIdeal",
     "annihilator",
     "enumerate_ideals",
-    "finite_support_ideal",
     "ideal_class",
     "ideal_from_generators",
     "ideal_intersection",
@@ -188,21 +187,18 @@ class ExplicitIdeal(Ideal):
 
     Bit i of ``mask`` stands for ``ring.elements()[i]`` (see
     :class:`~spectop.rings.IndexKernel`); every operation is a table
-    lookup or a mask operation, and ``elements`` is derived on first use.
-    Construction takes either elements or a mask and checks that the set
-    is one of the principal ideals Rg.  Every finite presentation is a
-    principal ideal ring, so this holds exactly when the set is an ideal,
-    and an ExplicitIdeal is an ideal by fiat.
+    lookup or a mask operation.  Construction takes the mask and checks
+    that the set is one of the principal ideals Rg.  Every finite
+    presentation is a principal ideal ring, so this holds exactly when the
+    set is an ideal, and an ExplicitIdeal is an ideal by fiat.
     """
 
-    def __init__(self, ring: Ring, elements=(), *, mask: int | None = None):
+    def __init__(self, ring: Ring, *, mask: int):
         if not ring.is_finite:
             raise UnsupportedForPresentation(
                 "explicit ideals exist only over finite rings")
         k = ring.index_kernel
-        if mask is None:
-            mask = k.mask({k.index[ring.element(e)] for e in elements})
-        elif mask < 0 or mask >> len(k.elements):
+        if mask < 0 or mask >> len(k.elements):
             raise ValueError("a mask has one bit per element of the ring")
         if not mask >> k.zero & 1:
             raise ValueError("an ideal contains 0")
@@ -235,10 +231,6 @@ class ExplicitIdeal(Ideal):
             memo["ideals"] = tuple(sorted(ideals, key=lambda i: (i.mask.bit_count(), i.label())))
         return memo["ideals"]
 
-    @cached_property
-    def elements(self) -> frozenset[Element]:
-        return frozenset(self.sorted_elements())
-
     def contains(self, element):
         k = self.ring.index_kernel
         return bool(self.mask >> k.index[self.ring.element(element)] & 1)
@@ -246,10 +238,6 @@ class ExplicitIdeal(Ideal):
     def issubset(self, other):
         _check_same_ring(self, other)
         return not self.mask & ~other.mask
-
-    def sorted_elements(self) -> list[Element]:
-        k = self.ring.index_kernel
-        return [k.elements[i] for i in k.members(self.mask)]
 
     @cached_property
     def _label(self):
@@ -287,7 +275,8 @@ class ExplicitIdeal(Ideal):
         return not any(self.mask >> k.mul[a][b] & 1 for a in outside for b in outside)
 
     def witness_samples(self):
-        return tuple(self.sorted_elements())
+        k = self.ring.index_kernel
+        return tuple(k.elements[i] for i in k.members(self.mask))
 
     @cached_property
     def _complements(self) -> int:
@@ -775,10 +764,6 @@ def unit_ideal(ring: Ring) -> Ideal:
 
 def principal_ideal(ring: Ring, generator) -> Ideal:
     return ideal_from_generators(ring, (generator,))
-
-
-def finite_support_ideal(ring: EventuallyConstantBitsRing) -> BoolFiniteSupportIdeal:
-    return BoolFiniteSupportIdeal(ring)
 
 
 def ideal_from_generators(ring: Ring, generators) -> Ideal:

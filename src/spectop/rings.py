@@ -4,8 +4,8 @@ Six presentations are supported:
 
 * ``ModularRing(n)``: residues modulo n, n >= 1.
 * ``GaloisFieldRing(p, k)``: the field with p**k elements, realized as
-  Z/p[x] modulo an irreducible monic polynomial (verified by brute-force
-  factor search at construction).
+  Z/p[x] modulo the least irreducible monic polynomial of degree k (found
+  by brute-force factor search).
 * ``PolyQuotientRing(p, f)``: Z/p[x] modulo an arbitrary monic f of degree
   >= 1; f may be reducible, so zero divisors are allowed.
 * ``ProductRing(factors)``: a finite direct product with componentwise
@@ -38,7 +38,6 @@ from operator import attrgetter
 
 from .errors import (
     EmptyProduct,
-    NotIrreducible,
     NotPrime,
     RingTooLarge,
     UnsupportedForPresentation,
@@ -733,36 +732,21 @@ class PolyQuotientRing(Ring):
 
 
 class GaloisFieldRing(PolyQuotientRing):
-    """GF(p**k), a polynomial quotient by a verified irreducible modulus.
-
-    With no explicit modulus the deterministic least irreducible of the
-    requested degree is used, so ``GaloisFieldRing(2, 2)`` always means
-    Z/2[x]/(x^2+x+1).
+    """GF(p**k), the quotient of Z/p[x] by the least irreducible monic of
+    degree k, so ``GaloisFieldRing(2, 2)`` always means Z/2[x]/(x^2+x+1).
+    A field over the size budget is refused before that search.
     """
 
-    def __init__(self, p: int, degree: int | None = None, modulus=None):
-        least = modulus is None
-        if least:
-            if degree is None or degree < 1:
-                raise ValueError("a degree >= 1 is required when no modulus is given")
-            require_prime(p)
-            check_ring_size(p, degree)
-            modulus = least_irreducible_polynomial(p, degree)
-        super().__init__(p, modulus)
+    def __init__(self, p: int, degree: int):
+        if degree < 1:
+            raise ValueError("a degree >= 1 is required")
+        require_prime(p)
+        check_ring_size(p, degree)
+        super().__init__(p, least_irreducible_polynomial(p, degree))
         self.key = ("galois", p, self.modulus)
-        witness = irreducibility_witness(self.modulus, p)
-        if witness is not None:
-            raise NotIrreducible(polynomial_text(self.modulus), polynomial_text(witness))
-        # Named once here: telling the least irreducible apart is a search.
-        least = least or self.modulus == least_irreducible_polynomial(p, self.degree)
-        self._name = f"GF({self.order})" if least else super().describe()
-
-    @property
-    def order(self) -> int:
-        return self.p ** self.degree
 
     def describe(self):
-        return self._name
+        return f"GF({self.p ** self.degree})"
 
 
 class ProductRing(Ring):

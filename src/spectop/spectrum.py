@@ -340,8 +340,8 @@ def vanishing_locus(ring: Ring, ideal: Ideal) -> int:
 
 class ClosedFamily(Record):
     """The closed sets of one topology over a finite spectrum: bit m of
-    ``table`` is set when mask m is closed; ``masks`` and ``sets`` are lazy.
-    The spectrum takes no part in equality."""
+    ``table`` is set when mask m is closed, and ``sets`` is lazy.  The
+    spectrum takes no part in equality."""
 
     __slots__ = ("topology", "table", "spectrum", "__dict__")
     _uncompared = ("spectrum",)
@@ -350,15 +350,11 @@ class ClosedFamily(Record):
         return self.table.bit_count()
 
     @cached_property
-    def masks(self) -> frozenset[int]:
-        return frozenset(IndexKernel.members(self.table))
-
-    @cached_property
     def sets(self) -> frozenset[frozenset[Ideal]]:
         """The members as sets of prime ideals."""
         points = self.spectrum.points
         return frozenset(frozenset(map(points.__getitem__, IndexKernel.members(m)))
-                         for m in self.masks)
+                         for m in IndexKernel.members(self.table))
 
     @cached_property
     def point_closures(self) -> list[int]:

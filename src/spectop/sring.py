@@ -28,7 +28,7 @@ from graphlib import CycleError, TopologicalSorter
 
 from .errors import HypothesisViolated, InvalidChain
 from .ideals import intersect_all, principal_ideal
-from .rings import Element, EventuallyConstantBitsRing, IndexKernel, Record, Ring, idempotents
+from .rings import EventuallyConstantBitsRing, IndexKernel, Record, Ring, idempotents
 from .spectrum import (
     ClosedFamily,
     FLAT,
@@ -46,7 +46,6 @@ __all__ = [
     "chain_condition_check",
     "check_chain_stabilization",
     "growing_indicator_chain",
-    "prefix_indicator",
     "sring_certificate",
     "stabilization_graph_check",
 ]
@@ -132,13 +131,6 @@ def check_chain_stabilization(chain: MultiplicativeChain) -> StabilizationReport
 # the bits-ring witness
 
 
-def prefix_indicator(ring: EventuallyConstantBitsRing, n: int) -> Element:
-    """The element of the bits ring that is 1 exactly on positions 1..n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return ring.indicator(range(1, n + 1))
-
-
 def growing_indicator_chain(ring: EventuallyConstantBitsRing,
                             budget: int) -> MultiplicativeChain:
     """The ascending chain x_n = indicator of {1..n}.
@@ -148,7 +140,7 @@ def growing_indicator_chain(ring: EventuallyConstantBitsRing,
     below 1 gives no terms, which ``build`` refuses.
     """
     return MultiplicativeChain.build(
-        ring, [prefix_indicator(ring, n) for n in range(1, budget + 1)])
+        ring, [ring.indicator(range(1, n + 1)) for n in range(1, budget + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,20 @@ def brute_force_ideals(ring):
     return out
 
 
+def elements_of(ideal) -> frozenset:
+    """The elements of a finite ideal: those of its ring's index kernel
+    whose bits its mask sets."""
+    k = ideal.ring.index_kernel
+    return frozenset(k.elements[i] for i in k.members(ideal.mask))
+
+
+def element_mask(ring, elements) -> int:
+    """The mask of the given elements of a finite ring, bit i for the
+    i-th element of ``ring.elements()``."""
+    k = ring.index_kernel
+    return k.mask(k.index[ring.element(e)] for e in elements)
+
+
 def brute_force_generated(ring, gens):
     """The smallest ideal-subset containing the generators."""
     best = None
@@ -305,10 +319,10 @@ def closure_operators_by_members(ring):
     pfam = closed_family(ring, PATCH)
     sp = pfam.spectrum
     for E in IndexKernel.members(zfam.table):
-        if sp.down_closure(E) not in ffam.masks:
+        if not ffam.table >> sp.down_closure(E) & 1:
             return {}, {"operator": "generalization", "set": sp.labels_of(E)}
     for E in IndexKernel.members(pfam.table):
-        if sp.up_closure(E) not in zfam.masks:
+        if not zfam.table >> sp.up_closure(E) & 1:
             return {}, {"operator": "specialization", "set": sp.labels_of(E)}
     kernels = []
     for E in sorted(IndexKernel.members(zfam.table & sp.down_table), key=sp.mask_key):

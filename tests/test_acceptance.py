@@ -19,7 +19,6 @@ from spectop import (
     closed_family,
     enumerate_ideals,
     enumerate_spectrum,
-    finite_support_ideal,
     flat_ideal_from_closed_mask,
     growing_indicator_chain,
     idempotents,
@@ -31,8 +30,9 @@ from spectop import (
     sring_certificate,
     vanishing_locus,
 )
+from spectop.ideals import BoolFiniteSupportIdeal
 
-from conftest import is_down_closed, is_up_closed
+from conftest import elements_of, is_down_closed, is_up_closed
 
 TOPOLOGY_RINGS = ("Z/4", "Z/6", "Z/12", "GF(4)", "Z/2[x]/(x^2+x)",
                   "Zloc(2)", "Zloc(2) * Z/3")
@@ -124,7 +124,7 @@ def test_criterion_04_flatness_vs_idempotent_oracle():
             for ideal in enumerate_ideals(ring):
                 flat = is_cyclic_flat(ideal).verdict
                 generated = any(
-                    frozenset(r * e for r in ring.elements()) == ideal.elements
+                    frozenset(r * e for r in ring.elements()) == elements_of(ideal)
                     for e in idempotents(ring))
                 if flat != generated:
                     discrepancies += 1
@@ -173,7 +173,7 @@ def test_criterion_07_bits_ring_witness():
         report = check_chain_stabilization(chain)
         assert not report.stabilized
         assert report.last_index == 100
-        fin = finite_support_ideal(bits)
+        fin = BoolFiniteSupportIdeal(bits)
         cert = is_cyclic_flat(fin)
         assert cert.verdict and cert.verify()
         assert not is_cyclic_projective(fin)

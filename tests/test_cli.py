@@ -31,6 +31,7 @@ from spectop.cli import (
     main,
     spectrum_doc,
 )
+from spectop.rings import IndexKernel
 from spectop.spectrum import TOPOLOGIES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -76,7 +77,8 @@ def test_family_json_prints_the_dumped_document(text):
     ring = parse_ring(text)
     for topology in TOPOLOGIES:
         family = closed_family(ring, topology)
-        reference = {"closed_sets": family.spectrum.family_labels(family.masks),
+        reference = {"closed_sets": family.spectrum.family_labels(
+                         IndexKernel.members(family.table)),
                      "ring": ring.describe(), "topology": topology}
         got = "".join(family_json(family))
         want = json.dumps(reference, indent=2, sort_keys=True) + "\n"
@@ -223,6 +225,17 @@ def test_corpus_bad_json_exits_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "corpus", str(path))
     assert code == 2
     assert "error" in err
+
+
+def test_corpus_too_deeply_nested_json_exits_two(tmp_path, capsys):
+    # json.load recurses once per bracket, so this depth would overflow
+    # the interpreter's stack.
+    path = tmp_path / "corpus.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "corpus", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: at position 0: corpus file nests too deeply to read"]
 
 
 def test_corpus_missing_file_exits_two(tmp_path, capsys):

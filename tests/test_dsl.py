@@ -26,9 +26,9 @@ from spectop import (
 )
 from spectop.dsl import parse_ideal_labels
 from spectop.ideals import (
+    BoolFiniteSupportIdeal,
     LocalIdeal,
     enumerate_ideals,
-    finite_support_ideal,
     ideal_from_generators,
     principal_ideal,
 )
@@ -418,7 +418,7 @@ def test_a_label_list_reads_each_label_and_skips_empty_items():
 
 def test_bits_ideal_labels_round_trip():
     bits = parse_ring("EvBits")
-    fin = finite_support_ideal(bits)
+    fin = BoolFiniteSupportIdeal(bits)
     assert parse_ideal_label(bits, fin.label()) == fin
     small = principal_ideal(bits, bits.indicator({2, 4}))
     assert parse_ideal_label(bits, small.label()) == small

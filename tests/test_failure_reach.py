@@ -161,7 +161,7 @@ def test_the_reach_guard_flags_an_added_unreached_branch(tmp_path, reached):
     assert unreached(copy, reached) == []
     # Appended at the end, so the lines the controls reached do not move.
     with open(copy / "harness.py", "a", encoding="utf-8") as handle:
-        handle.write('\n\ndef check_nothing(ring, entry=None):\n'
+        handle.write('\n\ndef check_nothing(ring, entry):\n'
                      '    problems = []\n'
                      '    if ring is None:\n'
                      '        problems.append("no ring")\n'

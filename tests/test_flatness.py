@@ -18,10 +18,8 @@ from spectop import (
     NotZariskiClosed,
     enumerate_ideals,
     enumerate_spectrum,
-    finite_support_ideal,
     flat_ideal_from_closed_mask,
     flat_witness,
-    idempotent_generator,
     ideal_from_generators,
     idempotents,
     is_cyclic_flat,
@@ -36,7 +34,7 @@ from spectop import (
 )
 from spectop import flatness
 from spectop.cli import certificate_doc
-from spectop.ideals import LocalIdeal, annihilator
+from spectop.ideals import BoolFiniteSupportIdeal, LocalIdeal, annihilator
 from spectop.rings import canonical_sorted
 
 from conftest import (
@@ -44,6 +42,7 @@ from conftest import (
     FINITE_CORPUS_TEXTS,
     SMALL_FINITE_TEXTS,
     common_multiplier,
+    elements_of,
     is_down_closed,
     label_mask,
     mask_points,
@@ -124,9 +123,9 @@ def test_flat_exhaustive_pair_search(witness_ring):
     for ideal in enumerate_ideals(witness_ring):
         expected = all(
             any(a * f == zero and ideal.contains(one - a) for a in witness_ring.elements())
-            for f in ideal.elements)
-        for f in ideal.elements:
-            firsts = [a for a in canonical_sorted(annihilator(f).elements)
+            for f in elements_of(ideal))
+        for f in elements_of(ideal):
+            firsts = [a for a in canonical_sorted(elements_of(annihilator(f)))
                       if ideal.contains(one - a)][:1]
             assert flat_witness(ideal, f) == (
                 (firsts[0], one - firsts[0]) if firsts else None)
@@ -139,7 +138,7 @@ def test_flat_against_idempotent_oracle(finite_ring):
     """flat <=> the ideal is generated by a single idempotent."""
     for ideal in enumerate_ideals(finite_ring):
         by_idempotent = any(
-            frozenset(r * e for r in finite_ring.elements()) == ideal.elements
+            frozenset(r * e for r in finite_ring.elements()) == elements_of(ideal)
             for e in idempotents(finite_ring))
         assert is_cyclic_flat(ideal).verdict == by_idempotent
         assert is_cyclic_projective(ideal) == by_idempotent
@@ -157,7 +156,7 @@ def test_flat_local_ring():
 
 def test_flat_bits_ring():
     bits = EventuallyConstantBitsRing()
-    fin = finite_support_ideal(bits)
+    fin = BoolFiniteSupportIdeal(bits)
     cert = is_cyclic_flat(fin)
     assert cert.verdict and cert.verify()
     f = bits.indicator({2, 5})
@@ -167,7 +166,7 @@ def test_flat_bits_ring():
     assert is_cyclic_flat(small).verdict
     assert is_cyclic_projective(small)
     assert not is_cyclic_projective(fin)
-    assert idempotent_generator(fin) is None
+    assert fin.idempotent_generator() is None
 
 
 def test_flat_mixed_product():
@@ -203,7 +202,7 @@ _BOOL_NOTE = "Boolean schema: 1-f annihilates f and f+(1-f)=1 for every f in I"
      {"ring": "Zloc(2)", "ideal": "(1)", "flat": True,
       "witnesses": [{"f": "0", "a": "1", "b": "0"}, {"f": "1", "a": "0", "b": "1"}],
       "failing": None, "note": _ZERO_UNIT_NOTE}),
-    (lambda: finite_support_ideal(EventuallyConstantBitsRing()),
+    (lambda: BoolFiniteSupportIdeal(EventuallyConstantBitsRing()),
      {"ring": "EvBits", "ideal": "(fin)", "flat": True,
       "witnesses": [{"f": "{1}:0", "a": "{1}:1", "b": "{1}:0"},
                     {"f": "{1,2}:0", "a": "{1,2}:1", "b": "{1,2}:0"},
@@ -228,7 +227,7 @@ def test_product_generators_and_supports_are_pinned():
     sp = enumerate_spectrum(ring)
     computed = {}
     for ideal in enumerate_ideals(ring, local_level_bound=2):
-        e = idempotent_generator(ideal)
+        e = ideal.idempotent_generator()
         computed[ideal.label()] = (None if e is None else str(e),
                                    sp.labels_of(support_of_ideal(ideal)))
     everywhere = ["(0) x (1)", "(1) x (2)", "(1) x (3)", "(2) x (1)"]
@@ -269,7 +268,7 @@ def test_common_multiplier_frozen_examples():
     two = principal_ideal(z6, z6.element(2))
     assert common_multiplier(two, [z6.element(2), z6.element(4)]) == z6.element(4)
     assert flat_witness(two, z6.element(2)) == (z6.element(3), z6.element(4))
-    assert idempotent_generator(two) == z6.element(4)
+    assert two.idempotent_generator() == z6.element(4)
 
     z12 = parse_ring("Z/12")
     four = principal_ideal(z12, z12.element(4))
@@ -283,7 +282,7 @@ def test_common_multiplier_property(finite_ring):
     # Over a finite ring, R/I is flat iff I = Re for an idempotent e, iff
     # some g in I has f*g = f for every f in I.
     for ideal in enumerate_ideals(finite_ring):
-        fs = ideal.sorted_elements()
+        fs = canonical_sorted(elements_of(ideal))
         g = common_multiplier(ideal, fs)
         assert (g is not None) == is_cyclic_flat(ideal).verdict, ideal.label()
         if g is None:
@@ -295,10 +294,10 @@ def test_common_multiplier_property(finite_ring):
 
 def test_idempotent_generator_frozen_examples():
     z12 = parse_ring("Z/12")
-    assert idempotent_generator(principal_ideal(z12, z12.element(3))) == z12.element(9)
-    assert idempotent_generator(zero_ideal(z12)) == z12.zero
+    assert principal_ideal(z12, z12.element(3)).idempotent_generator() == z12.element(9)
+    assert zero_ideal(z12).idempotent_generator() == z12.zero
     z4 = parse_ring("Z/4")
-    assert idempotent_generator(principal_ideal(z4, z4.element(2))) is None
+    assert principal_ideal(z4, z4.element(2)).idempotent_generator() is None
     assert is_cyclic_projective(unit_ideal(z4))
 
 
@@ -322,7 +321,7 @@ def test_support_contains_complement_of_locus(support_ring):
     for ideal in ideals:
         supp = support_of_ideal(ideal)
         if support_ring.is_finite:
-            anns = [annihilator(f) for f in ideal.elements]
+            anns = [annihilator(f) for f in elements_of(ideal)]
             assert supp == point_mask(support_ring, (
                 p for p in sp.points if any(a.issubset(p) for a in anns)))
         outside = sp.full ^ vanishing_locus(support_ring, ideal)

@@ -19,7 +19,7 @@ from spectop import enumerate_spectrum, harness
 from spectop.errors import CorpusError
 from spectop.ideals import Ideal
 from spectop.spectrum import PATCH, ClosedFamily, SpectrumPoset
-from spectop.sring import MultiplicativeChain, prefix_indicator
+from spectop.sring import MultiplicativeChain
 from spectop.harness import (
     CHECK_NAMES,
     DEFAULT_CORPUS,
@@ -516,7 +516,7 @@ def test_flat_not_projective_fails_when_the_chain_stabilizes(monkeypatch):
     def settling(ring, budget):
         return MultiplicativeChain.build(
             ring,
-            [prefix_indicator(ring, min(n, budget - 1)) for n in range(1, budget + 1)])
+            [ring.indicator(range(1, min(n, budget - 1) + 1)) for n in range(1, budget + 1)])
 
     monkeypatch.setattr(harness, "growing_indicator_chain", settling)
     report = run_check("flat-not-projective", parse_ring("EvBits"))

@@ -32,6 +32,8 @@ from conftest import (
     brute_force_generated,
     brute_force_is_prime,
     closure_generated,
+    element_mask,
+    elements_of,
     is_ideal_subset,
 )
 
@@ -61,31 +63,32 @@ def test_mask_ideals_match_oracles(text, data):
     # The subset scan is exact but exponential; larger rings saturate.
     generated = brute_force_generated if len(elements) <= 12 else closure_generated
     a, b = ideal_from_generators(ring, a_gens), ideal_from_generators(ring, b_gens)
-    assert a.elements == generated(ring, a_gens)
-    assert b.elements == generated(ring, b_gens)
-    assert ideal_sum(a, b).elements == generated(ring, a_gens + b_gens)
-    assert ideal_intersection(a, b).elements == a.elements & b.elements
-    assert a.issubset(b) == (a.elements <= b.elements)
-    assert [a.contains(x) for x in elements] == [x in a.elements for x in elements]
-    assert is_prime_ideal(a) == brute_force_is_prime(ring, a.elements)
+    in_a, in_b = elements_of(a), elements_of(b)
+    assert in_a == generated(ring, a_gens)
+    assert in_b == generated(ring, b_gens)
+    assert elements_of(ideal_sum(a, b)) == generated(ring, a_gens + b_gens)
+    assert elements_of(ideal_intersection(a, b)) == in_a & in_b
+    assert a.issubset(b) == (in_a <= in_b)
+    assert [a.contains(x) for x in elements] == [x in in_a for x in elements]
+    assert is_prime_ideal(a) == brute_force_is_prime(ring, in_a)
     assert a in enumerate_ideals(ring)
     assert parse_ideal_label(ring, a.label()) == a
 
     def nilpotent_mod_a(x):
         power = x
         for _ in elements:
-            if power in a.elements:
+            if power in in_a:
                 return True
             power = power * x
         return False
 
-    assert radical(a).elements == {x for x in elements if nilpotent_mod_a(x)}
-    assert saturation_kernel(a).elements == {
-        r for r in elements if any((ring.one + i) * r == ring.zero for i in a.elements)}
+    assert elements_of(radical(a)) == {x for x in elements if nilpotent_mod_a(x)}
+    assert elements_of(saturation_kernel(a)) == {
+        r for r in elements if any((ring.one + i) * r == ring.zero for i in in_a)}
     f = data.draw(st.sampled_from(elements))
-    assert annihilator(f).elements == {x for x in elements if x * f == ring.zero}
+    assert elements_of(annihilator(f)) == {x for x in elements if x * f == ring.zero}
     if a.contains(f):
-        firsts = [x for x in elements if x * f == ring.zero and ring.one - x in a.elements]
+        firsts = [x for x in elements if x * f == ring.zero and ring.one - x in in_a]
         expected = (firsts[0], ring.one - firsts[0]) if firsts else None
         assert a.flat_witness(f) == expected
 
@@ -136,8 +139,8 @@ def test_ideals_compare_across_separately_parsed_rings(text):
     assert ours == theirs
     assert [hash(i) for i in ours] == [hash(i) for i in theirs]
     for a, b in itertools.product(ours, theirs):
-        assert a.issubset(b) == (a.elements <= b.elements)
-        assert b.issubset(a) == (b.elements <= a.elements)
+        assert a.issubset(b) == (elements_of(a) <= elements_of(b))
+        assert b.issubset(a) == (elements_of(b) <= elements_of(a))
         assert ideal_sum(a, b) == ideal_sum(b, a)
     # Each instance keeps its own spectrum, and its primes meet the ideals
     # of the other instance.
@@ -158,26 +161,26 @@ def test_idempotent_generator_matches_a_brute_force_search():
     for e in ring.elements():
         if e * e == e:
             spans.setdefault(frozenset(e * r for r in ring.elements()), e)
-    assert found == [spans.get(i.elements) for i in ideals]
+    assert found == [spans.get(elements_of(i)) for i in ideals]
     assert None not in found
 
 
 def test_explicit_ideal_rejects_non_ideals_with_the_same_message():
     z6 = ModularRing(6)
     with pytest.raises(ValueError, match=r"^not closed under addition: 2 \+ 2$"):
-        ExplicitIdeal(z6, {z6.element(0), z6.element(2)})
+        ExplicitIdeal(z6, mask=element_mask(z6, [0, 2]))
     with pytest.raises(ValueError, match="^an ideal contains 0$"):
-        ExplicitIdeal(z6, {z6.element(2), z6.element(4)})
+        ExplicitIdeal(z6, mask=element_mask(z6, [2, 4]))
     square = parse_ring("Z/2 * Z/2")
     with pytest.raises(ValueError,
                        match=r"^not closed under multiplication: \(0, 1\) \* \(1, 1\)$"):
-        ExplicitIdeal(square, {square.zero, square.one})
+        ExplicitIdeal(square, mask=element_mask(square, [square.zero, square.one]))
     with pytest.raises(ValueError, match=r"^not closed under addition: 1 \+ 1$"):
         ExplicitIdeal(z6, mask=0b11)
     for mask in (-1, 1 << 6 | 1):
         with pytest.raises(ValueError, match="one bit per element"):
             ExplicitIdeal(z6, mask=mask)
-    assert ExplicitIdeal(z6, {z6.element(0), z6.element(3)}) == ideal_from_generators(z6, [3])
+    assert ExplicitIdeal(z6, mask=element_mask(z6, [0, 3])) == ideal_from_generators(z6, [3])
 
 
 _REJECTIONS = r"^(an ideal contains 0|not closed under (addition|multiplication): .+)$"
@@ -190,10 +193,11 @@ def test_explicit_ideal_accepts_exactly_the_ideal_subsets(text):
     for size in range(len(elements) + 1):
         for subset in itertools.combinations(elements, size):
             if is_ideal_subset(ring, subset):
-                assert ExplicitIdeal(ring, subset).elements == frozenset(subset)
+                ideal = ExplicitIdeal(ring, mask=element_mask(ring, subset))
+                assert elements_of(ideal) == frozenset(subset)
             else:
                 with pytest.raises(ValueError, match=_REJECTIONS):
-                    ExplicitIdeal(ring, subset)
+                    ExplicitIdeal(ring, mask=element_mask(ring, subset))
 
 
 @pytest.mark.parametrize("text", KERNEL_TEXTS)
@@ -204,10 +208,10 @@ def test_sums_of_enumerated_ideals_are_enumerated(text):
     # pairs go to the closure oracle.
     ring = parse_ring(text)
     ideals = enumerate_ideals(ring)
-    found = {i.elements for i in ideals}
+    found = {elements_of(i) for i in ideals}
     for a, b in itertools.combinations(ideals, 2):
         if not (a.issubset(b) or b.issubset(a)):
-            assert closure_generated(ring, a.elements | b.elements) in found
+            assert closure_generated(ring, elements_of(a) | elements_of(b)) in found
 
 
 def _members_by_comprehension(mask: int) -> list[int]:

@@ -15,7 +15,6 @@ from spectop import (
     GaloisFieldRing,
     LocalizedIntegerRing,
     ModularRing,
-    NotIrreducible,
     NotPrime,
     PolyQuotientRing,
     ProductRing,
@@ -32,6 +31,7 @@ from spectop.rings import (
     PRIMALITY_BOUND,
     canonical_sorted,
     check_ring_size,
+    irreducibility_witness,
     is_prime_int,
     least_irreducible_polynomial,
     polynomial_text,
@@ -96,18 +96,15 @@ def test_galois_field_canonical_modulus():
     assert least_irreducible_polynomial(3, 2) == (1, 0, 1)  # x^2+1
 
 
-@pytest.mark.parametrize("modulus, name", [
-    ((1, 0, 1, 1), "Z/2[x]/(x^3+x^2+1)"),  # irreducible, but not the least
-    ((1, 1, 0, 1), "GF(8)"),               # the least irreducible, given explicitly
-])
-def test_galois_field_is_named_gf_only_for_the_least_modulus(modulus, name):
-    assert GaloisFieldRing(2, modulus=modulus).describe() == name
-
-
-def test_galois_field_rejects_reducible_modulus():
-    with pytest.raises(NotIrreducible) as err:
-        GaloisFieldRing(2, modulus=(0, 1, 1))  # x^2+x = x(x+1)
-    assert err.value.factor in ("x", "x+1")
+def test_every_galois_field_in_the_budget_has_an_irreducible_modulus():
+    fields = [(p, k) for p in range(2, 17) if is_prime_int(p)
+              for k in range(2, 9) if p ** k <= MAX_RING_ELEMENTS]
+    assert len(fields) == 16
+    for p, k in fields:
+        field = parse_ring(f"GF({p ** k})")
+        assert field == GaloisFieldRing(p, k)
+        assert field.describe() == f"GF({p ** k})" and field.degree == k
+        assert irreducibility_witness(field.modulus, p) is None
 
 
 def test_galois_field_field_axioms():
@@ -174,7 +171,6 @@ def test_ring_size_budget():
     refused = [lambda: ModularRing(257),
                lambda: PolyQuotientRing(3, (1, 0, 0, 0, 0, 0, 1)),
                lambda: GaloisFieldRing(2, 40),      # refused before the irreducible search
-               lambda: GaloisFieldRing(2, modulus=(1, 1, 0, 0, 0, 0, 0, 0, 0, 1)),
                lambda: ProductRing([ModularRing(16), ModularRing(17)]),
                lambda: ProductRing([ModularRing(2), LocalizedIntegerRing(3),
                                     ModularRing(2), GaloisFieldRing(2, 7)])]
@@ -309,7 +305,7 @@ def test_bits_ring_rejects_bad_payload():
     (lambda: LocalizedIntegerRing(2).element("a"), "expected an integer or Fraction, got 'a'"),
     (lambda: EventuallyConstantBitsRing().element("a"),
      "expected Bits or (positions, tail), got 'a'"),
-    (lambda: GaloisFieldRing(2), "a degree >= 1 is required when no modulus is given"),
+    (lambda: GaloisFieldRing(2, 0), "a degree >= 1 is required"),
     (lambda: ProductRing([ModularRing(2)]),
      "ProductRing needs at least two factors; use product_ring"),
 ])

@@ -579,3 +579,95 @@ def test_the_caller_rule_flags_an_added_function(tmp_path):
     found = [f.split(" ")[1] for f in uncalled_public(copy)]
     assert sorted(found) == sorted(UNCALLED_PUBLIC - {"flatness.flat_witness"} | {
         "flatness.common_multiplier", "sring.dual_chain", "sring._Poset.leq"})
+
+
+# The parameters with a default that no call in the package passes, each
+# with the reason its default stays.
+UNSET_DEFAULTS = {
+    # The console entry reads sys.argv; tests and library users pass argv.
+    "cli.main(argv)",
+    # argparse's signature, which the override keeps.
+    "cli._Parser.parse_args(namespace)",
+}
+
+
+def _defs(tree: ast.Module):
+    """Every function of a module as (label, definition, bound, class): a
+    method is labelled ``Class.name`` and binds its first parameter unless
+    it is static; any other function is labelled by its name alone."""
+    methods = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    methods.add(item)
+                    bound = not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                    for d in item.decorator_list)
+                    yield f"{cls.name}.{item.name}", item, bound, cls.name
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn not in methods:
+            yield fn.name, fn, False, None
+
+
+def _passes(call: ast.Call, name: str, place: int | None) -> bool:
+    """Whether a call passes the parameter: by keyword, by its place among
+    the positional arguments, or through ``*args`` or ``**kwargs``."""
+    if any(kw.arg in (None, name) for kw in call.keywords):
+        return True
+    if place is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args) or 0 <= place < len(call.args)
+
+
+def unset_defaults(root: Path) -> list[str]:
+    """The parameters with a default that no call in the package passes.
+
+    A call names a function by its name, bare or as an attribute, and an
+    ``__init__`` also by its class's name.  A starred argument passes
+    every positional parameter, and ``**kwargs`` every parameter.
+    """
+    trees = list(_trees(root))
+    calls: dict[str, list[ast.Call]] = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for path, tree in trees:
+        for label, fn, bound, cls in _defs(tree):
+            callers = calls.get(fn.name, [])
+            if fn.name == "__init__":
+                callers = callers + calls.get(cls, [])
+            positional = fn.args.posonlyargs + fn.args.args
+            defaulted = [(a, i - bound) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(fn.args.defaults)]
+            defaulted += [(a, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            found += [f"{path.stem}.{label}({a.arg})" for a, place in defaulted
+                      if not any(_passes(c, a.arg, place) for c in callers)]
+    return found
+
+
+def test_every_default_is_overridden_by_a_call_in_the_package():
+    assert sorted(unset_defaults(SOURCE)) == sorted(UNSET_DEFAULTS)
+
+
+def test_the_default_rule_flags_an_added_default(tmp_path):
+    copy = tmp_path / "spectop"
+    shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert sorted(unset_defaults(copy)) == sorted(UNSET_DEFAULTS)
+    # The explicit modulus put back, keyword-only, so that dsl's starred
+    # call does not pass it.
+    rings = (copy / "rings.py").read_text(encoding="utf-8")
+    signature = "    def __init__(self, p: int, degree: int):\n"
+    assert rings.count(signature) == 1
+    (copy / "rings.py").write_text(rings.replace(
+        signature, "    def __init__(self, p: int, degree: int, *, modulus=None):\n"),
+        encoding="utf-8")
+    # A default some call passes is not flagged.
+    with open(copy / "flatness.py", "a", encoding="utf-8") as handle:
+        handle.write("\n\ndef _scaled(ideal, k=1):\n    return _scaled(ideal, k=2)\n")
+    assert sorted(unset_defaults(copy)) == sorted(
+        UNSET_DEFAULTS | {"rings.GaloisFieldRing.__init__(modulus)"})

@@ -44,6 +44,7 @@ from conftest import (
     ZLOC_POWERS,
     brute_force_ideals,
     brute_force_is_prime,
+    elements_of,
     factorwise_unions,
     generalizations_of,
     is_down_closed,
@@ -109,7 +110,7 @@ def test_spectrum_of_bits_ring_is_refused():
 
 def test_spectrum_primality_is_exhaustive(finite_ring):
     sp = enumerate_spectrum(finite_ring)
-    primes = {p.elements for p in sp.points}
+    primes = {elements_of(p) for p in sp.points}
     oracle = {s for s in brute_force_ideals(finite_ring)
               if brute_force_is_prime(finite_ring, s)}
     assert primes == oracle
@@ -126,7 +127,7 @@ def test_product_spectrum_matches_brute_force():
                     by_hand.add(frozenset(e for e in prod.elements()
                                           if prod.component(e, i) in prime))
         sp = enumerate_spectrum(prod)
-        assert {p.elements for p in sp.points} == by_hand, text
+        assert {elements_of(p) for p in sp.points} == by_hand, text
         assert len(sp) == len(prod.factors), text
 
 

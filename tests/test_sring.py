@@ -23,7 +23,6 @@ from spectop import (
     enumerate_spectrum,
     growing_indicator_chain,
     parse_ring,
-    prefix_indicator,
     sring_certificate,
     run_check,
     stabilization_graph_check,
@@ -143,14 +142,12 @@ def test_random_valid_chains_self_certify(data):
 
 def test_prefix_indicator_construction():
     bits = parse_ring("EvBits")
-    x1 = prefix_indicator(bits, 1)
+    x1 = bits.indicator(range(1, 2))
     assert x1.value.flips == frozenset({1}) and x1.value.tail == 0
-    x3, x4 = prefix_indicator(bits, 3), prefix_indicator(bits, 4)
+    x3, x4 = bits.indicator(range(1, 4)), bits.indicator(range(1, 5))
     assert x3 * x4 == x3
     assert x3 * x3 == x3
     assert x3 != x4
-    with pytest.raises(ValueError):
-        prefix_indicator(bits, 0)
 
 
 def test_growing_indicator_chain_never_stabilizes():
@@ -160,8 +157,8 @@ def test_growing_indicator_chain_never_stabilizes():
         assert not rep.stabilized
         assert rep.last_index == budget
         a, b = rep.last_distinct
-        assert a == prefix_indicator(bits, budget - 1)
-        assert b == prefix_indicator(bits, budget)
+        assert a == bits.indicator(range(1, budget))
+        assert b == bits.indicator(range(1, budget + 1))
         assert rep.verify()
     for budget in (0, -1):
         with pytest.raises(ValueError, match="a chain has at least one term"):
