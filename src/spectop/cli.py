@@ -257,6 +257,8 @@ def _cmd_sring(args) -> int:
 
 
 def _cmd_chaincond(args) -> int:
+    if args.points is not None and args.X != "custom":
+        raise ParseError(f"--points is read only with --X custom, not --X {args.X}", 0)
     ring = parse_ring(args.ring)
     sp = enumerate_spectrum(ring)
     if args.X == "min":
@@ -302,7 +304,7 @@ def _cmd_corpus(args) -> int:
     if args.file:
         with open(args.file, "r", encoding="utf-8") as handle:
             try:
-                document = json.load(handle)
+                document = json.load(handle, parse_int=_json_int)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"corpus file is not valid JSON: {exc}", exc.pos)
             except RecursionError:
@@ -313,6 +315,14 @@ def _cmd_corpus(args) -> int:
         result = run_corpus()
     _emit(corpus_doc(result))
     return 0 if result.all_passed else 1
+
+
+def _json_int(text: str) -> int:
+    """A corpus integer; more digits than Python converts is a ParseError."""
+    if 0 < sys.get_int_max_str_digits() < len(text.lstrip("-")):
+        raise ParseError(f"corpus file holds an integer of {len(text.lstrip('-'))} digits, "
+                         f"more than Python's limit of {sys.get_int_max_str_digits()}", 0)
+    return int(text)
 
 
 def _cmd_export_dot(args) -> int:

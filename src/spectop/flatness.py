@@ -10,14 +10,15 @@ single idempotent", which coincides with categorical projectivity for
 cyclic modules over a commutative ring and is decidable here.
 
 Nothing here depends on how an ideal is represented, except that
-:func:`support_of_ideal` reads the annihilator masks of a finite ring's
-index kernel.  Each ideal class in ``ideals`` supplies its certificate
-samples, a flat witness for each sample and the certificate note;
-``Ideal.flat_search`` is the one loop over the samples and their
-witnesses, which a product ideal assembles from its components' searches,
-and :func:`is_cyclic_flat` turns its result into the certificate.
-The idempotent generator is defined once on ``Ideal``, as the first
-idempotent e with Re = I; only the bits ring's ideals supply their own.
+:func:`support_of_ideal` reads the annihilator mask of a finite ideal's
+least generator off its ring's index kernel.  Each ideal class in
+``ideals`` supplies its certificate samples, a flat witness for each
+sample and the certificate note; ``Ideal.flat_search`` is the one loop
+over the samples and their witnesses, which a product ideal assembles from
+its components' searches, and :func:`is_cyclic_flat` turns its result into
+the certificate.  The idempotent generator is defined once on ``Ideal``,
+as the first idempotent e with Re = I; only the bits ring's ideals supply
+their own.
 
 The certificate of an ideal is computed once per ideal object and kept
 on it, so the checks that read the flatness of the same enumerated ideal
@@ -121,19 +122,19 @@ def support_of_ideal(ideal: Ideal) -> int:
 
     Computed as the primes containing Ann(f) for some f in I; it always
     contains the complement of V(I) and equals it when R/I is flat.  Over
-    a finite ring every f in I is scanned, its annihilator read as a mask
-    off the ring's index kernel.  Otherwise the witness samples
-    give the same union: over the localized integers Ann(f) is R or (0) as
-    f is zero or not, and a prime of an infinite product is proper in one
-    slot only, where it meets the annihilator of that component of f.
+    a finite ring I = Rg for its least generator g, and Ann(g) lies in
+    every Ann(rg), so the union is V(Ann(g)), read off one mask of the
+    ring's index kernel.  Otherwise the witness samples give the same
+    union: over the localized integers Ann(f) is R or (0) as f is zero or
+    not, and a prime of an infinite product is proper in one slot only,
+    where it meets the annihilator of that component of f.
     """
     ring = ideal.ring
     sp = enumerate_spectrum(ring)
     if ring.is_finite:
         k = ring.index_kernel
-        anns = {k.anns[f] for f in k.members(ideal.mask)}
-        return IndexKernel.mask(
-            i for i, p in enumerate(sp.points) if any(not a & ~p.mask for a in anns))
+        ann = k.anns[k.generator_of[ideal.mask]]
+        return IndexKernel.mask(i for i, p in enumerate(sp.points) if not ann & ~p.mask)
     anns = [annihilator(f) for f in ideal.witness_samples()]
     return IndexKernel.mask(
         i for i, p in enumerate(sp.points) if any(a.issubset(p) for a in anns))

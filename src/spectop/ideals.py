@@ -5,7 +5,9 @@ is a bitmask over the indices of the ring's elements.  Every finite
 presentation is a principal ideal ring (Z/n, quotients of the principal
 ideal domain Z/p[x], fields, and finite products of these), so its
 ideals are exactly its principal ideals Rg, whose masks the ring's index
-kernel holds.  Ideals of the localized integers live in the known
+kernel holds.  It is Artinian, so its primes are its maximal ideals and
+the radical of I is the meet of the primes over I (Atiyah-Macdonald,
+Prop. 8.1 and 1.14).  Ideals of the localized integers live in the known
 lattice {(0)} U {(p^k) : k >= 0}, ideals of the bits ring are either
 principal or the ideal of all finitely supported elements, and ideals of
 infinite products are componentwise.  The components of a product ideal
@@ -187,10 +189,10 @@ class ExplicitIdeal(Ideal):
 
     Bit i of ``mask`` stands for ``ring.elements()[i]`` (see
     :class:`~spectop.rings.IndexKernel`); every operation is a table
-    lookup or a mask operation.  Construction takes the mask and checks
-    that the set is one of the principal ideals Rg.  Every finite
-    presentation is a principal ideal ring, so this holds exactly when the
-    set is an ideal, and an ExplicitIdeal is an ideal by fiat.
+    lookup or a mask operation.  Construction checks that the mask is a
+    span Rg, which in a principal ideal ring holds exactly for ideals.
+    The primes are the maximal ideals, and the radical of I is the meet
+    of the primes over I (Atiyah-Macdonald, Prop. 8.1 and 1.14).
     """
 
     def __init__(self, ring: Ring, *, mask: int):
@@ -256,9 +258,7 @@ class ExplicitIdeal(Ideal):
         return ExplicitIdeal(self.ring, mask=self.mask & other.mask)
 
     def radical(self):
-        k = self.ring.index_kernel
-        return ExplicitIdeal(self.ring, mask=k.mask(
-            x for x, power in enumerate(k.radical_powers) if self.mask >> power & 1))
+        return intersect_all(self.ring, (p for p in prime_ideals(self.ring) if self.issubset(p)))
 
     def saturation_kernel(self):
         # The union of Ann(s) over s in 1 + I.
@@ -269,10 +269,8 @@ class ExplicitIdeal(Ideal):
         return ExplicitIdeal(self.ring, mask=mask)
 
     def is_prime(self):
-        # The complement is closed under multiplication.
-        k = self.ring.index_kernel
-        outside = k.members(~self.mask & ((1 << len(k.elements)) - 1))
-        return not any(self.mask >> k.mul[a][b] & 1 for a in outside for b in outside)
+        # Maximal: I and R are the only spans over I.
+        return sum(not self.mask & ~span for span in self.ring.index_kernel.generator_of) == 2
 
     def witness_samples(self):
         k = self.ring.index_kernel
@@ -552,7 +550,8 @@ class ProductIdeal(Ideal):
         per_factor = [enumerate_ideals(f, local_level_bound) for f in ring.factors]
         count = math.prod(map(len, per_factor))
         if count > 2 ** MAX_FAMILY_POINTS:
-            raise RingTooLarge(f"{ring.describe()} has {count} ideals, more than "
+            raise RingTooLarge(f"{ring.describe()} has {count} ideals with each chain "
+                               f"(p^k) cut at k = {local_level_bound}, more than "
                                f"the budget of {2 ** MAX_FAMILY_POINTS}")
         out = [ProductIdeal(ring, combo) for combo in itertools.product(*per_factor)]
         return tuple(sorted(out, key=lambda i: i.label()))

@@ -497,20 +497,6 @@ class IndexKernel:
         return [self.mask(r for r, x in enumerate(row) if x == self.zero)
                 for row in self.mul]
 
-    @cached_property
-    def radical_powers(self) -> list[int]:
-        """``radical_powers[x]`` indexes x^(2^k), 2^k the least power of
-        two that is at least the number n of elements.
-
-        x lies in the radical of an ideal I iff x^m lies in I for some
-        m <= n: the powers before the first one in I are distinct and lie
-        outside I.  As I is an ideal, that holds iff x^(2^k) lies in I.
-        """
-        powers = list(range(len(self.elements)))
-        for _ in range((len(self.elements) - 1).bit_length()):
-            powers = [self.mul[x][x] for x in powers]
-        return powers
-
 
 # ---------------------------------------------------------------------------
 # ring presentations

@@ -71,6 +71,10 @@ SMALL_FINITE_TEXTS = (
     "Z/2[x]/(x^3+x)",
 )
 
+# Finite rings with many elements and ideals, for the oracles that scan
+# elements or pairs of elements but not subsets.
+MANY_ELEMENT_TEXTS = ("Z/210", "Z/2[x]/(x^8)")
+
 
 @pytest.fixture(params=CORPUS_TEXTS, ids=CORPUS_TEXTS)
 def corpus_ring(request):

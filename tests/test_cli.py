@@ -205,7 +205,8 @@ def test_corpus_skips_a_check_over_the_ideal_budget(tmp_path, capsys):
     facts = next(r for r in reports if r["ring"] == big and r["check"] == "expected-facts")
     assert facts["verdict"] == "skipped"
     assert facts["details"] == {
-        "reason": f"{big} has 262144 ideals, more than the budget of 65536"}
+        "reason": f"{big} has 262144 ideals with each chain (p^k) cut at k = 6, "
+                  "more than the budget of 65536"}
 
 
 def test_verify_skips_a_check_over_the_ideal_budget(capsys):
@@ -215,7 +216,8 @@ def test_verify_skips_a_check_over_the_ideal_budget(capsys):
     assert code == 0 and err == ""
     assert json.loads(out) == [{
         "check": "flat-ideal-bijection", "ring": big, "verdict": "skipped",
-        "details": {"reason": f"{big} has 16777216 ideals, more than the budget of 65536"},
+        "details": {"reason": f"{big} has 16777216 ideals with each chain (p^k) cut at "
+                              "k = 6, more than the budget of 65536"},
         "counterexample": None}]
 
 
@@ -236,6 +238,29 @@ def test_corpus_too_deeply_nested_json_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["error: at position 0: corpus file nests too deeply to read"]
+
+
+def test_corpus_integer_past_the_digit_limit_exits_two(tmp_path, capsys):
+    digits = sys.get_int_max_str_digits() + 700
+    path = tmp_path / "corpus.json"
+    path.write_text('{"entries": [{"ring": "Z/6", "expect": {"flat_ideals": -%s}}]}'
+                    % ("7" * digits))
+    code, out, err = run_cli(capsys, "corpus", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: at position 0: corpus file holds an integer of {digits} digits, "
+        f"more than Python's limit of {sys.get_int_max_str_digits()}"]
+
+
+def test_corpus_invalid_utf8_keeps_the_decoder_message(tmp_path, capsys):
+    path = tmp_path / "corpus.json"
+    path.write_bytes(b'{"entries": [\xff]}')
+    code, out, err = run_cli(capsys, "corpus", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"]
 
 
 def test_corpus_missing_file_exits_two(tmp_path, capsys):
@@ -271,6 +296,13 @@ def test_parse_errors_exit_two(capsys):
     code, out, err = run_cli(capsys, "chaincond", "--ring", "Z/12", "--X", "custom")
     assert code == 2 and out == ""
     assert err == "error: at position 0: --points is required with --X custom\n"
+    for which in ("min", "max"):
+        for points in ("garbage((", ""):
+            code, out, err = run_cli(capsys, "chaincond", "--ring", "Z/12", "--X", which,
+                                     f"--points={points}")
+            assert code == 2 and out == ""
+            assert err == (f"error: at position 0: --points is read only with --X custom, "
+                           f"not --X {which}\n")
 
 
 @pytest.mark.parametrize("argv, size", [

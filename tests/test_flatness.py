@@ -40,6 +40,7 @@ from spectop.rings import canonical_sorted
 from conftest import (
     CORPUS_TEXTS,
     FINITE_CORPUS_TEXTS,
+    MANY_ELEMENT_TEXTS,
     SMALL_FINITE_TEXTS,
     common_multiplier,
     elements_of,
@@ -55,7 +56,7 @@ def witness_ring(request):
     return parse_ring(request.param)
 
 
-@pytest.fixture(params=CORPUS_TEXTS + SMALL_FINITE_TEXTS)
+@pytest.fixture(params=CORPUS_TEXTS + SMALL_FINITE_TEXTS + MANY_ELEMENT_TEXTS)
 def support_ring(request):
     return parse_ring(request.param)
 

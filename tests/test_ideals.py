@@ -46,6 +46,7 @@ from spectop.rings import canonical_sorted
 from conftest import (
     CORPUS_TEXTS,
     FINITE_CORPUS_TEXTS,
+    MANY_ELEMENT_TEXTS,
     SMALL_FINITE_TEXTS,
     ZLOC_POWERS,
     brute_force_generated,
@@ -261,9 +262,11 @@ def test_enumerate_ideals_counts():
     assert [i.label() for i in found] == ["(0)", "(1)", "(2)", "(2^2)", "(2^3)", "(2^4)"]
 
 
-def test_prime_ideals_match_definition(finite_ring):
-    for ideal in enumerate_ideals(finite_ring):
-        assert is_prime_ideal(ideal) == brute_force_is_prime(finite_ring, elements_of(ideal))
+@pytest.mark.parametrize("text", FINITE_CORPUS_TEXTS + MANY_ELEMENT_TEXTS)
+def test_prime_ideals_match_definition(text):
+    ring = parse_ring(text)
+    for ideal in enumerate_ideals(ring):
+        assert is_prime_ideal(ideal) == brute_force_is_prime(ring, elements_of(ideal))
 
 
 def test_prime_ideals_symbolic():
@@ -376,8 +379,8 @@ def test_infinite_product_ideal_enumeration_is_budgeted():
     with pytest.raises(RingTooLarge) as err:
         enumerate_ideals(eight)
     assert time.perf_counter() - start < 1
-    assert str(err.value) == (f"{eight.describe()} has 16777216 ideals, "
-                              "more than the budget of 65536")
+    assert str(err.value) == (f"{eight.describe()} has 16777216 ideals with each chain "
+                              "(p^k) cut at k = 6, more than the budget of 65536")
 
 
 @pytest.mark.parametrize("text, cls", [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 
 import pytest
@@ -28,6 +29,7 @@ from spectop.rings import IndexKernel, canonical_sorted
 
 from conftest import (
     FINITE_CORPUS_TEXTS,
+    MANY_ELEMENT_TEXTS,
     SMALL_FINITE_TEXTS,
     brute_force_generated,
     brute_force_is_prime,
@@ -107,14 +109,16 @@ def test_tables_match_element_arithmetic(text):
             assert elements[k.mul[i][j]] == a * b
 
 
-@pytest.mark.parametrize("text", SMALL_FINITE_TEXTS)
-def test_radical_powers_match_element_powers(text):
-    k = parse_ring(text).index_kernel
-    exponent = 1
-    while exponent < len(k.elements):
-        exponent *= 2
-    assert [k.elements[p] for p in k.radical_powers] == [e ** exponent for e in k.elements]
-    assert k.radical_powers is k.radical_powers  # built once per kernel
+@pytest.mark.parametrize("text", SMALL_FINITE_TEXTS + MANY_ELEMENT_TEXTS)
+def test_radical_matches_element_power_oracle(text):
+    # x lies in the radical of I iff x^m lies in I for some m <= |R|.
+    ring = parse_ring(text)
+    elements = ring.elements()
+    powers = {x: set(itertools.accumulate([x] * len(elements), operator.mul))
+              for x in elements}
+    for ideal in enumerate_ideals(ring):
+        members = elements_of(ideal)
+        assert elements_of(radical(ideal)) == {x for x in elements if powers[x] & members}
 
 
 @pytest.mark.parametrize("text", ["Z/210", "GF(256)", "Z/2[x]/(x^8)", "Z/13[x]/(x^2)",
