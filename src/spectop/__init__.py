@@ -20,8 +20,8 @@ _EXPORTS = {
     "errors": """CorpusError EmptyProduct HypothesisViolated InvalidChain NotGenStable
         NotPrime NotPrimePower NotZariskiClosed ParseError RingTooLarge SpectopError
         SpectrumTooLarge UnsupportedForPresentation""",
-    "rings": """Bits Element EventuallyConstantBitsRing GaloisFieldRing LocalizedIntegerRing
-        ModularRing PolyQuotientRing ProductRing Ring idempotents product_ring""",
+    "rings": """Element EventuallyConstantBitsRing GaloisFieldRing LocalizedIntegerRing ModularRing
+        PolyQuotientRing ProductRing Ring idempotents product_ring""",
     "ideals": """Ideal annihilator enumerate_ideals ideal_from_generators
         ideal_intersection ideal_sum is_prime_ideal principal_ideal radical saturation_kernel
         unit_ideal zero_ideal""",

@@ -306,8 +306,7 @@ def _read_bits(sc: _Scanner, ring: Ring, stops: str) -> tuple[frozenset[int], in
     sc.skip_ws()
     start, runs = sc.pos, []
     valid = sc.try_literal("{")
-    while valid and not sc.try_literal("}"):
-        sc.skip_ws()
+    while valid and not sc.try_literal("}"):  # which skips the blanks before a position
         run = sc.read_item(",}")
         runs.append(run)
         valid = (not run[0] or run[0].isdecimal()) and (
@@ -315,7 +314,10 @@ def _read_bits(sc: _Scanner, ring: Ring, stops: str) -> tuple[frozenset[int], in
     tail = valid and sc.try_literal(":") and sc.read_item(stops)[0].lstrip()
     if tail not in ("0", "1"):
         raise ParseError("bits literal looks like {1,3}:0", start, ("{",))
-    return frozenset(_int_at(*run) for run in runs if run[0]), int(tail)
+    flips = {_int_at(*run): run[1] for run in reversed(runs) if run[0]}  # first place wins
+    if 0 in flips:
+        raise ParseError("positions must be integers >= 1", flips[0])
+    return frozenset(flips), int(tail)
 
 
 # The literal reader of each presentation, as ``ideals.ideal_class`` maps it to its ideals.

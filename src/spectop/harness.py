@@ -244,18 +244,18 @@ def check_radical_rigidity(ring: Ring, entry) -> tuple[dict, dict | None]:
     ideals = enumerate_ideals(ring)
     flat = {i: is_cyclic_flat(i).verdict for i in ideals}
     locus = {i: vanishing_locus(ring, i) for i in ideals}
+    on_locus = {}
     for i in ideals:
         root = radical(i)
         if flat[root] and i != root:
             return {}, {"kind": "flat-radical", "ideal": i.label(), "radical": root.label()}
         if flat[i] and i != root:
             return {}, {"kind": "flat-not-radical", "ideal": i.label()}
-    for i in ideals:
-        if not flat[i]:
-            continue
-        for j in ideals:
-            if locus[j] == locus[i] and i != j:
-                return {}, {"kind": "locus-collision", "ideals": [i.label(), j.label()]}
+        on_locus.setdefault(locus[i], []).append(i)
+    for i in filter(flat.get, ideals):
+        twins = [j for j in on_locus[locus[i]] if j != i]
+        if twins:
+            return {}, {"kind": "locus-collision", "ideals": [i.label(), twins[0].label()]}
     return {"ideals": len(ideals)}, None
 
 

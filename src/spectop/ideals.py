@@ -475,7 +475,7 @@ class BoolFiniteSupportIdeal(_BooleanIdeal):
         self._keyed(ring, ("boolfin", ring))
 
     def contains(self, element):
-        return self.ring.element(element).value.has_finite_support
+        return self.ring.element(element).value[1] == 0  # the tail bit
 
     def issubset(self, other):
         _check_same_ring(self, other)

@@ -13,9 +13,9 @@ Six presentations are supported:
 * ``LocalizedIntegerRing(p)``: the integers localized at the prime p,
   i.e. fractions a/b in lowest terms with b coprime to p.
 * ``EventuallyConstantBitsRing()``: the Boolean ring of 0/1 sequences
-  indexed by 1, 2, 3, ... that are eventually constant.  An element is
-  stored as the finite set of positions where it differs from its tail
-  bit, so every element has a unique normal form.
+  indexed by 1, 2, 3, ... that are eventually constant, stored as the pair
+  ``(flips, tail)``: the tail bit and the frozenset of positions where the
+  sequence differs from it, so every element has a unique normal form.
 
 Every element payload is canonical, hence equality of :class:`Element`
 values is structural.  Rings themselves compare structurally and are
@@ -44,7 +44,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Bits",
     "Element",
     "EventuallyConstantBitsRing",
     "GaloisFieldRing",
@@ -331,23 +330,6 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, name) for name in self._fields)
-
-
-class Bits(Record):
-    """An eventually constant 0/1 sequence over positions 1, 2, 3, ...
-
-    ``flips`` is the finite set of positions where the value differs from
-    ``tail``; minimality of this set is what makes the form canonical.
-    """
-
-    __slots__ = ("flips", "tail")
-
-    def value_at(self, position: int) -> int:
-        return self.tail ^ (1 if position in self.flips else 0)
-
-    @property
-    def has_finite_support(self) -> bool:
-        return self.tail == 0
 
 
 class Element(Record):
@@ -882,39 +864,32 @@ class EventuallyConstantBitsRing(Ring):
 
     def _canon(self, value):
         if isinstance(value, int):
-            return Bits(frozenset(), value % 2)
-        if isinstance(value, Bits):
-            flips, tail = value.flips, value.tail
-        elif isinstance(value, tuple) and len(value) == 2:
-            flips, tail = value
-        else:
-            raise ValueError(f"expected Bits or (positions, tail), got {value!r}")
-        flips = frozenset(flips)
+            return frozenset(), value % 2
+        if not (isinstance(value, tuple) and len(value) == 2):
+            raise ValueError(f"expected an int or (positions, tail), got {value!r}")
+        flips, tail = frozenset(value[0]), value[1]
         if not all(isinstance(i, int) and i >= 1 for i in flips):
             raise ValueError("positions must be integers >= 1")
         if tail not in (0, 1):
             raise ValueError("tail must be 0 or 1")
-        return Bits(flips, tail)
+        return flips, tail
 
     def _add(self, a, b):
-        return Bits(a.flips ^ b.flips, a.tail ^ b.tail)
+        return a[0] ^ b[0], a[1] ^ b[1]
 
     def _mul(self, a, b):
-        tail = a.tail & b.tail
-        flips = frozenset(
-            i for i in a.flips | b.flips
-            if (a.value_at(i) & b.value_at(i)) != tail)
-        return Bits(flips, tail)
+        # Pointwise AND: a side with tail 1 is 0 exactly on its flips.
+        (f, s), (g, t) = a, b
+        return (f | g, 1) if s and t else (g - f if s else f - g if t else f & g, 0)
 
     def _neg(self, a):
         return a
 
     def _fmt(self, a):
-        inner = ",".join(str(i) for i in sorted(a.flips))
-        return "{" + inner + "}:" + str(a.tail)
+        return "{" + ",".join(str(i) for i in sorted(a[0])) + "}:" + str(a[1])
 
     def _sort_key(self, a):
-        return (a.tail, len(a.flips), tuple(sorted(a.flips)))
+        return (a[1], len(a[0]), tuple(sorted(a[0])))
 
     def indicator(self, positions) -> Element:
         """The element that is 1 exactly on the given finite position set."""

@@ -16,7 +16,13 @@ import sys
 from functools import reduce
 from pathlib import Path
 
-import pytest
+# No test leaves a bytecode cache, in the source tree or anywhere else: this
+# interpreter writes none, and the interpreters the tests start inherit the
+# variable.  A stale cache next to the sources also skews timed runs.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+import pytest  # noqa: E402
 
 from spectop import (
     FLAT,

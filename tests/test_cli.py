@@ -460,7 +460,9 @@ def test_zero_denominator_exits_two(capsys, argv, position):
      "at position 12: expected an integer, got 'x' (expected integer)"),
     (("chaincond", "--ring", "Zloc(2) * Z/3", "--X", "custom", "--points=(0) x (1); (2) x (1/0)"),
      "at position 18: expected an integer, got '1/0' (expected integer)"),
-], ids=["digit run in a tuple", "second generator", "second label"])
+    (("flat", "--ring", "EvBits", "--ideal={2,0}:0"),
+     "at position 3: positions must be integers >= 1"),
+], ids=["digit run in a tuple", "second generator", "second label", "bits position 0"])
 def test_an_element_error_is_placed_in_the_whole_option_value(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

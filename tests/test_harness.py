@@ -286,6 +286,31 @@ def test_radical_rigidity_fails_when_vanishing_loci_collide(monkeypatch):
     assert report.counterexample == {"kind": "locus-collision", "ideals": ["(0)", "(3)"]}
 
 
+def test_radical_rigidity_names_the_first_flat_ideal_with_a_twin(monkeypatch):
+    # Z/30 lists (0), (15), (10), (6), (5), (3), (2), (1).  (5) is moved onto
+    # the locus of (10), and (1) onto that of (2); (10) is made not flat.  The
+    # first flat ideal with a twin is then (5), and its twin (10) comes before it.
+    real_locus, real_flat = harness.vanishing_locus, harness.is_cyclic_flat
+    moved = {"(5)": 10, "(1)": 2}
+
+    def locus(ring, ideal):
+        if ideal.label() in moved:
+            ideal = principal_ideal(ring, moved[ideal.label()])
+        return real_locus(ring, ideal)
+
+    def flat(ideal):
+        cert = real_flat(ideal)
+        if ideal.label() != "(10)":
+            return cert
+        return FlatnessCertificate(cert.ideal, False, cert.witnesses, cert.failing, cert.note)
+
+    monkeypatch.setattr(harness, "vanishing_locus", locus)
+    monkeypatch.setattr(harness, "is_cyclic_flat", flat)
+    report = run_check("radical-rigidity", parse_ring("Z/30"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {"kind": "locus-collision", "ideals": ["(5)", "(10)"]}
+
+
 def test_closure_operators_fail_on_a_wrong_flat_kernel(monkeypatch):
     monkeypatch.setattr(harness, "flat_ideal_from_closed_mask",
                         lambda ring, mask: zero_ideal(ring))

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spectop import (
-    Bits,
     EmptyProduct,
     EventuallyConstantBitsRing,
     GaloisFieldRing,
@@ -284,8 +283,10 @@ def test_bits_ring_basics():
     assert x + x == b.zero
     assert b.one * x == x
     ones_except_2 = b.element(({2}, 1))
-    assert ones_except_2.value.value_at(2) == 0
-    assert ones_except_2.value.value_at(7) == 1
+    assert ones_except_2.value == (frozenset({2}), 1)
+    # 0 at position 2 and 1 at position 7, read off a product.
+    assert ones_except_2 * b.indicator({2, 7}) == b.indicator({7})
+    assert b.element(ones_except_2.value) == ones_except_2
     assert str(x) == "{1,3}:0"
     assert str(b.one) == "{}:1"
 
@@ -304,7 +305,7 @@ def test_bits_ring_rejects_bad_payload():
      "expected a coefficient sequence, got 3.5"),
     (lambda: LocalizedIntegerRing(2).element("a"), "expected an integer or Fraction, got 'a'"),
     (lambda: EventuallyConstantBitsRing().element("a"),
-     "expected Bits or (positions, tail), got 'a'"),
+     "expected an int or (positions, tail), got 'a'"),
     (lambda: GaloisFieldRing(2, 0), "a degree >= 1 is required"),
     (lambda: ProductRing([ModularRing(2)]),
      "ProductRing needs at least two factors; use product_ring"),
@@ -315,8 +316,7 @@ def test_payload_and_constructor_refusals(build, message):
     assert str(err.value) == message
 
 
-_bits = st.builds(
-    Bits,
+_bits = st.tuples(
     st.frozensets(st.integers(min_value=1, max_value=24), max_size=6),
     st.integers(min_value=0, max_value=1),
 )
@@ -339,6 +339,34 @@ def test_bits_complement_annihilates(a):
     ring = EventuallyConstantBitsRing()
     x = ring.element(a)
     assert (ring.one - x) * x == ring.zero
+
+
+# An independent model of the bits ring over positions 1..24: a sequence is
+# the two's-complement int whose bit i-1 is its value at position i, so its
+# sign is the tail, + is XOR and * is AND.
+_MODEL_POSITIONS = range(1, 25)
+_model_ints = st.integers(-(1 << 24), (1 << 24) - 1)
+
+
+def _model_flips(n):
+    """The positions where the sequence n differs from its tail, ascending."""
+    tail = -1 if n < 0 else 0
+    return [i for i in _MODEL_POSITIONS if ((n ^ tail) >> (i - 1)) & 1]
+
+
+def _model_payload(n):
+    return frozenset(_model_flips(n)), int(n < 0)
+
+
+@given(_model_ints, _model_ints)
+def test_bits_ring_matches_a_twos_complement_model(n, m):
+    ring = EventuallyConstantBitsRing()
+    x, y = ring.element(_model_payload(n)), ring.element(_model_payload(m))
+    assert (x + y).value == _model_payload(n ^ m)
+    assert (x * y).value == _model_payload(n & m)
+    flips, tail = _model_flips(n), int(n < 0)
+    assert str(x) == "{" + ",".join(map(str, flips)) + "}:" + str(tail)
+    assert x.sort_key == (tail, len(flips), tuple(flips))
 
 
 def test_idempotents_frozen_examples():

@@ -143,7 +143,7 @@ def test_random_valid_chains_self_certify(data):
 def test_prefix_indicator_construction():
     bits = parse_ring("EvBits")
     x1 = bits.indicator(range(1, 2))
-    assert x1.value.flips == frozenset({1}) and x1.value.tail == 0
+    assert x1.value == (frozenset({1}), 0)
     x3, x4 = bits.indicator(range(1, 4)), bits.indicator(range(1, 5))
     assert x3 * x4 == x3
     assert x3 * x3 == x3
