@@ -333,8 +333,7 @@ _LITERALS = {
 
 def _read_label(sc: _Scanner, ring: Ring):
     # ideals is imported on first use, so that parsing rings does not load it.
-    from .ideals import (BoolFiniteSupportIdeal, BoolPrincipalIdeal, LocalIdeal, ProductIdeal,
-                         ideal_class, ideal_from_generators)
+    from .ideals import BoolIdeal, LocalIdeal, ProductIdeal, ideal_class, ideal_from_generators
 
     sc.skip_ws()
     start, kind = sc.pos, ideal_class(ring)
@@ -347,9 +346,9 @@ def _read_label(sc: _Scanner, ring: Ring):
         return ProductIdeal(ring, parts)
     if not sc.try_literal("("):
         raise ParseError("an ideal label is parenthesized", start, ("(",))
-    if kind is BoolPrincipalIdeal and sc.try_literal("fin"):
+    if kind is BoolIdeal and sc.try_literal("fin"):
         sc.expect_literal(")")
-        return BoolFiniteSupportIdeal(ring)
+        return BoolIdeal(ring, None)
     if kind is LocalIdeal and sc.try_literal(f"{ring.p}^"):
         at = sc.pos
         end = sc.pos = _digits_end(sc.text, at)

@@ -40,7 +40,7 @@ from .flatness import (
     support_of_ideal,
 )
 from .ideals import (
-    BoolFiniteSupportIdeal,
+    BoolIdeal,
     ProductIdeal,
     enumerate_ideals,
     ideal_class,
@@ -338,8 +338,9 @@ def check_flat_not_projective(ring: Ring, entry) -> tuple[dict, dict | None]:
     budget = 100
     chain = growing_indicator_chain(ring, budget)
     report = check_chain_stabilization(chain)
-    ideal = BoolFiniteSupportIdeal(ring)
+    ideal = BoolIdeal(ring, None)
     cert = is_cyclic_flat(ideal)
+    projective = is_cyclic_projective(ideal)
     problems = []
     if report.stabilized:
         problems.append("the indicator chain stabilized")
@@ -347,11 +348,11 @@ def check_flat_not_projective(ring: Ring, entry) -> tuple[dict, dict | None]:
         problems.append("the chain was not materialized to the budget")
     if not (cert.verdict and cert.verify()):
         problems.append("the finitely supported ideal is not certified flat")
-    if is_cyclic_projective(ideal):
+    if projective:
         problems.append("the finitely supported ideal claims to be projective")
     details = {"budget": budget, "ideal": ideal.label(),
                "flat": cert.verdict,
-               "projective": is_cyclic_projective(ideal),
+               "projective": projective,
                "reason_not_projective":
                    "no single generator: the ideal is a strictly increasing union"}
     return details, ({"problems": problems} if problems else None)

@@ -8,13 +8,13 @@ ideals are exactly its principal ideals Rg, whose masks the ring's index
 kernel holds.  It is Artinian, so its primes are its maximal ideals and
 the radical of I is the meet of the primes over I (Atiyah-Macdonald,
 Prop. 8.1 and 1.14).  Ideals of the localized integers live in the known
-lattice {(0)} U {(p^k) : k >= 0}, ideals of the bits ring are either
-principal or the ideal of all finitely supported elements, and ideals of
-infinite products are componentwise.  The components of a product ideal
-are shared: each is the one instance equal to it that its factor ring's
-memo keeps, and the meets, saturation kernels and generated ideals of
-components are kept on the components and factors, so a fact about a
-component is found once however many products hold it.
+lattice {(0)} U {(p^k) : k >= 0}, an ideal of the bits ring is its
+generator, None for (fin), the finitely supported elements, and ideals
+of infinite products are componentwise.  The components of a product
+ideal are shared: each is the one instance equal to it that its factor
+ring's memo keeps, and the meets, saturation kernels and generated
+ideals of components are kept on the components and factors, so a fact
+about a component is found once however many products hold it.
 
 Each representation is one class that owns all of its operations:
 membership, inclusion, sum, intersection, radical, saturation kernel,
@@ -51,10 +51,10 @@ from .rings import (
 )
 
 __all__ = [
-    "BoolFiniteSupportIdeal",
-    "BoolPrincipalIdeal",
+    "BoolIdeal",
     "ExplicitIdeal",
     "Ideal",
+    "LOCAL_LEVEL_BOUND",
     "LocalIdeal",
     "ProductIdeal",
     "annihilator",
@@ -84,12 +84,12 @@ class Ideal:
     elements f of I whose witnesses make up a certificate, and
     ``flat_witness(f)``, a pair (a, b) with a*f = 0, b in I and a + b = 1
     or None.  The base defines ``is_zero``, ``is_whole`` and
-    ``idempotent_generator`` by their definitions; only the bits ring,
-    with infinitely many idempotents, overrides the last.  An operation a
-    presentation does not support falls through to the default here,
-    which raises :class:`UnsupportedForPresentation`.  The class methods
-    ``generated_by``, ``annihilator_of``, ``enumerate_all`` and
-    ``primes_of`` build the ideals of a ring that :func:`ideal_class`
+    ``idempotent_generator`` by their definitions; only :class:`BoolIdeal`,
+    over a ring of infinitely many idempotents, overrides the last.  An
+    operation a presentation does not support falls through to the
+    default here, which raises :class:`UnsupportedForPresentation`.  The
+    class methods ``generated_by``, ``annihilator_of``, ``enumerate_all``
+    and ``primes_of`` build the ideals of a ring that :func:`ideal_class`
     maps to the class; ``primes_of`` filters the enumeration by default.
     """
 
@@ -150,7 +150,7 @@ class Ideal:
         return memo["flat_search"]
 
     @classmethod
-    def enumerate_all(cls, ring: Ring, local_level_bound: int) -> tuple["Ideal", ...]:
+    def enumerate_all(cls, ring: Ring) -> tuple["Ideal", ...]:
         raise UnsupportedForPresentation(
             f"the ideals of {ring.describe()} cannot be enumerated")
 
@@ -224,7 +224,7 @@ class ExplicitIdeal(Ideal):
         return ExplicitIdeal(f.ring, mask=k.anns[k.index[f]])
 
     @classmethod
-    def enumerate_all(cls, ring, local_level_bound):
+    def enumerate_all(cls, ring):
         # A principal ideal ring: the ideals are the distinct spans Rg, each
         # wrapped once per ring instance and kept in its memo.
         memo = ring.memo
@@ -314,8 +314,8 @@ class LocalIdeal(Ideal):
         return LocalIdeal(f.ring, 0 if f.value == 0 else None)
 
     @classmethod
-    def enumerate_all(cls, ring, local_level_bound):
-        return tuple(LocalIdeal(ring, k) for k in (None, *range(local_level_bound + 1)))
+    def enumerate_all(cls, ring):
+        return tuple(LocalIdeal(ring, k) for k in (None, *range(LOCAL_LEVEL_BOUND + 1)))
 
     def contains(self, element):
         el = self.ring.element(element)
@@ -388,45 +388,34 @@ class LocalIdeal(Ideal):
         return "a nonzero element of a domain has zero annihilator"
 
 
-class _BooleanIdeal(Ideal):
-    """What the ideals of the bits ring share: x^2 = x for every x, so each
-    ideal is its own radical and 1-f annihilates f."""
-
-    def radical(self):
-        return self
-
-    def flat_witness(self, f):
-        return (self.ring.one - f, f)
-
-    def flat_note(self, failing):
-        return "Boolean schema: 1-f annihilates f and f+(1-f)=1 for every f in I"
-
-
-class BoolPrincipalIdeal(_BooleanIdeal):
-    """A principal ideal of the bits ring.
+class BoolIdeal(Ideal):
+    """An ideal of the bits ring: generator g is the principal ideal (g),
+    and generator None is (fin), the ideal of all finitely supported elements.
 
     Finitely generated ideals of a Boolean ring are principal: the join
-    a+b+ab of two generators generates their sum, so this class covers all
-    of them.  Membership is x*g == x.
+    a+b+ab of two generators generates their sum.  (fin) is the strictly
+    increasing union of the principal ideals generated by the indicators
+    of {1..n}, hence not finitely generated.  Every x satisfies x^2 = x,
+    so each ideal is its own radical and 1-f annihilates f.
     """
 
     def __init__(self, ring: EventuallyConstantBitsRing, generator):
-        if ideal_class(ring) is not BoolPrincipalIdeal:
-            raise UnsupportedForPresentation("BoolPrincipalIdeal needs the bits ring")
-        self.generator = ring.element(generator)
-        self._keyed(ring, ("boolprincipal", ring, self.generator))
+        if ideal_class(ring) is not BoolIdeal:
+            raise UnsupportedForPresentation("BoolIdeal needs the bits ring")
+        self.generator = None if generator is None else ring.element(generator)
+        self._keyed(ring, ("bool", ring, self.generator))
 
     @classmethod
     def generated_by(cls, ring, gens):
         join = ring.zero
         for g in gens:
             join = join + g - join * g
-        return BoolPrincipalIdeal(ring, join)
+        return BoolIdeal(ring, join)
 
     @classmethod
     def annihilator_of(cls, f):
         # x*f == 0 exactly when x == x*(1-f), i.e. x lies under 1-f.
-        return BoolPrincipalIdeal(f.ring, f.ring.one - f)
+        return BoolIdeal(f.ring, f.ring.one - f)
 
     @classmethod
     def primes_of(cls, ring):
@@ -435,77 +424,58 @@ class BoolPrincipalIdeal(_BooleanIdeal):
 
     def contains(self, element):
         el = self.ring.element(element)
+        if self.generator is None:
+            return el.value[1] == 0  # the tail bit
         return el * self.generator == el
 
     def issubset(self, other):
         _check_same_ring(self, other)
+        if self.generator is None:
+            return other.generator is None or other.is_whole()
         return other.contains(self.generator)
 
     def label(self):
-        return f"({self.generator})"
+        return "(fin)" if self.generator is None else f"({self.generator})"
 
     def plus(self, other):
-        if isinstance(other, BoolPrincipalIdeal):
-            g, h = self.generator, other.generator
-            return BoolPrincipalIdeal(self.ring, g + h - g * h)
-        return other.plus(self)
-
-    def meet(self, other):
-        if isinstance(other, BoolPrincipalIdeal):
-            return BoolPrincipalIdeal(self.ring, self.generator * other.generator)
-        return other.meet(self)
-
-    def witness_samples(self):
-        return (self.generator,)
-
-    def idempotent_generator(self):
-        return self.generator
-
-
-class BoolFiniteSupportIdeal(_BooleanIdeal):
-    """The ideal of all finitely supported elements of the bits ring.
-
-    It is the strictly increasing union of the principal ideals generated
-    by the indicators of {1..n}, hence not finitely generated.
-    """
-
-    def __init__(self, ring: EventuallyConstantBitsRing):
-        if ideal_class(ring) is not BoolPrincipalIdeal:
-            raise UnsupportedForPresentation("this ideal lives in the bits ring")
-        self._keyed(ring, ("boolfin", ring))
-
-    def contains(self, element):
-        return self.ring.element(element).value[1] == 0  # the tail bit
-
-    def issubset(self, other):
-        _check_same_ring(self, other)
-        return other == self or other.is_whole()
-
-    def label(self):
-        return "(fin)"
-
-    def plus(self, other):
+        g, h = self.generator, other.generator
+        if g is not None and h is not None:
+            return BoolIdeal(self.ring, g + h - g * h)
         # (fin) + (g): if g has a 1-tail its zero set is finite, so together
         # with the finitely supported elements it generates everything.
-        if other.issubset(self):
-            return self
-        return BoolPrincipalIdeal(self.ring, self.ring.one)
+        fin, other = (self, other) if g is None else (other, self)
+        return fin if other.issubset(fin) else BoolIdeal(self.ring, self.ring.one)
 
     def meet(self, other):
-        if other.issubset(self):
+        g, h = self.generator, other.generator
+        if g is not None and h is not None:
+            return BoolIdeal(self.ring, g * h)
+        fin, other = (self, other) if g is None else (other, self)
+        if other.issubset(fin):
             return other
         if other.is_whole():
-            return self
+            return fin
         raise UnsupportedForPresentation(
             "the meet of (fin) with a cofinite principal ideal is not finitely generated")
 
+    def radical(self):
+        return self
+
     def witness_samples(self):
-        return tuple(self.ring.indicator(range(1, n + 1)) for n in (1, 2, 3))
+        if self.generator is None:
+            return tuple(self.ring.indicator(range(1, n + 1)) for n in (1, 2, 3))
+        return (self.generator,)
+
+    def flat_witness(self, f):
+        return (self.ring.one - f, f)
+
+    def flat_note(self, failing):
+        return "Boolean schema: 1-f annihilates f and f+(1-f)=1 for every f in I"
 
     def idempotent_generator(self):
-        # Any candidate g lies in the ideal, hence has bounded support,
-        # and then Rg omits indicators of larger sets.
-        return None
+        # None for (fin): any candidate g lies in it, hence has bounded
+        # support, and then Rg omits indicators of larger sets.
+        return self.generator
 
 
 class ProductIdeal(Ideal):
@@ -545,13 +515,13 @@ class ProductIdeal(Ideal):
             annihilator(ring.component(f, i)) for i in range(len(ring.factors))))
 
     @classmethod
-    def enumerate_all(cls, ring, local_level_bound):
+    def enumerate_all(cls, ring):
         # The combinations are counted against the budget before any is built.
-        per_factor = [enumerate_ideals(f, local_level_bound) for f in ring.factors]
+        per_factor = [enumerate_ideals(f) for f in ring.factors]
         count = math.prod(map(len, per_factor))
         if count > 2 ** MAX_FAMILY_POINTS:
             raise RingTooLarge(f"{ring.describe()} has {count} ideals with each chain "
-                               f"(p^k) cut at k = {local_level_bound}, more than "
+                               f"(p^k) cut at k = {LOCAL_LEVEL_BOUND}, more than "
                                f"the budget of {2 ** MAX_FAMILY_POINTS}")
         out = [ProductIdeal(ring, combo) for combo in itertools.product(*per_factor)]
         return tuple(sorted(out, key=lambda i: i.label()))
@@ -743,7 +713,7 @@ def _closure_failure(k: IndexKernel, mask: int) -> str:
 # finite products included, are explicit.
 _SYMBOLIC_IDEAL_CLASSES = {
     LocalizedIntegerRing: LocalIdeal,
-    EventuallyConstantBitsRing: BoolPrincipalIdeal,
+    EventuallyConstantBitsRing: BoolIdeal,
     ProductRing: ProductIdeal,
 }
 
@@ -811,11 +781,15 @@ def saturation_kernel(ideal: Ideal) -> Ideal:
 # enumeration and primality
 
 
-def enumerate_ideals(ring: Ring, local_level_bound: int = 6) -> tuple[Ideal, ...]:
+# Where the chain (p^k) of a localized ring's listed ideals stops.
+LOCAL_LEVEL_BOUND = 6
+
+
+def enumerate_ideals(ring: Ring) -> tuple[Ideal, ...]:
     """All ideals of the ring, listed by its :func:`ideal_class`; finite
     rings sort by size, then label, and infinite products by label.  The
-    chain (p^k) of a localized ring stops at ``local_level_bound``."""
-    return ideal_class(ring).enumerate_all(ring, local_level_bound)
+    chain (p^k) of a localized ring stops at :data:`LOCAL_LEVEL_BOUND`."""
+    return ideal_class(ring).enumerate_all(ring)
 
 
 def prime_ideals(ring: Ring) -> tuple[Ideal, ...]:

@@ -592,7 +592,7 @@ class ModularRing(Ring):
     is_finite = True
 
     def __init__(self, modulus: int):
-        if not isinstance(modulus, int) or modulus < 1:
+        if type(modulus) is not int or modulus < 1:  # a bool is no modulus
             raise ValueError("modulus must be an integer >= 1")
         check_ring_size(modulus)
         self.modulus = modulus
@@ -868,9 +868,9 @@ class EventuallyConstantBitsRing(Ring):
         if not (isinstance(value, tuple) and len(value) == 2):
             raise ValueError(f"expected an int or (positions, tail), got {value!r}")
         flips, tail = frozenset(value[0]), value[1]
-        if not all(isinstance(i, int) and i >= 1 for i in flips):
+        if not all(type(i) is int and i >= 1 for i in flips):  # a bool prints as True
             raise ValueError("positions must be integers >= 1")
-        if tail not in (0, 1):
+        if type(tail) is not int or tail not in (0, 1):
             raise ValueError("tail must be 0 or 1")
         return flips, tail
 

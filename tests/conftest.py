@@ -37,7 +37,7 @@ from spectop import (
     saturation_kernel,
     unit_ideal,
 )
-from spectop.ideals import Ideal
+from spectop.ideals import Ideal, ProductIdeal
 from spectop.rings import IndexKernel
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -241,11 +241,21 @@ def loci_of_elements(ring, elements) -> set:
     return {frozenset(p for p in points if p.contains(f)) for f in elements}
 
 
+def ideals_cut_at_one(ring) -> list:
+    """The ideals that ``enumerate_ideals`` lists, with the chain (p^k) of
+    each localized factor cut at k = 1, so that Zloc(2)^6 gives 3^6."""
+    if ring.is_finite:
+        return list(enumerate_ideals(ring))
+    if isinstance(ring, LocalizedIntegerRing):
+        return [i for i in enumerate_ideals(ring) if (i.level or 0) <= 1]
+    return [ProductIdeal(ring, combo)
+            for combo in itertools.product(*map(ideals_cut_at_one, ring.factors))]
+
+
 def loci_of_ideals(ring) -> set:
-    """V(I) for each ideal that ``enumerate_ideals`` lists, by inclusion.
-    The chain (p^k) of a localized ring is cut at k = 1, as V((p^k)) is
-    V((p)) for every k >= 1, so that Zloc(2)^6 lists 3^6 ideals."""
-    return {locus_by_inclusion(ring, ideal) for ideal in enumerate_ideals(ring, 1)}
+    """V(I) for each ideal of ``ideals_cut_at_one``, by inclusion; V((p^k))
+    is V((p)) for every k >= 1, so the cut loses no locus."""
+    return {locus_by_inclusion(ring, ideal) for ideal in ideals_cut_at_one(ring)}
 
 
 def sample_elements(ring) -> list:

@@ -30,7 +30,7 @@ from spectop import (
     sring_certificate,
     vanishing_locus,
 )
-from spectop.ideals import BoolFiniteSupportIdeal
+from spectop.ideals import BoolIdeal
 
 from conftest import elements_of, is_down_closed, is_up_closed
 
@@ -173,7 +173,7 @@ def test_criterion_07_bits_ring_witness():
         report = check_chain_stabilization(chain)
         assert not report.stabilized
         assert report.last_index == 100
-        fin = BoolFiniteSupportIdeal(bits)
+        fin = BoolIdeal(bits, None)
         cert = is_cyclic_flat(fin)
         assert cert.verdict and cert.verify()
         assert not is_cyclic_projective(fin)

@@ -26,7 +26,7 @@ from spectop import (
 )
 from spectop.dsl import parse_ideal_labels
 from spectop.ideals import (
-    BoolFiniteSupportIdeal,
+    BoolIdeal,
     LocalIdeal,
     enumerate_ideals,
     ideal_from_generators,
@@ -426,7 +426,7 @@ def test_a_label_list_reads_each_label_and_skips_empty_items():
 
 def test_bits_ideal_labels_round_trip():
     bits = parse_ring("EvBits")
-    fin = BoolFiniteSupportIdeal(bits)
+    fin = BoolIdeal(bits, None)
     assert parse_ideal_label(bits, fin.label()) == fin
     small = principal_ideal(bits, bits.indicator({2, 4}))
     assert parse_ideal_label(bits, small.label()) == small

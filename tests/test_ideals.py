@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spectop import (
     EventuallyConstantBitsRing,
@@ -32,8 +32,7 @@ from spectop import (
 from spectop import cli
 from spectop.dsl import parse_ideal_label
 from spectop.ideals import (
-    BoolFiniteSupportIdeal,
-    BoolPrincipalIdeal,
+    BoolIdeal,
     ExplicitIdeal,
     Ideal,
     LocalIdeal,
@@ -124,7 +123,7 @@ def test_annihilator_symbolic_presentations():
     bits = EventuallyConstantBitsRing()
     f = bits.indicator({1, 4})
     ann = annihilator(f)
-    assert isinstance(ann, BoolPrincipalIdeal)
+    assert isinstance(ann, BoolIdeal)
     assert ann.generator == bits.one - f
     assert ann.contains(bits.indicator({2, 3}))
     assert not ann.contains(bits.indicator({1}))
@@ -152,8 +151,8 @@ def test_radical_symbolic():
     assert radical(LocalIdeal(zl, 0)).is_whole()
     bits = EventuallyConstantBitsRing()
     g = bits.indicator({2})
-    assert radical(BoolPrincipalIdeal(bits, g)) == BoolPrincipalIdeal(bits, g)
-    assert radical(BoolFiniteSupportIdeal(bits)) == BoolFiniteSupportIdeal(bits)
+    assert radical(BoolIdeal(bits, g)) == BoolIdeal(bits, g)
+    assert radical(BoolIdeal(bits, None)) == BoolIdeal(bits, None)
 
 
 def test_saturation_kernel_frozen_examples():
@@ -182,7 +181,7 @@ def test_saturation_kernel_symbolic():
     assert saturation_kernel(LocalIdeal(zl, None)).is_zero()
     assert saturation_kernel(LocalIdeal(zl, 0)).is_whole()
     with pytest.raises(UnsupportedForPresentation):
-        saturation_kernel(BoolFiniteSupportIdeal(EventuallyConstantBitsRing()))
+        saturation_kernel(BoolIdeal(EventuallyConstantBitsRing(), None))
 
 
 def test_ideal_sum_and_intersection(finite_ring):
@@ -214,35 +213,77 @@ def test_bool_ideal_operations():
     g = bits.indicator({1})
     h = bits.indicator({2, 3})
     joined = ideal_from_generators(bits, [g, h])
-    assert isinstance(joined, BoolPrincipalIdeal)
+    assert isinstance(joined, BoolIdeal)
     assert joined.generator == bits.indicator({1, 2, 3})
-    pg, ph = BoolPrincipalIdeal(bits, g), BoolPrincipalIdeal(bits, bits.indicator({1, 2}))
-    assert ideal_sum(pg, ph) == BoolPrincipalIdeal(bits, bits.indicator({1, 2}))
-    assert ideal_intersection(ph, BoolPrincipalIdeal(bits, h)) == BoolPrincipalIdeal(
+    pg, ph = BoolIdeal(bits, g), BoolIdeal(bits, bits.indicator({1, 2}))
+    assert ideal_sum(pg, ph) == BoolIdeal(bits, bits.indicator({1, 2}))
+    assert ideal_intersection(ph, BoolIdeal(bits, h)) == BoolIdeal(
         bits, bits.indicator({2}))
-    fin = BoolFiniteSupportIdeal(bits)
-    assert ideal_sum(BoolPrincipalIdeal(bits, g), fin) == fin
+    fin = BoolIdeal(bits, None)
+    assert ideal_sum(BoolIdeal(bits, g), fin) == fin
     cofinite = bits.element(({4}, 1))
-    assert ideal_sum(BoolPrincipalIdeal(bits, cofinite), fin).is_whole()
-    assert ideal_intersection(BoolPrincipalIdeal(bits, g), fin) == BoolPrincipalIdeal(bits, g)
-    assert BoolPrincipalIdeal(bits, g).issubset(fin)
-    assert not fin.issubset(BoolPrincipalIdeal(bits, g))
-    assert fin.issubset(BoolPrincipalIdeal(bits, bits.one))
+    assert ideal_sum(BoolIdeal(bits, cofinite), fin).is_whole()
+    assert ideal_intersection(BoolIdeal(bits, g), fin) == BoolIdeal(bits, g)
+    assert BoolIdeal(bits, g).issubset(fin)
+    assert not fin.issubset(BoolIdeal(bits, g))
+    assert fin.issubset(BoolIdeal(bits, bits.one))
 
 
 def test_finite_support_ideal_meets_the_unit_ideal():
     bits = EventuallyConstantBitsRing()
-    fin = BoolFiniteSupportIdeal(bits)
+    fin = BoolIdeal(bits, None)
     assert ideal_intersection(fin, unit_ideal(bits)) == fin
     assert ideal_intersection(unit_ideal(bits), fin) == fin
     # A cofinite proper principal ideal meets (fin) in an ideal that is
     # not finitely generated, which has no representation here.
-    cofinite = BoolPrincipalIdeal(bits, bits.element(({4}, 1)))
+    cofinite = BoolIdeal(bits, bits.element(({4}, 1)))
     for a, b in ((fin, cofinite), (cofinite, fin)):
         with pytest.raises(UnsupportedForPresentation,
                            match="the meet of \\(fin\\) with a cofinite principal ideal "
                                  "is not finitely generated"):
             ideal_intersection(a, b)
+
+
+_BITS = EventuallyConstantBitsRing()
+# (fin) or a principal ideal (g), g a random (positions, tail) pair.
+_bits_ideals = st.one_of(
+    st.none(), st.tuples(st.frozensets(st.integers(1, 8)), st.integers(0, 1)),
+).map(lambda g: BoolIdeal(_BITS, g))
+
+
+def _model_subset(a, b) -> bool:
+    g, h = a.generator, b.generator
+    if g is None:
+        return h is None or h == _BITS.one
+    if h is None:
+        return g.value[1] == 0  # the tail bit
+    return g * h == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bits_ideals, _bits_ideals)
+@example(BoolIdeal(_BITS, None), BoolIdeal(_BITS, None))
+@example(BoolIdeal(_BITS, None), BoolIdeal(_BITS, (frozenset({4}), 1)))
+@example(BoolIdeal(_BITS, (frozenset(), 1)), BoolIdeal(_BITS, None))
+@example(BoolIdeal(_BITS, (frozenset({2}), 0)), BoolIdeal(_BITS, (frozenset({4}), 1)))
+def test_bits_ideal_lattice_matches_a_model(a, b):
+    total = ideal_sum(a, b)
+    pairs = [(a, b), (b, a), (a, total), (b, total)]
+    # The meet of (fin) with a cofinite (g), g != 1, is not finitely generated.
+    if any(x.generator is None and y.generator is not None and y.generator.value[1] == 1
+           and y.generator != _BITS.one for x, y in ((a, b), (b, a))):
+        with pytest.raises(UnsupportedForPresentation):
+            ideal_intersection(a, b)
+        built = [total]
+    else:
+        meet = ideal_intersection(a, b)
+        pairs += [(meet, a), (meet, b)]
+        built = [total, meet]
+    for x, y in pairs:
+        assert x.issubset(y) == _model_subset(x, y)
+    assert all(x.issubset(y) for x, y in pairs[2:])
+    for ideal in (a, b, *built):
+        assert parse_ideal_label(_BITS, ideal.label()) == ideal
 
 
 def test_enumerate_ideals_matches_brute_force():
@@ -258,8 +299,9 @@ def test_enumerate_ideals_counts():
     assert len(enumerate_ideals(parse_ring("Z/6"))) == 4
     assert len(enumerate_ideals(parse_ring("GF(4)"))) == 2
     zl = parse_ring("Zloc(2)")
-    found = enumerate_ideals(zl, local_level_bound=4)
-    assert [i.label() for i in found] == ["(0)", "(1)", "(2)", "(2^2)", "(2^3)", "(2^4)"]
+    found = enumerate_ideals(zl)
+    assert [i.label() for i in found] == [
+        "(0)", "(1)", "(2)", "(2^2)", "(2^3)", "(2^4)", "(2^5)", "(2^6)"]
 
 
 @pytest.mark.parametrize("text", FINITE_CORPUS_TEXTS + MANY_ELEMENT_TEXTS)
@@ -278,8 +320,7 @@ def test_prime_ideals_symbolic():
     # A product ideal is prime when one component is a prime and the rest
     # are whole: the primes among the enumerated ideals are the spectrum.
     mixed = parse_ring("Zloc(2) * Zloc(3)")
-    primes = [i.label() for i in enumerate_ideals(mixed, local_level_bound=2)
-              if is_prime_ideal(i)]
+    primes = [i.label() for i in enumerate_ideals(mixed) if is_prime_ideal(i)]
     assert primes == ["(0) x (1)", "(1) x (0)", "(1) x (3)", "(2) x (1)"]
     assert tuple(primes) == enumerate_spectrum(mixed).labels
 
@@ -352,10 +393,9 @@ def test_constructor_checks_of_the_symbolic_ideals():
         (lambda: LocalIdeal(z2, 1), UnsupportedForPresentation,
          "LocalIdeal needs a localized integer ring"),
         (lambda: LocalIdeal(zl, -1), ValueError, "level must be None or >= 0"),
-        (lambda: BoolPrincipalIdeal(z2, 1), UnsupportedForPresentation,
-         "BoolPrincipalIdeal needs the bits ring"),
-        (lambda: BoolFiniteSupportIdeal(z2), UnsupportedForPresentation,
-         "this ideal lives in the bits ring"),
+        (lambda: BoolIdeal(z2, 1), UnsupportedForPresentation, "BoolIdeal needs the bits ring"),
+        (lambda: BoolIdeal(z2, None), UnsupportedForPresentation,
+         "BoolIdeal needs the bits ring"),
         (lambda: ProductIdeal(parse_ring("Z/2 * Z/3"), ()), UnsupportedForPresentation,
          "ProductIdeal is the representation for infinite products"),
         (lambda: ProductIdeal(mixed, (zero_ideal(zl),)), ValueError,
@@ -390,13 +430,13 @@ def test_infinite_product_ideal_enumeration_is_budgeted():
     ("Z/2 * Z/3", ExplicitIdeal),
     ("Zloc(2)", LocalIdeal),
     ("Zloc(2) * Z/3", ProductIdeal),
-    ("EvBits", BoolPrincipalIdeal),
+    ("EvBits", BoolIdeal),
 ])
 def test_ideal_class_is_the_type_of_every_ideal_the_ring_builds(text, cls):
     ring = parse_ring(text)
     assert ideal_class(ring) is cls
     built = [zero_ideal(ring), annihilator(ring.one)]
-    if cls is not BoolPrincipalIdeal:  # the bits ring lists neither
+    if cls is not BoolIdeal:  # the bits ring lists neither
         built += [*enumerate_ideals(ring), *enumerate_spectrum(ring).points]
     assert [type(i) for i in built] == [cls] * len(built)
 

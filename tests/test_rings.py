@@ -306,6 +306,12 @@ def test_bits_ring_rejects_bad_payload():
     (lambda: LocalizedIntegerRing(2).element("a"), "expected an integer or Fraction, got 'a'"),
     (lambda: EventuallyConstantBitsRing().element("a"),
      "expected an int or (positions, tail), got 'a'"),
+    # A bool is an int to Python, but would print as True or False.
+    (lambda: EventuallyConstantBitsRing().element(((), True)), "tail must be 0 or 1"),
+    (lambda: EventuallyConstantBitsRing().element(((True,), 0)),
+     "positions must be integers >= 1"),
+    (lambda: EventuallyConstantBitsRing().element(((), 1.0)), "tail must be 0 or 1"),
+    (lambda: ModularRing(True), "modulus must be an integer >= 1"),
     (lambda: GaloisFieldRing(2, 0), "a degree >= 1 is required"),
     (lambda: ProductRing([ModularRing(2)]),
      "ProductRing needs at least two factors; use product_ring"),

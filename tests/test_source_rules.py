@@ -17,7 +17,7 @@ SOURCE = Path(spectop.__file__).resolve().parent
 # formats it.
 BASE_ONLY_METHODS = {
     "Ideal": {"is_zero": set(), "is_whole": set(),
-              "idempotent_generator": {"BoolPrincipalIdeal", "BoolFiniteSupportIdeal"}},
+              "idempotent_generator": {"BoolIdeal"}},
     "Ring": {"elements": set()},
     "Record": {"__eq__": set(), "__hash__": set(), "__setattr__": set(),
                "__repr__": {"Element"}},
@@ -242,7 +242,7 @@ def test_the_base_override_rule_flags_an_added_override(tmp_path):
     shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
     assert base_overrides(copy) == []
     with open(copy / "ideals.py", "a", encoding="utf-8") as handle:
-        handle.write("\n\nclass _Wrapped(BoolPrincipalIdeal):\n"
+        handle.write("\n\nclass _Wrapped(BoolIdeal):\n"
                      "    def is_whole(self):\n        return False\n\n"
                      "    def idempotent_generator(self):\n        return None\n"
                      "\n\nclass _Listed(ProductIdeal):\n"
@@ -458,23 +458,24 @@ PRESENTATIONS = {"ModularRing", "PolyQuotientRing", "GaloisFieldRing", "ProductR
 MAPPED_MODULES = ("ideals.py", "spectrum.py", "flatness.py", "sring.py", "cli.py", "dsl.py")
 
 
-def presentation_tests(root: Path) -> list[str]:
-    """Where a mapped module calls ``isinstance`` with a ring presentation,
-    alone or in a tuple, by name or as a module attribute."""
-    found = []
-    for path, tree in _trees(root):
-        if path.name not in MAPPED_MODULES:
+def _isinstance_tests(tree: ast.AST):
+    """Each ``isinstance`` call under the node as (call, class name), once
+    per class it tests, alone or in a tuple, by name or as a module
+    attribute."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
             continue
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "isinstance" and len(node.args) == 2):
-                continue
-            kinds = node.args[1]
-            for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
-                name = kind.attr if isinstance(kind, ast.Attribute) else getattr(kind, "id", None)
-                if name in PRESENTATIONS:
-                    found.append(f"{path.name}:{node.lineno} tests {name}")
-    return found
+        kinds = node.args[1]
+        for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+            yield node, kind.attr if isinstance(kind, ast.Attribute) else getattr(kind, "id", None)
+
+
+def presentation_tests(root: Path) -> list[str]:
+    """Where a mapped module calls ``isinstance`` with a ring presentation."""
+    return [f"{path.name}:{node.lineno} tests {name}"
+            for path, tree in _trees(root) if path.name in MAPPED_MODULES
+            for node, name in _isinstance_tests(tree) if name in PRESENTATIONS]
 
 
 def test_the_mapped_modules_never_test_a_ring_presentation():
@@ -502,6 +503,66 @@ def test_the_presentation_rule_flags_an_added_test(tmp_path):
         "tests LocalizedIntegerRing",
     ]
     assert [f.split(":")[0] for f in found] == ["dsl.py", "spectrum.py", "spectrum.py"]
+
+
+def ideal_class_tests(root: Path) -> list[str]:
+    """Where a module calls ``isinstance`` with ``Ideal`` or a subclass of
+    it, other than ``Ideal.__eq__``'s test against the base class.
+
+    Each ideal class owns its operations and answers them for every ideal
+    of its ring, so none dispatches on the class of another ideal.
+    """
+    trees = list(_trees(root))
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for _, tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+    def is_ideal(name):
+        return name == "Ideal" or any(map(is_ideal, bases.get(name, ())))
+
+    found = []
+    for path, tree in trees:
+        equality = {id(node) for cls in ast.walk(tree)
+                    if isinstance(cls, ast.ClassDef) and cls.name == "Ideal"
+                    for item in cls.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "__eq__"
+                    for node in ast.walk(item)}
+        found += [f"{path.name}:{node.lineno} tests {name}"
+                  for node, name in _isinstance_tests(tree) if is_ideal(name)
+                  and not (name == "Ideal" and id(node) in equality)]
+    return found
+
+
+def test_no_module_tests_the_class_of_an_ideal():
+    assert ideal_class_tests(SOURCE) == []
+
+
+def test_the_ideal_class_rule_flags_an_added_test(tmp_path):
+    copy = tmp_path / "spectop"
+    shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert ideal_class_tests(copy) == []
+    # A subclass added to the test in equality, and a sum that dispatches
+    # on the other side's class.
+    ideals = (copy / "ideals.py").read_text(encoding="utf-8")
+    equality = "isinstance(other, Ideal) and self.key"
+    assert ideals.count(equality) == 1
+    (copy / "ideals.py").write_text(ideals.replace(
+        equality, "isinstance(other, (Ideal, ProductIdeal)) and self.key"), encoding="utf-8")
+    with open(copy / "ideals.py", "a", encoding="utf-8") as handle:
+        handle.write("\n\ndef _join(a, b):\n"
+                     "    return isinstance(b, BoolIdeal) and a.plus(b)\n")
+    # A subclass defined in another module, tested there with the base.
+    with open(copy / "flatness.py", "a", encoding="utf-8") as handle:
+        handle.write("\n\nclass _Shifted(LocalIdeal):\n    pass\n"
+                     "\n\ndef _kinds(ideal, ring):\n"
+                     "    return isinstance(ideal, (_Shifted, ideals.Ideal)), "
+                     "isinstance(ring, Ring)\n")
+    found = ideal_class_tests(copy)
+    assert sorted(f.split(":")[0] + " " + f.split(" ", 1)[1] for f in found) == [
+        "flatness.py tests Ideal",
+        "flatness.py tests _Shifted",
+        "ideals.py tests BoolIdeal",
+        "ideals.py tests ProductIdeal",
+    ]
 
 
 # The public functions and methods that nothing in the package calls, each
