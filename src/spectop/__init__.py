@@ -23,12 +23,12 @@ _EXPORTS = {
     "rings": """Element EventuallyConstantBitsRing GaloisFieldRing LocalizedIntegerRing ModularRing
         PolyQuotientRing ProductRing Ring idempotents product_ring""",
     "ideals": """Ideal annihilator enumerate_ideals ideal_from_generators
-        ideal_intersection ideal_sum is_prime_ideal principal_ideal radical saturation_kernel
+        ideal_intersection ideal_sum principal_ideal radical saturation_kernel
         unit_ideal zero_ideal""",
     "spectrum": """FLAT PATCH ZARISKI ClosedFamily SpectrumPoset closed_family
         enumerate_spectrum vanishing_locus""",
-    "flatness": """FlatnessCertificate flat_ideal_from_closed_mask flat_witness
-        is_cyclic_flat is_cyclic_projective support_of_ideal""",
+    "flatness": """FlatnessCertificate flat_ideal_from_closed_mask is_cyclic_flat
+        is_cyclic_projective support_of_ideal""",
     "sring": """ChainConditionTrace MultiplicativeChain SRingCertificate
         StabilizationReport chain_condition_check check_chain_stabilization
         growing_indicator_chain sring_certificate stabilization_graph_check""",

@@ -35,13 +35,12 @@ from .ideals import (
     intersect_all,
     saturation_kernel,
 )
-from .rings import Element, IndexKernel, Record
+from .rings import IndexKernel, Record
 from .spectrum import enumerate_spectrum, vanishing_locus
 
 __all__ = [
     "FlatnessCertificate",
     "flat_ideal_from_closed_mask",
-    "flat_witness",
     "is_cyclic_flat",
     "is_cyclic_projective",
     "support_of_ideal",
@@ -74,18 +73,6 @@ class FlatnessCertificate(Record):
         if self.failing is None or not self.ideal.contains(self.failing):
             return False
         return not ideal_sum(annihilator(self.failing), self.ideal).is_whole()
-
-
-def flat_witness(ideal: Ideal, f: Element) -> tuple[Element, Element] | None:
-    """A pair (a, b) with a*f = 0, b in I, a + b = 1, or None if none exists.
-
-    Over a finite ring a is the first annihilator of f, in the canonical
-    element order, whose complement 1 - a lies in I, so the witness for a
-    given (I, f) is deterministic.
-    """
-    if not ideal.contains(f):
-        raise ValueError(f"{f} does not belong to {ideal.label()}")
-    return ideal.flat_witness(f)
 
 
 def is_cyclic_flat(ideal: Ideal) -> FlatnessCertificate:

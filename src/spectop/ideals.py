@@ -5,9 +5,7 @@ is a bitmask over the indices of the ring's elements.  Every finite
 presentation is a principal ideal ring (Z/n, quotients of the principal
 ideal domain Z/p[x], fields, and finite products of these), so its
 ideals are exactly its principal ideals Rg, whose masks the ring's index
-kernel holds.  It is Artinian, so its primes are its maximal ideals and
-the radical of I is the meet of the primes over I (Atiyah-Macdonald,
-Prop. 8.1 and 1.14).  Ideals of the localized integers live in the known
+kernel holds.  Ideals of the localized integers live in the known
 lattice {(0)} U {(p^k) : k >= 0}, an ideal of the bits ring is its
 generator, None for (fin), the finitely supported elements, and ideals
 of infinite products are componentwise.  The components of a product
@@ -17,15 +15,21 @@ ideals of components are kept on the components and factors, so a fact
 about a component is found once however many products hold it.
 
 Each representation is one class that owns all of its operations:
-membership, inclusion, sum, intersection, radical, saturation kernel,
-primality, and the flatness primitives (witness samples and flat
-witnesses) that ``flatness`` runs generically.  :class:`Ideal` defines
-the zero, whole and idempotent generator predicates once, from
-membership and equality.  Each class also builds its presentation's
-generated ideals, annihilators, ideal list and primes, and
-:func:`ideal_class` is the one map from a presentation to its class:
+membership, inclusion, sum, intersection, saturation kernel, and the
+flatness primitives (witness samples and flat witnesses) that
+``flatness`` runs generically.  Each class also builds its
+presentation's generated ideals, annihilators, ideal list and primes,
+and :func:`ideal_class` is the one map from a presentation to its class:
 ``ideal_from_generators``, ``annihilator``, ``enumerate_ideals`` and
-``spectrum.enumerate_spectrum`` each make one call through it.
+``prime_ideals`` each make one call through it.  The primes are listed
+once per ring: a finite ring is Artinian, so its primes are its maximal
+ideals (Atiyah-Macdonald, Prop. 8.1); the localized integers have (0)
+and (p); a prime of an infinite product is a factor's prime in one slot
+and the whole ring elsewhere; the bits ring refuses.  A prime is a
+member of that list, and :class:`Ideal` defines the radical once, as the
+meet of the listed primes over I (Prop. 1.14), with the zero, whole and
+idempotent generator predicates, from membership and equality; each
+ideal of the Boolean bits ring is its own radical.
 
 Every ideal is immutable and compares structurally.  ``label()`` gives a
 short canonical name such as ``(2)``, ``(2^3)``, ``(fin)`` or
@@ -64,7 +68,6 @@ __all__ = [
     "ideal_intersection",
     "ideal_sum",
     "intersect_all",
-    "is_prime_ideal",
     "prime_ideals",
     "principal_ideal",
     "radical",
@@ -79,18 +82,19 @@ class Ideal:
 
     Each constructor ends in ``_keyed``, which sets ``key``, the tuple
     that equality compares, its hash and the ``memo``.  Every subclass supplies
-    ``contains``, ``issubset``, ``label``, ``plus(other)``, ``meet(other)``
-    and ``radical()``, and for flatness ``witness_samples()``, the
+    ``contains``, ``issubset``, ``label``, ``plus(other)`` and
+    ``meet(other)``, and for flatness ``witness_samples()``, the
     elements f of I whose witnesses make up a certificate, and
     ``flat_witness(f)``, a pair (a, b) with a*f = 0, b in I and a + b = 1
-    or None.  The base defines ``is_zero``, ``is_whole`` and
+    or None.  The base defines ``is_zero``, ``is_whole``, ``radical`` and
     ``idempotent_generator`` by their definitions; only :class:`BoolIdeal`,
-    over a ring of infinitely many idempotents, overrides the last.  An
-    operation a presentation does not support falls through to the
-    default here, which raises :class:`UnsupportedForPresentation`.  The
-    class methods ``generated_by``, ``annihilator_of``, ``enumerate_all``
-    and ``primes_of`` build the ideals of a ring that :func:`ideal_class`
-    maps to the class; ``primes_of`` filters the enumeration by default.
+    whose ring has no listed primes and infinitely many idempotents,
+    overrides the last two.  An operation a presentation does not support
+    falls through to the default here, which raises
+    :class:`UnsupportedForPresentation`.  The class methods
+    ``generated_by``, ``annihilator_of``, ``enumerate_all`` and
+    ``primes_of`` build the ideals and the primes of a ring that
+    :func:`ideal_class` maps to the class.
     """
 
     ring: Ring
@@ -121,10 +125,10 @@ class Ideal:
         raise UnsupportedForPresentation(
             f"saturation kernels are not computed over {self.ring.describe()}")
 
-    def is_prime(self) -> bool:
-        """Primality of an ideal already known to be proper."""
-        raise UnsupportedForPresentation(
-            f"primality is not decided over {self.ring.describe()}")
+    def radical(self) -> "Ideal":
+        """The meet of the primes over I, R when there are none
+        (Atiyah-Macdonald, Prop. 1.14)."""
+        return intersect_all(self.ring, (p for p in prime_ideals(self.ring) if self.issubset(p)))
 
     def flat_note(self, failing: Element | None) -> str | None:
         """The certificate note; ``failing`` is None when R/I is flat."""
@@ -156,7 +160,8 @@ class Ideal:
 
     @classmethod
     def primes_of(cls, ring: Ring) -> list["Ideal"]:
-        return [i for i in enumerate_ideals(ring) if is_prime_ideal(i)]
+        raise UnsupportedForPresentation(
+            f"the spectrum of {ring.describe()} is not enumerable")
 
     @classmethod
     def meet_all(cls, ring: Ring, ideals: tuple["Ideal", ...]) -> "Ideal":
@@ -191,8 +196,8 @@ class ExplicitIdeal(Ideal):
     :class:`~spectop.rings.IndexKernel`); every operation is a table
     lookup or a mask operation.  Construction checks that the mask is a
     span Rg, which in a principal ideal ring holds exactly for ideals.
-    The primes are the maximal ideals, and the radical of I is the meet
-    of the primes over I (Atiyah-Macdonald, Prop. 8.1 and 1.14).
+    The ring is Artinian, so its primes are its maximal ideals
+    (Atiyah-Macdonald, Prop. 8.1).
     """
 
     def __init__(self, ring: Ring, *, mask: int):
@@ -233,6 +238,13 @@ class ExplicitIdeal(Ideal):
             memo["ideals"] = tuple(sorted(ideals, key=lambda i: (i.mask.bit_count(), i.label())))
         return memo["ideals"]
 
+    @classmethod
+    def primes_of(cls, ring):
+        # The maximal ideals: those with I and R the only ideals over them.
+        ideals = cls.enumerate_all(ring)
+        masks = [i.mask for i in ideals]
+        return [i for i in ideals if sum(not i.mask & ~m for m in masks) == 2]
+
     def contains(self, element):
         k = self.ring.index_kernel
         return bool(self.mask >> k.index[self.ring.element(element)] & 1)
@@ -257,9 +269,6 @@ class ExplicitIdeal(Ideal):
     def meet(self, other):
         return ExplicitIdeal(self.ring, mask=self.mask & other.mask)
 
-    def radical(self):
-        return intersect_all(self.ring, (p for p in prime_ideals(self.ring) if self.issubset(p)))
-
     def saturation_kernel(self):
         # The union of Ann(s) over s in 1 + I.
         k = self.ring.index_kernel
@@ -267,10 +276,6 @@ class ExplicitIdeal(Ideal):
         for i in k.members(self.mask):
             mask |= k.anns[k.add[k.one][i]]
         return ExplicitIdeal(self.ring, mask=mask)
-
-    def is_prime(self):
-        # Maximal: I and R are the only spans over I.
-        return sum(not self.mask & ~span for span in self.ring.index_kernel.generator_of) == 2
 
     def witness_samples(self):
         k = self.ring.index_kernel
@@ -317,6 +322,10 @@ class LocalIdeal(Ideal):
     def enumerate_all(cls, ring):
         return tuple(LocalIdeal(ring, k) for k in (None, *range(LOCAL_LEVEL_BOUND + 1)))
 
+    @classmethod
+    def primes_of(cls, ring):
+        return [LocalIdeal(ring, None), LocalIdeal(ring, 1)]
+
     def contains(self, element):
         el = self.ring.element(element)
         if el.value == 0:
@@ -354,17 +363,9 @@ class LocalIdeal(Ideal):
             return LocalIdeal(self.ring, None)
         return LocalIdeal(self.ring, max(self.level, other.level))
 
-    def radical(self):
-        if self.level is None or self.level == 0:
-            return self
-        return LocalIdeal(self.ring, 1)
-
     def saturation_kernel(self):
         # 1 + (p^k) consists of units when k >= 1, while 1 + R contains 0.
         return LocalIdeal(self.ring, 0 if self.level == 0 else None)
-
-    def is_prime(self):
-        return self.level is None or self.level == 1
 
     def witness_samples(self):
         ring = self.ring
@@ -416,11 +417,6 @@ class BoolIdeal(Ideal):
     def annihilator_of(cls, f):
         # x*f == 0 exactly when x == x*(1-f), i.e. x lies under 1-f.
         return BoolIdeal(f.ring, f.ring.one - f)
-
-    @classmethod
-    def primes_of(cls, ring):
-        raise UnsupportedForPresentation(
-            f"the spectrum of {ring.describe()} is not enumerable")
 
     def contains(self, element):
         el = self.ring.element(element)
@@ -559,15 +555,8 @@ class ProductIdeal(Ideal):
     def meet(self, other):
         return ProductIdeal(self.ring, map(_meet, self.components, other.components))
 
-    def radical(self):
-        return ProductIdeal(self.ring, (c.radical() for c in self.components))
-
     def saturation_kernel(self):
         return ProductIdeal(self.ring, map(_saturation_kernel, self.components))
-
-    def is_prime(self):
-        proper = [c for c in self.components if not c.is_whole()]
-        return len(proper) == 1 and proper[0].is_prime()
 
     def witness_samples(self):
         # Each component's samples, placed in its slot with zeros elsewhere.
@@ -778,7 +767,7 @@ def saturation_kernel(ideal: Ideal) -> Ideal:
 
 
 # ---------------------------------------------------------------------------
-# enumeration and primality
+# enumeration and primes
 
 
 # Where the chain (p^k) of a localized ring's listed ideals stops.
@@ -800,8 +789,3 @@ def prime_ideals(ring: Ring) -> tuple[Ideal, ...]:
     if "primes" not in memo:
         memo["primes"] = tuple(ideal_class(ring).primes_of(ring))
     return memo["primes"]
-
-
-def is_prime_ideal(ideal: Ideal) -> bool:
-    """Primality: proper, and ab in I forces a in I or b in I."""
-    return not ideal.is_whole() and ideal.is_prime()

@@ -49,6 +49,7 @@ __all__ = [
     "GaloisFieldRing",
     "IndexKernel",
     "LocalizedIntegerRing",
+    "MAX_PRODUCT_FACTORS",
     "MAX_RING_ELEMENTS",
     "ModularRing",
     "PRIMALITY_BOUND",
@@ -78,6 +79,10 @@ MAX_RING_ELEMENTS = 256
 # generated for at most this many points, and the ideals of an infinite
 # product are enumerated up to 2 ** MAX_FAMILY_POINTS.
 MAX_FAMILY_POINTS = 16
+
+# Products are refused above this many factors: a product's primes, and
+# the cones of its spectrum, take time quadratic in the factor count.
+MAX_PRODUCT_FACTORS = 256
 
 # Miller-Rabin with the first 13 primes as bases decides primality of
 # every n below this bound (Sorenson and Webster, 2015); larger integers
@@ -725,6 +730,8 @@ class ProductRing(Ring):
     its memo (its spectrum, ideals and shared component ideals) are found
     once for all of its slots.  The eventually-constant-bits ring is not
     allowed as a factor; its product structure is not representable here.
+    A product over the element budget, or of more than
+    ``MAX_PRODUCT_FACTORS`` factors, is refused with :class:`RingTooLarge`.
     """
 
     def __init__(self, factors):
@@ -743,6 +750,9 @@ class ProductRing(Ring):
         instances: dict[Ring, Ring] = {}
         self.factors = tuple(instances.setdefault(f, f) for f in flat)
         check_ring_size(math.prod(len(f.elements()) for f in self.factors if f.is_finite))
+        if len(self.factors) > MAX_PRODUCT_FACTORS:
+            raise RingTooLarge(f"a product of {len(self.factors)} factors exceeds the budget of "
+                               f"{MAX_PRODUCT_FACTORS} factors")
         self.is_finite = all(f.is_finite for f in self.factors)
         self.key = ("product", tuple(f.key for f in self.factors))
 

@@ -302,11 +302,11 @@ def enumerate_spectrum(ring: Ring) -> SpectrumPoset:
     """All prime ideals with the containment order, built once per ring
     instance and kept in its memo.
 
-    ``ideals.prime_ideals`` lists the primes once per ring: the prime ones
-    among the enumerated ideals (the truncated chain of ``Zloc(p)`` holds
-    both (0) and (p)), and for an infinite product a prime of one factor
-    in its slot with the whole ring elsewhere, from the list that the
-    factor's own spectrum reads.  The bits ring refuses.
+    ``ideals.prime_ideals`` lists the primes once per ring: the maximal
+    ones among a finite ring's enumerated ideals, (0) and (p) for
+    ``Zloc(p)``, and for an infinite product a prime of one factor in its
+    slot with the whole ring elsewhere, from the list that the factor's
+    own spectrum reads.  The bits ring refuses.
     """
     memo = ring.memo
     if "spectrum" not in memo:

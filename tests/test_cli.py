@@ -31,7 +31,7 @@ from spectop.cli import (
     main,
     spectrum_doc,
 )
-from spectop.rings import IndexKernel
+from spectop.rings import MAX_PRODUCT_FACTORS, IndexKernel
 from spectop.spectrum import TOPOLOGIES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -363,6 +363,15 @@ def test_an_oversized_exponent_or_digit_run_fails_fast_with_one_line(capsys, arg
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert len(err.encode()) < 160
     assert "Traceback" not in err and "integer string conversion" not in err
+
+
+@pytest.mark.parametrize("command", ["sring", "spec", "verify"])
+def test_a_product_over_the_factor_budget_fails_fast_with_one_line(capsys, command):
+    over = " * ".join(["Zloc(2)"] * (MAX_PRODUCT_FACTORS + 1))
+    code, out, err, elapsed = _timed_cli(capsys, command, "--ring", over)
+    assert code == 2 and out == "" and elapsed < 1.0
+    assert err == (f"error: a product of {MAX_PRODUCT_FACTORS + 1} factors exceeds "
+                   f"the budget of {MAX_PRODUCT_FACTORS} factors\n")
 
 
 def test_large_prime_parameters_are_decided_before_any_budget(capsys):

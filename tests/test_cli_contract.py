@@ -42,6 +42,9 @@ FOUND_ARGVS = [
     ["verify", "--ring", "Z/2", "--theorem", "bogus"],
     ["topology", "--ring", "Z/2", "--which", "zariski" * 100],
     ["spec", "--ring", "Z/2", "--", *["abcdefghij"] * 40],
+    # 1,000 factors took seconds, quadratic in the factor count, before
+    # the product was refused with its 2,000 spectrum points.
+    ["sring", "--ring", " * ".join(["Zloc(2)"] * 1000)],
 ]
 
 _RINGS = [entry.ring_text for entry in DEFAULT_CORPUS] + ["Z/2[x]/(x^4)", "GF(16)"]
@@ -149,6 +152,7 @@ def check_contract(argv):
 @example(FOUND_ARGVS[5])
 @example(FOUND_ARGVS[6])
 @example(FOUND_ARGVS[7])
+@example(FOUND_ARGVS[8])
 @example(["spec", "--ring", f"Zloc({NINES})"])
 @example(["spec", "--ring", f"Z/2[x]/(x^{NINES}+x)"])
 @example(["flat", "--ring", "Zloc(3)", f"--ideal=1/{NINES}"])

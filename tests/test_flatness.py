@@ -19,7 +19,6 @@ from spectop import (
     enumerate_ideals,
     enumerate_spectrum,
     flat_ideal_from_closed_mask,
-    flat_witness,
     ideal_from_generators,
     idempotents,
     is_cyclic_flat,
@@ -128,7 +127,7 @@ def test_flat_exhaustive_pair_search(witness_ring):
         for f in elements_of(ideal):
             firsts = [a for a in canonical_sorted(elements_of(annihilator(f)))
                       if ideal.contains(one - a)][:1]
-            assert flat_witness(ideal, f) == (
+            assert ideal.flat_witness(f) == (
                 (firsts[0], one - firsts[0]) if firsts else None)
         cert = is_cyclic_flat(ideal)
         assert cert.verdict == expected
@@ -161,7 +160,7 @@ def test_flat_bits_ring():
     cert = is_cyclic_flat(fin)
     assert cert.verdict and cert.verify()
     f = bits.indicator({2, 5})
-    a, b = flat_witness(fin, f)
+    a, b = fin.flat_witness(f)
     assert a == bits.one - f and b == f
     small = principal_ideal(bits, bits.indicator({1, 2}))
     assert is_cyclic_flat(small).verdict
@@ -256,20 +255,13 @@ def test_product_generators_and_supports_are_pinned():
     }
 
 
-def test_flat_witness_requires_membership():
-    z6 = parse_ring("Z/6")
-    ideal = principal_ideal(z6, z6.element(2))
-    with pytest.raises(ValueError):
-        flat_witness(ideal, z6.element(1))
-
-
 def test_common_multiplier_frozen_examples():
     # A flat witness (a, b) of f gives f*b = f*(1 - a) = f; a common
     # multiplier of all of I is an idempotent generator of I.
     z6 = parse_ring("Z/6")
     two = principal_ideal(z6, z6.element(2))
     assert common_multiplier(two, [z6.element(2), z6.element(4)]) == z6.element(4)
-    assert flat_witness(two, z6.element(2)) == (z6.element(3), z6.element(4))
+    assert two.flat_witness(z6.element(2)) == (z6.element(3), z6.element(4))
     assert two.idempotent_generator() == z6.element(4)
 
     z12 = parse_ring("Z/12")
@@ -290,7 +282,7 @@ def test_common_multiplier_property(finite_ring):
         if g is None:
             continue
         for f in fs:
-            _, b = flat_witness(ideal, f)
+            _, b = ideal.flat_witness(f)
             assert ideal.contains(b) and f * b == f
 
 

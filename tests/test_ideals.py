@@ -21,7 +21,6 @@ from spectop import (
     ideal_from_generators,
     ideal_intersection,
     ideal_sum,
-    is_prime_ideal,
     parse_ring,
     principal_ideal,
     radical,
@@ -37,8 +36,10 @@ from spectop.ideals import (
     Ideal,
     LocalIdeal,
     ProductIdeal,
+    LOCAL_LEVEL_BOUND,
     ideal_class,
     intersect_all,
+    prime_ideals,
 )
 from spectop.rings import canonical_sorted
 
@@ -307,22 +308,69 @@ def test_enumerate_ideals_counts():
 @pytest.mark.parametrize("text", FINITE_CORPUS_TEXTS + MANY_ELEMENT_TEXTS)
 def test_prime_ideals_match_definition(text):
     ring = parse_ring(text)
+    primes = prime_ideals(ring)
     for ideal in enumerate_ideals(ring):
-        assert is_prime_ideal(ideal) == brute_force_is_prime(ring, elements_of(ideal))
+        assert (ideal in primes) == brute_force_is_prime(ring, elements_of(ideal))
 
 
 def test_prime_ideals_symbolic():
     zl = LocalizedIntegerRing(2)
-    assert is_prime_ideal(LocalIdeal(zl, None))
-    assert is_prime_ideal(LocalIdeal(zl, 1))
-    assert not is_prime_ideal(LocalIdeal(zl, 0))
-    assert not is_prime_ideal(LocalIdeal(zl, 2))
+    assert LocalIdeal(zl, None) in prime_ideals(zl)
+    assert LocalIdeal(zl, 1) in prime_ideals(zl)
+    assert LocalIdeal(zl, 0) not in prime_ideals(zl)
+    assert LocalIdeal(zl, 2) not in prime_ideals(zl)
     # A product ideal is prime when one component is a prime and the rest
     # are whole: the primes among the enumerated ideals are the spectrum.
     mixed = parse_ring("Zloc(2) * Zloc(3)")
-    primes = [i.label() for i in enumerate_ideals(mixed) if is_prime_ideal(i)]
+    primes = [i.label() for i in enumerate_ideals(mixed) if i in prime_ideals(mixed)]
     assert primes == ["(0) x (1)", "(1) x (0)", "(1) x (3)", "(2) x (1)"]
     assert tuple(primes) == enumerate_spectrum(mixed).labels
+
+
+def _component_model(c):
+    """Whether a component ideal is whole and prime, and its radical, from
+    the definitions: over a finite factor the radical is the set of x with
+    a power in c, and (p^k) of the localized integers has radical (p)."""
+    ring = c.ring
+    if ring.is_finite:
+        members = elements_of(c)
+        root = frozenset(x for x in ring.elements()
+                         if any(x ** k in members for k in range(1, len(ring.elements()) + 1)))
+        return ring.one in members, brute_force_is_prime(ring, members), root
+    level = c.level
+    return level == 0, level in (None, 1), LocalIdeal(ring, None if level is None else min(level, 1))
+
+
+def _component_view(c):
+    return elements_of(c) if c.ring.is_finite else c
+
+
+@pytest.mark.parametrize("text", ["Zloc(2) * Z/12", "Zloc(3) * Z/4 * Zloc(2)"])
+def test_listed_primes_and_the_radical_match_a_componentwise_model(text):
+    # A prime of a product is a prime in one slot and whole elsewhere, and
+    # the radical is taken slot by slot.
+    ring = parse_ring(text)
+    primes = prime_ideals(ring)
+    assert len(set(primes)) == len(primes)
+    modelled = 0
+    for ideal in enumerate_ideals(ring):
+        parts = [_component_model(c) for c in ideal.components]
+        proper = [prime for whole, prime, _ in parts if not whole]
+        prime = proper == [True]
+        modelled += prime
+        assert (ideal in primes) == prime, ideal.label()
+        assert list(map(_component_view, radical(ideal).components)) == [
+            root for _, _, root in parts], ideal.label()
+    assert modelled == len(primes)
+
+
+def test_listed_primes_and_the_radical_of_local_levels_past_the_bound():
+    zl = LocalizedIntegerRing(3)
+    for level in (None, *range(LOCAL_LEVEL_BOUND + 4)):
+        ideal = LocalIdeal(zl, level)
+        _, prime, root = _component_model(ideal)
+        assert (ideal in prime_ideals(zl)) == prime
+        assert radical(ideal) == root
 
 
 def test_product_ideal_componentwise():

@@ -17,14 +17,13 @@ from spectop import (
     ideal_from_generators,
     ideal_intersection,
     ideal_sum,
-    is_prime_ideal,
     parse_ring,
     radical,
     saturation_kernel,
     vanishing_locus,
 )
 from spectop.dsl import parse_ideal_label
-from spectop.ideals import ExplicitIdeal
+from spectop.ideals import ExplicitIdeal, prime_ideals
 from spectop.rings import IndexKernel, canonical_sorted
 
 from conftest import (
@@ -72,7 +71,7 @@ def test_mask_ideals_match_oracles(text, data):
     assert elements_of(ideal_intersection(a, b)) == in_a & in_b
     assert a.issubset(b) == (in_a <= in_b)
     assert [a.contains(x) for x in elements] == [x in in_a for x in elements]
-    assert is_prime_ideal(a) == brute_force_is_prime(ring, in_a)
+    assert (a in prime_ideals(ring)) == brute_force_is_prime(ring, in_a)
     assert a in enumerate_ideals(ring)
     assert parse_ideal_label(ring, a.label()) == a
 

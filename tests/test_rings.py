@@ -26,6 +26,7 @@ from spectop import (
 )
 from spectop.rings import (
     FACTOR_SEARCH_BOUND,
+    MAX_PRODUCT_FACTORS,
     MAX_RING_ELEMENTS,
     PRIMALITY_BOUND,
     canonical_sorted,
@@ -177,6 +178,22 @@ def test_ring_size_budget():
         with pytest.raises(RingTooLarge, match="exceeds the budget of 256 elements"):
             build()
     assert issubclass(RingTooLarge, SpectopError)
+
+
+def test_factor_budget():
+    assert MAX_PRODUCT_FACTORS == 256
+    zl, z1 = LocalizedIntegerRing(2), ModularRing(1)
+    assert len(ProductRing([zl] * MAX_PRODUCT_FACTORS).factors) == MAX_PRODUCT_FACTORS
+    # Nested products are counted once flattened, and a one-element factor
+    # counts like any other.
+    for build in (lambda: ProductRing([zl] * (MAX_PRODUCT_FACTORS + 1)),
+                  lambda: ProductRing([ProductRing([zl] * 200), ProductRing([z1] * 57)])):
+        with pytest.raises(RingTooLarge) as err:
+            build()
+        assert str(err.value) == "a product of 257 factors exceeds the budget of 256 factors"
+    # The element budget is checked first.
+    with pytest.raises(RingTooLarge, match="exceeds the budget of 256 elements"):
+        ProductRing([ModularRing(2)] * (MAX_PRODUCT_FACTORS + 1))
 
 
 @pytest.mark.parametrize("base, exponent, size", [

@@ -13,10 +13,11 @@ SOURCE = Path(spectop.__file__).resolve().parent
 # Methods a base class defines once, by their definitions, for all of its
 # subclasses, each with the subclasses allowed to override it: every
 # element of the bits ring is idempotent, so no finite scan finds the
-# idempotent generator of its ideals, and an element prints as its ring
-# formats it.
+# idempotent generator of its ideals, and each of its ideals is its own
+# radical, though its primes are not listed; an element prints as its
+# ring formats it.
 BASE_ONLY_METHODS = {
-    "Ideal": {"is_zero": set(), "is_whole": set(),
+    "Ideal": {"is_zero": set(), "is_whole": set(), "radical": {"BoolIdeal"},
               "idempotent_generator": {"BoolIdeal"}},
     "Ring": {"elements": set()},
     "Record": {"__eq__": set(), "__hash__": set(), "__setattr__": set(),
@@ -246,7 +247,8 @@ def test_the_base_override_rule_flags_an_added_override(tmp_path):
                      "    def is_whole(self):\n        return False\n\n"
                      "    def idempotent_generator(self):\n        return None\n"
                      "\n\nclass _Listed(ProductIdeal):\n"
-                     "    def idempotent_generator(self):\n        return None\n")
+                     "    def idempotent_generator(self):\n        return None\n\n"
+                     "    def radical(self):\n        return self\n")
     with open(copy / "rings.py", "a", encoding="utf-8") as handle:
         handle.write("\n\nclass _Field(GaloisFieldRing):\n"
                      "    def elements(self):\n        return ()\n")
@@ -255,6 +257,7 @@ def test_the_base_override_rule_flags_an_added_override(tmp_path):
         "_Wrapped defines is_whole",
         "_Wrapped defines idempotent_generator",
         "_Listed defines idempotent_generator",
+        "_Listed defines radical",
         "_Field defines elements",
     ]
 
@@ -568,8 +571,6 @@ def test_the_ideal_class_rule_flags_an_added_test(tmp_path):
 # The public functions and methods that nothing in the package calls, each
 # with the reason it stays.
 UNCALLED_PUBLIC = {
-    # The benchmark's per-layer metric flatness.flat_witness.calls names it.
-    "flatness.flat_witness",
     # perfbench/tracing.py reads the sets of a family.
     "spectrum.ClosedFamily.sets",
     # The library's entry for one element literal.
@@ -633,12 +634,12 @@ def test_the_caller_rule_flags_an_added_function(tmp_path):
                      "    return dual_chain(chain)\n\n\nclass _Poset:\n"
                      "    def leq(self, other):\n        return self is other\n\n"
                      "    def _rank(self):\n        return 0\n")
-    # A new caller takes flat_witness off the list.
+    # A new caller takes parse_element off the list.
     with open(copy / "flatness.py", "a", encoding="utf-8") as handle:
-        handle.write("\n\ndef common_multiplier(ideal, f):\n"
-                     "    return flat_witness(ideal, f)[1]\n")
+        handle.write("\n\ndef common_multiplier(ring, text):\n"
+                     "    return parse_element(ring, text)\n")
     found = [f.split(" ")[1] for f in uncalled_public(copy)]
-    assert sorted(found) == sorted(UNCALLED_PUBLIC - {"flatness.flat_witness"} | {
+    assert sorted(found) == sorted(UNCALLED_PUBLIC - {"dsl.parse_element"} | {
         "flatness.common_multiplier", "sring.dual_chain", "sring._Poset.leq"})
 
 
