@@ -5,10 +5,10 @@ is a bitmask over the indices of the ring's elements.  Every finite
 presentation is a principal ideal ring (Z/n, quotients of the principal
 ideal domain Z/p[x], fields, and finite products of these), so its
 ideals are exactly its principal ideals Rg, whose masks the ring's index
-kernel holds.  Ideals of the localized integers live in the known
-lattice {(0)} U {(p^k) : k >= 0}, an ideal of the bits ring is its
-generator, None for (fin), the finitely supported elements, and ideals
-of infinite products are componentwise.  The components of a product
+kernel holds.  An ideal of the localized integers is its level k in
+N U {inf}, the ideal (p^k) with (p^inf) = (0), an ideal of the bits ring
+is its generator, None for (fin), the finitely supported elements, and
+ideals of infinite products are componentwise.  The components of a product
 ideal are shared: each is the one instance equal to it that its factor
 ring's memo keeps, and the meets, saturation kernels and generated
 ideals of components are kept on the components and factors, so a fact
@@ -205,12 +205,8 @@ class ExplicitIdeal(Ideal):
             raise UnsupportedForPresentation(
                 "explicit ideals exist only over finite rings")
         k = ring.index_kernel
-        if mask < 0 or mask >> len(k.elements):
-            raise ValueError("a mask has one bit per element of the ring")
-        if not mask >> k.zero & 1:
-            raise ValueError("an ideal contains 0")
-        if mask not in k.generator_of:
-            raise ValueError(_closure_failure(k, mask))
+        if type(mask) is not int or mask not in k.generator_of:  # a bool is no mask
+            raise ValueError(_mask_failure(k, mask))
         self.mask = mask
         self._keyed(ring, ("explicit", ring, mask))
 
@@ -298,52 +294,43 @@ class ExplicitIdeal(Ideal):
 
 
 class LocalIdeal(Ideal):
-    """An ideal of the localized integers: level None is (0), level k is (p^k)."""
+    """An ideal (p^k) of the localized integers, a discrete valuation ring;
+    level math.inf is (p^inf) = (0), so f lies in (p^k) iff v(f) >= k."""
 
-    def __init__(self, ring: LocalizedIntegerRing, level: int | None):
+    def __init__(self, ring: LocalizedIntegerRing, level: int | float):
         if ideal_class(ring) is not LocalIdeal:
             raise UnsupportedForPresentation("LocalIdeal needs a localized integer ring")
-        if level is not None and level < 0:
-            raise ValueError("level must be None or >= 0")
+        if not (type(level) is int and level >= 0 or level == math.inf):  # a bool is no level
+            raise ValueError("level must be an int >= 0 or math.inf")
         self.level = level
         self._keyed(ring, ("local", ring, level))
 
     @classmethod
     def generated_by(cls, ring, gens):
-        # (p^v), v the least valuation of a nonzero generator; (0) if none.
-        levels = [ring.valuation(g) for g in gens if g.value != 0]
-        return LocalIdeal(ring, min(levels, default=None))
+        # (p^v), v the least valuation of a generator; (0) if none.
+        return LocalIdeal(ring, min((ring.valuation(g) for g in gens), default=math.inf))
 
     @classmethod
     def annihilator_of(cls, f):
-        return LocalIdeal(f.ring, 0 if f.value == 0 else None)
+        return LocalIdeal(f.ring, 0 if f.value == 0 else math.inf)
 
     @classmethod
     def enumerate_all(cls, ring):
-        return tuple(LocalIdeal(ring, k) for k in (None, *range(LOCAL_LEVEL_BOUND + 1)))
+        return tuple(LocalIdeal(ring, k) for k in (math.inf, *range(LOCAL_LEVEL_BOUND + 1)))
 
     @classmethod
     def primes_of(cls, ring):
-        return [LocalIdeal(ring, None), LocalIdeal(ring, 1)]
+        return [LocalIdeal(ring, math.inf), LocalIdeal(ring, 1)]
 
     def contains(self, element):
-        el = self.ring.element(element)
-        if el.value == 0:
-            return True
-        if self.level is None:
-            return False
-        return self.ring.valuation(el) >= self.level
+        return self.ring.valuation(self.ring.element(element)) >= self.level
 
     def issubset(self, other):
         _check_same_ring(self, other)
-        if self.level is None:
-            return True
-        if other.level is None:
-            return False
         return self.level >= other.level
 
     def label(self):
-        if self.level is None:
+        if self.level == math.inf:
             return "(0)"
         if self.level == 0:
             return "(1)"
@@ -352,24 +339,18 @@ class LocalIdeal(Ideal):
         return f"({self.ring.p}^{self.level})"
 
     def plus(self, other):
-        if self.level is None:
-            return other
-        if other.level is None:
-            return self
         return LocalIdeal(self.ring, min(self.level, other.level))
 
     def meet(self, other):
-        if self.level is None or other.level is None:
-            return LocalIdeal(self.ring, None)
         return LocalIdeal(self.ring, max(self.level, other.level))
 
     def saturation_kernel(self):
         # 1 + (p^k) consists of units when k >= 1, while 1 + R contains 0.
-        return LocalIdeal(self.ring, 0 if self.level == 0 else None)
+        return LocalIdeal(self.ring, 0 if self.level == 0 else math.inf)
 
     def witness_samples(self):
         ring = self.ring
-        if self.level is None:
+        if self.level == math.inf:
             return (ring.zero,)
         if self.level == 0:
             return (ring.zero, ring.one)
@@ -681,8 +662,13 @@ def _least_span(k: IndexKernel, mask: int) -> int:
     return min((s for s in k.generator_of if not mask & ~s), key=int.bit_count)
 
 
-def _closure_failure(k: IndexKernel, mask: int) -> str:
-    """Name the first sum or product that leaves a set which is no ideal."""
+def _mask_failure(k: IndexKernel, mask) -> str:
+    """Name why a mask is no span Rg: it is no int with one bit per
+    element, it leaves out 0, or a first sum or product leaves it."""
+    if type(mask) is not int or mask < 0 or mask >> len(k.elements):
+        return "a mask is an int with one bit per element of the ring"
+    if not mask >> k.zero & 1:
+        return "an ideal contains 0"
     members = k.members(mask)
     for a in members:
         for b in members:

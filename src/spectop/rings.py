@@ -843,11 +843,12 @@ class LocalizedIntegerRing(Ring):
     def _sort_key(self, a):
         return (a.denominator, a.numerator)
 
-    def valuation(self, element: Element) -> int:
-        """The p-adic valuation of a nonzero element."""
+    def valuation(self, element: Element) -> int | float:
+        """The p-adic valuation: the exponent of p in the element, and
+        math.inf for 0, so f lies in (p^k) iff v(f) >= k."""
         fr = element.value
         if fr == 0:
-            raise ValueError("the zero element has no finite valuation")
+            return math.inf
         n, v = abs(fr.numerator), 0
         while n % self.p == 0:
             n //= self.p

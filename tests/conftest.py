@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -247,7 +248,7 @@ def ideals_cut_at_one(ring) -> list:
     if ring.is_finite:
         return list(enumerate_ideals(ring))
     if isinstance(ring, LocalizedIntegerRing):
-        return [i for i in enumerate_ideals(ring) if (i.level or 0) <= 1]
+        return [i for i in enumerate_ideals(ring) if i.level in (math.inf, 0, 1)]  # (0), (1), (p)
     return [ProductIdeal(ring, combo)
             for combo in itertools.product(*map(ideals_cut_at_one, ring.factors))]
 

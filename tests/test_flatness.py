@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -146,7 +147,7 @@ def test_flat_against_idempotent_oracle(finite_ring):
 
 def test_flat_local_ring():
     zl = parse_ring("Zloc(2)")
-    assert is_cyclic_flat(LocalIdeal(zl, None)).verdict
+    assert is_cyclic_flat(LocalIdeal(zl, math.inf)).verdict
     assert is_cyclic_flat(LocalIdeal(zl, 0)).verdict
     cert = is_cyclic_flat(LocalIdeal(zl, 2))
     assert not cert.verdict
@@ -194,7 +195,7 @@ _BOOL_NOTE = "Boolean schema: 1-f annihilates f and f+(1-f)=1 for every f in I"
 
 
 @pytest.mark.parametrize("build, expected", [
-    (lambda: _local_ideal("Zloc(2)", None),
+    (lambda: _local_ideal("Zloc(2)", math.inf),
      {"ring": "Zloc(2)", "ideal": "(0)", "flat": True,
       "witnesses": [{"f": "0", "a": "1", "b": "0"}],
       "failing": None, "note": _ZERO_UNIT_NOTE}),
@@ -227,7 +228,9 @@ def test_product_generators_and_supports_are_pinned():
     sp = enumerate_spectrum(ring)
     computed = {}
     # The chain (2^k) cut at k = 2: each deeper level repeats (2^2)'s row.
-    for ideal in (i for i in enumerate_ideals(ring) if (i.components[0].level or 0) <= 2):
+    cut = [i for i in enumerate_ideals(ring) if i.components[0].level in (math.inf, 0, 1, 2)]
+    assert len(cut) == 4 * 4
+    for ideal in cut:
         e = ideal.idempotent_generator()
         computed[ideal.label()] = (None if e is None else str(e),
                                    sp.labels_of(support_of_ideal(ideal)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 from functools import reduce
@@ -148,7 +149,7 @@ def test_radical_is_idempotent_and_monotone(finite_ring):
 def test_radical_symbolic():
     zl = LocalizedIntegerRing(2)
     assert radical(LocalIdeal(zl, 3)) == LocalIdeal(zl, 1)
-    assert radical(LocalIdeal(zl, None)).is_zero()
+    assert radical(LocalIdeal(zl, math.inf)).is_zero()
     assert radical(LocalIdeal(zl, 0)).is_whole()
     bits = EventuallyConstantBitsRing()
     g = bits.indicator({2})
@@ -179,7 +180,7 @@ def test_saturation_kernel_is_exact(finite_ring):
 def test_saturation_kernel_symbolic():
     zl = LocalizedIntegerRing(2)
     assert saturation_kernel(LocalIdeal(zl, 2)).is_zero()
-    assert saturation_kernel(LocalIdeal(zl, None)).is_zero()
+    assert saturation_kernel(LocalIdeal(zl, math.inf)).is_zero()
     assert saturation_kernel(LocalIdeal(zl, 0)).is_whole()
     with pytest.raises(UnsupportedForPresentation):
         saturation_kernel(BoolIdeal(EventuallyConstantBitsRing(), None))
@@ -201,7 +202,7 @@ def test_local_lattice_operations():
     a, b = LocalIdeal(zl, 2), LocalIdeal(zl, 5)
     assert ideal_sum(a, b) == LocalIdeal(zl, 2)
     assert ideal_intersection(a, b) == LocalIdeal(zl, 5)
-    zero = LocalIdeal(zl, None)
+    zero = LocalIdeal(zl, math.inf)
     assert ideal_sum(zero, a) == a
     assert ideal_sum(a, zero) == a
     assert ideal_intersection(zero, a) == zero
@@ -287,6 +288,47 @@ def test_bits_ideal_lattice_matches_a_model(a, b):
         assert parse_ideal_label(_BITS, ideal.label()) == ideal
 
 
+# A level of Zloc(p), past the enumeration cut too, or inf for (0).
+_local_levels = st.one_of(st.integers(0, LOCAL_LEVEL_BOUND + 3), st.just(math.inf))
+# An element u * p^v / w of valuation v (u, w nudged off the multiples of
+# p), or None for 0.
+_local_elements = st.one_of(st.none(), st.tuples(
+    st.integers(-40, 40), st.integers(0, LOCAL_LEVEL_BOUND + 3), st.integers(1, 40)))
+
+
+def _model_label(p, level) -> str:
+    return {math.inf: "(0)", 0: "(1)", 1: f"({p})"}.get(level, f"({p}^{level})")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3)), _local_levels, _local_levels, _local_elements)
+@example(2, math.inf, math.inf, None)  # (0) meet (0)
+@example(2, math.inf, 0, (1, 0, 1))  # (0) + R
+@example(3, LOCAL_LEVEL_BOUND + 3, 1, (4, LOCAL_LEVEL_BOUND + 2, 5))  # (p^9)
+def test_local_ideal_lattice_matches_a_model(p, a, b, x):
+    # Zloc(p) is a discrete valuation ring: its ideals are the (p^k),
+    # k in N U {inf}, and f lies in (p^k) iff v(f) >= k, with v(0) = inf.
+    ring = LocalizedIntegerRing(p)
+    first, second = LocalIdeal(ring, a), LocalIdeal(ring, b)
+    if x is None:
+        f, v = ring.zero, math.inf
+    else:
+        u, v, w = x
+        u, w = (n if n % p else n + 1 for n in (u, w))
+        f = ring.element(Fraction(u * p ** v, w))
+    assert first.contains(f) == (v >= a)
+    assert first.issubset(second) == (a >= b)
+    assert ideal_sum(first, second) == LocalIdeal(ring, min(a, b))
+    assert ideal_intersection(first, second) == LocalIdeal(ring, max(a, b))
+    assert principal_ideal(ring, f) == LocalIdeal(ring, v)
+    g = ring.zero if a == math.inf else ring.element(p ** a)
+    assert ideal_from_generators(ring, [f, g]) == LocalIdeal(ring, min(v, a))
+    assert annihilator(f) == LocalIdeal(ring, 0 if v == math.inf else math.inf)
+    assert saturation_kernel(first) == LocalIdeal(ring, 0 if a == 0 else math.inf)
+    assert first.label() == _model_label(p, a)
+    assert parse_ideal_label(ring, first.label()) == first
+
+
 def test_enumerate_ideals_matches_brute_force():
     for text in FINITE_CORPUS_TEXTS + SMALL_FINITE_TEXTS:
         ring = parse_ring(text)
@@ -315,7 +357,7 @@ def test_prime_ideals_match_definition(text):
 
 def test_prime_ideals_symbolic():
     zl = LocalizedIntegerRing(2)
-    assert LocalIdeal(zl, None) in prime_ideals(zl)
+    assert LocalIdeal(zl, math.inf) in prime_ideals(zl)
     assert LocalIdeal(zl, 1) in prime_ideals(zl)
     assert LocalIdeal(zl, 0) not in prime_ideals(zl)
     assert LocalIdeal(zl, 2) not in prime_ideals(zl)
@@ -337,8 +379,9 @@ def _component_model(c):
         root = frozenset(x for x in ring.elements()
                          if any(x ** k in members for k in range(1, len(ring.elements()) + 1)))
         return ring.one in members, brute_force_is_prime(ring, members), root
-    level = c.level
-    return level == 0, level in (None, 1), LocalIdeal(ring, None if level is None else min(level, 1))
+    level = c.level  # (0) is prime and its own radical; (p^k), k >= 1, has radical (p)
+    root = LocalIdeal(ring, level if level == math.inf else min(level, 1))
+    return level == 0, level in (math.inf, 1), root
 
 
 def _component_view(c):
@@ -366,7 +409,7 @@ def test_listed_primes_and_the_radical_match_a_componentwise_model(text):
 
 def test_listed_primes_and_the_radical_of_local_levels_past_the_bound():
     zl = LocalizedIntegerRing(3)
-    for level in (None, *range(LOCAL_LEVEL_BOUND + 4)):
+    for level in (math.inf, *range(LOCAL_LEVEL_BOUND + 4)):
         ideal = LocalIdeal(zl, level)
         _, prime, root = _component_model(ideal)
         assert (ideal in prime_ideals(zl)) == prime
@@ -440,7 +483,9 @@ def test_constructor_checks_of_the_symbolic_ideals():
     cases = [
         (lambda: LocalIdeal(z2, 1), UnsupportedForPresentation,
          "LocalIdeal needs a localized integer ring"),
-        (lambda: LocalIdeal(zl, -1), ValueError, "level must be None or >= 0"),
+        # (0) is level math.inf only; a float or a bool is no level.
+        *((lambda level=level: LocalIdeal(zl, level), ValueError,
+           "level must be an int >= 0 or math.inf") for level in (None, -1, 2.5, True)),
         (lambda: BoolIdeal(z2, 1), UnsupportedForPresentation, "BoolIdeal needs the bits ring"),
         (lambda: BoolIdeal(z2, None), UnsupportedForPresentation,
          "BoolIdeal needs the bits ring"),

@@ -180,8 +180,10 @@ def test_explicit_ideal_rejects_non_ideals_with_the_same_message():
         ExplicitIdeal(square, mask=element_mask(square, [square.zero, square.one]))
     with pytest.raises(ValueError, match=r"^not closed under addition: 1 \+ 1$"):
         ExplicitIdeal(z6, mask=0b11)
-    for mask in (-1, 1 << 6 | 1):
-        with pytest.raises(ValueError, match="one bit per element"):
+    # A float or a bool is no mask: 1.0 would fail the range test with a
+    # TypeError, and True would be stored and print as (0).
+    for mask in (-1, 1 << 6 | 1, 1.0, True):
+        with pytest.raises(ValueError, match="^a mask is an int with one bit per element"):
             ExplicitIdeal(z6, mask=mask)
     assert ExplicitIdeal(z6, mask=element_mask(z6, [0, 3])) == ideal_from_generators(z6, [3])
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -46,6 +47,7 @@ from conftest import (
     elements_of,
     factorwise_unions,
     generalizations_of,
+    ideals_cut_at_one,
     is_down_closed,
     is_up_closed,
     label_mask,
@@ -96,7 +98,7 @@ def test_points_are_the_prime_ideals(text):
         oracle = {i for i in enumerate_ideals(ring) if brute_force_is_prime(ring, elements_of(i))}
     else:
         # A discrete valuation ring: its primes are (0) and (p).
-        oracle = {i for i in enumerate_ideals(ring) if i.level in (None, 1)}
+        oracle = {i for i in enumerate_ideals(ring) if i.level in (math.inf, 1)}
     assert set(enumerate_spectrum(ring).points) == oracle
 
 
@@ -435,6 +437,14 @@ def test_closed_family_matches_topology_oracle(text):
     for topology, subbasis in ((ZARISKI, {full - v for v in vsets}), (FLAT, vsets)):
         assert ideal_families[topology].sets == oracle_closed_sets(points, subbasis), (
             topology, "V(I)")
+
+
+def test_the_oracles_cut_keeps_zero_unit_and_p_in_each_local_slot():
+    # The V(I) oracle above reads these lists, so each localized slot
+    # must keep (0), (1) and (p), and (0) is the level inf, not a level <= 1.
+    assert [i.label() for i in ideals_cut_at_one(parse_ring("Zloc(2)"))] == ["(0)", "(1)", "(2)"]
+    power = ideals_cut_at_one(parse_ring(" * ".join(["Zloc(2)"] * 6)))
+    assert len(set(power)) == len(power) == 3 ** 6
 
 
 def _z30_family(*point_sets):
