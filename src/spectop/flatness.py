@@ -35,7 +35,7 @@ from .ideals import (
     intersect_all,
     saturation_kernel,
 )
-from .rings import IndexKernel, Record
+from .rings import IndexKernel, Record, memoized
 from .spectrum import enumerate_spectrum, vanishing_locus
 
 __all__ = [
@@ -75,6 +75,7 @@ class FlatnessCertificate(Record):
         return not ideal_sum(annihilator(self.failing), self.ideal).is_whole()
 
 
+@memoized("flatness")
 def is_cyclic_flat(ideal: Ideal) -> FlatnessCertificate:
     """Decide flatness of R/I and produce a certificate.
 
@@ -83,16 +84,8 @@ def is_cyclic_flat(ideal: Ideal) -> FlatnessCertificate:
     are collected.  Over a finite ring the samples are all of I, so the
     verdict is a complete search; symbolic ideals sample a schema of
     their elements, and a product splices its components' searches into
-    their slots.  The certificate is computed once per ideal object and
-    kept on it.
+    their slots.
     """
-    memo = ideal.memo
-    if "flatness" not in memo:
-        memo["flatness"] = _search(ideal)
-    return memo["flatness"]
-
-
-def _search(ideal: Ideal) -> FlatnessCertificate:
     witnesses, failing = ideal.flat_search()
     if failing is not None:
         return FlatnessCertificate(ideal, False, failing=failing, note=ideal.flat_note(failing))
@@ -139,13 +132,13 @@ def flat_ideal_from_closed_mask(ring, mask: int) -> Ideal:
     sp = enumerate_spectrum(ring)
     sp.check_mask(mask)
     realized = intersect_all(ring, map(sp.points.__getitem__, IndexKernel.members(mask)))
-    if vanishing_locus(ring, realized) != mask:
+    if vanishing_locus(realized) != mask:
         raise NotZariskiClosed(
             "the set is not the vanishing locus of any ideal")
     if sp.down_closure(mask) != mask:
         raise NotGenStable("the set is not stable under generalization")
     kernel = saturation_kernel(realized)
-    if vanishing_locus(ring, kernel) != mask:
+    if vanishing_locus(kernel) != mask:
         raise AssertionError(f"the flat kernel {kernel.label()} does not vanish exactly on E")
     if not is_cyclic_flat(kernel).verdict:
         raise AssertionError(f"the quotient by the flat kernel {kernel.label()} is not flat")

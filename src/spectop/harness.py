@@ -16,7 +16,9 @@ plain-data :class:`TheoremReport`: the check's name is its registry key, a
 counterexample makes the verdict "fail", and ``_Skip``,
 :class:`UnsupportedForPresentation` and a size budget hit
 (:class:`RingTooLarge`, :class:`SpectrumTooLarge`) all make it "skipped"
-with the reason in the details.  A counterexample payload
+with the reason in the details.  An ``AssertionError``, which only a failed
+postcondition of the library raises (the package holds no assert statement),
+makes it "fail" with the message as ``postcondition``.  A counterexample payload
 reproduces the failure when the check is re-run.
 """
 
@@ -188,7 +190,7 @@ def check_closure_operators(ring: Ring, entry) -> tuple[dict, dict | None]:
     for E in sorted(IndexKernel.members(zfam.table & sp.down_table), key=sp.mask_key):
         kernel = flat_ideal_from_closed_mask(ring, E)
         found = {"set": sp.labels_of(E), "kernel": kernel.label()}
-        if vanishing_locus(ring, kernel) != E or not is_cyclic_flat(kernel).verdict:
+        if vanishing_locus(kernel) != E or not is_cyclic_flat(kernel).verdict:
             return {}, {"operator": "flat-kernel", **found}
         kernels.append(found)
 
@@ -206,7 +208,7 @@ def check_flat_ideal_bijection(ring: Ring, entry) -> tuple[dict, dict | None]:
     sp = zfam.spectrum
     image = {}
     for i in flats:
-        image.setdefault(vanishing_locus(ring, i), []).append(i)
+        image.setdefault(vanishing_locus(i), []).append(i)
     codomain = zfam.table & sp.down_table
 
     problems = []
@@ -243,7 +245,7 @@ def check_radical_rigidity(ring: Ring, entry) -> tuple[dict, dict | None]:
         raise _Skip(f"not reduced: nilradical is {nil.label()}")
     ideals = enumerate_ideals(ring)
     flat = {i: is_cyclic_flat(i).verdict for i in ideals}
-    locus = {i: vanishing_locus(ring, i) for i in ideals}
+    locus = {i: vanishing_locus(i) for i in ideals}
     on_locus = {}
     for i in ideals:
         root = radical(i)
@@ -290,6 +292,8 @@ def check_crt_decomposition(ring: Ring, entry) -> tuple[dict, dict | None]:
     if not isinstance(ring, ModularRing):
         raise _Skip("only modular rings decompose here")
     n = ring.modulus
+    if n == 1:
+        raise _Skip("Z/1 is the zero ring; it has no prime factors")
     factors = sorted(p ** k for p, k in factorization(n))
     if len(factors) < 2:
         raise _Skip("modulus is a prime power; the ring is local")
@@ -392,7 +396,7 @@ def check_support_consistency(ring: Ring, entry) -> tuple[dict, dict | None]:
     sp = enumerate_spectrum(ring)
     for ideal in enumerate_ideals(ring):
         supp = support_of_ideal(ideal)
-        outside = sp.full ^ vanishing_locus(ring, ideal)
+        outside = sp.full ^ vanishing_locus(ideal)
         if outside & ~supp:
             return {}, {"ideal": ideal.label(), "kind": "containment"}
         if is_cyclic_flat(ideal).verdict and supp != outside:
@@ -466,6 +470,8 @@ def run_check(name: str, ring: Ring, entry: CorpusEntry | None = None) -> Theore
         details, counterexample = fn(ring, entry)
     except (_Skip, UnsupportedForPresentation, RingTooLarge, SpectrumTooLarge) as exc:
         return TheoremReport(name, ring.describe(), "skipped", {"reason": str(exc)})
+    except AssertionError as exc:
+        return TheoremReport(name, ring.describe(), "fail", {}, {"postcondition": str(exc)})
     verdict = "pass" if counterexample is None else "fail"
     return TheoremReport(name, ring.describe(), verdict, details, counterexample)
 

@@ -52,6 +52,7 @@ from .rings import (
     LocalizedIntegerRing,
     ProductRing,
     Ring,
+    memoized,
 )
 
 __all__ = [
@@ -91,7 +92,7 @@ class Ideal:
     whose ring has no listed primes and infinitely many idempotents,
     overrides the last two.  An operation a presentation does not support
     falls through to the default here, which raises
-    :class:`UnsupportedForPresentation`.  The class methods
+    :class:`UnsupportedForPresentation`.  The class-level methods
     ``generated_by``, ``annihilator_of``, ``enumerate_all`` and
     ``primes_of`` build the ideals and the primes of a ring that
     :func:`ideal_class` maps to the class.
@@ -134,24 +135,19 @@ class Ideal:
         """The certificate note; ``failing`` is None when R/I is flat."""
         return None
 
+    @memoized("flat_search")
     def flat_search(self) -> tuple[tuple, Element | None]:
         """The triples (f, a, b) of the witness samples f in order, with
         (a, b) the flat witness of f, up to the first sample without one,
-        and that sample, None when every sample has one.  Searched once per
-        instance and kept on its memo, so a component that many products
-        share is searched once."""
-        memo = self.memo
-        if "flat_search" not in memo:
-            witnesses = []
-            failing = None
-            for f in self.witness_samples():
-                w = self.flat_witness(f)
-                if w is None:
-                    failing = f
-                    break
-                witnesses.append((f, *w))
-            memo["flat_search"] = (tuple(witnesses), failing)
-        return memo["flat_search"]
+        and that sample, None when every sample has one.  A component
+        that many products share is searched once."""
+        witnesses = []
+        for f in self.witness_samples():
+            w = self.flat_witness(f)
+            if w is None:
+                return tuple(witnesses), f
+            witnesses.append((f, *w))
+        return tuple(witnesses), None
 
     @classmethod
     def enumerate_all(cls, ring: Ring) -> tuple["Ideal", ...]:
@@ -178,8 +174,8 @@ class Ideal:
         """Finish a constructor: the ring, the key that equality compares
         and its hash, and an empty ``memo`` for the facts derived from
         this instance (the flatness search and its certificate, the
-        vanishing locus and its mask, and a shared component's saturation
-        kernel and meets), each computed once and dropped with it."""
+        vanishing locus, and a shared component's ``shared`` marker,
+        saturation kernel and meets), each computed once and dropped with it."""
         self.ring = ring
         self.key = key
         self._hash = hash(key)
@@ -224,15 +220,12 @@ class ExplicitIdeal(Ideal):
         k = f.ring.index_kernel
         return ExplicitIdeal(f.ring, mask=k.anns[k.index[f]])
 
-    @classmethod
-    def enumerate_all(cls, ring):
-        # A principal ideal ring: the ideals are the distinct spans Rg, each
-        # wrapped once per ring instance and kept in its memo.
-        memo = ring.memo
-        if "ideals" not in memo:
-            ideals = [ExplicitIdeal(ring, mask=mask) for mask in ring.index_kernel.generator_of]
-            memo["ideals"] = tuple(sorted(ideals, key=lambda i: (i.mask.bit_count(), i.label())))
-        return memo["ideals"]
+    @staticmethod
+    @memoized("ideals")
+    def enumerate_all(ring):
+        # A principal ideal ring: the ideals are the distinct spans Rg.
+        ideals = [ExplicitIdeal(ring, mask=mask) for mask in ring.index_kernel.generator_of]
+        return tuple(sorted(ideals, key=lambda i: (i.mask.bit_count(), i.label())))
 
     @classmethod
     def primes_of(cls, ring):
@@ -609,6 +602,7 @@ def _check_same_ring(a: Ideal, b: Ideal):
 def _shared(ideal: Ideal) -> Ideal:
     """The one instance equal to the ideal that its ring's memo keeps; the
     kept instance is marked as such on its own memo."""
+    # Written out: the ring's memo holds a dict keyed by the ideal itself.
     if "shared" in ideal.memo:
         return ideal
     memo = ideal.ring.memo
@@ -619,18 +613,17 @@ def _shared(ideal: Ideal) -> Ideal:
     return shared
 
 
+@memoized("saturation_kernel")
 def _saturation_kernel(ideal: Ideal) -> Ideal:
-    """The saturation kernel of a shared component, kept on its memo."""
-    memo = ideal.memo
-    if "saturation_kernel" not in memo:
-        memo["saturation_kernel"] = _shared(ideal.saturation_kernel())
-    return memo["saturation_kernel"]
+    """The saturation kernel of a shared component."""
+    return _shared(ideal.saturation_kernel())
 
 
 def _meet(a: Ideal, b: Ideal) -> Ideal:
     """The meet of two shared components, kept on the first one's memo."""
     if a is b:
         return a
+    # Written out: the key holds the other component.
     memo = a.memo
     key = ("meet", b)
     if key not in memo:
@@ -643,6 +636,7 @@ def _generated(ring: Ring, values: tuple) -> Ideal:
     payloads, kept in the factor's memo.  The memo is keyed by the
     payloads' sort keys, which are made of ints and hash in C; a Fraction
     payload would hash in Python."""
+    # Written out: the factor's memo holds a dict keyed by those sort keys.
     memo = ring.memo
     if "generated" not in memo:
         memo["generated"] = {}
@@ -767,11 +761,9 @@ def enumerate_ideals(ring: Ring) -> tuple[Ideal, ...]:
     return ideal_class(ring).enumerate_all(ring)
 
 
+@memoized("primes")
 def prime_ideals(ring: Ring) -> tuple[Ideal, ...]:
-    """The prime ideals of the ring, listed by its :func:`ideal_class` once
-    per ring instance and kept in its memo, so that a product's primes and
-    its factors' spectra share each factor's list."""
-    memo = ring.memo
-    if "primes" not in memo:
-        memo["primes"] = tuple(ideal_class(ring).primes_of(ring))
-    return memo["primes"]
+    """The prime ideals of the ring, listed by its :func:`ideal_class`, so
+    that a product's primes and its factors' spectra share each factor's
+    list."""
+    return tuple(ideal_class(ring).primes_of(ring))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, wraps
 from operator import attrgetter
 
 from .errors import (
@@ -64,6 +64,7 @@ __all__ = [
     "idempotents",
     "is_prime_int",
     "least_irreducible_polynomial",
+    "memoized",
     "polynomial_text",
     "product_ring",
     "require_prime",
@@ -485,6 +486,20 @@ class IndexKernel:
                 for row in self.mul]
 
 
+def memoized(name: str):
+    """Decorate a function of one ring or ideal: its result is computed on the
+    first call, kept in ``obj.memo[name]`` and read from there ever after."""
+    def decorate(fn):
+        @wraps(fn)
+        def kept(obj):
+            memo = obj.memo
+            if name not in memo:
+                memo[name] = fn(obj)
+            return memo[name]
+        return kept
+    return decorate
+
+
 # ---------------------------------------------------------------------------
 # ring presentations
 
@@ -563,15 +578,14 @@ class Ring:
     def memo(self) -> dict:
         """Facts derived from this instance, each computed once and dropped
         with it: the ``idempotents``, the finite ring's ``ideals``, the
-        ``primes``, the ``spectrum`` and the ``sring`` certificate."""
+        ``primes``, the ``spectrum``, the ``sring_certificate``, and a
+        factor's ``shared_ideals`` and ``generated`` ideals (see ``ideals``)."""
         return {}
 
+    @memoized("idempotents")
     def idempotents(self) -> tuple[Element, ...]:
-        """All e with e*e == e, canonically sorted, found once per instance."""
-        memo = self.memo
-        if "idempotents" not in memo:
-            memo["idempotents"] = self._idempotents()
-        return memo["idempotents"]
+        """All e with e*e == e, canonically sorted."""
+        return self._idempotents()
 
     def _idempotents(self):
         k = self.index_kernel

@@ -55,6 +55,7 @@ from .rings import (
     Record,
     Ring,
     brief,
+    memoized,
 )
 
 __all__ = [
@@ -187,11 +188,11 @@ class SpectrumPoset:
             for f in samples)
 
     @cached_property
-    def _slots(self) -> tuple[tuple["SpectrumPoset", list[int]], ...]:
-        """Each slot of an infinite product as its factor's spectrum and the
-        list that maps each mask over that spectrum to the same points in
-        the slot.  A factor has at most 8 points: a localization has 2, and
-        a finite ring at most log2(MAX_RING_ELEMENTS)."""
+    def _slots(self) -> tuple[list[int], ...]:
+        """Each slot of an infinite product as the list that maps each mask
+        over its factor's spectrum to the same points in the slot.  A factor
+        has at most 8 points: a localization has 2, and a finite ring at
+        most log2(MAX_RING_ELEMENTS)."""
         index = {part: 1 << i for i, part in enumerate(self._parts)}
         slots = []
         for s, fsp in enumerate(map(enumerate_spectrum, self.ring.factors)):
@@ -199,7 +200,7 @@ class SpectrumPoset:
             for q in fsp.points:
                 bit = index[s, q]
                 embed += [m | bit for m in embed]
-            slots.append((fsp, embed))
+            slots.append(embed)
         return tuple(slots)
 
     def _product_table(self, factor_tables) -> int:
@@ -211,7 +212,7 @@ class SpectrumPoset:
         every union m built so far moves bit m to bit m | e = m + e: the
         table shifted by e."""
         table = 1
-        for (_, embed), factor_table in zip(self._slots, factor_tables):
+        for embed, factor_table in zip(self._slots, factor_tables):
             shifted = 0
             for member in IndexKernel.members(factor_table):
                 shifted |= table << embed[member]
@@ -298,9 +299,9 @@ class SpectrumPoset:
                      if i != j and self.up[i] & self.down[j] == 1 << i | 1 << j)
 
 
+@memoized("spectrum")
 def enumerate_spectrum(ring: Ring) -> SpectrumPoset:
-    """All prime ideals with the containment order, built once per ring
-    instance and kept in its memo.
+    """All prime ideals with the containment order.
 
     ``ideals.prime_ideals`` lists the primes once per ring: the maximal
     ones among a finite ring's enumerated ideals, (0) and (p) for
@@ -308,30 +309,19 @@ def enumerate_spectrum(ring: Ring) -> SpectrumPoset:
     slot with the whole ring elsewhere, from the list that the factor's
     own spectrum reads.  The bits ring refuses.
     """
-    memo = ring.memo
-    if "spectrum" not in memo:
-        memo["spectrum"] = SpectrumPoset(ring, prime_ideals(ring))
-    return memo["spectrum"]
+    return SpectrumPoset(ring, prime_ideals(ring))
 
 
-def vanishing_locus(ring: Ring, ideal: Ideal) -> int:
-    """V(I), the primes containing the ideal, as a mask over the spectrum,
-    computed once per ideal object and kept on it.  Over an infinite
-    product it is the union of the components' loci, each in its slot, so
-    each shared component's locus is found once."""
-    if ideal.ring is not ring and ideal.ring != ring:
-        raise ValueError("the ideal belongs to a different ring")
-    memo = ideal.memo
-    if "vanishing_locus" not in memo:
-        sp = enumerate_spectrum(ring)
-        if sp.slotwise:
-            memo["vanishing_locus"] = sum(
-                embed[vanishing_locus(fsp.ring, c)]
-                for (fsp, embed), c in zip(sp._slots, ideal.components))
-        else:
-            memo["vanishing_locus"] = IndexKernel.mask(
-                i for i, p in enumerate(sp.points) if ideal.issubset(p))
-    return memo["vanishing_locus"]
+@memoized("vanishing_locus")
+def vanishing_locus(ideal: Ideal) -> int:
+    """V(I), the primes containing the ideal, as a mask over the spectrum
+    of its ring.  Over an infinite product it is the union of the
+    components' loci, each in its slot, so each shared component's locus
+    is found once."""
+    sp = enumerate_spectrum(ideal.ring)
+    if sp.slotwise:
+        return sum(embed[vanishing_locus(c)] for embed, c in zip(sp._slots, ideal.components))
+    return IndexKernel.mask(i for i, p in enumerate(sp.points) if ideal.issubset(p))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +368,7 @@ def _ideal_table(ring: Ring) -> int:
     sp = enumerate_spectrum(ring)
     if sp.slotwise:
         return sp._product_table([_ideal_table(factor) for factor in ring.factors])
-    return sp.table_of(vanishing_locus(ring, i) for i in enumerate_ideals(ring))
+    return sp.table_of(map(vanishing_locus, enumerate_ideals(ring)))
 
 
 def closed_family(ring: Ring, topology: str) -> ClosedFamily:

@@ -28,7 +28,7 @@ from graphlib import CycleError, TopologicalSorter
 
 from .errors import HypothesisViolated, InvalidChain
 from .ideals import intersect_all, principal_ideal
-from .rings import EventuallyConstantBitsRing, IndexKernel, Record, Ring, idempotents
+from .rings import EventuallyConstantBitsRing, IndexKernel, Record, Ring, idempotents, memoized
 from .spectrum import (
     ClosedFamily,
     FLAT,
@@ -52,9 +52,9 @@ __all__ = [
 
 class MultiplicativeChain(Record):
     """A finite materialization of an ascending chain, f_n = f_n * f_{n+1}
-    for every n; every consecutive pair is validated eagerly, so holding a
-    chain object means the discipline holds on all of it.  Indices are
-    1-based throughout.
+    for every n.  ``build`` validates every consecutive pair eagerly; the
+    constructor validates nothing, so a chain made by it directly may
+    break the discipline.  Indices are 1-based throughout.
     """
 
     __slots__ = ("ring", "terms")
@@ -160,22 +160,15 @@ class SRingCertificate(Record):
     _defaults = {"failures": ()}
 
 
+@memoized("sring_certificate")
 def sring_certificate(ring: Ring) -> SRingCertificate:
     """Verify the S-ring characterizations that are visible in the topology.
 
     Checks, over the full materialized families: every Zariski closed
     generalization-stable set is Zariski open; every flat closed
     specialization-stable set is flat open; and the double-closed sets
-    are exactly the V(e) for idempotent e, matched one to one.  The
-    certificate is computed once per ring instance and kept on it.
+    are exactly the V(e) for idempotent e, matched one to one.
     """
-    memo = ring.memo
-    if "sring_certificate" not in memo:
-        memo["sring_certificate"] = _certify(ring)
-    return memo["sring_certificate"]
-
-
-def _certify(ring: Ring) -> SRingCertificate:
     zfam = closed_family(ring, ZARISKI)
     ffam = closed_family(ring, FLAT)
     sp = zfam.spectrum
@@ -196,7 +189,7 @@ def _certify(ring: Ring) -> SRingCertificate:
     matches = []
     seen = {}
     for e in idempotents(ring):
-        locus = vanishing_locus(ring, principal_ideal(ring, e))
+        locus = vanishing_locus(principal_ideal(ring, e))
         if locus in seen:
             failures.append(f"idempotents {seen[locus]} and {e} share a vanishing set")
         seen[locus] = e

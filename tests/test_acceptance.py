@@ -80,7 +80,7 @@ def test_criterion_02_closure_operator_theorem():
         pts = {p.label(): p for p in sp.points}
         kernel = flat_ideal_from_closed_mask(z12, sp.mask_of([pts["(2)"]]))
         assert kernel == principal_ideal(z12, z12.element(4))
-        assert sp.labels_of(vanishing_locus(z12, kernel)) == ["(2)"]
+        assert sp.labels_of(vanishing_locus(kernel)) == ["(2)"]
         assert is_cyclic_flat(kernel).verdict
 
         mixed = parse_ring("Zloc(2) * Z/3")
@@ -91,7 +91,7 @@ def test_criterion_02_closure_operator_theorem():
         assert kernel2.label() == "(0) x (1)"  # the ideal 0 x Z/3
         assert kernel2.components[0].is_zero()
         assert kernel2.components[1].is_whole()
-        assert spm.labels_of(vanishing_locus(mixed, kernel2)) == ["(0) x (1)", "(2) x (1)"]
+        assert spm.labels_of(vanishing_locus(kernel2)) == ["(0) x (1)", "(2) x (1)"]
 
 
 def test_criterion_03_flat_ideal_bijection_counts():
@@ -101,7 +101,7 @@ def test_criterion_03_flat_ideal_bijection_counts():
             ring = parse_ring(text)
             ideals = enumerate_ideals(ring)
             flats = [i for i in ideals if is_cyclic_flat(i).verdict]
-            image = {vanishing_locus(ring, i) for i in flats}
+            image = {vanishing_locus(i) for i in flats}
             zfam = closed_family(ring, ZARISKI)
             sp = zfam.spectrum
             codomain = {sp.mask_of(s) for s in zfam.sets if is_down_closed(sp.points, s)}
@@ -112,7 +112,7 @@ def test_criterion_03_flat_ideal_bijection_counts():
         z12 = parse_ring("Z/12")
         sp = enumerate_spectrum(z12)
         flats = [i for i in enumerate_ideals(z12) if is_cyclic_flat(i).verdict]
-        image = {vanishing_locus(z12, i) for i in flats}
+        image = {vanishing_locus(i) for i in flats}
         assert sp.family_labels(image) == [[], ["(2)"], ["(3)"], ["(2)", "(3)"]]
 
 
@@ -152,7 +152,7 @@ def test_criterion_06_sring_certificates():
         z12 = parse_ring("Z/12")
         cert = sring_certificate(z12)
         double = {s for s, _ in cert.double_closed_matches}
-        expected = {vanishing_locus(z12, principal_ideal(z12, z12.element(v)))
+        expected = {vanishing_locus(principal_ideal(z12, z12.element(v)))
                     for v in (0, 1, 4, 9)}
         assert double == expected
         assert {e.value for _, e in cert.double_closed_matches} == {0, 1, 4, 9}

@@ -321,7 +321,7 @@ def test_support_contains_complement_of_locus(support_ring):
             anns = [annihilator(f) for f in elements_of(ideal)]
             assert supp == point_mask(support_ring, (
                 p for p in sp.points if any(a.issubset(p) for a in anns)))
-        outside = sp.full ^ vanishing_locus(support_ring, ideal)
+        outside = sp.full ^ vanishing_locus(ideal)
         assert not outside & ~supp
         if is_cyclic_flat(ideal).verdict:
             assert supp == outside
@@ -331,7 +331,7 @@ def test_flat_loci_are_generalization_stable(finite_ring):
     for ideal in enumerate_ideals(finite_ring):
         if is_cyclic_flat(ideal).verdict:
             assert is_down_closed(enumerate_spectrum(finite_ring).points,
-                                  mask_points(finite_ring, vanishing_locus(finite_ring, ideal)))
+                                  mask_points(finite_ring, vanishing_locus(ideal)))
 
 
 def test_flat_radical_forces_equality(finite_ring):
@@ -354,7 +354,7 @@ def test_flat_ideal_from_closed_set_examples():
     spm = enumerate_spectrum(mixed)
     kernel2 = flat_ideal_from_closed_mask(mixed, label_mask(mixed, "(0) x (1)", "(2) x (1)"))
     assert kernel2.label() == "(0) x (1)"
-    assert spm.labels_of(vanishing_locus(mixed, kernel2)) == ["(0) x (1)", "(2) x (1)"]
+    assert spm.labels_of(vanishing_locus(kernel2)) == ["(0) x (1)", "(2) x (1)"]
 
 
 @pytest.mark.parametrize("mask", [-1, 1 << 2, 1 << 5, 1 << 70])

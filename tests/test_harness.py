@@ -19,7 +19,7 @@ from spectop import enumerate_spectrum, harness
 from spectop.errors import CorpusError
 from spectop.ideals import Ideal
 from spectop.spectrum import PATCH, ClosedFamily, SpectrumPoset
-from spectop.sring import MultiplicativeChain
+from spectop.sring import MultiplicativeChain, SRingCertificate
 from spectop.harness import (
     CHECK_NAMES,
     DEFAULT_CORPUS,
@@ -102,6 +102,11 @@ def test_crt_decomposition_details():
     assert cards == [3, 4]
     skip = run_check("crt-decomposition", parse_ring("Z/4"))
     assert skip.verdict == "skipped"
+    assert skip.details == {"reason": "modulus is a prime power; the ring is local"}
+    # 1 is no prime power, and the zero ring has no primes, so it is not local.
+    zero = run_check("crt-decomposition", parse_ring("Z/1"))
+    assert zero.verdict == "skipped"
+    assert zero.details == {"reason": "Z/1 is the zero ring; it has no prime factors"}
 
 
 def test_expected_facts_mismatch_is_reported_and_recheckable():
@@ -280,7 +285,7 @@ def test_radical_rigidity_fails_when_a_flat_ideal_is_not_radical(monkeypatch):
 def test_radical_rigidity_fails_when_vanishing_loci_collide(monkeypatch):
     # Z/6 is reduced and every ideal is flat, so the first flat ideal (0)
     # collides with the next ideal in enumeration order.
-    monkeypatch.setattr(harness, "vanishing_locus", lambda ring, ideal: 0)
+    monkeypatch.setattr(harness, "vanishing_locus", lambda ideal: 0)
     report = run_check("radical-rigidity", parse_ring("Z/6"))
     assert report.verdict == "fail"
     assert report.counterexample == {"kind": "locus-collision", "ideals": ["(0)", "(3)"]}
@@ -293,10 +298,10 @@ def test_radical_rigidity_names_the_first_flat_ideal_with_a_twin(monkeypatch):
     real_locus, real_flat = harness.vanishing_locus, harness.is_cyclic_flat
     moved = {"(5)": 10, "(1)": 2}
 
-    def locus(ring, ideal):
+    def locus(ideal):
         if ideal.label() in moved:
-            ideal = principal_ideal(ring, moved[ideal.label()])
-        return real_locus(ring, ideal)
+            ideal = principal_ideal(ideal.ring, moved[ideal.label()])
+        return real_locus(ideal)
 
     def flat(ideal):
         cert = real_flat(ideal)
@@ -309,6 +314,20 @@ def test_radical_rigidity_names_the_first_flat_ideal_with_a_twin(monkeypatch):
     report = run_check("radical-rigidity", parse_ring("Z/30"))
     assert report.verdict == "fail"
     assert report.counterexample == {"kind": "locus-collision", "ideals": ["(5)", "(10)"]}
+
+
+def test_a_failed_library_postcondition_is_a_failed_check(monkeypatch, capsys):
+    # flat_ideal_from_closed_mask re-checks that its kernel vanishes exactly
+    # on E; with the saturation kernel made (0) that postcondition fails.
+    import spectop.cli as cli
+    import spectop.flatness as flatness
+    monkeypatch.setattr(flatness, "saturation_kernel", lambda ideal: zero_ideal(ideal.ring))
+    report = run_check("closure-operators", parse_ring("Z/6"))
+    assert report.verdict == "fail"
+    assert report.counterexample == {
+        "postcondition": "the flat kernel (0) does not vanish exactly on E"}
+    assert cli.main(["verify", "--ring", "Z/6", "--theorem", "closure-operators"]) == 1
+    assert '"verdict": "fail"' in capsys.readouterr().out
 
 
 def test_closure_operators_fail_on_a_wrong_flat_kernel(monkeypatch):
@@ -448,20 +467,58 @@ def test_sring_equivalences_fail_on_a_fresh_ring_after_a_pass(monkeypatch):
         "patch_clopen_ok": True}
 
 
+RING_MEMO_KEYS = {"idempotents", "ideals", "primes", "spectrum", "sring_certificate",
+                  "shared_ideals", "generated"}
+IDEAL_MEMO_KEYS = {"flat_search", "flatness", "vanishing_locus", "saturation_kernel", "shared"}
+
+
+def _kept_ideals(value, found):
+    """Every ideal a memo value holds, directly or in a tuple, list or dict,
+    with the ideals that their own memos hold in turn."""
+    if isinstance(value, Ideal):
+        if id(value) not in found:
+            found[id(value)] = value
+            _kept_ideals(list(value.memo.values()), found)
+    elif isinstance(value, dict):
+        _kept_ideals(list(value.values()), found)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _kept_ideals(item, found)
+
+
+@pytest.mark.parametrize("text", ["Z/30", "GF(16)", "Zloc(2) * Z/3", ZLOC_POWERS[3], "EvBits"])
+def test_memos_hold_only_the_named_facts(text):
+    ring = parse_ring(text)
+    rings = (ring, *getattr(ring, "factors", ()))
+    assert all("memo" not in vars(r) for r in rings)
+    run_ring_checks(ring)
+    found = {}
+    for r in rings:
+        assert set(r.memo) <= RING_MEMO_KEYS
+        _kept_ideals(list(r.memo.values()), found)
+    # The bits ring lists neither its ideals nor its primes.
+    assert found or text == "EvBits"
+    for ideal in found.values():
+        assert {key for key in ideal.memo if not (type(key) is tuple and key[0] == "meet")
+                } <= IDEAL_MEMO_KEYS
+
+
 @pytest.mark.parametrize("text", ["Zloc(2) * Zloc(2) * Zloc(2) * Zloc(2)",
                                   "Z/2 * Z/2 * Z/2 * Z/2"])
 def test_one_run_certifies_each_ring_and_ideal_once(monkeypatch, text):
-    import spectop.flatness as flatness
-    import spectop.sring as sring
+    # Each certificate is a Record built by its class's own __init__, so
+    # counting the constructions counts the certifications.
     certified, searched = [], []
-    certify, search = sring._certify, flatness._search
-    monkeypatch.setattr(sring, "_certify", lambda ring: certified.append(ring) or certify(ring))
-    monkeypatch.setattr(flatness, "_search", lambda ideal: searched.append(ideal) or search(ideal))
+    for cls, made in ((SRingCertificate, certified), (FlatnessCertificate, searched)):
+        def counted(self, first, *rest, made=made, init=cls.__init__, **named):
+            made.append(first)
+            init(self, first, *rest, **named)
+        monkeypatch.setattr(cls, "__init__", counted)
     ring = parse_ring(text)
     reports = run_ring_checks(ring)
     assert not any(r.failed for r in reports)
     assert certified == [ring]
-    # The list keeps every searched ideal alive, so no id is reused.
+    # The list keeps every certified ideal alive, so no id is reused.
     assert searched and len({id(i) for i in searched}) == len(searched)
 
 
@@ -569,8 +626,8 @@ def test_flat_ideal_bijection_fails_when_two_flat_ideals_share_a_locus(monkeypat
     z6 = parse_ring("Z/6")
     two, three = principal_ideal(z6, 2), principal_ideal(z6, 3)
     real = harness.vanishing_locus
-    monkeypatch.setattr(harness, "vanishing_locus", lambda ring, ideal: real(
-        ring, two if ideal == three else ideal))
+    monkeypatch.setattr(harness, "vanishing_locus", lambda ideal: real(
+        two if ideal == three else ideal))
     report = run_check("flat-ideal-bijection", z6)
     assert report.verdict == "fail"
     assert report.counterexample == {"problems": [
@@ -584,8 +641,8 @@ def test_flat_ideal_bijection_fails_when_a_locus_is_not_generalization_stable(mo
     zloc = parse_ring("Zloc(2)")
     closed_point = label_mask(zloc, "(2)")
     real = harness.vanishing_locus
-    monkeypatch.setattr(harness, "vanishing_locus", lambda ring, ideal: (
-        closed_point if ideal.is_zero() else real(ring, ideal)))
+    monkeypatch.setattr(harness, "vanishing_locus", lambda ideal: (
+        closed_point if ideal.is_zero() else real(ideal)))
     report = run_check("flat-ideal-bijection", zloc)
     assert report.verdict == "fail"
     assert report.counterexample == {"problems": [

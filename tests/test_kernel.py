@@ -148,7 +148,7 @@ def test_ideals_compare_across_separately_parsed_rings(text):
     # Each instance keeps its own spectrum, and its primes meet the ideals
     # of the other instance.
     for i in theirs:
-        assert vanishing_locus(second, i) == vanishing_locus(first, ours[theirs.index(i)])
+        assert vanishing_locus(i) == vanishing_locus(ours[theirs.index(i)])
     assert enumerate_spectrum(second) == enumerate_spectrum(first)
     assert enumerate_spectrum(second) is not enumerate_spectrum(first)
 

@@ -101,6 +101,81 @@ def test_the_cache_rule_flags_an_added_global(tmp_path):
     ]
 
 
+# The functions that may store into a memo dict, each with its reason.
+# Every other derived fact is kept through ``rings.memoized``.
+MEMO_WRITERS = {
+    # The one helper that keeps a fact of one object under its name.
+    "memoized",
+    # The ring's memo holds a dict keyed by the ideal itself.
+    "_shared",
+    # A meet is keyed by the other component as well.
+    "_meet",
+    # The factor's memo holds a dict keyed by the payloads' sort keys.
+    "_generated",
+}
+
+
+def _stored_base(target):
+    """The innermost value a chain of subscripts stores into, or None."""
+    if not isinstance(target, ast.Subscript):
+        return None
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return target
+
+
+def memo_writes(root: Path) -> list[str]:
+    """Where a subscript store into a ``memo`` dict, ``memo[...] = `` or
+    ``x.memo[...] = ``, is written outside the functions of
+    ``MEMO_WRITERS`` and the functions nested in them."""
+    found = []
+
+    def visit(node, path_name, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing + (node.name,)
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            base = _stored_base(target)
+            named = (isinstance(base, ast.Name) and base.id == "memo"
+                     or isinstance(base, ast.Attribute) and base.attr == "memo")
+            if named and not MEMO_WRITERS & set(enclosing):
+                where = enclosing[-1] if enclosing else "the module"
+                found.append(f"{path_name}:{node.lineno} stores into a memo in {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path_name, enclosing)
+
+    for path, tree in _trees(root):
+        visit(tree, path.name, ())
+    return found
+
+
+def test_every_memo_write_is_in_memoized_or_a_keyed_helper():
+    assert memo_writes(SOURCE) == []
+
+
+def test_the_memo_rule_flags_an_added_write(tmp_path):
+    copy = tmp_path / "spectop"
+    shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert memo_writes(copy) == []
+    with open(copy / "flatness.py", "a", encoding="utf-8") as handle:
+        handle.write('\n\ndef _kept_label(ideal):\n    memo = ideal.memo\n'
+                     '    if "label" not in memo:\n        memo["label"] = ideal.label()\n'
+                     '    return memo["label"]\n')
+    with open(copy / "sring.py", "a", encoding="utf-8") as handle:
+        handle.write('\n\nclass _Kept:\n    def seen(self, ring):\n'
+                     '        ring.memo["seen"] = {}\n        ring.memo["seen"][0] = True\n')
+    found = memo_writes(copy)
+    assert [f.split(" ", 1)[0].split(":")[0] + " " + f.split(" in ")[-1] for f in found] == [
+        "flatness.py _kept_label",
+        "sring.py seen",
+        "sring.py seen",
+    ]
+
+
 def private_imports(root: Path) -> list[str]:
     """Where a module imports a private name from a sibling module.
 
