@@ -43,15 +43,12 @@ from .flatness import (
 )
 from .ideals import (
     BoolIdeal,
-    ProductIdeal,
     enumerate_ideals,
-    ideal_class,
     principal_ideal,
     radical,
     zero_ideal,
 )
 from .rings import (
-    EventuallyConstantBitsRing,
     IndexKernel,
     ModularRing,
     Record,
@@ -61,7 +58,6 @@ from .rings import (
 )
 from .spectrum import (
     FLAT,
-    MAX_FAMILY_POINTS,
     PATCH,
     ZARISKI,
     closed_family,
@@ -335,9 +331,11 @@ def check_crt_decomposition(ring: Ring, entry) -> tuple[dict, dict | None]:
 
 
 def check_flat_not_projective(ring: Ring, entry) -> tuple[dict, dict | None]:
-    """The bits-ring witness: the indicator chain never stabilizes and the
-    finitely supported ideal is cyclic-flat but not cyclic-projective."""
-    if not isinstance(ring, EventuallyConstantBitsRing):
+    """A flat cyclic quotient that is not projective.  By the paper's
+    theorem no ring whose primes form a finite list has one, so only a ring
+    that lists no primes, the bits ring, is searched: its indicator chain
+    never stabilizes and (fin) is cyclic-flat but not cyclic-projective."""
+    if ring.lists_primes:
         raise _Skip("the witness lives in the bits ring")
     budget = 100
     chain = growing_indicator_chain(ring, budget)
@@ -381,7 +379,10 @@ def check_chain_conditions(ring: Ring, entry) -> tuple[dict, dict | None]:
 
 def check_stabilization_graph(ring: Ring, entry) -> tuple[dict, dict | None]:
     """On a finite ring, the relation f -> f' iff f = f*f' has no cycles
-    besides self-loops at idempotents."""
+    besides self-loops at idempotents.  On a commutative ring it cannot
+    fail: if f_i = f_i*f_(i+1) around a cycle, then f_1*f_j = f_1 for every
+    j, so each f_i is the product of all of them and the cycle is one
+    element.  What it tests is that the mul table commutes and associates."""
     if not ring.is_finite or len(ring.elements()) > 64:
         raise _Skip("cycle search is run for finite rings up to 64 elements")
     ok, cycle = stabilization_graph_check(ring)
@@ -429,37 +430,29 @@ def check_expected_facts(ring: Ring, entry: CorpusEntry | None) -> tuple[dict, d
 # registry and corpus driver
 
 
-_SPECTRAL = "spectral"        # needs an enumerable, family-sized spectrum
-_IDEALS = "ideals"            # additionally needs full ideal enumeration
-_ANY = "any"
-
 _CHECKS = {
-    "topology-characterization": (check_topology_characterization, _SPECTRAL),
-    "closure-operators": (check_closure_operators, _SPECTRAL),
-    "flat-ideal-bijection": (check_flat_ideal_bijection, _IDEALS),
-    "support-consistency": (check_support_consistency, _IDEALS),
-    "radical-rigidity": (check_radical_rigidity, _ANY),
-    "sring-equivalences": (check_sring_equivalences, _SPECTRAL),
-    "crt-decomposition": (check_crt_decomposition, _ANY),
-    "chain-conditions": (check_chain_conditions, _SPECTRAL),
-    "stabilization-graph": (check_stabilization_graph, _ANY),
-    "flat-not-projective": (check_flat_not_projective, _ANY),
-    "expected-facts": (check_expected_facts, _ANY),
+    "topology-characterization": (check_topology_characterization, "lists_primes"),
+    "closure-operators": (check_closure_operators, "lists_primes"),
+    "flat-ideal-bijection": (check_flat_ideal_bijection, "lists_ideals"),
+    "support-consistency": (check_support_consistency, "lists_ideals"),
+    "radical-rigidity": (check_radical_rigidity, None),
+    "sring-equivalences": (check_sring_equivalences, "lists_primes"),
+    "crt-decomposition": (check_crt_decomposition, None),
+    "chain-conditions": (check_chain_conditions, "lists_primes"),
+    "stabilization-graph": (check_stabilization_graph, None),
+    "flat-not-projective": (check_flat_not_projective, None),
+    "expected-facts": (check_expected_facts, None),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
 
 
 def applicable_checks(ring: Ring) -> tuple[str, ...]:
-    try:
-        sp = enumerate_spectrum(ring)
-        spectral = len(sp) <= MAX_FAMILY_POINTS
-    except (UnsupportedForPresentation, SpectrumTooLarge):
-        spectral = False
-    # The bits ring fails `spectral`: its spectrum is not enumerable.
-    ideals = spectral and ideal_class(ring) is not ProductIdeal
-    allowed = {_ANY: True, _SPECTRAL: spectral, _IDEALS: ideals}
-    return tuple(name for name, (_, need) in _CHECKS.items() if allowed[need])
+    """The checks the ring's facts admit: the spectral checks need
+    ``ring.lists_primes``, the ideal checks ``ring.lists_ideals``, the rest
+    none (``None``).  :func:`run_check` skips a spectrum over the bound."""
+    return tuple(name for name, (_, need) in _CHECKS.items()
+                 if need is None or getattr(ring, need))
 
 
 def run_check(name: str, ring: Ring, entry: CorpusEntry | None = None) -> TheoremReport:

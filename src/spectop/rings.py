@@ -515,9 +515,14 @@ class Ring:
     order.  Instances are immutable after construction and compare
     structurally through ``key``, a tuple each presentation fixes once
     when it is built; its hash is computed once and cached.
+    ``lists_primes``: ``ideals.prime_ideals`` lists all primes of the ring.
+    ``lists_ideals``: ``ideals.enumerate_ideals`` lists its ideals, a chain
+    (p^k) cut at ``LOCAL_LEVEL_BOUND``; False on an infinite product, whose
+    list is the product of those cut chains; the ideal checks do not run on it.
     """
 
     is_finite = False
+    lists_primes = lists_ideals = True
     key: tuple
 
     # payload protocol -----------------------------------------------------
@@ -758,7 +763,7 @@ class ProductRing(Ring):
         if len(flat) < 2:
             raise ValueError("ProductRing needs at least two factors; use product_ring")
         for f in flat:
-            if not (f.is_finite or isinstance(f, LocalizedIntegerRing)):
+            if not f.lists_primes:
                 raise UnsupportedForPresentation(
                     "product factors must be finite rings or localized integers")
         instances: dict[Ring, Ring] = {}
@@ -767,7 +772,7 @@ class ProductRing(Ring):
         if len(self.factors) > MAX_PRODUCT_FACTORS:
             raise RingTooLarge(f"a product of {len(self.factors)} factors exceeds the budget of "
                                f"{MAX_PRODUCT_FACTORS} factors")
-        self.is_finite = all(f.is_finite for f in self.factors)
+        self.is_finite = self.lists_ideals = all(f.is_finite for f in self.factors)
         self.key = ("product", tuple(f.key for f in self.factors))
 
     def _canon(self, value):
@@ -885,6 +890,7 @@ class EventuallyConstantBitsRing(Ring):
     flat-but-not-projective cyclic quotient.
     """
 
+    lists_primes = lists_ideals = False
     key = ("evbits",)
 
     def _canon(self, value):

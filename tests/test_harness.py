@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,8 +18,8 @@ from spectop import (
     zero_ideal,
 )
 from spectop import enumerate_spectrum, harness
-from spectop.errors import CorpusError
-from spectop.ideals import Ideal
+from spectop.errors import CorpusError, UnsupportedForPresentation
+from spectop.ideals import Ideal, ProductIdeal, enumerate_ideals, ideal_class, prime_ideals
 from spectop.spectrum import PATCH, ClosedFamily, SpectrumPoset
 from spectop.sring import MultiplicativeChain, SRingCertificate
 from spectop.harness import (
@@ -55,7 +57,11 @@ def test_every_check_runs_somewhere():
     assert seen == set(CHECK_NAMES)
 
 
-def test_applicability_matrix():
+SPECTRAL_CHECKS = ("topology-characterization", "closure-operators", "sring-equivalences",
+                   "chain-conditions")
+
+
+def test_applicability_matrix(capsys):
     bits = parse_ring("EvBits")
     names = applicable_checks(bits)
     assert "flat-not-projective" in names
@@ -69,6 +75,47 @@ def test_applicability_matrix():
 
     z12 = parse_ring("Z/12")
     assert set(applicable_checks(z12)) == set(CHECK_NAMES)
+
+    # Nine localizations have 18 points, two over the family bound: the
+    # spectral checks apply and are reported skipped with the bound.
+    import spectop.cli as cli
+    text = " * ".join(f"Zloc({p})" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23))
+    assert cli.main(["verify", "--ring", text]) == 0
+    rows = {row["check"]: row for row in json.loads(capsys.readouterr().out)}
+    for name in SPECTRAL_CHECKS:
+        assert rows[name]["verdict"] == "skipped"
+        assert rows[name]["details"] == {"reason": "18 spectrum points exceed the bound 16"}
+    assert "flat-ideal-bijection" not in rows
+    assert "support-consistency" not in rows
+
+
+# One ring of every presentation kind.
+PRESENTATION_KINDS = ("Z/12", "GF(4)", "Z/2[x]/(x^2+x)", "Z/4 * Z/3", "Zloc(2)",
+                      "Zloc(2) * Z/3", "EvBits")
+
+
+def _returns(compute) -> bool:
+    try:
+        compute()
+    except UnsupportedForPresentation:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("text", PRESENTATION_KINDS)
+def test_the_ring_facts_match_what_the_ring_lists(text):
+    ring = parse_ring(text)
+    assert ring.lists_primes == _returns(lambda: prime_ideals(ring))
+    assert ring.lists_ideals == (ideal_class(ring) is not ProductIdeal
+                                 and _returns(lambda: enumerate_ideals(ring)))
+
+
+def test_a_ring_that_lists_no_primes_drops_exactly_the_spectral_checks():
+    ring = parse_ring("Z/12")
+    ring.lists_primes = False
+    assert applicable_checks(ring) == tuple(
+        name for name in CHECK_NAMES if name not in SPECTRAL_CHECKS)
+    assert applicable_checks(parse_ring("Z/12")) == CHECK_NAMES
 
 
 def test_bijection_counts():

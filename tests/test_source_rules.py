@@ -529,11 +529,16 @@ def test_the_bin_rule_flags_an_added_call(tmp_path):
 
 
 # The ring presentations, and the modules that reach a ring's ideals
-# through ``ideals.ideal_class``, and its element literals through the
-# reader table of ``dsl``, instead of testing its presentation.
+# through ``ideals.ideal_class``, its element literals through the reader
+# table of ``dsl``, and what it can list through the ring's facts
+# (``lists_primes``, ``lists_ideals``), instead of testing its presentation.
 PRESENTATIONS = {"ModularRing", "PolyQuotientRing", "GaloisFieldRing", "ProductRing",
                  "LocalizedIntegerRing", "EventuallyConstantBitsRing"}
-MAPPED_MODULES = ("ideals.py", "spectrum.py", "flatness.py", "sring.py", "cli.py", "dsl.py")
+MAPPED_MODULES = ("ideals.py", "spectrum.py", "flatness.py", "sring.py", "cli.py", "dsl.py",
+                  "harness.py")
+# The one presentation test left, by module, enclosing function and class:
+# the CRT decomposition splits Z/n alone.
+KEPT_PRESENTATION_TESTS = ["harness.py tests ModularRing in check_crt_decomposition"]
 
 
 def _isinstance_tests(tree: ast.AST):
@@ -549,21 +554,46 @@ def _isinstance_tests(tree: ast.AST):
             yield node, kind.attr if isinstance(kind, ast.Attribute) else getattr(kind, "id", None)
 
 
+def _enclosing_functions(tree: ast.AST) -> dict[int, str]:
+    """The name of the innermost function around each node, by node id."""
+    owner = {}
+
+    def visit(node, name):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        owner[id(node)] = name
+        for child in ast.iter_child_nodes(node):
+            visit(child, name)
+
+    visit(tree, "the module")
+    return owner
+
+
 def presentation_tests(root: Path) -> list[str]:
-    """Where a mapped module calls ``isinstance`` with a ring presentation."""
-    return [f"{path.name}:{node.lineno} tests {name}"
-            for path, tree in _trees(root) if path.name in MAPPED_MODULES
-            for node, name in _isinstance_tests(tree) if name in PRESENTATIONS]
+    """Where a mapped module calls ``isinstance`` with a ring presentation,
+    each with the function it is made in."""
+    found = []
+    for path, tree in _trees(root):
+        if path.name in MAPPED_MODULES:
+            owner = _enclosing_functions(tree)
+            found += [f"{path.name}:{node.lineno} tests {name} in {owner[id(node)]}"
+                      for node, name in _isinstance_tests(tree) if name in PRESENTATIONS]
+    return found
+
+
+def _placed(found: list[str]) -> list[str]:
+    """The findings without their line numbers."""
+    return [f.split(":")[0] + " " + f.split(" ", 1)[1] for f in found]
 
 
 def test_the_mapped_modules_never_test_a_ring_presentation():
-    assert presentation_tests(SOURCE) == []
+    assert _placed(presentation_tests(SOURCE)) == KEPT_PRESENTATION_TESTS
 
 
 def test_the_presentation_rule_flags_an_added_test(tmp_path):
     copy = tmp_path / "spectop"
     shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    assert presentation_tests(copy) == []
+    assert _placed(presentation_tests(copy)) == KEPT_PRESENTATION_TESTS
     with open(copy / "spectrum.py", "a", encoding="utf-8") as handle:
         handle.write("\n\ndef _slotwise(ring):\n"
                      "    return isinstance(ring, ProductRing) and not ring.is_finite\n"
@@ -574,13 +604,19 @@ def test_the_presentation_rule_flags_an_added_test(tmp_path):
     # on the presentation is flagged there too.
     with open(copy / "dsl.py", "a", encoding="utf-8") as handle:
         handle.write("\n_BITS = isinstance(None, EventuallyConstantBitsRing)\n")
-    found = presentation_tests(copy)
-    assert [f.split(" ", 1)[1] for f in found] == [
-        "tests EventuallyConstantBitsRing",
-        "tests ProductRing",
-        "tests LocalizedIntegerRing",
+    # A bits-ring test in place of the fact the witness check reads.
+    harness = (copy / "harness.py").read_text(encoding="utf-8")
+    fact = "    if ring.lists_primes:\n"
+    assert harness.count(fact) == 1
+    (copy / "harness.py").write_text(harness.replace(
+        fact, "    if not isinstance(ring, EventuallyConstantBitsRing):\n"), encoding="utf-8")
+    assert _placed(presentation_tests(copy)) == [
+        "dsl.py tests EventuallyConstantBitsRing in the module",
+        "harness.py tests ModularRing in check_crt_decomposition",
+        "harness.py tests EventuallyConstantBitsRing in check_flat_not_projective",
+        "spectrum.py tests ProductRing in _slotwise",
+        "spectrum.py tests LocalizedIntegerRing in _kinds",
     ]
-    assert [f.split(":")[0] for f in found] == ["dsl.py", "spectrum.py", "spectrum.py"]
 
 
 def ideal_class_tests(root: Path) -> list[str]:
